@@ -8,7 +8,7 @@ an equally spaced grid, so that sum_j g_j^2 delta(omega - omega_j) -> J(omega).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -18,7 +18,6 @@ from scipy.special import expi
 __all__ = [
     "OhmicSpectrum",
     "BathCouplings",
-    "j_of",
     "total_spectral_weight",
     "omega_range",
     "discretize",
@@ -31,14 +30,7 @@ __all__ = [
     "trigamma",
     "principal_value_integral",
     "fwhh",
-    "system_timescale",
 ]
-
-
-class SpectralDensity(Protocol):
-    """Anything exposing J(omega); only the Ohmic family is implemented here."""
-
-    def j(self, omega): ...
 
 
 @dataclass(frozen=True)
@@ -81,11 +73,6 @@ class BathCouplings:
     @property
     def size(self) -> int:
         return self.frequencies.size
-
-
-def j_of(spectrum: OhmicSpectrum, omega):
-    """Evaluate J(omega); raises for negative omega."""
-    return spectrum.j(omega)
 
 
 def total_spectral_weight(spectrum: OhmicSpectrum) -> float:
@@ -292,8 +279,3 @@ def fwhh(f: Callable[[float], float], search_bound: float) -> float:
     i = below[0]
     root = brentq(g, grid[i - 1], grid[i], xtol=1e-14, rtol=1e-15)
     return 2.0 * float(root)
-
-
-def system_timescale(spectrum: OhmicSpectrum) -> float:
-    """Rough system evolution timescale 1/sqrt(alpha) (diagnostic only)."""
-    return 1.0 / np.sqrt(spectrum.alpha)

@@ -31,8 +31,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the experiments named in a config file")
     p_run.add_argument("config", type=Path)
     p_run.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    p_run.add_argument("--threads", type=int, default=1)
-    p_run.add_argument("--format", choices=("csv",), default="csv")
+    p_run.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; runs are serial")
     p_val = sub.add_parser("validate", help="check a config file and exit")
     p_val.add_argument("config", type=Path)
     p_orc = sub.add_parser("oracle", help="compare one flow against the Fock referee")
@@ -46,7 +46,10 @@ def _cmd_run(args) -> int:
         raise ConfigError("config requests no experiments ([output] experiments=...)")
     args.out.mkdir(parents=True, exist_ok=True)
     for name in config.experiments:
-        result = run_experiment(name, config, threads=max(1, args.threads))
+        result = run_experiment(name, config)
+        numbers = np.array([(t, value) for _, _, t, _, value in result.rows], dtype=float)
+        if not np.isfinite(numbers).all():
+            raise ArithmeticError(f"{name} produced a non-finite value; no CSV written")
         path = args.out / f"{name}.csv"
         path.write_text(result.to_csv(), encoding="utf-8")
         print(f"wrote {path} ({len(result.rows)} rows)")

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "parse_path", "config_text"]
 
 SCENARIOS = ("single", "two_coupled", "driven")
 INITIAL_STATES = ("vacuum", "thermal", "squeezed", "coherent")
 RANGE_MODES = ("equal_tails", "floor")
+DRIVE_VARIANTS = ("plain", "off_resonant", "no_secular")
 SWEEP_PARAMETERS = ("none", "temperature", "modes", "beta", "alpha", "detuning",
                     "rabi", "variant", "equation")
 EXPERIMENTS = (
@@ -190,6 +192,11 @@ def parse_path(path) -> ScenarioConfig:
 def validate(config: ScenarioConfig):
     """Raise ConfigError on any violated invariant."""
     c = config
+    numbers = [(f.name, getattr(c, f.name)) for f in fields(c)]
+    numbers += [("sweep values", v) for v in c.sweep_values]
+    for name, value in numbers:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {_fmt(value)}")
     if c.scenario not in SCENARIOS:
         raise ConfigError(f"scenario must be one of {SCENARIOS}, got {c.scenario!r}")
     if c.omega <= 0 or (c.scenario == "two_coupled" and c.omega2 <= 0):
@@ -211,23 +218,30 @@ def validate(config: ScenarioConfig):
         raise ConfigError(f"range_mode must be one of {RANGE_MODES}")
     if c.range_mode == "floor" and not 0 < c.range_floor < c.omega_c:
         raise ConfigError("range_floor must lie in (0, omega_c)")
-    if c.bath_modes < 0:
-        raise ConfigError("bath modes must be >= 0")
+    if c.range_mode == "equal_tails" and c.range_omega_min >= c.omega_c:
+        raise ConfigError("range_omega_min must lie below omega_c (0 selects omega_c/1000)")
+    if c.bath_modes < 0 or c.bath_modes == 1:
+        raise ConfigError("bath modes must be 0 (no bath) or >= 2")
     if c.temperature < 0:
         raise ConfigError("bath temperature must be >= 0")
     if c.scenario == "driven":
         if c.omega_l <= 0:
             raise ConfigError("driven scenario requires omega_l > 0")
-        if c.drive_variant not in ("plain", "off_resonant", "no_secular"):
+        if c.drive_variant not in DRIVE_VARIANTS:
             raise ConfigError("drive variant must be plain, off_resonant or no_secular")
         if c.drive_variant != "plain" and c.omega_l == c.omega:
             raise ConfigError(
                 f"variant {c.drive_variant!r} is undefined on exact resonance "
                 "omega_l = Omega")
+        if c.bath_modes > 0:
+            _check_driven_resonance(c)
     if c.t_max <= 0 or c.samples < 2:
         raise ConfigError("time grid needs t_max > 0 and samples >= 2")
     if c.sweep_parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMETERS}")
+    if c.sweep_parameter == "variant" and any(v not in DRIVE_VARIANTS
+                                              for v in c.sweep_values):
+        raise ConfigError(f"swept variants must be among {DRIVE_VARIANTS}")
     if c.sweep_parameter == "modes" and any(int(v) < 2 for v in c.sweep_values):
         raise ConfigError("swept bath sizes must be >= 2")
     if c.sweep_parameter in ("temperature", "alpha", "rabi") and any(
@@ -236,3 +250,21 @@ def validate(config: ScenarioConfig):
     for name in c.experiments:
         if name not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
+
+
+def _check_driven_resonance(c: ScenarioConfig):
+    """Reject driven runs that would evaluate a renormalized variant at resonance.
+
+    Only with a bath: without one, W - omega_L is itself singular there and
+    the run ends as a numeric failure.
+    """
+    suite = "driven_suite" in c.experiments
+    curves = "fidelity_vs_time" in c.experiments and (
+        c.sweep_parameter != "variant" or any(v != "plain" for v in c.sweep_values))
+    detunings = c.sweep_values if suite and c.sweep_parameter == "detuning" else ()
+    resonant = c.omega_l == c.omega or any(c.omega + float(d) == c.omega
+                                           for d in detunings)
+    if resonant and (suite or curves):
+        raise ConfigError(
+            "the off_resonant and no_secular variants are undefined on exact "
+            "resonance omega_l = Omega; move omega_l or the swept detunings off it")

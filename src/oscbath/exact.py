@@ -228,12 +228,9 @@ def reduced_driven_state(drive: AffineDrive, t: float, state0: GaussianState) ->
     """Driven evolution reduced to the system modes without the full propagator."""
     cache = drive.cache
     sys_idx = list(cache.system_indices)
-    n = cache.dim
+    k, n = len(sys_idx), cache.dim
     rows = cache.rows(t, sys_idx)
-    q = cache.eigenvectors
-    lt = cache.eigenvalues * t
-    tr_rows = (q[sys_idx, :] * np.cos(lt)) @ q.T
-    ti_rows = -(q[sys_idx, :] * np.sin(lt)) @ q.T
+    tr_rows, ti_rows = rows[:k, :n], rows[k:, :n]
     shift = np.sqrt(2.0) * np.concatenate([
         tr_rows @ drive.w0inv_b - drive.w0inv_b[sys_idx],
         ti_rows @ drive.w0inv_b,

@@ -1,14 +1,14 @@
 """Experiment runners: each reproduces one figure-class of the study as a tidy table.
 
 Every runner takes a ScenarioConfig and returns an ExperimentResult whose rows
-are (sweep_param, sweep_value, t, quantity, value).  Runs are deterministic:
-identical configs produce byte-identical CSV, regardless of thread count
-(threads only parallelize independent sweep points; results are ordered).
+are (sweep_param, sweep_value, t, quantity, value).  Runs are serial and
+deterministic: identical configs produce byte-identical CSV.  Every comparison
+of an exact evolution with Markovian flows goes through ``_compare``, which
+evaluates the exact state once per reported time and each flow at those times.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +20,9 @@ from .config import ConfigError, ScenarioConfig, config_text, validate
 from .exact import (PropagatorCache, build_drive, build_single, build_two,
                     global_initial_state, propagator, reduced_driven_state,
                     reduced_state)
-from .flows import (evolve_flow, flow_driven, flow_single, flow_two_large_beta,
-                    flow_two_small_beta, k_matrices, rabi_renormalizations)
+from .flows import (RABI_VARIANTS, evolve_flow, flow_driven, flow_single,
+                    flow_two_large_beta, flow_two_small_beta, k_matrices,
+                    rabi_renormalizations)
 from .gaussian import (GaussianState, db_distance, fidelity_multi, make_coherent,
                        make_squeezed_vacuum, make_thermal, make_vacuum,
                        partial_trace, tensor_product)
@@ -88,14 +89,6 @@ def config_from_csv(text: str) -> ScenarioConfig:
     return parse_config("\n".join(lines))
 
 
-def _pmap(fn, items, threads: int):
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # scenario assembly helpers
 
@@ -133,6 +126,16 @@ def _times(config: ScenarioConfig) -> np.ndarray:
     return np.linspace(0.0, config.t_max, config.samples)
 
 
+def _compare(exact_at, flows, sys0: GaussianState, times):
+    """Exact reduced states and every flow's states at the same times.
+
+    ``exact_at(t)`` is evaluated once per time, however many flows it is
+    compared with; returns (exact_states, [flow_states per flow]).
+    """
+    exact = [exact_at(t) for t in times]
+    return exact, [[evolve_flow(flow, sys0, t) for t in times] for flow in flows]
+
+
 def _single_pieces(config: ScenarioConfig, *, temperature=None, modes=None,
                    spectrum=None):
     """Coupling cache, global initial state, and flow inputs for one oscillator."""
@@ -149,94 +152,77 @@ def _single_pieces(config: ScenarioConfig, *, temperature=None, modes=None,
     return spec, bath, cache, sys0, global0, gamma, nbar, shift
 
 
+def _single_curve(config: ScenarioConfig, metric, *, temperature=None, modes=None,
+                  shifted=(True,)) -> list:
+    """(t, metric(exact, *flow_states)) over the time grid of one oscillator.
+
+    ``shifted`` lists the Markovian flows to compare, with (True) or without
+    (False) the bath-induced frequency shift.
+    """
+    _, _, cache, sys0, global0, gamma, nbar, shift = _single_pieces(
+        config, temperature=temperature, modes=modes)
+    flows = [flow_single(config.omega + shift if s else config.omega, gamma, nbar)
+             for s in shifted]
+    times = _times(config)
+    exact, states = _compare(lambda t: reduced_state(cache, t, global0), flows,
+                             sys0, times)
+    return [(t, metric(*at_t)) for t, *at_t in zip(times, exact, *states)]
+
+
 # ---------------------------------------------------------------------------
 # experiments
 
-def run_variance_trajectory(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
+_VARIANCE_QUANTITIES = ("var2x_exact", "var2x_markov_shift", "var2x_markov_noshift")
+
+
+def run_variance_trajectory(config: ScenarioConfig) -> ExperimentResult:
     """2(dx)^2 of the oscillator: exact bath vs Markovian flow with/without shift."""
     if config.scenario != "single":
         raise ConfigError("variance_trajectory requires scenario=single")
-    times = _times(config)
-    rows = []
-    spec, bath, cache, sys0, global0, gamma, nbar, shift = _single_pieces(config)
-    have_flow = bath is not None
-    if have_flow:
-        flow_shift = flow_single(config.omega + shift, gamma, nbar)
-        flow_plain = flow_single(config.omega, gamma, nbar)
-    for t in times:
-        exact = reduced_state(cache, t, global0)
-        rows.append(("none", "", t, "var2x_exact", exact.cov[0, 0]))
-        if have_flow:
-            rows.append(("none", "", t, "var2x_markov_shift",
-                         evolve_flow(flow_shift, sys0, t).cov[0, 0]))
-            rows.append(("none", "", t, "var2x_markov_noshift",
-                         evolve_flow(flow_plain, sys0, t).cov[0, 0]))
+    shifted = (True, False) if config.bath_modes > 0 else ()
+    curve = _single_curve(config, lambda *states: [s.cov[0, 0] for s in states],
+                          shifted=shifted)
+    rows = [("none", "", t, quantity, value) for t, values in curve
+            for quantity, value in zip(_VARIANCE_QUANTITIES, values)]
     return ExperimentResult("variance_trajectory", config, rows)
 
 
-def _single_fidelity_curve(config: ScenarioConfig, temperature: float) -> list:
-    _, _, cache, sys0, global0, gamma, nbar, shift = _single_pieces(
-        config, temperature=temperature)
-    flow = flow_single(config.omega + shift, gamma, nbar)
-    out = []
-    for t in _times(config):
-        exact = reduced_state(cache, t, global0)
-        markov = evolve_flow(flow, sys0, t)
-        out.append((t, fidelity_multi(exact, markov)))
-    return out
-
-
-def run_fidelity_vs_time(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
+def run_fidelity_vs_time(config: ScenarioConfig) -> ExperimentResult:
     """Fidelity between exact reduced state and the Markovian prediction over time."""
     rows = []
+    times = _times(config)
     if config.scenario == "single":
         temps = [float(v) for v in config.sweep_values] \
             if config.sweep_parameter == "temperature" else [config.temperature]
-        curves = _pmap(lambda T: _single_fidelity_curve(config, T), temps, threads)
-        for temp, curve in zip(temps, curves):
-            for t, f in curve:
+        for temp in temps:
+            for t, f in _single_curve(config, fidelity_multi, temperature=temp):
                 rows.append(("temperature", _g17(temp), t, "fidelity", f))
     elif config.scenario == "two_coupled":
-        for eq, curve in _two_oscillator_curves(config, threads).items():
-            for t, f in curve:
-                rows.append(("equation", eq, t, "fidelity", f))
+        rows = _equation_rows(times, *_two_oscillator_states(config, times))
     else:
         variants = [str(v) for v in config.sweep_values] \
-            if config.sweep_parameter == "variant" else list(("plain", "off_resonant", "no_secular"))
-        curves = _pmap(lambda v: _driven_fidelity_curve(config, v), variants, threads)
+            if config.sweep_parameter == "variant" else RABI_VARIANTS
+        curves = _driven_curves(config, variants, fidelity_multi, times)
         for variant, curve in zip(variants, curves):
-            for t, f in curve:
+            for t, f in zip(times, curve):
                 rows.append(("variant", variant, t, "fidelity", f))
     return ExperimentResult("fidelity_vs_time", config, rows)
 
 
-def _recurrence_curve(config: ScenarioConfig, modes: int) -> list:
-    _, _, cache, sys0, global0, gamma, nbar, shift = _single_pieces(config, modes=modes)
-    flow = flow_single(config.omega + shift, gamma, nbar)
-    out = []
-    for t in _times(config):
-        exact = reduced_state(cache, t, global0)
-        markov = evolve_flow(flow, sys0, t)
-        out.append((t, db_distance(exact, markov)))
-    return out
-
-
-def run_recurrence_map(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
+def run_recurrence_map(config: ScenarioConfig) -> ExperimentResult:
     """D_B between exact and Markovian states on a (t, bath size) grid."""
     if config.scenario != "single":
         raise ConfigError("recurrence_map requires scenario=single")
     if config.sweep_parameter != "modes" or not config.sweep_values:
         raise ConfigError("recurrence_map requires a sweep over modes")
-    sizes = [int(v) for v in config.sweep_values]
-    curves = _pmap(lambda m: _recurrence_curve(config, m), sizes, threads)
     rows = []
-    for m, curve in zip(sizes, curves):
-        for t, d in curve:
+    for m in (int(v) for v in config.sweep_values):
+        for t, d in _single_curve(config, db_distance, modes=m):
             rows.append(("modes", str(m), t, "bures_db", d))
     return ExperimentResult("recurrence_map", config, rows)
 
 
-def run_correlation_study(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
+def run_correlation_study(config: ScenarioConfig) -> ExperimentResult:
     """|C(s,T)| curves and FWHH(T), plus the zero-temperature kernel."""
     spec = _spectrum(config)
     temps = [float(v) for v in config.sweep_values] \
@@ -275,7 +261,7 @@ def _factorization_curve(config: ScenarioConfig, alpha: float) -> list:
     return out
 
 
-def run_factorization_distance(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
+def run_factorization_distance(config: ScenarioConfig) -> ExperimentResult:
     """D_B between the full evolved state and the product ansatz rho_S(t) x rho_th."""
     if config.scenario != "single":
         raise ConfigError("factorization_distance requires scenario=single")
@@ -284,17 +270,20 @@ def run_factorization_distance(config: ScenarioConfig, threads: int = 1) -> Expe
                           "(full-state fidelity)")
     alphas = [float(v) for v in config.sweep_values] \
         if config.sweep_parameter == "alpha" else [config.alpha]
-    curves = _pmap(lambda a: _factorization_curve(config, a), alphas, threads)
     rows = []
-    for alpha, curve in zip(alphas, curves):
-        for t, d in curve:
+    for alpha in alphas:
+        for t, d in _factorization_curve(config, alpha):
             rows.append(("alpha", _g17(alpha), t, "bures_db", d))
     return ExperimentResult("factorization_distance", config, rows)
 
 
 # -- two-oscillator machinery -----------------------------------------------
 
-def _two_pieces(config: ScenarioConfig, beta: float | None = None):
+EQUATIONS = ("small_beta", "large_beta")
+
+
+def _two_oscillator_states(config: ScenarioConfig, times, beta: float | None = None):
+    """Exact states and both equations' flow states (``EQUATIONS`` order) at ``times``."""
     if config.omega2 != config.omega:
         raise ConfigError("the two-oscillator study assumes equal frequencies "
                           "Omega1 = Omega2")
@@ -313,56 +302,52 @@ def _two_pieces(config: ScenarioConfig, beta: float | None = None):
     small = flow_two_small_beta((config.omega + shift, config.omega2 + shift),
                                 b, gammas, nbars)
     large = flow_two_large_beta(k_matrices((spec, spec), (t1, t2), config.omega, b))
-    return cache, sys0, global0, small, large
+    return _compare(lambda t: reduced_state(cache, t, global0), (small, large),
+                    sys0, times)
 
 
-def _two_oscillator_curves(config: ScenarioConfig, threads: int = 1):
-    cache, sys0, global0, small, large = _two_pieces(config)
-    curves = {"small_beta": [], "large_beta": []}
-    for t in _times(config):
-        exact = reduced_state(cache, t, global0)
-        curves["small_beta"].append((t, fidelity_multi(exact, evolve_flow(small, sys0, t))))
-        curves["large_beta"].append((t, fidelity_multi(exact, evolve_flow(large, sys0, t))))
-    return curves
+def _equation_rows(times, exact, flow_states) -> list:
+    return [("equation", eq, t, "fidelity", fidelity_multi(e, m))
+            for eq, states in zip(EQUATIONS, flow_states)
+            for t, e, m in zip(times, exact, states)]
 
 
 DEFAULT_BETA_GRID = (0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2)
 
 
-def run_two_oscillator_suite(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
+def run_two_oscillator_suite(config: ScenarioConfig) -> ExperimentResult:
     """Fidelity vs t for both equations, vs beta at t_max, and between equations."""
     if config.scenario != "two_coupled":
         raise ConfigError("two_oscillator_suite requires scenario=two_coupled")
-    rows = []
-    for eq, curve in _two_oscillator_curves(config, threads).items():
-        for t, f in curve:
-            rows.append(("equation", eq, t, "fidelity", f))
+    times = _times(config)
+    exact, flow_states = _two_oscillator_states(config, times)
+    rows = _equation_rows(times, exact, flow_states)
 
     betas = [float(v) for v in config.sweep_values] \
         if config.sweep_parameter == "beta" else \
         [b * config.omega for b in DEFAULT_BETA_GRID]
+    for beta in betas:
+        (exact_end,), ends = _two_oscillator_states(config, [config.t_max], beta)
+        for eq, (state,) in zip(EQUATIONS, ends):
+            rows.append(("beta", _g17(beta), config.t_max, f"fidelity_{eq}",
+                         fidelity_multi(exact_end, state)))
 
-    def at_fixed_time(beta):
-        cache, sys0, global0, small, large = _two_pieces(config, beta=beta)
-        t = config.t_max
-        exact = reduced_state(cache, t, global0)
-        return (fidelity_multi(exact, evolve_flow(small, sys0, t)),
-                fidelity_multi(exact, evolve_flow(large, sys0, t)))
-
-    for beta, (f_small, f_large) in zip(betas, _pmap(at_fixed_time, betas, threads)):
-        rows.append(("beta", _g17(beta), config.t_max, "fidelity_small_beta", f_small))
-        rows.append(("beta", _g17(beta), config.t_max, "fidelity_large_beta", f_large))
-
-    cache, sys0, global0, small, large = _two_pieces(config)
-    for t in _times(config):
-        f = fidelity_multi(evolve_flow(small, sys0, t), evolve_flow(large, sys0, t))
-        rows.append(("none", "", t, "fidelity_between_equations", f))
+    for t, small, large in zip(times, *flow_states):
+        rows.append(("none", "", t, "fidelity_between_equations",
+                     fidelity_multi(small, large)))
     return ExperimentResult("two_oscillator_suite", config, rows)
 
 
 # -- driven machinery ---------------------------------------------------------
 
-def _driven_pieces(config: ScenarioConfig, variant: str, *, rabi=None, omega_l=None):
+def _driven_curves(config: ScenarioConfig, variants, metric, times, *, rabi=None,
+                   omega_l=None) -> list:
+    """metric(exact, flow state) at ``times`` for each drive variant.
+
+    The exact evolution does not depend on the variant, so one drive serves
+    all of them.  It is built first: a singular W - omega_L raises
+    ArithmeticError before any variant can reject exact resonance.
+    """
     spec = _spectrum(config)
     r = config.rabi if rabi is None else rabi
     wl = config.omega_l if omega_l is None else omega_l
@@ -374,77 +359,49 @@ def _driven_pieces(config: ScenarioConfig, variant: str, *, rabi=None, omega_l=N
     gamma = decay_rate(spec, config.omega)
     nbar = bose_occupation(config.omega, config.temperature)
     omega_bar = config.omega + lamb_shift(spec, config.omega)
-    r_bar = rabi_renormalizations(spec, config.omega, wl, r, variant)
-    flow = flow_driven(omega_bar, gamma, nbar, r_bar, wl)
-    return drive, sys0, global0, flow
-
-
-def _driven_fidelity_curve(config: ScenarioConfig, variant: str, *, rabi=None,
-                           omega_l=None) -> list:
-    drive, sys0, global0, flow = _driven_pieces(config, variant, rabi=rabi,
-                                                omega_l=omega_l)
-    out = []
-    for t in _times(config):
-        exact = reduced_driven_state(drive, t, global0)
-        markov = evolve_flow(flow, sys0, t)
-        out.append((t, fidelity_multi(exact, markov)))
-    return out
+    flows = [flow_driven(omega_bar, gamma, nbar,
+                         rabi_renormalizations(spec, config.omega, wl, r, v), wl)
+             for v in variants]
+    exact, states = _compare(lambda t: reduced_driven_state(drive, t, global0),
+                             flows, sys0, times)
+    return [[metric(e, m) for e, m in zip(exact, s)] for s in states]
 
 
 def driven_variant_error(config: ScenarioConfig, variant: str, *, rabi=None,
                          omega_l=None) -> float:
     """Time-averaged D_B between exact and Markovian driven evolution."""
-    drive, sys0, global0, flow = _driven_pieces(config, variant, rabi=rabi,
-                                                omega_l=omega_l)
-    dists = []
-    for t in _times(config):
-        exact = reduced_driven_state(drive, t, global0)
-        markov = evolve_flow(flow, sys0, t)
-        dists.append(db_distance(exact, markov))
+    (dists,) = _driven_curves(config, [variant], db_distance, _times(config),
+                              rabi=rabi, omega_l=omega_l)
     return float(np.mean(dists))
 
 
 DEFAULT_DETUNING_GRID = (-0.5, -0.2, -0.1, -0.05, -0.02, -0.005,
                          0.005, 0.02, 0.05, 0.1, 0.2, 0.5)
 DEFAULT_RABI_GRID = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5)
-VARIANTS = ("plain", "off_resonant", "no_secular")
 
 
-def run_driven_suite(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
+def run_driven_suite(config: ScenarioConfig) -> ExperimentResult:
     """Driven-oscillator fidelities vs time, detuning (at t_max) and Rabi frequency."""
     if config.scenario != "driven":
         raise ConfigError("driven_suite requires scenario=driven")
     rows = []
-    curves = _pmap(lambda v: _driven_fidelity_curve(config, v), VARIANTS, threads)
-    for variant, curve in zip(VARIANTS, curves):
-        for t, f in curve:
+    times = _times(config)
+    curves = _driven_curves(config, RABI_VARIANTS, fidelity_multi, times)
+    for variant, curve in zip(RABI_VARIANTS, curves):
+        for t, f in zip(times, curve):
             rows.append(("variant", variant, t, "fidelity", f))
 
     detunings = [float(v) for v in config.sweep_values] \
         if config.sweep_parameter == "detuning" else list(DEFAULT_DETUNING_GRID)
-
-    def at_detuning(delta):
-        wl = config.omega + delta
-        out = []
-        for variant in VARIANTS:
-            curve = _driven_fidelity_curve(config, variant, omega_l=wl)
-            out.append(curve[-1][1])
-        return out
-
-    for delta, fids in zip(detunings, _pmap(at_detuning, detunings, threads)):
-        for variant, f in zip(VARIANTS, fids):
-            rows.append(("detuning", _g17(delta), config.t_max,
-                         f"fidelity_{variant}", f))
-
     rabis = [float(v) for v in config.sweep_values] \
         if config.sweep_parameter == "rabi" else list(DEFAULT_RABI_GRID)
-
-    def at_rabi(r):
-        return [_driven_fidelity_curve(config, v, rabi=r)[-1][1] for v in VARIANTS]
-
-    for r, fids in zip(rabis, _pmap(at_rabi, rabis, threads)):
-        for variant, f in zip(VARIANTS, fids):
-            rows.append(("rabi", _g17(r), config.t_max, f"fidelity_{variant}", f))
+    points = [("detuning", d, {"omega_l": config.omega + d}) for d in detunings] \
+        + [("rabi", r, {"rabi": r}) for r in rabis]
+    for param, value, point in points:
+        ends = _driven_curves(config, RABI_VARIANTS, fidelity_multi, [config.t_max],
+                              **point)
+        for variant, (f,) in zip(RABI_VARIANTS, ends):
+            rows.append((param, _g17(value), config.t_max, f"fidelity_{variant}", f))
     return ExperimentResult("driven_suite", config, rows)
 
 
@@ -459,11 +416,11 @@ _RUNNERS = {
 }
 
 
-def run_experiment(name: str, config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
+def run_experiment(name: str, config: ScenarioConfig) -> ExperimentResult:
     validate(config)
     if name not in _RUNNERS:
         raise ConfigError(f"unknown experiment {name!r}")
-    return _RUNNERS[name](config, threads)
+    return _RUNNERS[name](config)
 
 
 # ---------------------------------------------------------------------------

@@ -292,11 +292,6 @@ def evolve_flow(flow: MomentFlow, state: GaussianState, t: float) -> GaussianSta
     return GaussianState(flow.n_modes, mean, 0.5 * (cov + cov.T))
 
 
-def flow_trajectory(flow: MomentFlow, state: GaussianState, times) -> list[GaussianState]:
-    """States along a time grid (each evaluated exactly from t = 0)."""
-    return [evolve_flow(flow, state, float(t)) for t in times]
-
-
 def steady_state(flow: MomentFlow) -> GaussianState:
     """Fixed point of the flow: A C + C A^T + D = 0 and d = -A^{-1} c."""
     eig = np.linalg.eigvals(flow.drift)

@@ -13,7 +13,7 @@ from scipy.integrate import quad
 
 from oscbath import fock
 from oscbath.bath import (OhmicSpectrum, bose_occupation, corr_c0, corr_ct,
-                          decay_rate, discretize, fwhh, j_of, lamb_shift,
+                          decay_rate, discretize, fwhh, lamb_shift,
                           omega_range)
 from oscbath.config import ScenarioConfig
 from oscbath.exact import (PropagatorCache, build_single, global_initial_state,
@@ -227,11 +227,11 @@ def test_criterion_6_correlation_kernels():
         return re - 1j * im
 
     for s in (0.1, 1.0, 10.0):
-        ref = transform(lambda w: j_of(spec, w), s)
+        ref = transform(lambda w: spec.j(w), s)
         assert abs(corr_c0(spec, s) - ref) <= 1e-7
 
     for s, temp in ((0.0, 1.0), (1.0, 1.0), (1.0, 0.1)):
-        f = lambda w: (j_of(spec, w) * bose_occupation(w, temp)
+        f = lambda w: (spec.j(w) * bose_occupation(w, temp)
                        if w > 0 else spec.alpha * temp)
         ref = transform(f, s)
         assert abs(corr_ct(spec, s, temp) - ref) <= 1e-7

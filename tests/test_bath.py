@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from oscbath.bath import (BathCouplings, OhmicSpectrum, bose_occupation, corr_c0,
-                          corr_ct, decay_rate, discretize, fwhh, j_of, lamb_shift,
+                          corr_ct, decay_rate, discretize, fwhh, lamb_shift,
                           omega_range, principal_value_integral, thermal_shift,
                           total_spectral_weight, trigamma)
 
@@ -18,22 +18,22 @@ def pv_oracle(f, nu, upper):
 
 class TestSpectralDensity:
     def test_zero_at_origin(self):
-        assert j_of(SPEC, 0.0) == 0.0
+        assert SPEC.j(0.0) == 0.0
 
     def test_maximum_at_cutoff(self):
-        jc = j_of(SPEC, SPEC.omega_c)
+        jc = SPEC.j(SPEC.omega_c)
         assert jc == pytest.approx(SPEC.alpha * SPEC.omega_c * np.exp(-1.0), rel=1e-15)
         for w in (0.5 * SPEC.omega_c, 0.9 * SPEC.omega_c, 1.1 * SPEC.omega_c, 2 * SPEC.omega_c):
-            assert j_of(SPEC, w) < jc
+            assert SPEC.j(w) < jc
 
     def test_total_weight(self):
-        val, _ = quad(lambda w: j_of(SPEC, w), 0.0, 60 * SPEC.omega_c, limit=200)
+        val, _ = quad(lambda w: SPEC.j(w), 0.0, 60 * SPEC.omega_c, limit=200)
         assert val == pytest.approx(total_spectral_weight(SPEC), rel=1e-10)
         assert total_spectral_weight(SPEC) == SPEC.alpha * SPEC.omega_c**2
 
     def test_negative_frequency_rejected(self):
         with pytest.raises(ValueError):
-            j_of(SPEC, -0.1)
+            SPEC.j(-0.1)
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -58,8 +58,8 @@ class TestOmegaRange:
 
     def test_equal_tails_balance(self):
         w1, wmax = omega_range(SPEC, "equal_tails", omega_min=0.05)
-        left, _ = quad(lambda w: j_of(SPEC, w), 0.0, w1)
-        right, _ = quad(lambda w: j_of(SPEC, w), wmax, wmax + 80 * SPEC.omega_c, limit=200)
+        left, _ = quad(lambda w: SPEC.j(w), 0.0, w1)
+        right, _ = quad(lambda w: SPEC.j(w), wmax, wmax + 80 * SPEC.omega_c, limit=200)
         assert abs(left - right) <= 1e-10
 
     def test_unknown_mode(self):
@@ -117,7 +117,7 @@ class TestRatesAndOccupation:
     def test_decay_rate_is_pi_times_j(self):
         rng = np.random.default_rng(1)
         for nu in rng.uniform(0.1, 10.0, 5):
-            assert decay_rate(SPEC, nu) / j_of(SPEC, nu) == pytest.approx(np.pi, rel=1e-14)
+            assert decay_rate(SPEC, nu) / SPEC.j(nu) == pytest.approx(np.pi, rel=1e-14)
 
 
 class TestShifts:
@@ -127,11 +127,11 @@ class TestShifts:
 
     def test_against_pv_quadrature(self):
         for nu in (0.5 * SPEC.omega_c, SPEC.omega_c, 2.0 * SPEC.omega_c):
-            ref = pv_oracle(lambda w: j_of(SPEC, w), nu, nu + 60 * SPEC.omega_c)
+            ref = pv_oracle(lambda w: SPEC.j(w), nu, nu + 60 * SPEC.omega_c)
             assert lamb_shift(SPEC, nu) == pytest.approx(ref, abs=1e-6)
 
     def test_pv_helper_matches_cauchy_oracle(self):
-        f = lambda w: j_of(SPEC, w)
+        f = lambda w: SPEC.j(w)
         for nu in (1.0, 4.0):
             upper = nu + 40 * SPEC.omega_c
             assert principal_value_integral(f, nu, upper) == pytest.approx(
@@ -142,7 +142,7 @@ class TestShifts:
 
     def test_thermal_shift_against_oracle(self):
         for nu, temp in ((1.0, 1.0), (2.0, 0.5), (0.7, 2.0)):
-            f = lambda w: (j_of(SPEC, w) * bose_occupation(w, temp)
+            f = lambda w: (SPEC.j(w) * bose_occupation(w, temp)
                            if w > 0 else SPEC.alpha * temp)
             ref = pv_oracle(f, nu, nu + 40 * SPEC.omega_c)
             assert thermal_shift(SPEC, nu, temp) == pytest.approx(ref, abs=1e-6)
@@ -212,8 +212,8 @@ class TestCorrelations:
     def test_c0_against_quadrature(self):
         upper = 60 * SPEC.omega_c
         for s in (0.1, 1.0, 10.0):
-            re, _ = quad(lambda w: j_of(SPEC, w), 0, upper, weight="cos", wvar=s, limit=400)
-            im, _ = quad(lambda w: j_of(SPEC, w), 0, upper, weight="sin", wvar=s, limit=400)
+            re, _ = quad(lambda w: SPEC.j(w), 0, upper, weight="cos", wvar=s, limit=400)
+            im, _ = quad(lambda w: SPEC.j(w), 0, upper, weight="sin", wvar=s, limit=400)
             assert corr_c0(SPEC, s) == pytest.approx(re - 1j * im, abs=1e-8)
 
     def test_ct_vanishes_at_low_temperature(self):
@@ -221,7 +221,7 @@ class TestCorrelations:
 
     def test_ct_against_quadrature(self):
         for s, temp in ((0.0, 1.0), (1.0, 1.0), (1.0, 0.1)):
-            f = lambda w: (j_of(SPEC, w) * bose_occupation(w, temp)
+            f = lambda w: (SPEC.j(w) * bose_occupation(w, temp)
                            if w > 0 else SPEC.alpha * temp)
             upper = 60 * SPEC.omega_c
             if s == 0.0:

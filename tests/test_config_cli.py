@@ -2,10 +2,11 @@ from pathlib import Path
 
 import pytest
 
+from oscbath import cli
 from oscbath.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, cli_main
 from oscbath.config import (ConfigError, ScenarioConfig, config_text,
                             parse_config, validate)
-from oscbath.experiments import config_from_csv
+from oscbath.experiments import ExperimentResult, config_from_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -39,6 +40,57 @@ values = 0.1, 1
 [output]
 experiments = fidelity_vs_time
 """
+
+# exact resonance omega_l = Omega with a bath, where W - omega_L stays regular
+RESONANT_DRIVEN = """
+[scenario]
+kind = driven
+
+[system]
+omega = 1
+initial = vacuum
+
+[spectrum]
+alpha = 0.01
+omega_c = 3
+
+[bath]
+modes = 12
+temperature = 0
+
+[drive]
+rabi = 0.1
+omega_l = 1
+variant = plain
+
+[time]
+t_max = 5
+samples = 4
+
+[output]
+experiments = driven_suite
+"""
+
+BAD_RUNS = {
+    "t_max_nan": SMALL_RUN.replace("t_max = 8", "t_max = nan"),
+    "squeeze_nan": SMALL_RUN.replace("initial = thermal",
+                                     "initial = squeezed\ninitial_squeeze = nan")
+                            .replace("= fidelity_vs_time", "= variance_trajectory"),
+    "alpha_inf": SMALL_RUN.replace("alpha = 0.01", "alpha = inf"),
+    "temperature_nan": SMALL_RUN.replace("temperature = 0.5", "temperature = nan"),
+    "sweep_value_nan": SMALL_RUN.replace("values = 0.1, 1", "values = 0.1, nan"),
+    "one_bath_mode": SMALL_RUN.replace("modes = 12", "modes = 1"),
+    "omega_min_above_cutoff": SMALL_RUN.replace(
+        "range_mode = floor", "range_mode = equal_tails\nrange_omega_min = 5"),
+    "resonant_driven_suite": RESONANT_DRIVEN,
+    "resonant_fidelity_vs_time": RESONANT_DRIVEN.replace("= driven_suite",
+                                                         "= fidelity_vs_time"),
+    "resonant_swept_detuning": RESONANT_DRIVEN.replace("omega_l = 1", "omega_l = 1.2")
+    + "\n[sweep]\nparameter = detuning\nvalues = -0.1, 0\n",
+    "unknown_swept_variant": RESONANT_DRIVEN.replace("omega_l = 1", "omega_l = 1.2")
+    .replace("= driven_suite", "= fidelity_vs_time")
+    + "\n[sweep]\nparameter = variant\nvalues = plain, bogus\n",
+}
 
 
 class TestConfigParsing:
@@ -143,6 +195,31 @@ class TestCli:
                      "[output]\nexperiments = driven_suite\n")
         assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
         assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(BAD_RUNS))
+    def test_bad_input_is_a_config_error(self, case, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_text(BAD_RUNS[case])
+        assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_resonant_plain_fidelity_vs_time_runs(self, tmp_path):
+        p = tmp_path / "res.cfg"
+        p.write_text(BAD_RUNS["resonant_fidelity_vs_time"]
+                     + "\n[sweep]\nparameter = variant\nvalues = plain\n")
+        assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK
+
+    def test_non_finite_result_is_not_written(self, tmp_path, capsys, monkeypatch):
+        def nan_result(name, config):
+            return ExperimentResult(name, config, [("none", "", 0.0, "x", float("nan"))])
+
+        monkeypatch.setattr(cli, "run_experiment", nan_result)
+        p = tmp_path / "run.cfg"
+        p.write_text(SMALL_RUN)
+        assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
+        assert "non-finite" in capsys.readouterr().err
+        assert not list((tmp_path / "o").glob("*.csv"))
 
     def test_oracle_subcommand(self, tmp_path, capsys):
         p = tmp_path / "oracle.cfg"

@@ -3,9 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
+from oscbath import experiments
 from oscbath.bath import OhmicSpectrum, bose_occupation, decay_rate, lamb_shift
 from oscbath.config import ConfigError, ScenarioConfig
-from oscbath.experiments import (config_from_csv, driven_variant_error,
+from oscbath.experiments import (DEFAULT_RABI_GRID, config_from_csv,
+                                 driven_variant_error,
                                  linear_fit, recurrence_onset,
                                  run_correlation_study, run_experiment,
                                  run_factorization_distance,
@@ -268,14 +270,61 @@ class TestDrivenSuite:
         assert errs["off_resonant"] > 5 * errs["plain"]
 
 
+class TestCallCounts:
+    """Each exact evolution is built once and evaluated only at reported times."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"eigh": 0, "evolve": 0}
+        build = experiments.PropagatorCache.build.__func__
+        evolve = experiments.evolve_flow
+
+        def counted_build(cls, coupling):
+            counts["eigh"] += 1
+            return build(cls, coupling)
+
+        def counted_evolve(*args):
+            counts["evolve"] += 1
+            return evolve(*args)
+
+        monkeypatch.setattr(experiments.PropagatorCache, "build",
+                            classmethod(counted_build))
+        monkeypatch.setattr(experiments, "evolve_flow", counted_evolve)
+        return counts
+
+    def test_driven_suite(self, counts):
+        samples, detunings = 7, (-0.1, 0.05, 0.2)
+        cfg = ScenarioConfig(**{**DRIVEN_BASE, "bath_modes": 20, "rabi": 0.3,
+                                "omega_l": 1.2, "samples": samples,
+                                "sweep_parameter": "detuning",
+                                "sweep_values": detunings})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_experiment("driven_suite", cfg)
+        points = len(detunings) + len(DEFAULT_RABI_GRID)
+        assert len(DEFAULT_RABI_GRID) == 6
+        assert counts == {"eigh": 1 + points, "evolve": 3 * samples + 3 * points}
+
+    def test_two_oscillator_suite(self, counts):
+        samples, betas = 6, (0.01, 0.05, 0.1)
+        cfg = ScenarioConfig(**{**TWO_BASE, "bath_modes": 20, "samples": samples,
+                                "temperature": 1.0, "sweep_parameter": "beta",
+                                "sweep_values": betas})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_experiment("two_oscillator_suite", cfg)
+        assert counts == {"eigh": 1 + len(betas),
+                          "evolve": 2 * samples + 2 * len(betas)}
+
+
 class TestResultPlumbing:
     def test_csv_round_trip_and_determinism(self):
         cfg = ScenarioConfig(**{**BASE_SINGLE, "samples": 10,
                                 "sweep_parameter": "temperature",
                                 "sweep_values": (0.2, 2.0),
                                 "experiments": ("fidelity_vs_time",)})
-        res1 = run_experiment("fidelity_vs_time", cfg, threads=1)
-        res2 = run_experiment("fidelity_vs_time", cfg, threads=4)
+        res1 = run_experiment("fidelity_vs_time", cfg)
+        res2 = run_experiment("fidelity_vs_time", cfg)
         assert res1.to_csv() == res2.to_csv()
         assert config_from_csv(res1.to_csv()) == cfg
 

@@ -62,14 +62,70 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+# every key some oracle family reads; any other key is a typo, not a default
+_ORACLE_KEYS = frozenset({
+    "family", "cutoff", "t", "gamma", "nbar", "omega_bar", "coherent_re",
+    "coherent_im", "beta", "alpha", "omega_c", "t1", "t2", "omega_l", "rabi_re",
+    "rabi_im"})
+
+
+def _oracle_case(sec):
+    """The family, cutoff, time, generator and initial Fock state of an [oracle] section."""
+    from .bath import OhmicSpectrum
+    from .flows import (flow_driven, flow_single, flow_two_large_beta,
+                        flow_two_small_beta)
+    from .fock import coherent_rho, kron_rho, thermal_rho
+
+    unknown = sorted(set(sec) - _ORACLE_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown oracle key(s): {', '.join(unknown)}")
+
+    def num(key: str, default: float, parse=sec.getfloat):
+        try:
+            value = parse(key, default)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for oracle {key}: {sec[key]!r}") from exc
+        if not np.isfinite(value):
+            raise ConfigError(f"oracle {key} must be finite, got {value}")
+        return value
+
+    family = sec.get("family", "single")
+    cutoff = num("cutoff", 20, parse=sec.getint)
+    t = num("t", 5.0)
+    if t < 0:
+        raise ConfigError(f"oracle t must be >= 0, got {t}")
+    gamma = num("gamma", 0.05)
+    nbar = num("nbar", 0.2)
+    omega_bar = num("omega_bar", 1.0)
+    alpha0 = complex(num("coherent_re", 0.3), num("coherent_im", 0.0))
+
+    if family == "single":
+        lindblad = flow_single(omega_bar, gamma, nbar)
+        rho0 = coherent_rho(alpha0, cutoff)
+    elif family == "two_small":
+        lindblad = flow_two_small_beta((omega_bar, omega_bar), num("beta", 0.05),
+                                       (gamma, gamma), (nbar, nbar))
+        rho0 = kron_rho(coherent_rho(alpha0, cutoff), thermal_rho(nbar, cutoff))
+    elif family == "two_large":
+        spectrum = OhmicSpectrum(num("alpha", 0.01), num("omega_c", 3.0))
+        lindblad = flow_two_large_beta((spectrum, spectrum),
+                                       (num("t1", 1.0), num("t2", 0.5)),
+                                       omega_bar, num("beta", 0.3))
+        rho0 = kron_rho(coherent_rho(alpha0, cutoff), thermal_rho(nbar, cutoff))
+    elif family == "driven":
+        r_bar = complex(num("rabi_re", 0.1), num("rabi_im", 0.0))
+        lindblad = flow_driven(omega_bar, gamma, nbar, r_bar, num("omega_l", 0.8))
+        rho0 = coherent_rho(alpha0, cutoff)
+    else:
+        raise ConfigError(f"unknown oracle family {family!r}")
+    return family, cutoff, t, lindblad, rho0
+
+
 def _cmd_oracle(args) -> int:
     import configparser
 
-    from .flows import (evolve_flow, flow_driven, flow_single,
-                        flow_two_large_beta, flow_two_small_beta, k_matrices)
-    from .bath import OhmicSpectrum
-    from .fock import (TruncatedLindbladSpec, coherent_rho, integrate, kron_rho,
-                       moments, thermal_rho)
+    from .flows import evolve_flow
+    from .fock import integrate, moments
     from .gaussian import GaussianState
 
     parser = configparser.ConfigParser()
@@ -77,56 +133,16 @@ def _cmd_oracle(args) -> int:
         raise ConfigError(f"cannot read oracle config {args.config}")
     if "oracle" not in parser:
         raise ConfigError("oracle config needs an [oracle] section")
-    sec = parser["oracle"]
-    family = sec.get("family", "single")
-    cutoff = sec.getint("cutoff", 20)
-    t = sec.getfloat("t", 5.0)
-    gamma = sec.getfloat("gamma", 0.05)
-    nbar = sec.getfloat("nbar", 0.2)
-    omega_bar = sec.getfloat("omega_bar", 1.0)
-    alpha0 = complex(sec.getfloat("coherent_re", 0.3), sec.getfloat("coherent_im", 0.0))
+    try:
+        family, cutoff, t, lindblad, rho0 = _oracle_case(parser["oracle"])
+        rho_t = integrate(lindblad, cutoff, rho0, t)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
-    if family == "single":
-        flow = flow_single(omega_bar, gamma, nbar)
-        spec = TruncatedLindbladSpec(1, cutoff, [[omega_bar]],
-                                     [[2 * gamma * (nbar + 1)]], [[2 * gamma * nbar]])
-        rho0 = coherent_rho(alpha0, cutoff)
-    elif family == "two_small":
-        beta = sec.getfloat("beta", 0.05)
-        flow = flow_two_small_beta((omega_bar, omega_bar), beta, (gamma, gamma),
-                                   (nbar, nbar))
-        spec = TruncatedLindbladSpec(
-            2, cutoff, [[omega_bar, beta], [beta, omega_bar]],
-            np.diag([2 * gamma * (nbar + 1)] * 2), np.diag([2 * gamma * nbar] * 2))
-        rho0 = kron_rho(coherent_rho(alpha0, cutoff), thermal_rho(nbar, cutoff))
-    elif family == "two_large":
-        beta = sec.getfloat("beta", 0.3)
-        spectrum = OhmicSpectrum(sec.getfloat("alpha", 0.01), sec.getfloat("omega_c", 3.0))
-        coeffs = k_matrices((spectrum, spectrum),
-                            (sec.getfloat("t1", 1.0), sec.getfloat("t2", 0.5)),
-                            omega_bar, beta)
-        flow = flow_two_large_beta(coeffs)
-        spec = TruncatedLindbladSpec(
-            2, cutoff, [[coeffs.omega_bar, coeffs.beta_bar],
-                        [coeffs.beta_bar, coeffs.omega_bar]],
-            coeffs.k_emit, coeffs.k_abs)
-        rho0 = kron_rho(coherent_rho(alpha0, cutoff), thermal_rho(nbar, cutoff))
-    elif family == "driven":
-        omega_l = sec.getfloat("omega_l", 0.8)
-        r_bar = complex(sec.getfloat("rabi_re", 0.1), sec.getfloat("rabi_im", 0.0))
-        flow = flow_driven(omega_bar, gamma, nbar, r_bar, omega_l)
-        spec = TruncatedLindbladSpec(1, cutoff, [[omega_bar - omega_l]],
-                                     [[2 * gamma * (nbar + 1)]], [[2 * gamma * nbar]],
-                                     drive=[np.conj(r_bar)])
-        rho0 = coherent_rho(alpha0, cutoff)
-    else:
-        raise ConfigError(f"unknown oracle family {family!r}")
-
-    mean0, cov0 = moments(rho0, spec.n_modes, cutoff)
-    state0 = GaussianState(spec.n_modes, mean0, cov0)
-    rho_t = integrate(spec, rho0, t)
-    mean_f, cov_f = moments(rho_t, spec.n_modes, cutoff)
-    flow_t = evolve_flow(flow, state0, t)
+    n = lindblad.n_modes
+    state0 = GaussianState(n, *moments(rho0, n, cutoff))
+    mean_f, cov_f = moments(rho_t, n, cutoff)
+    flow_t = evolve_flow(lindblad, state0, t)
     dmean = np.abs(mean_f - flow_t.mean).max()
     dcov = np.abs(cov_f - flow_t.cov).max()
     print(f"family={family} t={t} cutoff={cutoff}")

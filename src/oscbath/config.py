@@ -19,7 +19,7 @@ INITIAL_STATES = ("vacuum", "thermal", "squeezed", "coherent")
 RANGE_MODES = ("equal_tails", "floor")
 DRIVE_VARIANTS = ("plain", "off_resonant", "no_secular")
 SWEEP_PARAMETERS = ("none", "temperature", "modes", "beta", "alpha", "detuning",
-                    "rabi", "variant", "equation")
+                    "rabi", "variant")
 EXPERIMENTS = (
     "variance_trajectory",
     "fidelity_vs_time",
@@ -127,7 +127,7 @@ def config_text(config: ScenarioConfig) -> str:
 
 def _parse_sweep_values(parameter: str, raw: str) -> tuple:
     items = [s.strip() for s in raw.split(",") if s.strip()]
-    if parameter in ("variant", "equation"):
+    if parameter == "variant":
         return tuple(items)
     if parameter == "modes":
         return tuple(int(s) for s in items)

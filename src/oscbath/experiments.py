@@ -21,7 +21,7 @@ from .exact import (PropagatorCache, build_drive, build_single, build_two,
                     global_initial_state, propagator, reduced_driven_state,
                     reduced_state)
 from .flows import (RABI_VARIANTS, evolve_flow, flow_driven, flow_single,
-                    flow_two_large_beta, flow_two_small_beta, k_matrices,
+                    flow_two_large_beta, flow_two_small_beta,
                     rabi_renormalizations)
 from .gaussian import (GaussianState, db_distance, fidelity_multi, make_coherent,
                        make_squeezed_vacuum, make_thermal, make_vacuum,
@@ -301,7 +301,7 @@ def _two_oscillator_states(config: ScenarioConfig, times, beta: float | None = N
     shift = lamb_shift(spec, config.omega)
     small = flow_two_small_beta((config.omega + shift, config.omega2 + shift),
                                 b, gammas, nbars)
-    large = flow_two_large_beta(k_matrices((spec, spec), (t1, t2), config.omega, b))
+    large = flow_two_large_beta((spec, spec), (t1, t2), config.omega, b)
     return _compare(lambda t: reduced_state(cache, t, global0), (small, large),
                     sys0, times)
 

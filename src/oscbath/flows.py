@@ -1,21 +1,21 @@
-"""Markovian master equations reduced to affine flows on Gaussian moments.
+"""Markovian master equations as quadratic Lindblad generators and their moment flows.
 
-Every implemented master equation is quadratic in ladder operators and hence
-Gaussian preserving, so it acts on first/second moments as
+Every implemented master equation is quadratic in ladder operators: a
+one-particle Hamiltonian matrix h, emission/absorption rate matrices K and an
+optional linear drive.  :class:`QuadraticLindblad` holds those coefficients,
+checks them once, and derives the affine flow they induce on Gaussian moments,
 
     d' = A d + c,      C' = A C + C A^T + D.
 
-The translation from a quadratic Lindblad generator (one-particle Hamiltonian
-matrix h, emission/absorption rate matrices K) to (A, D, c) is done once in
-:func:`quadratic_lindblad_flow`; each concrete equation only assembles its
-coefficients.  The Fock-space referee in :mod:`oscbath.fock` validates every
-derived flow in the test suite.
+Each concrete equation only assembles its coefficients.  The same generator is
+what the Fock-space referee in :mod:`oscbath.fock` integrates, which validates
+every flow in the test suite.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
@@ -24,13 +24,10 @@ from .bath import OhmicSpectrum, bose_occupation, decay_rate, lamb_shift
 from .gaussian import GaussianState
 
 __all__ = [
-    "MomentFlow",
-    "TwoBathCoefficients",
+    "QuadraticLindblad",
     "SecularValidityWarning",
-    "quadratic_lindblad_flow",
     "flow_single",
     "flow_two_small_beta",
-    "k_matrices",
     "flow_two_large_beta",
     "rabi_renormalizations",
     "flow_driven",
@@ -45,93 +42,93 @@ class SecularValidityWarning(UserWarning):
     """Emitted when a secular/weak-coupling premise of an equation is strained."""
 
 
-@dataclass(frozen=True)
-class MomentFlow:
-    """Affine generator (drift A, diffusion D, mean drift c) on 2n moments.
-
-    ``frame_frequency`` records the rotating frame (0 for lab frame); within
-    that frame the flow is autonomous.
-    """
-
-    n_modes: int
-    drift: np.ndarray
-    diffusion: np.ndarray
-    mean_drift: np.ndarray
-    frame_frequency: float = 0.0
-
-    def __post_init__(self):
-        d = 2 * self.n_modes
-        a = np.asarray(self.drift, dtype=float)
-        dif = np.asarray(self.diffusion, dtype=float)
-        c = np.asarray(self.mean_drift, dtype=float)
-        if a.shape != (d, d) or dif.shape != (d, d) or c.shape != (d,):
-            raise ValueError("flow matrices have inconsistent shapes")
-        if np.abs(dif - dif.T).max() > 1e-12 * max(np.abs(dif).max(), 1.0):
-            raise ValueError("diffusion matrix must be symmetric")
-        if np.linalg.eigvalsh(0.5 * (dif + dif.T)).min() < -1e-12 * max(np.abs(dif).max(), 1.0):
-            raise ValueError("diffusion matrix must be positive semidefinite")
-        object.__setattr__(self, "drift", a)
-        object.__setattr__(self, "diffusion", 0.5 * (dif + dif.T))
-        object.__setattr__(self, "mean_drift", c)
-
-
-def _check_rate_matrix(k: np.ndarray, name: str):
-    if np.abs(k - k.T.conj()).max() > 1e-10 * max(np.abs(k).max(), 1.0):
-        raise ValueError(f"{name} must be Hermitian")
-    if np.linalg.eigvalsh(k).min() < -1e-12 * max(np.abs(k).max(), 1.0):
-        raise ValueError(f"{name} must be positive semidefinite")
-
-
-def quadratic_lindblad_flow(h, k_emit, k_abs, drive=None,
-                            frame_frequency: float = 0.0) -> MomentFlow:
-    """Moment flow of the Lindblad generator with one-particle matrices.
+@dataclass(frozen=True, eq=False)
+class QuadraticLindblad:
+    """Quadratic Lindblad generator and the affine flow it induces on 2n moments.
 
     The generator is -i[H, .] + sum_jk K^E_jk (a_j . a_k^dag - {a_k^dag a_j, .}/2)
     + sum_jk K^A_jk (a_j^dag . a_k - {a_k a_j^dag, .}/2), with
     H = sum h_jk a_j^dag a_k + sum_j (f_j a_j^dag + conj(f_j) a_j).
+    ``frame_frequency`` records the rotating frame (0 for lab frame); within
+    that frame the generator is autonomous.
 
     The complex mean obeys d<a>/dt = G <a> - i f with
-    G = -i h - conj(K^E)/2 + K^A/2; the diffusion matrix follows from the
-    covariance rate at the vacuum, D = dC/dt|_vac - (A + A^T).
+    G = -i h - conj(K^E)/2 + K^A/2, which gives the drift A and mean drift c;
+    the diffusion matrix follows from the covariance rate at the vacuum,
+    D = dC/dt|_vac - (A + A^T).
     """
-    h = np.atleast_2d(np.asarray(h, dtype=complex))
-    k_emit = np.atleast_2d(np.asarray(k_emit, dtype=complex))
-    k_abs = np.atleast_2d(np.asarray(k_abs, dtype=complex))
-    n = h.shape[0]
-    if np.abs(h - h.T.conj()).max() > 1e-10 * max(np.abs(h).max(), 1.0):
-        raise ValueError("one-particle Hamiltonian matrix must be Hermitian")
-    _check_rate_matrix(k_emit, "emission rate matrix")
-    _check_rate_matrix(k_abs, "absorption rate matrix")
 
-    g = -1j * h - 0.5 * k_emit.conj() + 0.5 * k_abs
-    a = np.block([[g.real, -g.imag], [g.imag, g.real]])
+    h: np.ndarray
+    k_emit: np.ndarray
+    k_abs: np.ndarray
+    drive: np.ndarray | None = None
+    frame_frequency: float = 0.0
+    drift: np.ndarray = field(init=False, repr=False)
+    diffusion: np.ndarray = field(init=False, repr=False)
+    mean_drift: np.ndarray = field(init=False, repr=False)
 
-    # at the vacuum N = M = 0 and dN/dt = conj(K^A), dM/dt = 0
-    ndot = k_abs.conj()
-    cdot_vac = np.block([[2 * ndot.real, 2 * ndot.imag],
-                         [2 * ndot.imag.T, 2 * ndot.real]])
-    d = cdot_vac - (a + a.T)
+    def __post_init__(self):
+        h = np.atleast_2d(np.asarray(self.h, dtype=complex))
+        k_emit = np.atleast_2d(np.asarray(self.k_emit, dtype=complex))
+        k_abs = np.atleast_2d(np.asarray(self.k_abs, dtype=complex))
+        n = h.shape[0]
+        for name, m in (("one-particle Hamiltonian matrix", h),
+                        ("emission rate matrix", k_emit),
+                        ("absorption rate matrix", k_abs)):
+            if m.shape != (n, n):
+                raise ValueError(f"{name} must be {n}x{n}")
+            if np.abs(m - m.T.conj()).max() > 1e-10 * max(np.abs(m).max(), 1.0):
+                raise ValueError(f"{name} must be Hermitian")
+        for name, m in (("emission rate matrix", k_emit),
+                        ("absorption rate matrix", k_abs)):
+            if np.linalg.eigvalsh(m).min() < -1e-12 * max(np.abs(m).max(), 1.0):
+                raise ValueError(f"{name} must be positive semidefinite")
+        drive = self.drive
+        if drive is not None:
+            drive = np.atleast_1d(np.asarray(drive, dtype=complex))
+            if drive.shape != (n,):
+                raise ValueError(f"drive must have {n} entries")
 
-    if drive is None:
-        c = np.zeros(2 * n)
-    else:
-        f = np.atleast_1d(np.asarray(drive, dtype=complex))
-        c = np.sqrt(2.0) * np.concatenate([f.imag, -f.real])
-    return MomentFlow(n, a, d, c, frame_frequency)
+        g = -1j * h - 0.5 * k_emit.conj() + 0.5 * k_abs
+        a = np.block([[g.real, -g.imag], [g.imag, g.real]])
+
+        # at the vacuum N = M = 0 and dN/dt = conj(K^A), dM/dt = 0
+        ndot = k_abs.conj()
+        cdot_vac = np.block([[2 * ndot.real, 2 * ndot.imag],
+                             [2 * ndot.imag.T, 2 * ndot.real]])
+        d = cdot_vac - (a + a.T)
+        scale = max(np.abs(d).max(), 1.0)
+        if np.abs(d - d.T).max() > 1e-12 * scale:
+            raise ValueError("diffusion matrix must be symmetric")
+        d = 0.5 * (d + d.T)
+        if np.linalg.eigvalsh(d).min() < -1e-12 * scale:
+            raise ValueError("diffusion matrix must be positive semidefinite")
+        if drive is None:
+            c = np.zeros(2 * n)
+        else:
+            c = np.sqrt(2.0) * np.concatenate([drive.imag, -drive.real])
+        for name, value in (("h", h), ("k_emit", k_emit), ("k_abs", k_abs),
+                            ("drive", drive), ("drift", a),
+                            ("diffusion", d), ("mean_drift", c)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def n_modes(self) -> int:
+        return self.h.shape[0]
 
 
-def flow_single(omega_bar: float, gamma: float, nbar: float) -> MomentFlow:
+def flow_single(omega_bar: float, gamma: float, nbar: float) -> QuadraticLindblad:
     """Damped oscillator flow: A = [[-g, w],[-w, -g]], D = 2g(2nbar+1) I."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if nbar < 0:
         raise ValueError("nbar must be >= 0")
-    return quadratic_lindblad_flow([[omega_bar]],
-                                   [[2.0 * gamma * (nbar + 1.0)]],
-                                   [[2.0 * gamma * nbar]])
+    return QuadraticLindblad([[omega_bar]],
+                             [[2.0 * gamma * (nbar + 1.0)]],
+                             [[2.0 * gamma * nbar]])
 
 
-def flow_two_small_beta(omega_bars, beta: float, gammas, nbars) -> MomentFlow:
+def flow_two_small_beta(omega_bars, beta: float, gammas, nbars) -> QuadraticLindblad:
     """Two oscillators with local damping and bare exchange coupling beta."""
     w1, w2 = omega_bars
     g1, g2 = gammas
@@ -141,31 +138,17 @@ def flow_two_small_beta(omega_bars, beta: float, gammas, nbars) -> MomentFlow:
     h = np.array([[w1, beta], [beta, w2]])
     k_emit = np.diag([2.0 * g1 * (n1 + 1.0), 2.0 * g2 * (n2 + 1.0)])
     k_abs = np.diag([2.0 * g1 * n1, 2.0 * g2 * n2])
-    return quadratic_lindblad_flow(h, k_emit, k_abs)
+    return QuadraticLindblad(h, k_emit, k_abs)
 
 
-@dataclass(frozen=True)
-class TwoBathCoefficients:
-    """Coefficients of the strong-coupling two-oscillator master equation."""
-
-    k_emit: np.ndarray
-    k_abs: np.ndarray
-    omega_bar: float
-    beta_bar: float
-    omega_plus: float
-    omega_minus: float
-
-    def __post_init__(self):
-        _check_rate_matrix(np.asarray(self.k_emit, dtype=complex), "K^(E)")
-        _check_rate_matrix(np.asarray(self.k_abs, dtype=complex), "K^(A)")
-
-
-def k_matrices(spectra, temperatures, omega: float, beta: float) -> TwoBathCoefficients:
-    """Assemble K^(E), K^(A) and the renormalized frequencies from both baths.
+def flow_two_large_beta(spectra, temperatures, omega: float,
+                        beta: float) -> QuadraticLindblad:
+    """Strong-coupling two-oscillator generator with cross-mode dissipation.
 
     Rates, occupations and shifts are evaluated per bath at the normal-mode
-    frequencies Omega_pm = Omega +/- beta; requires Omega > beta so that both
-    normal modes are stable.
+    frequencies Omega_pm = Omega +/- beta and give K^(E), K^(A) and
+    h = [[Omega_bar, beta_bar], [beta_bar, Omega_bar]]; requires Omega > beta
+    so that both normal modes are stable.
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
@@ -181,7 +164,6 @@ def k_matrices(spectra, temperatures, omega: float, beta: float) -> TwoBathCoeff
             f"beta={beta} is not large against the coupling alpha={max_alpha}; "
             "the secular approximation behind the strong-coupling equation is "
             "strained", SecularValidityWarning)
-    w_plus, w_minus = omega + beta, omega - beta
 
     def rates(nu):
         emit = absorb = shift = 0.0
@@ -193,22 +175,16 @@ def k_matrices(spectra, temperatures, omega: float, beta: float) -> TwoBathCoeff
             shift += lamb_shift(spec, nu)
         return emit, absorb, shift
 
-    emit_p, abs_p, shift_p = rates(w_plus)
-    emit_m, abs_m, shift_m = rates(w_minus)
+    emit_p, abs_p, shift_p = rates(omega + beta)
+    emit_m, abs_m, shift_m = rates(omega - beta)
     k_emit = 0.5 * np.array([[emit_p + emit_m, emit_p - emit_m],
                              [emit_p - emit_m, emit_p + emit_m]])
     k_abs = 0.5 * np.array([[abs_p + abs_m, abs_p - abs_m],
                             [abs_p - abs_m, abs_p + abs_m]])
     omega_bar = omega + (shift_p + shift_m) / 4.0
     beta_bar = beta + (shift_p - shift_m) / 4.0
-    return TwoBathCoefficients(k_emit, k_abs, omega_bar, beta_bar, w_plus, w_minus)
-
-
-def flow_two_large_beta(coeffs: TwoBathCoefficients) -> MomentFlow:
-    """Strong-coupling two-oscillator flow with cross-mode dissipation."""
-    h = np.array([[coeffs.omega_bar, coeffs.beta_bar],
-                  [coeffs.beta_bar, coeffs.omega_bar]])
-    return quadratic_lindblad_flow(h, coeffs.k_emit, coeffs.k_abs)
+    h = np.array([[omega_bar, beta_bar], [beta_bar, omega_bar]])
+    return QuadraticLindblad(h, k_emit, k_abs)
 
 
 def rabi_renormalizations(spectrum: OhmicSpectrum, omega: float, omega_l: float,
@@ -232,7 +208,7 @@ def rabi_renormalizations(spectrum: OhmicSpectrum, omega: float, omega_l: float,
 
 
 def flow_driven(omega_bar: float, gamma: float, nbar: float, r_bar: complex,
-                omega_l: float) -> MomentFlow:
+                omega_l: float) -> QuadraticLindblad:
     """Driven damped oscillator in the frame rotating at omega_L.
 
     Same damping and diffusion as the undriven flow; the drift rotates at the
@@ -240,14 +216,14 @@ def flow_driven(omega_bar: float, gamma: float, nbar: float, r_bar: complex,
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    return quadratic_lindblad_flow([[omega_bar - omega_l]],
-                                   [[2.0 * gamma * (nbar + 1.0)]],
-                                   [[2.0 * gamma * nbar]],
-                                   drive=[np.conj(r_bar)],
-                                   frame_frequency=omega_l)
+    return QuadraticLindblad([[omega_bar - omega_l]],
+                             [[2.0 * gamma * (nbar + 1.0)]],
+                             [[2.0 * gamma * nbar]],
+                             drive=[np.conj(r_bar)],
+                             frame_frequency=omega_l)
 
 
-def _step_matrices(flow: MomentFlow, dt: float):
+def _step_matrices(flow: QuadraticLindblad, dt: float):
     """Exact one-step maps: mean d -> phi d + shift, cov C -> phi C phi^T + noise.
 
     The mean shift comes from the augmented exponential; the accumulated noise
@@ -269,7 +245,7 @@ def _step_matrices(flow: MomentFlow, dt: float):
     return phi, shift, 0.5 * (noise + noise.T)
 
 
-def evolve_flow(flow: MomentFlow, state: GaussianState, t: float) -> GaussianState:
+def evolve_flow(flow: QuadraticLindblad, state: GaussianState, t: float) -> GaussianState:
     """Exact solution of the moment ODEs at time t (semigroup property holds).
 
     The autonomous flow is advanced in exact semigroup steps short enough that
@@ -292,7 +268,7 @@ def evolve_flow(flow: MomentFlow, state: GaussianState, t: float) -> GaussianSta
     return GaussianState(flow.n_modes, mean, 0.5 * (cov + cov.T))
 
 
-def steady_state(flow: MomentFlow) -> GaussianState:
+def steady_state(flow: QuadraticLindblad) -> GaussianState:
     """Fixed point of the flow: A C + C A^T + D = 0 and d = -A^{-1} c."""
     eig = np.linalg.eigvals(flow.drift)
     if eig.real.max() >= 0:

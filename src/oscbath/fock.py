@@ -1,22 +1,24 @@
 """Brute-force referee: dense Lindblad integration in a truncated number basis.
 
 Used by tests and the ``oracle`` CLI subcommand to validate every moment flow
-in :mod:`oscbath.flows` against a direct density-matrix integration.  Scope is
-deliberately small (1-2 modes, low occupation) so runs stay seconds-fast.
+in :mod:`oscbath.flows` against a direct density-matrix integration: it
+consumes the same :class:`~oscbath.flows.QuadraticLindblad` generator the flow
+is derived from.  Scope is deliberately small (1-2 modes, low occupation) so
+runs stay seconds-fast.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from .flows import QuadraticLindblad
+
 __all__ = [
-    "TruncatedLindbladSpec",
     "destroy",
     "mode_operators",
     "build_superoperator",
@@ -48,85 +50,42 @@ def mode_operators(n_modes: int, cutoff: int) -> list[np.ndarray]:
     raise ValueError("the Fock referee supports 1 or 2 modes only")
 
 
-@dataclass(frozen=True)
-class TruncatedLindbladSpec:
-    """Quadratic Lindblad generator on a truncated Fock space.
-
-    ``h`` is the one-particle Hamiltonian matrix (H = sum h_jk a_j^dag a_k),
-    ``drive`` the coefficients of a_j^dag in a linear drive term, and
-    ``k_emit``/``k_abs`` the Hermitian PSD rate matrices of the emission and
-    absorption dissipators.  ``literal_plus_sign`` flips the anticommutator
-    sign to the (non-trace-preserving) literal form, for negative tests only.
-    """
-
-    n_modes: int
-    cutoff: int
-    h: np.ndarray
-    k_emit: np.ndarray
-    k_abs: np.ndarray
-    drive: np.ndarray | None = None
-    literal_plus_sign: bool = False
-
-    def __post_init__(self):
-        if self.n_modes not in (1, 2):
-            raise ValueError("n_modes must be 1 or 2")
-        if self.cutoff < 4:
-            raise ValueError("cutoff must be at least 4")
-        h = np.atleast_2d(np.asarray(self.h, dtype=complex))
-        ke = np.atleast_2d(np.asarray(self.k_emit, dtype=complex))
-        ka = np.atleast_2d(np.asarray(self.k_abs, dtype=complex))
-        n = self.n_modes
-        for name, m in (("h", h), ("k_emit", ke), ("k_abs", ka)):
-            if m.shape != (n, n):
-                raise ValueError(f"{name} must be {n}x{n}")
-            if np.abs(m - m.T.conj()).max() > 1e-10 * max(np.abs(m).max(), 1.0):
-                raise ValueError(f"{name} must be Hermitian")
-        for name, m in (("k_emit", ke), ("k_abs", ka)):
-            if np.linalg.eigvalsh(m).min() < -1e-12 * max(np.abs(m).max(), 1.0):
-                raise ValueError(f"{name} must be positive semidefinite")
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "k_emit", ke)
-        object.__setattr__(self, "k_abs", ka)
-        if self.drive is not None:
-            f = np.atleast_1d(np.asarray(self.drive, dtype=complex))
-            if f.shape != (n,):
-                raise ValueError(f"drive must have {n} entries")
-            object.__setattr__(self, "drive", f)
-
-    @property
-    def dim(self) -> int:
-        return (self.cutoff + 1) ** self.n_modes
-
-
-def build_superoperator(spec: TruncatedLindbladSpec) -> sp.csr_matrix:
+def build_superoperator(lindblad: QuadraticLindblad, cutoff: int,
+                        literal_plus_sign: bool = False) -> sp.csr_matrix:
     """Sparse matrix acting on row-major vec(rho) as the master-equation generator.
 
-    vec(A rho B) = (A kron B^T) vec(rho) for row-major flattening, so
-    -i[H, .] maps to -i(H kron 1 - 1 kron H^T) and each dissipator term
+    Each mode is truncated at ``cutoff`` quanta.  vec(A rho B) = (A kron B^T)
+    vec(rho) for row-major flattening, so -i[H, .] maps to
+    -i(H kron 1 - 1 kron H^T) and each dissipator term
     g (L . R^dag - {R^dag L, .}/2) to its three Kronecker pieces.
+    ``literal_plus_sign`` flips the anticommutator sign to the
+    (non-trace-preserving) literal form, for negative tests only.
     """
-    ops = [sp.csr_matrix(a) for a in mode_operators(spec.n_modes, spec.cutoff)]
-    n = spec.n_modes
-    d = spec.dim
+    if cutoff < 4:
+        raise ValueError("cutoff must be at least 4")
+    n = lindblad.n_modes
+    ops = [sp.csr_matrix(a) for a in mode_operators(n, cutoff)]
+    d = (cutoff + 1) ** n
     eye = sp.identity(d, dtype=complex, format="csr")
     ham = sp.csr_matrix((d, d), dtype=complex)
     for j in range(n):
         for k in range(n):
-            if spec.h[j, k] != 0:
-                ham = ham + spec.h[j, k] * (ops[j].T.conj() @ ops[k])
-    if spec.drive is not None:
+            if lindblad.h[j, k] != 0:
+                ham = ham + lindblad.h[j, k] * (ops[j].T.conj() @ ops[k])
+    if lindblad.drive is not None:
         for j in range(n):
-            ham = ham + spec.drive[j] * ops[j].T.conj() + np.conj(spec.drive[j]) * ops[j]
+            ham = (ham + lindblad.drive[j] * ops[j].T.conj()
+                   + np.conj(lindblad.drive[j]) * ops[j])
 
     lind = -1j * (sp.kron(ham, eye) - sp.kron(eye, ham.T))
-    anticomm_sign = 1.0 if spec.literal_plus_sign else -1.0
+    anticomm_sign = 1.0 if literal_plus_sign else -1.0
     terms = []
     for j in range(n):
         for k in range(n):
-            if spec.k_emit[j, k] != 0:
-                terms.append((spec.k_emit[j, k], ops[j], ops[k]))
-            if spec.k_abs[j, k] != 0:
-                terms.append((spec.k_abs[j, k], ops[j].T.conj(), ops[k].T.conj()))
+            if lindblad.k_emit[j, k] != 0:
+                terms.append((lindblad.k_emit[j, k], ops[j], ops[k]))
+            if lindblad.k_abs[j, k] != 0:
+                terms.append((lindblad.k_abs[j, k], ops[j].T.conj(), ops[k].T.conj()))
     for g, left, right in terms:
         rdl = right.T.conj() @ left
         lind = lind + g * (sp.kron(left, right.conj())
@@ -135,11 +94,11 @@ def build_superoperator(spec: TruncatedLindbladSpec) -> sp.csr_matrix:
     return sp.csr_matrix(lind)
 
 
-def integrate(spec: TruncatedLindbladSpec, rho0: np.ndarray, t: float,
+def integrate(lindblad: QuadraticLindblad, cutoff: int, rho0: np.ndarray, t: float,
               rtol: float = 1e-10, atol: float = 1e-12):
-    """Adaptive RK45 integration of the truncated master equation to time t."""
-    lind = build_superoperator(spec)
-    d = spec.dim
+    """Adaptive RK45 integration of the master equation truncated at ``cutoff`` to time t."""
+    lind = build_superoperator(lindblad, cutoff)
+    d = (cutoff + 1) ** lindblad.n_modes
     if rho0.shape != (d, d):
         raise ValueError(f"rho0 must be {d}x{d}")
     if t == 0:

@@ -21,8 +21,8 @@ from oscbath.exact import (PropagatorCache, build_single, global_initial_state,
 from oscbath.experiments import (driven_variant_error, linear_fit,
                                  recurrence_onset, run_factorization_distance,
                                  run_recurrence_map)
-from oscbath.flows import (evolve_flow, flow_driven, flow_single,
-                           flow_two_large_beta, flow_two_small_beta, k_matrices,
+from oscbath.flows import (QuadraticLindblad, evolve_flow, flow_driven,
+                           flow_single, flow_two_large_beta, flow_two_small_beta,
                            steady_state)
 from oscbath.gaussian import (GaussianState, db_distance, fidelity_multi,
                               fidelity_one_mode, make_thermal, make_vacuum,
@@ -43,13 +43,13 @@ def report(number: int, description: str):
     return wrap
 
 
-def _flow_vs_fock(flow, spec, rho0, times, tol):
-    mean0, cov0 = fock.moments(rho0, spec.n_modes, spec.cutoff)
-    state0 = GaussianState(spec.n_modes, mean0, cov0)
+def _flow_vs_fock(flow, lindblad, cutoff, rho0, times, tol):
+    mean0, cov0 = fock.moments(rho0, lindblad.n_modes, cutoff)
+    state0 = GaussianState(lindblad.n_modes, mean0, cov0)
     worst = 0.0
     for t in times:
-        rho_t = fock.integrate(spec, rho0, t)
-        mean_t, cov_t = fock.moments(rho_t, spec.n_modes, spec.cutoff)
+        rho_t = fock.integrate(lindblad, cutoff, rho0, t)
+        mean_t, cov_t = fock.moments(rho_t, lindblad.n_modes, cutoff)
         out = evolve_flow(flow, state0, t)
         worst = max(worst, np.abs(out.mean - mean_t).max(),
                     np.abs(out.cov - cov_t).max())
@@ -64,26 +64,26 @@ def test_criterion_1_oracle_equivalence():
 
     # damped oscillator, three parameter points over three relaxation times
     for omega, gamma, nbar in ((1.0, 0.05, 0.0), (1.0, 0.05, 0.3), (1.3, 0.1, 0.8)):
-        spec = fock.TruncatedLindbladSpec(
-            1, 35, [[omega]], [[2 * gamma * (nbar + 1)]], [[2 * gamma * nbar]])
+        lindblad = QuadraticLindblad(
+            [[omega]], [[2 * gamma * (nbar + 1)]], [[2 * gamma * nbar]])
         rho0 = fock.squeezed_vacuum_rho(0.5, 35)
         horizon = 3.0 / (2 * gamma)
-        _flow_vs_fock(flow_single(omega, gamma, nbar), spec, rho0,
+        _flow_vs_fock(flow_single(omega, gamma, nbar), lindblad, 35, rho0,
                       (horizon / 3, horizon), tol)
 
     # weak-coupling two-oscillator equation
     for beta, gammas, nbars in ((0.01, (0.06, 0.06), (0.25, 0.25)),
                                 (0.05, (0.05, 0.08), (0.3, 0.1)),
                                 (0.08, (0.1, 0.1), (0.0, 0.3))):
-        spec = fock.TruncatedLindbladSpec(
-            2, cut2, [[1.0, beta], [beta, 1.0]],
+        lindblad = QuadraticLindblad(
+            [[1.0, beta], [beta, 1.0]],
             np.diag([2 * g * (n + 1) for g, n in zip(gammas, nbars)]),
             np.diag([2 * g * n for g, n in zip(gammas, nbars)]))
         rho0 = fock.kron_rho(fock.coherent_rho(0.35, cut2),
                              fock.thermal_rho(0.15, cut2))
         flow = flow_two_small_beta((1.0, 1.0), beta, gammas, nbars)
         horizon = 3.0 / (2 * min(gammas))
-        _flow_vs_fock(flow, spec, rho0, (horizon / 3, horizon), tol)
+        _flow_vs_fock(flow, lindblad, cut2, rho0, (horizon / 3, horizon), tol)
 
     # strong-coupling two-oscillator equation (cross-mode rates); temperatures
     # kept below the lower normal mode so the cutoff-12 truncation stays clean
@@ -93,17 +93,15 @@ def test_criterion_1_oracle_equivalence():
                                    (0.02, (0.4, 0.4), 0.2),
                                    (0.015, (0.5, 0.05), 0.25)):
             spectrum = OhmicSpectrum(alpha, 3.0)
-            coeffs = k_matrices((spectrum, spectrum), temps, 1.0, beta)
-            flow = flow_two_large_beta(coeffs)
-            spec = fock.TruncatedLindbladSpec(
-                2, cut2, [[coeffs.omega_bar, coeffs.beta_bar],
-                          [coeffs.beta_bar, coeffs.omega_bar]],
-                coeffs.k_emit, coeffs.k_abs)
+            flow = flow_two_large_beta((spectrum, spectrum), temps, 1.0, beta)
+            lindblad = QuadraticLindblad(
+                [[flow.h[0, 0], flow.h[0, 1]], [flow.h[0, 1], flow.h[0, 0]]],
+                flow.k_emit, flow.k_abs)
             rho0 = fock.kron_rho(fock.coherent_rho(0.3, cut2),
                                  fock.squeezed_vacuum_rho(0.2, cut2))
-            gmin = np.linalg.eigvalsh(coeffs.k_emit - coeffs.k_abs).min() / 2
+            gmin = np.linalg.eigvalsh(flow.k_emit - flow.k_abs).min() / 2
             horizon = 3.0 / (2 * gmin)
-            _flow_vs_fock(flow, spec, rho0, (horizon / 3, horizon), tol)
+            _flow_vs_fock(flow, lindblad, cut2, rho0, (horizon / 3, horizon), tol)
 
     # driven oscillator in the rotating frame
     for detuning, gamma, nbar, r_bar in ((1.0, 0.05, 0.0, 0.1 + 0.02j),
@@ -111,12 +109,12 @@ def test_criterion_1_oracle_equivalence():
                                          (2.0, 0.1, 0.1, 0.2 - 0.05j)):
         omega_bar = 1.0 + detuning
         flow = flow_driven(omega_bar, gamma, nbar, r_bar, 1.0)
-        spec = fock.TruncatedLindbladSpec(
-            1, cut1, [[detuning]], [[2 * gamma * (nbar + 1)]],
+        lindblad = QuadraticLindblad(
+            [[detuning]], [[2 * gamma * (nbar + 1)]],
             [[2 * gamma * nbar]], drive=[np.conj(r_bar)])
         rho0 = fock.coherent_rho(0.2, cut1)
         horizon = 3.0 / (2 * gamma)
-        _flow_vs_fock(flow, spec, rho0, (horizon / 3, horizon), tol)
+        _flow_vs_fock(flow, lindblad, cut1, rho0, (horizon / 3, horizon), tol)
 
     elapsed = time.time() - tic
     assert elapsed < 120.0, f"oracle equivalence took {elapsed:.0f}s > 2 min"
@@ -179,8 +177,7 @@ def test_criterion_4_equal_temperature_steady_fidelity():
             beta = frac * omega
             small = flow_two_small_beta((omega + shift,) * 2, beta,
                                         (gamma,) * 2, (nbar,) * 2)
-            large = flow_two_large_beta(
-                k_matrices((spectrum, spectrum), (temp, temp), omega, beta))
+            large = flow_two_large_beta((spectrum, spectrum), (temp, temp), omega, beta)
             f = fidelity_multi(steady_state(small), steady_state(large))
             worst = min(worst, f)
     assert worst >= 0.9999, f"worst steady-state fidelity {worst:.6f}"

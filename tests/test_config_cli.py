@@ -90,6 +90,24 @@ BAD_RUNS = {
     "unknown_swept_variant": RESONANT_DRIVEN.replace("omega_l = 1", "omega_l = 1.2")
     .replace("= driven_suite", "= fidelity_vs_time")
     + "\n[sweep]\nparameter = variant\nvalues = plain, bogus\n",
+    "equation_sweep": SMALL_RUN.replace("parameter = temperature", "parameter = equation")
+    .replace("values = 0.1, 1", "values = small_beta, large_beta"),
+}
+
+ORACLE_SINGLE = ("[oracle]\nfamily = single\ncutoff = 10\nt = 2\n"
+                 "gamma = 0.08\nnbar = 0.2\nomega_bar = 1.0\n")
+
+# one [oracle] key changed per case
+BAD_ORACLES = {
+    "cutoff_3": ORACLE_SINGLE.replace("cutoff = 10", "cutoff = 3"),
+    "gamma_zero": ORACLE_SINGLE.replace("gamma = 0.08", "gamma = 0"),
+    "gamma_not_a_number": ORACLE_SINGLE.replace("gamma = 0.08", "gamma = abc"),
+    "driven_negative_nbar": ORACLE_SINGLE.replace("single", "driven")
+    .replace("nbar = 0.2", "nbar = -1"),
+    "two_large_beta_above_omega": ORACLE_SINGLE.replace("single", "two_large") + "beta = 2\n",
+    "t_nan": ORACLE_SINGLE.replace("t = 2", "t = nan"),
+    "t_negative": ORACLE_SINGLE.replace("t = 2", "t = -1"),
+    "unknown_key": ORACLE_SINGLE + "gama = 0.1\n",
 }
 
 
@@ -221,10 +239,24 @@ class TestCli:
         assert "non-finite" in capsys.readouterr().err
         assert not list((tmp_path / "o").glob("*.csv"))
 
-    def test_oracle_subcommand(self, tmp_path, capsys):
+    @pytest.mark.parametrize("family", ["single", "two_small", "two_large", "driven"])
+    def test_oracle_subcommand(self, family, tmp_path, capsys):
         p = tmp_path / "oracle.cfg"
-        p.write_text("[oracle]\nfamily = single\ncutoff = 18\nt = 4.0\n"
-                     "gamma = 0.08\nnbar = 0.2\nomega_bar = 1.0\n")
+        p.write_text(ORACLE_SINGLE.replace("single", family))
         assert cli_main(["oracle", str(p)]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "mean_fock" in out and "trace" in out
+        mismatches = [float(line.split("=")[-1]) for line in out.splitlines()
+                      if line.startswith("max |")]
+        assert len(mismatches) == 2
+        assert max(mismatches) <= 1e-5
+        assert "trace" in out
+
+    @pytest.mark.parametrize("case", sorted(BAD_ORACLES))
+    def test_bad_oracle_input_is_a_config_error(self, case, tmp_path, capsys):
+        p = tmp_path / "oracle.cfg"
+        p.write_text(BAD_ORACLES[case])
+        assert cli_main(["oracle", str(p)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""

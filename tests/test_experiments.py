@@ -222,7 +222,7 @@ class TestTwoOscillatorSuite:
     def test_steady_state_agreement_low_temperature(self):
         # equal baths, T well below Omega: the two steady states nearly coincide
         from oscbath.flows import (flow_two_large_beta, flow_two_small_beta,
-                                   k_matrices, steady_state)
+                                   steady_state)
         from oscbath.gaussian import fidelity_multi
         spec = OhmicSpectrum(0.005, 3.0)
         temp, omega, beta = 0.1, 1.0, 0.1
@@ -231,8 +231,7 @@ class TestTwoOscillatorSuite:
         shift = lamb_shift(spec, omega)
         small = flow_two_small_beta((omega + shift,) * 2, beta, (gamma,) * 2,
                                     (nbar,) * 2)
-        large = flow_two_large_beta(k_matrices((spec, spec), (temp, temp),
-                                               omega, beta))
+        large = flow_two_large_beta((spec, spec), (temp, temp), omega, beta)
         f = fidelity_multi(steady_state(small), steady_state(large))
         assert f >= 0.9999
 

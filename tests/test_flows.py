@@ -1,32 +1,94 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oscbath import fock
 from oscbath.bath import OhmicSpectrum, bose_occupation, decay_rate, lamb_shift
-from oscbath.flows import (MomentFlow, SecularValidityWarning, TwoBathCoefficients,
+from oscbath.flows import (QuadraticLindblad, SecularValidityWarning,
                            evolve_flow, flow_driven, flow_single,
-                           flow_two_large_beta, flow_two_small_beta, k_matrices,
-                           quadratic_lindblad_flow, rabi_renormalizations,
-                           steady_state)
+                           flow_two_large_beta, flow_two_small_beta,
+                           rabi_renormalizations, steady_state)
 from oscbath.gaussian import (GaussianState, make_coherent, make_squeezed_vacuum,
                               make_thermal, make_vacuum, physicality_violation,
                               tensor_product)
 
 
-def fock_state(spec, rho0, t, **kw):
-    rho = fock.integrate(spec, rho0, t, **kw)
-    mean, cov = fock.moments(rho, spec.n_modes, spec.cutoff)
-    return GaussianState(spec.n_modes, mean, cov)
+def fock_state(lindblad, cutoff, rho0, t, **kw):
+    rho = fock.integrate(lindblad, cutoff, rho0, t, **kw)
+    mean, cov = fock.moments(rho, lindblad.n_modes, cutoff)
+    return GaussianState(lindblad.n_modes, mean, cov)
 
 
-def assert_matches_fock(flow, spec, rho0, times, tol):
-    mean0, cov0 = fock.moments(rho0, spec.n_modes, spec.cutoff)
-    state0 = GaussianState(spec.n_modes, mean0, cov0)
+def assert_matches_fock(flow, lindblad, cutoff, rho0, times, tol):
+    mean0, cov0 = fock.moments(rho0, lindblad.n_modes, cutoff)
+    state0 = GaussianState(lindblad.n_modes, mean0, cov0)
     for t in times:
-        ref = fock_state(spec, rho0, t)
+        ref = fock_state(lindblad, cutoff, rho0, t)
         out = evolve_flow(flow, state0, t)
         assert np.abs(out.mean - ref.mean).max() < tol
         assert np.abs(out.cov - ref.cov).max() < tol
+
+
+class TestQuadraticLindblad:
+    def test_validation(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            QuadraticLindblad([[1.0, 0.2], [0.0, 1.0]], np.zeros((2, 2)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            QuadraticLindblad([[1.0]], [[-0.1]], [[0.0]])
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            QuadraticLindblad([[1.0]], [[0.1]], [[-0.1]])
+        with pytest.raises(ValueError, match="2x2"):
+            QuadraticLindblad(np.eye(2), [[0.1]], np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="1x1"):
+            QuadraticLindblad([[1.0, 0.0]], [[0.1]], [[0.0]])
+        with pytest.raises(ValueError, match="drive"):
+            QuadraticLindblad([[1.0]], [[0.1]], [[0.0]], drive=[0.1, 0.2])
+
+
+_ENTRIES = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def generators_and_states(draw):
+    """A random 1- or 2-mode generator with K = 0.1 B B^dag, and a physical state."""
+    n = draw(st.sampled_from((1, 2)))
+
+    def complex_matrix():
+        return (draw(arrays(float, (n, n), elements=_ENTRIES))
+                + 1j * draw(arrays(float, (n, n), elements=_ENTRIES)))
+
+    a = complex_matrix()
+    b_emit, b_abs = complex_matrix(), complex_matrix()
+    drive = draw(arrays(float, (n,), elements=_ENTRIES)) + 0j
+    lindblad = QuadraticLindblad(0.5 * (a + a.conj().T),
+                                 0.1 * b_emit @ b_emit.conj().T,
+                                 0.1 * b_abs @ b_abs.conj().T, drive=drive)
+    state = make_squeezed_vacuum(draw(st.floats(-1.0, 1.0)))
+    if n == 2:
+        state = tensor_product(state, make_coherent(draw(st.floats(-1.0, 1.0))))
+    return lindblad, state
+
+
+class TestGeneratorProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(generators_and_states())
+    def test_diffusion_symmetric_psd(self, case):
+        lindblad, _ = case
+        d = lindblad.diffusion
+        np.testing.assert_array_equal(d, d.T)
+        assert np.linalg.eigvalsh(d).min() >= -1e-12 * max(np.abs(d).max(), 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(generators_and_states(), st.floats(0.0, 3.0), st.floats(0.0, 3.0))
+    def test_semigroup_and_physicality(self, case, t1, t2):
+        lindblad, state = case
+        once = evolve_flow(lindblad, state, t1 + t2)
+        twice = evolve_flow(lindblad, evolve_flow(lindblad, state, t1), t2)
+        np.testing.assert_allclose(once.mean, twice.mean, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(once.cov, twice.cov, rtol=0, atol=1e-9)
+        assert physicality_violation(once) >= -1e-8
 
 
 class TestFlowSingle:
@@ -36,7 +98,7 @@ class TestFlowSingle:
         np.testing.assert_allclose(flow.diffusion, 2 * 0.05 * 1.8 * np.eye(2))
 
     def test_zero_damping_limit_preserves_trace(self):
-        flow = quadratic_lindblad_flow([[1.0]], [[0.0]], [[0.0]])
+        flow = QuadraticLindblad([[1.0]], [[0.0]], [[0.0]])
         st = make_squeezed_vacuum(0.9)
         for t in (0.4, 2.7):
             out = evolve_flow(flow, st, t)
@@ -50,10 +112,10 @@ class TestFlowSingle:
 
     def test_against_fock_oracle(self):
         gamma, nbar, omega = 0.05, 0.5, 1.0
-        spec = fock.TruncatedLindbladSpec(
-            1, 40, [[omega]], [[2 * gamma * (nbar + 1)]], [[2 * gamma * nbar]])
+        lindblad = QuadraticLindblad(
+            [[omega]], [[2 * gamma * (nbar + 1)]], [[2 * gamma * nbar]])
         rho0 = fock.squeezed_vacuum_rho(0.5, 40)
-        assert_matches_fock(flow_single(omega, gamma, nbar), spec, rho0,
+        assert_matches_fock(flow_single(omega, gamma, nbar), lindblad, 40, rho0,
                             (0.5, 3.0, 9.0, 20.0), 1e-6)
 
     def test_invalid_rates(self):
@@ -78,13 +140,13 @@ class TestFlowTwoSmallBeta:
     def test_against_fock_oracle(self):
         omega, beta, gamma, nbar = 1.0, 0.01, 0.06, 0.25
         cutoff = 12
-        spec = fock.TruncatedLindbladSpec(
-            2, cutoff, [[omega, beta], [beta, omega]],
+        lindblad = QuadraticLindblad(
+            [[omega, beta], [beta, omega]],
             np.diag([2 * gamma * (nbar + 1)] * 2), np.diag([2 * gamma * nbar] * 2))
         rho0 = fock.kron_rho(fock.coherent_rho(0.4, cutoff),
                              fock.thermal_rho(0.2, cutoff))
         flow = flow_two_small_beta((omega, omega), beta, (gamma, gamma), (nbar, nbar))
-        assert_matches_fock(flow, spec, rho0, (1.0, 8.0, 30.0), 1e-6)
+        assert_matches_fock(flow, lindblad, cutoff, rho0, (1.0, 8.0, 30.0), 1e-6)
 
     def test_excitation_exchange_at_twice_beta(self):
         # negligible damping: C_xx of mode 1 oscillates with period pi/beta
@@ -103,36 +165,36 @@ class TestFlowTwoSmallBeta:
 SPEC_OHMIC = OhmicSpectrum(0.01, 3.0)
 
 
-def normal_mode_flow(coeffs: TwoBathCoefficients) -> MomentFlow:
+def normal_mode_flow(lindblad: QuadraticLindblad):
     """Independent re-derivation: diagonal damping of the normal modes b_pm,
-    rotated back to the local modes by the fixed pi/4 beam splitter."""
-    gamma_e = {"+": coeffs.k_emit[0, 0] + coeffs.k_emit[0, 1],
-               "-": coeffs.k_emit[0, 0] - coeffs.k_emit[0, 1]}
-    gamma_a = {"+": coeffs.k_abs[0, 0] + coeffs.k_abs[0, 1],
-               "-": coeffs.k_abs[0, 0] - coeffs.k_abs[0, 1]}
-    omega_p = coeffs.omega_bar + coeffs.beta_bar
-    omega_m = coeffs.omega_bar - coeffs.beta_bar
-    flow_b = quadratic_lindblad_flow(
+    rotated back to the local modes by the fixed pi/4 beam splitter.
+
+    Returns the local-mode (drift, diffusion)."""
+    k_emit, k_abs, h = lindblad.k_emit, lindblad.k_abs, lindblad.h
+    gamma_e = {"+": k_emit[0, 0] + k_emit[0, 1], "-": k_emit[0, 0] - k_emit[0, 1]}
+    gamma_a = {"+": k_abs[0, 0] + k_abs[0, 1], "-": k_abs[0, 0] - k_abs[0, 1]}
+    omega_p = (h[0, 0] + h[0, 1]).real
+    omega_m = (h[0, 0] - h[0, 1]).real
+    flow_b = QuadraticLindblad(
         np.diag([omega_p, omega_m]),
         np.diag([gamma_e["+"].real, gamma_e["-"].real]),
         np.diag([gamma_a["+"].real, gamma_a["-"].real]))
     r = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     s = np.block([[r, np.zeros((2, 2))], [np.zeros((2, 2)), r]])
     # b = R a  =>  flow matrices transform by the orthogonal congruence S
-    return MomentFlow(2, s.T @ flow_b.drift @ s, s.T @ flow_b.diffusion @ s,
-                      np.zeros(4))
+    return s.T @ flow_b.drift @ s, s.T @ flow_b.diffusion @ s
 
 
 class TestKMatrices:
     def test_beta_zero_limit_equal_baths(self):
         temp = 1.0
-        coeffs = k_matrices((SPEC_OHMIC, SPEC_OHMIC), (temp, temp), 1.0, 0.0)
+        lindblad = flow_two_large_beta((SPEC_OHMIC, SPEC_OHMIC), (temp, temp), 1.0, 0.0)
         gamma = decay_rate(SPEC_OHMIC, 1.0)
         nbar = bose_occupation(1.0, temp)
-        assert coeffs.k_emit[0, 1] == pytest.approx(0.0, abs=1e-14)
-        assert coeffs.k_abs[0, 1] == pytest.approx(0.0, abs=1e-14)
-        assert coeffs.k_emit[0, 0] == pytest.approx(2 * gamma * (nbar + 1), rel=1e-12)
-        assert coeffs.k_abs[0, 0] == pytest.approx(2 * gamma * nbar, rel=1e-12)
+        assert lindblad.k_emit[0, 1] == pytest.approx(0.0, abs=1e-14)
+        assert lindblad.k_abs[0, 1] == pytest.approx(0.0, abs=1e-14)
+        assert lindblad.k_emit[0, 0] == pytest.approx(2 * gamma * (nbar + 1), rel=1e-12)
+        assert lindblad.k_abs[0, 0] == pytest.approx(2 * gamma * nbar, rel=1e-12)
 
     def test_psd_across_parameter_grid(self):
         rng = np.random.default_rng(12)
@@ -144,41 +206,40 @@ class TestKMatrices:
             import warnings as _w
             with _w.catch_warnings():
                 _w.simplefilter("ignore", SecularValidityWarning)
-                coeffs = k_matrices((OhmicSpectrum(alphas[0], 3.0),
-                                     OhmicSpectrum(alphas[1], 4.0)),
-                                    tuple(temps), omega, beta)
-            assert np.linalg.eigvalsh(coeffs.k_emit).min() >= -1e-12
-            assert np.linalg.eigvalsh(coeffs.k_abs).min() >= -1e-12
+                lindblad = flow_two_large_beta((OhmicSpectrum(alphas[0], 3.0),
+                                                OhmicSpectrum(alphas[1], 4.0)),
+                                               tuple(temps), omega, beta)
+            assert np.linalg.eigvalsh(lindblad.k_emit).min() >= -1e-12
+            assert np.linalg.eigvalsh(lindblad.k_abs).min() >= -1e-12
 
     def test_unstable_coupling_rejected(self):
         with pytest.raises(ValueError, match="normal mode"):
-            k_matrices((SPEC_OHMIC, SPEC_OHMIC), (1.0, 1.0), 1.0, 1.2)
+            flow_two_large_beta((SPEC_OHMIC, SPEC_OHMIC), (1.0, 1.0), 1.0, 1.2)
 
     def test_asymmetric_offdiagonal_against_normal_mode_rederivation(self):
-        coeffs = k_matrices((SPEC_OHMIC, OhmicSpectrum(0.02, 4.0)), (2.0, 0.3),
-                            1.0, 0.3)
+        flow = flow_two_large_beta((SPEC_OHMIC, OhmicSpectrum(0.02, 4.0)), (2.0, 0.3),
+                                   1.0, 0.3)
         # off-diagonal of K^(A) is half the normal-mode absorption difference
         gamma_a_plus = sum(decay_rate(s, 1.3) * bose_occupation(1.3, t)
                            for s, t in ((SPEC_OHMIC, 2.0), (OhmicSpectrum(0.02, 4.0), 0.3)))
         gamma_a_minus = sum(decay_rate(s, 0.7) * bose_occupation(0.7, t)
                             for s, t in ((SPEC_OHMIC, 2.0), (OhmicSpectrum(0.02, 4.0), 0.3)))
-        assert coeffs.k_abs[0, 1] == pytest.approx(
+        assert flow.k_abs[0, 1] == pytest.approx(
             (gamma_a_plus - gamma_a_minus) / 2, rel=1e-12)
-        flow = flow_two_large_beta(coeffs)
-        ref = normal_mode_flow(coeffs)
-        np.testing.assert_allclose(flow.drift, ref.drift, atol=1e-12)
-        np.testing.assert_allclose(flow.diffusion, ref.diffusion, atol=1e-12)
+        drift, diffusion = normal_mode_flow(flow)
+        np.testing.assert_allclose(flow.drift, drift, atol=1e-12)
+        np.testing.assert_allclose(flow.diffusion, diffusion, atol=1e-12)
 
     def test_secular_warning_when_beta_comparable_to_alpha(self):
         with pytest.warns(SecularValidityWarning):
-            k_matrices((SPEC_OHMIC, SPEC_OHMIC), (1.0, 1.0), 1.0, 0.05)
+            flow_two_large_beta((SPEC_OHMIC, SPEC_OHMIC), (1.0, 1.0), 1.0, 0.05)
 
 
 class TestFlowTwoLargeBeta:
     def test_equal_bath_steady_state_is_coupled_thermal(self):
         temp, beta, omega = 1.0, 0.2, 1.0
-        coeffs = k_matrices((SPEC_OHMIC, SPEC_OHMIC), (temp, temp), omega, beta)
-        ss = steady_state(flow_two_large_beta(coeffs))
+        ss = steady_state(flow_two_large_beta((SPEC_OHMIC, SPEC_OHMIC), (temp, temp),
+                                              omega, beta))
         # normal-mode thermal covariance rotated to the local modes
         nu_p = 1 + 2 * bose_occupation(omega + beta, temp)
         nu_m = 1 + 2 * bose_occupation(omega - beta, temp)
@@ -194,8 +255,8 @@ class TestFlowTwoLargeBeta:
             import warnings as _w
             with _w.catch_warnings():
                 _w.simplefilter("ignore", SecularValidityWarning)
-                coeffs = k_matrices((SPEC_OHMIC, SPEC_OHMIC), (temp, temp), 1.0, beta)
-            large = flow_two_large_beta(coeffs)
+                large = flow_two_large_beta((SPEC_OHMIC, SPEC_OHMIC), (temp, temp),
+                                            1.0, beta)
             gamma = decay_rate(SPEC_OHMIC, 1.0)
             nbar = bose_occupation(1.0, temp)
             shift = lamb_shift(SPEC_OHMIC, 1.0)
@@ -209,16 +270,14 @@ class TestFlowTwoLargeBeta:
     def test_against_fock_oracle_asymmetric_temperatures(self):
         omega, beta = 1.0, 0.3
         spectrum = OhmicSpectrum(0.02, 3.0)
-        coeffs = k_matrices((spectrum, spectrum), (1.2, 0.2), omega, beta)
-        flow = flow_two_large_beta(coeffs)
+        flow = flow_two_large_beta((spectrum, spectrum), (1.2, 0.2), omega, beta)
         cutoff = 12
-        spec = fock.TruncatedLindbladSpec(
-            2, cutoff, [[coeffs.omega_bar, coeffs.beta_bar],
-                        [coeffs.beta_bar, coeffs.omega_bar]],
-            coeffs.k_emit, coeffs.k_abs)
+        lindblad = QuadraticLindblad(
+            [[flow.h[0, 0], flow.h[0, 1]], [flow.h[0, 1], flow.h[0, 0]]],
+            flow.k_emit, flow.k_abs)
         rho0 = fock.kron_rho(fock.coherent_rho(0.3, cutoff),
                              fock.squeezed_vacuum_rho(0.2, cutoff))
-        assert_matches_fock(flow, spec, rho0, (1.5, 7.0, 25.0), 1e-5)
+        assert_matches_fock(flow, lindblad, cutoff, rho0, (1.5, 7.0, 25.0), 1e-5)
 
 
 class TestRabiRenormalizations:
@@ -279,11 +338,11 @@ class TestFlowDriven:
                                               "off_resonant"))
         flow = flow_driven(omega_bar, gamma, nbar, r_bar, wl)
         cutoff = 30
-        spec = fock.TruncatedLindbladSpec(
-            1, cutoff, [[omega_bar - wl]], [[2 * gamma * (nbar + 1)]],
+        lindblad = QuadraticLindblad(
+            [[omega_bar - wl]], [[2 * gamma * (nbar + 1)]],
             [[2 * gamma * nbar]], drive=[np.conj(r_bar)])
         rho0 = fock.vacuum_rho(cutoff)
-        assert_matches_fock(flow, spec, rho0, (2.0, 10.0, 40.0), 1e-6)
+        assert_matches_fock(flow, lindblad, cutoff, rho0, (2.0, 10.0, 40.0), 1e-6)
 
 
 class TestEvolveAndSteady:
@@ -318,18 +377,17 @@ class TestEvolveAndSteady:
         assert np.abs(resid).max() <= 1e-10
 
     def test_non_hurwitz_rejected(self):
-        flow = quadratic_lindblad_flow([[1.0]], [[0.0]], [[0.0]])
+        flow = QuadraticLindblad([[1.0]], [[0.0]], [[0.0]])
         with pytest.raises(ArithmeticError):
             steady_state(flow)
 
     def test_complete_positivity_consequence(self):
         # every implemented flow keeps cov + i sigma >= -1e-8 along the way
-        coeffs = k_matrices((SPEC_OHMIC, SPEC_OHMIC), (1.5, 0.1), 1.0, 0.25)
         flows_and_states = [
             (flow_single(1.0, 0.05, 0.3), make_squeezed_vacuum(1.0)),
             (flow_two_small_beta((1.0, 1.0), 0.02, (0.05, 0.02), (0.4, 0.0)),
              tensor_product(make_squeezed_vacuum(0.8), make_coherent(0.5))),
-            (flow_two_large_beta(coeffs),
+            (flow_two_large_beta((SPEC_OHMIC, SPEC_OHMIC), (1.5, 0.1), 1.0, 0.25),
              tensor_product(make_thermal([1.0], 3.0), make_vacuum(1))),
             (flow_driven(1.0, 0.03, 0.2, 0.15 + 0.05j, 0.8),
              make_squeezed_vacuum(-0.7)),

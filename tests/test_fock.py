@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oscbath import fock
+from oscbath.flows import QuadraticLindblad
 
 
 def purity(rho):
@@ -10,15 +11,14 @@ def purity(rho):
 
 class TestSuperoperator:
     def test_zero_rates_pure_commutator(self):
-        spec = fock.TruncatedLindbladSpec(1, 10, [[1.0]], [[0.0]], [[0.0]])
+        lindblad = QuadraticLindblad([[1.0]], [[0.0]], [[0.0]])
         rho0 = fock.coherent_rho(0.6, 10)
-        rho = fock.integrate(spec, rho0, 2.4)
+        rho = fock.integrate(lindblad, 10, rho0, 2.4)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
         assert purity(rho) == pytest.approx(purity(rho0), abs=1e-9)
 
     def test_vacuum_fixed_point_at_zero_temperature(self):
-        spec = fock.TruncatedLindbladSpec(1, 8, [[1.0]], [[0.1]], [[0.0]])
-        lind = fock.build_superoperator(spec)
+        lind = fock.build_superoperator(QuadraticLindblad([[1.0]], [[0.1]], [[0.0]]), 8)
         vac = fock.vacuum_rho(8)
         assert np.abs(lind @ vac.ravel()).max() < 1e-14
 
@@ -27,8 +27,7 @@ class TestSuperoperator:
         # sqrt(n) ladder elements: (a rho a^dag)_{nm} = sqrt((n+1)(m+1)) rho_{n+1,m+1}
         cutoff = 4
         omega, ge, ga = 1.3, 0.22, 0.06
-        spec = fock.TruncatedLindbladSpec(1, cutoff, [[omega]], [[ge]], [[ga]])
-        lind = fock.build_superoperator(spec)
+        lind = fock.build_superoperator(QuadraticLindblad([[omega]], [[ge]], [[ga]]), cutoff)
         rng = np.random.default_rng(0)
         rho = np.zeros((5, 5), complex)
         block = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -50,66 +49,67 @@ class TestSuperoperator:
         np.testing.assert_allclose(out, expect, atol=1e-13)
 
     def test_literal_plus_sign_breaks_trace_preservation(self):
-        spec = fock.TruncatedLindbladSpec(1, 8, [[1.0]], [[0.1]], [[0.02]],
-                                          literal_plus_sign=True)
-        lind = fock.build_superoperator(spec)
+        lindblad = QuadraticLindblad([[1.0]], [[0.1]], [[0.02]])
+        lind = fock.build_superoperator(lindblad, 8, literal_plus_sign=True)
         rho = fock.thermal_rho(0.5, 8)
         trace_rate = np.trace((lind @ rho.ravel()).reshape(9, 9))
         assert abs(trace_rate) > 1e-3  # the canonical form keeps this at 0
-        spec_ok = fock.TruncatedLindbladSpec(1, 8, [[1.0]], [[0.1]], [[0.02]])
-        lind_ok = fock.build_superoperator(spec_ok)
+        lind_ok = fock.build_superoperator(lindblad, 8)
         assert abs(np.trace((lind_ok @ rho.ravel()).reshape(9, 9))) < 1e-14
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            fock.TruncatedLindbladSpec(3, 8, np.eye(3), np.zeros((3, 3)), np.zeros((3, 3)))
-        with pytest.raises(ValueError):
-            fock.TruncatedLindbladSpec(1, 3, [[1.0]], [[0.1]], [[0.0]])
-        with pytest.raises(ValueError):
-            fock.TruncatedLindbladSpec(1, 8, [[1.0]], [[-0.1]], [[0.0]])
+        # the referee's own limits; the generator's checks live in QuadraticLindblad
+        with pytest.raises(ValueError, match="1 or 2 modes"):
+            fock.build_superoperator(
+                QuadraticLindblad(np.eye(3), np.zeros((3, 3)), np.zeros((3, 3))), 8)
+        with pytest.raises(ValueError, match="cutoff"):
+            fock.build_superoperator(QuadraticLindblad([[1.0]], [[0.1]], [[0.0]]), 3)
+        with pytest.raises(ValueError, match="rho0"):
+            fock.integrate(QuadraticLindblad([[1.0]], [[0.1]], [[0.0]]), 8,
+                           fock.vacuum_rho(6), 1.0)
 
 
 class TestIntegrate:
     def test_zero_time_returns_input(self):
-        spec = fock.TruncatedLindbladSpec(1, 6, [[1.0]], [[0.1]], [[0.0]])
+        lindblad = QuadraticLindblad([[1.0]], [[0.1]], [[0.0]])
         rho0 = fock.coherent_rho(0.3, 6)
-        np.testing.assert_array_equal(fock.integrate(spec, rho0, 0.0), rho0)
+        np.testing.assert_array_equal(fock.integrate(lindblad, 6, rho0, 0.0), rho0)
 
     def test_single_excitation_decay(self):
         # <n>(t) = exp(-2 gamma t) from the adjoint equation at nbar = 0
         gamma = 0.15
         cutoff = 6
-        spec = fock.TruncatedLindbladSpec(1, cutoff, [[1.0]], [[2 * gamma]], [[0.0]])
+        lindblad = QuadraticLindblad([[1.0]], [[2 * gamma]], [[0.0]])
         rho0 = np.zeros((7, 7), complex)
         rho0[1, 1] = 1.0
         num = np.diag(np.arange(7.0))
         for t in (0.5, 2.0, 6.0):
-            rho = fock.integrate(spec, rho0, t)
+            rho = fock.integrate(lindblad, cutoff, rho0, t)
             n_t = np.trace(rho @ num).real
             assert n_t == pytest.approx(np.exp(-2 * gamma * t), abs=1e-9)
 
     def test_trace_preserved_along_integration(self):
-        spec = fock.TruncatedLindbladSpec(1, 10, [[1.0]], [[0.2]], [[0.05]])
+        lindblad = QuadraticLindblad([[1.0]], [[0.2]], [[0.05]])
         rho0 = fock.squeezed_vacuum_rho(0.4, 10)
         for t in (1.0, 10.0):
-            rho = fock.integrate(spec, rho0, t)
+            rho = fock.integrate(lindblad, 10, rho0, t)
             assert abs(np.trace(rho).real - 1.0) < 1e-9 * max(t, 1.0)
 
     def test_positivity_maintained(self):
-        spec = fock.TruncatedLindbladSpec(1, 12, [[1.0]], [[0.3]], [[0.09]])
+        lindblad = QuadraticLindblad([[1.0]], [[0.3]], [[0.09]])
         rho0 = fock.coherent_rho(0.8, 12)
         for t in (0.7, 5.0):
-            rho = fock.integrate(spec, rho0, t)
+            rho = fock.integrate(lindblad, 12, rho0, t)
             fock.assert_density_matrix(rho, herm_tol=1e-11, trace_tol=1e-9,
                                        eig_tol=-1e-7)
 
     def test_cutoff_convergence(self):
         gamma, nbar = 0.1, 0.3
         moments_by_cutoff = []
+        lindblad = QuadraticLindblad([[1.0]], [[2 * gamma * (nbar + 1)]],
+                                     [[2 * gamma * nbar]])
         for cutoff in (14, 28):
-            spec = fock.TruncatedLindbladSpec(
-                1, cutoff, [[1.0]], [[2 * gamma * (nbar + 1)]], [[2 * gamma * nbar]])
-            rho = fock.integrate(spec, fock.coherent_rho(0.3, cutoff), 4.0)
+            rho = fock.integrate(lindblad, cutoff, fock.coherent_rho(0.3, cutoff), 4.0)
             moments_by_cutoff.append(fock.moments(rho, 1, cutoff))
         (m1, c1), (m2, c2) = moments_by_cutoff
         assert np.abs(m1 - m2).max() < 1e-7

@@ -4,7 +4,7 @@ from conftest import (fock_partial_trace_first, fock_uhlmann_fidelity,
                       random_physical_state, random_symplectic_orthogonal)
 
 from oscbath import fock
-from oscbath.flows import evolve_flow, quadratic_lindblad_flow
+from oscbath.flows import QuadraticLindblad, evolve_flow
 from oscbath.gaussian import (GaussianState, bures_distance, db_distance,
                               fidelity_multi, fidelity_one_mode, is_physical,
                               make_coherent, make_squeezed_vacuum, make_thermal,
@@ -97,8 +97,8 @@ class TestPartialTrace:
         rho0 = fock.kron_rho(fock.thermal_rho(0.3, cutoff),
                              fock.squeezed_vacuum_rho(0.4, cutoff))
         h = np.array([[0.0, 0.35], [0.35, 0.0]])
-        spec = fock.TruncatedLindbladSpec(2, cutoff, h, np.zeros((2, 2)), np.zeros((2, 2)))
-        rho_t = fock.integrate(spec, rho0, 1.3)
+        unitary = QuadraticLindblad(h, np.zeros((2, 2)), np.zeros((2, 2)))
+        rho_t = fock.integrate(unitary, cutoff, rho0, 1.3)
         mean2, cov2 = fock.moments(rho_t, 2, cutoff)
         full = GaussianState(2, mean2, cov2)
 
@@ -181,13 +181,13 @@ class TestFidelity:
         # low-occupancy correlated states, cutoff 15
         cutoff = 15
         h = np.array([[0.0, 0.3], [0.3, 0.0]])
-        uni = fock.TruncatedLindbladSpec(2, cutoff, h, np.zeros((2, 2)), np.zeros((2, 2)))
+        uni = QuadraticLindblad(h, np.zeros((2, 2)), np.zeros((2, 2)))
         rho_a = fock.integrate(
-            uni, fock.kron_rho(fock.thermal_rho(0.15, cutoff),
-                               fock.coherent_rho(0.25, cutoff)), 0.9)
+            uni, cutoff, fock.kron_rho(fock.thermal_rho(0.15, cutoff),
+                                       fock.coherent_rho(0.25, cutoff)), 0.9)
         rho_b = fock.integrate(
-            uni, fock.kron_rho(fock.squeezed_vacuum_rho(0.2, cutoff),
-                               fock.thermal_rho(0.1, cutoff)), 1.7)
+            uni, cutoff, fock.kron_rho(fock.squeezed_vacuum_rho(0.2, cutoff),
+                                       fock.thermal_rho(0.1, cutoff)), 1.7)
         sa = GaussianState(2, *fock.moments(rho_a, 2, cutoff))
         sb = GaussianState(2, *fock.moments(rho_b, 2, cutoff))
         f_ref = fock_uhlmann_fidelity(rho_a, rho_b)
@@ -232,7 +232,7 @@ class TestDistances:
 class TestFlowPhysicalityInterplay:
     def test_unitary_flow_preserves_physicality(self):
         # passive rotation keeps C + i sigma >= 0
-        flow = quadratic_lindblad_flow([[1.0]], [[0.0]], [[0.0]])
+        flow = QuadraticLindblad([[1.0]], [[0.0]], [[0.0]])
         st = make_squeezed_vacuum(0.8)
         for t in (0.3, 1.7, 9.2):
             out = evolve_flow(flow, st, t)

@@ -264,15 +264,20 @@ def corr_ct(spectrum: OhmicSpectrum, s, temperature: float):
     return complex(out) if np.ndim(s) == 0 else out
 
 
-def fwhh(f: Callable[[float], float], search_bound: float) -> float:
-    """Full width at half height of |f|: twice the first s > 0 with |f(s)| = f(0)/2."""
+def fwhh(f: Callable, search_bound: float) -> float:
+    """Full width at half height of |f|: twice the first s > 0 with |f(s)| = f(0)/2.
+
+    ``f`` must accept an array of s as well as a scalar: it is evaluated once
+    on a 4097-point grid over [0, search_bound] to bracket the first crossing,
+    which brentq then refines with scalar calls.
+    """
     f0 = abs(f(0.0))
     if f0 <= 0:
         raise ValueError("fwhh requires f(0) > 0")
     half = 0.5 * f0
     g = lambda s: abs(f(s)) - half
     grid = np.linspace(0.0, search_bound, 4097)
-    vals = np.array([g(s) for s in grid])
+    vals = np.abs(f(grid)) - half
     below = np.nonzero(vals < 0)[0]
     if below.size == 0:
         raise ArithmeticError(f"|f| never crosses half height within [0, {search_bound}]")

@@ -135,7 +135,7 @@ def _cmd_oracle(args) -> int:
         raise ConfigError("oracle config needs an [oracle] section")
     try:
         family, cutoff, t, lindblad, rho0 = _oracle_case(parser["oracle"])
-        rho_t = integrate(lindblad, cutoff, rho0, t)
+        rho_t = integrate(lindblad, cutoff, rho0, [t])[0]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -3,8 +3,10 @@
 Used by tests and the ``oracle`` CLI subcommand to validate every moment flow
 in :mod:`oscbath.flows` against a direct density-matrix integration: it
 consumes the same :class:`~oscbath.flows.QuadraticLindblad` generator the flow
-is derived from.  Scope is deliberately small (1-2 modes, low occupation) so
-runs stay seconds-fast.
+is derived from.  :func:`integrate` makes one RK45 run per time grid, in the
+rotating frame of the generator's common frequency when there is no drive.
+Scope is deliberately small (1-2 modes, low occupation) so runs stay
+seconds-fast.
 """
 
 from __future__ import annotations
@@ -94,25 +96,56 @@ def build_superoperator(lindblad: QuadraticLindblad, cutoff: int,
     return sp.csr_matrix(lind)
 
 
-def integrate(lindblad: QuadraticLindblad, cutoff: int, rho0: np.ndarray, t: float,
-              rtol: float = 1e-10, atol: float = 1e-12):
-    """Adaptive RK45 integration of the master equation truncated at ``cutoff`` to time t."""
+RTOL = 1e-10
+ATOL = 1e-12
+
+
+def integrate(lindblad: QuadraticLindblad, cutoff: int, rho0: np.ndarray, times):
+    """Density matrices at each of ``times`` under the master equation truncated at ``cutoff``.
+
+    ``times`` is a non-decreasing 1-D sequence of t >= 0; the result has shape
+    (len(times), d, d).  One adaptive RK45 run covers the whole grid and keeps
+    only the requested states.  A t = 0 entry returns rho0 unchanged.
+
+    Without a drive every term of the generator conserves n_row - n_col of
+    each vec(rho) entry, also at the truncation edge, so the grading
+    superoperator Delta commutes with L and
+    e^{tL} = e^{-i w t Delta} e^{t(L + i w Delta)} exactly for any w.  With
+    w = tr(h)/n the fast common rotation is applied as an elementwise phase
+    and RK45 integrates only the slow remainder.  A drive breaks the grading,
+    so driven generators (already written in the laser frame) use w = 0.
+    """
+    times = np.asarray(times, dtype=float)
+    if (times.ndim != 1 or not np.all(np.isfinite(times)) or np.any(times < 0)
+            or np.any(np.diff(times) < 0)):
+        raise ValueError("times must be a non-decreasing 1-D sequence of finite t >= 0")
     lind = build_superoperator(lindblad, cutoff)
-    d = (cutoff + 1) ** lindblad.n_modes
+    n = lindblad.n_modes
+    d = (cutoff + 1) ** n
     if rho0.shape != (d, d):
         raise ValueError(f"rho0 must be {d}x{d}")
-    if t == 0:
-        return rho0.astype(complex)
+    rho0 = rho0.astype(complex)
+    out = np.empty((times.size, d, d), dtype=complex)
+    out[times == 0] = rho0
+    later = times > 0
+    if not later.any():
+        return out
 
-    def f(_t, y):
-        return lind @ y
-
-    sol = solve_ivp(f, (0.0, float(t)), rho0.astype(complex).ravel(),
-                    method="RK45", rtol=rtol, atol=atol)
+    quanta = np.arange(cutoff + 1)
+    if n == 2:
+        quanta = np.add.outer(quanta, quanta).ravel()
+    delta = np.subtract.outer(quanta, quanta).ravel()  # n_row - n_col of vec(rho)
+    omega = np.trace(lindblad.h).real / n if lindblad.drive is None else 0.0
+    slow = lind + sp.diags(1j * omega * delta)
+    t_eval, inverse = np.unique(times[later], return_inverse=True)
+    sol = solve_ivp(lambda _t, y: slow @ y, (0.0, t_eval[-1]), rho0.ravel(),
+                    method="RK45", t_eval=t_eval, rtol=RTOL, atol=ATOL)
     if not sol.success:
         raise ArithmeticError(f"Lindblad integration failed: {sol.message}")
-    rho = sol.y[:, -1].reshape(d, d)
-    return 0.5 * (rho + rho.T.conj())
+    ys = sol.y.T * np.exp(-1j * omega * t_eval[:, None] * delta)
+    rho = ys.reshape(-1, d, d)[inverse]
+    out[later] = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+    return out
 
 
 def moments(rho: np.ndarray, n_modes: int, cutoff: int):

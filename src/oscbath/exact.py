@@ -7,13 +7,17 @@ ordering (x..., p...) is
     M(t) = [[cos(Wt), sin(Wt)], [-sin(Wt), cos(Wt)]]  with T_R = cos(Wt),
     T_I = -sin(Wt), M = [[T_R, -T_I], [T_I, T_R]].
 
-One symmetric eigendecomposition of W serves every requested time.
+One symmetric eigendecomposition of W serves every requested time.  The
+initial state is always the product system state (x) thermal baths, so a
+reduced state needs only the system rows of M(t), the bath variances and the
+system state.  A classical drive, in the frame rotating at its frequency, is
+an affine offset stored in the same cache.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,13 +27,11 @@ from .gaussian import GaussianState, thermal_variance
 __all__ = [
     "CouplingMatrix",
     "PropagatorCache",
-    "AffineDrive",
     "build_single",
     "build_two",
     "propagator",
-    "evolve_cov",
+    "initial_variances",
     "reduced_state",
-    "global_initial_state",
     "build_drive",
     "evolve_driven",
     "recurrence_time_estimate",
@@ -100,28 +102,25 @@ def build_two(omega1: float, omega2: float, beta: float,
 
 @dataclass(frozen=True)
 class PropagatorCache:
-    """Spectral decomposition of a fixed W, reused for cos(Wt)/sin(Wt) at any t."""
+    """Spectral decomposition of a fixed W, reused for cos(Wt)/sin(Wt) at any t.
+
+    ``drive_offset`` is W^{-1} b for a classical drive b (zeros without one):
+    it adds the affine term of the driven evolution to every mean.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     system_indices: tuple[int, ...]
+    drive_offset: np.ndarray
 
     @classmethod
     def build(cls, coupling: CouplingMatrix) -> "PropagatorCache":
         evals, evecs = np.linalg.eigh(coupling.matrix)
-        return cls(evals, evecs, coupling.system_indices)
+        return cls(evals, evecs, coupling.system_indices, np.zeros(coupling.dim))
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
-
-    def trig(self, t: float):
-        """cos(Wt) and -sin(Wt) via Q f(lambda t) Q^T."""
-        q = self.eigenvectors
-        lt = self.eigenvalues * t
-        tr = (q * np.cos(lt)) @ q.T
-        ti = -(q * np.sin(lt)) @ q.T
-        return tr, ti
 
     def rows(self, t: float, modes) -> np.ndarray:
         """Phase-space propagator rows (x then p) for the selected modes."""
@@ -135,68 +134,64 @@ class PropagatorCache:
 
 def propagator(cache: PropagatorCache, t: float) -> np.ndarray:
     """Full 2N x 2N symplectic-orthogonal propagator M(t)."""
-    tr, ti = cache.trig(t)
-    return np.block([[tr, -ti], [ti, tr]])
+    return cache.rows(t, range(cache.dim))
 
 
-def evolve_cov(cov0: np.ndarray, prop: np.ndarray) -> np.ndarray:
-    """Covariance congruence C(t) = M C(0) M^T."""
-    if cov0.shape[0] != prop.shape[1]:
-        raise ValueError("propagator and covariance dimensions do not match")
-    return prop @ cov0 @ prop.T
-
-
-def global_initial_state(coupling: CouplingMatrix, system_state: GaussianState,
-                         baths, temperatures) -> GaussianState:
-    """System state (x) thermal baths, laid out in the mode order of ``coupling``.
+def initial_variances(coupling: CouplingMatrix, baths, temperatures) -> np.ndarray:
+    """Quadrature variances of the thermal baths, one per mode of ``coupling``.
 
     ``baths`` and ``temperatures`` are sequences with one entry per oscillator
-    (entries may be None/ignored for bath-less oscillators).
+    (entries may be None/ignored for bath-less oscillators).  System entries
+    are 0: their block of the product initial state is the system state's.
     """
-    n = coupling.dim
     sys_idx = list(coupling.system_indices)
-    if system_state.n_modes != len(sys_idx):
-        raise ValueError("system state does not match the number of system modes")
-    var = np.ones(n)
+    var = np.ones(coupling.dim)
     for k, sidx in enumerate(sys_idx):
         bath = baths[k] if k < len(baths) else None
         if bath is not None and bath.size:
             var[sidx + 1: sidx + 1 + bath.size] = thermal_variance(
                 bath.frequencies, temperatures[k])
-    cov = np.diag(np.concatenate([var, var]))
-    mean = np.zeros(2 * n)
-    idx = np.array(sys_idx + [i + n for i in sys_idx])
-    cov[np.ix_(idx, idx)] = system_state.cov
-    mean[idx] = system_state.mean
-    return GaussianState(n, mean, cov)
+    var[sys_idx] = 0.0
+    return var
 
 
-def reduced_state(cache: PropagatorCache, t: float, state0: GaussianState) -> GaussianState:
-    """Evolved state reduced to the system modes (two propagator rows per mode)."""
-    rows = cache.rows(t, cache.system_indices)
-    cov = rows @ state0.cov @ rows.T
-    mean = rows @ state0.mean
-    return GaussianState(len(cache.system_indices), mean, 0.5 * (cov + cov.T))
+def reduced_state(cache: PropagatorCache, t: float, system0: GaussianState,
+                  variances: np.ndarray) -> GaussianState:
+    """Evolved system modes from system0 (x) thermal baths (``initial_variances``).
+
+    The initial covariance is diag(v, v) plus the system block, so with R the
+    system rows of M(t) and R_s their system columns,
+    C(t) = (R diag(v, v)) R^T + R_s C_sys R_s^T; no 2N x 2N matrix is formed.
+    Means gain sqrt(2)*((T_R-1) w ; T_I w) with w = ``cache.drive_offset``.
+    """
+    sys_idx = list(cache.system_indices)
+    k, n = len(sys_idx), cache.dim
+    if system0.n_modes != k:
+        raise ValueError("system state does not match the number of system modes")
+    rows = cache.rows(t, sys_idx)
+    r_sys = rows[:, sys_idx + [i + n for i in sys_idx]]
+    cov = ((rows * np.concatenate([variances, variances])) @ rows.T
+           + r_sys @ system0.cov @ r_sys.T)
+    w = cache.drive_offset
+    shift = np.sqrt(2.0) * np.concatenate([rows[:k, :n] @ w - w[sys_idx],
+                                           rows[k:, :n] @ w])
+    mean = r_sys @ system0.mean + shift
+    return GaussianState(k, mean, 0.5 * (cov + cov.T))
 
 
-@dataclass(frozen=True)
-class AffineDrive:
-    """Rotating-frame data for a classically driven system: W0 = W - omega_L."""
-
-    cache: PropagatorCache
-    w0inv_b: np.ndarray
-    rabi: float
-    omega_l: float
+SINGULAR_TOL = 1e-12  # relative size below which an eigenvalue of W - omega_L counts as 0
 
 
-def build_drive(coupling: CouplingMatrix, rabi: float, omega_l: float,
-                singular_tol: float = 1e-12) -> AffineDrive:
-    """Shift W by the drive frequency and precompute W0^{-1} b for b = (r, 0, ...)."""
+def build_drive(coupling: CouplingMatrix, rabi: float, omega_l: float) -> PropagatorCache:
+    """Cache of W0 = W - omega_L (frame rotating at the drive) with offset W0^{-1} b.
+
+    b = (r, 0, ...) drives the first system mode with Rabi frequency r.
+    """
     w0 = coupling.matrix - omega_l * np.eye(coupling.dim)
     cache = PropagatorCache.build(CouplingMatrix(w0, coupling.system_indices))
     scale = max(np.abs(cache.eigenvalues).max(), 1.0)
     smallest = np.abs(cache.eigenvalues).min()
-    if smallest < singular_tol * scale:
+    if smallest < SINGULAR_TOL * scale:
         offender = cache.eigenvalues[np.abs(cache.eigenvalues).argmin()]
         raise ArithmeticError(
             f"W - omega_L*1 is singular: eigenvalue {offender + omega_l:.12g} "
@@ -204,40 +199,23 @@ def build_drive(coupling: CouplingMatrix, rabi: float, omega_l: float,
     b = np.zeros(coupling.dim)
     b[coupling.system_indices[0]] = rabi
     w0inv_b = cache.eigenvectors @ ((cache.eigenvectors.T @ b) / cache.eigenvalues)
-    return AffineDrive(cache, w0inv_b, float(rabi), float(omega_l))
+    return replace(cache, drive_offset=w0inv_b)
 
 
-def evolve_driven(drive: AffineDrive, state0: GaussianState, t: float) -> GaussianState:
-    """Driven evolution in the frame rotating at omega_L.
+def evolve_driven(cache: PropagatorCache, state0: GaussianState, t: float) -> GaussianState:
+    """Full-state evolution with the drive of ``cache`` (the reduced states' referee).
 
     Means gain the affine term sqrt(2)*((T_R-1) W0^{-1} b ; T_I W0^{-1} b) (the
     sqrt(2) converts amplitude units to our quadrature normalization); the
     drive cancels from the covariance.
     """
-    cache = drive.cache
-    tr, ti = cache.trig(t)
-    prop = np.block([[tr, -ti], [ti, tr]])
-    shift = np.sqrt(2.0) * np.concatenate([tr @ drive.w0inv_b - drive.w0inv_b,
-                                           ti @ drive.w0inv_b])
+    prop = propagator(cache, t)
+    n = cache.dim
+    w = cache.drive_offset
+    shift = np.sqrt(2.0) * np.concatenate([prop[:n, :n] @ w - w, prop[n:, :n] @ w])
     mean = prop @ state0.mean + shift
     cov = prop @ state0.cov @ prop.T
     return GaussianState(state0.n_modes, mean, 0.5 * (cov + cov.T))
-
-
-def reduced_driven_state(drive: AffineDrive, t: float, state0: GaussianState) -> GaussianState:
-    """Driven evolution reduced to the system modes without the full propagator."""
-    cache = drive.cache
-    sys_idx = list(cache.system_indices)
-    k, n = len(sys_idx), cache.dim
-    rows = cache.rows(t, sys_idx)
-    tr_rows, ti_rows = rows[:k, :n], rows[k:, :n]
-    shift = np.sqrt(2.0) * np.concatenate([
-        tr_rows @ drive.w0inv_b - drive.w0inv_b[sys_idx],
-        ti_rows @ drive.w0inv_b,
-    ])
-    cov = rows @ state0.cov @ rows.T
-    mean = rows @ state0.mean + shift
-    return GaussianState(len(sys_idx), mean, 0.5 * (cov + cov.T))
 
 
 def recurrence_time_estimate(bath: BathCouplings) -> float:

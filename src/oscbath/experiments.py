@@ -9,7 +9,7 @@ evaluates the exact state once per reported time and each flow at those times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,8 +18,7 @@ from .bath import (OhmicSpectrum, bose_occupation, corr_c0, corr_ct, decay_rate,
                    discretize, fwhh, lamb_shift, omega_range)
 from .config import ConfigError, ScenarioConfig, config_text, validate
 from .exact import (PropagatorCache, build_drive, build_single, build_two,
-                    global_initial_state, propagator, reduced_driven_state,
-                    reduced_state)
+                    initial_variances, propagator, reduced_state)
 from .flows import (RABI_VARIANTS, evolve_flow, flow_driven, flow_single,
                     flow_two_large_beta, flow_two_small_beta,
                     rabi_renormalizations)
@@ -96,14 +95,14 @@ def _spectrum(config: ScenarioConfig) -> OhmicSpectrum:
     return OhmicSpectrum(config.alpha, config.omega_c)
 
 
-def _bath(config: ScenarioConfig, spectrum: OhmicSpectrum, modes: int | None = None):
-    m = config.bath_modes if modes is None else modes
-    if m == 0:
+def _bath(config: ScenarioConfig):
+    if config.bath_modes == 0:
         return None
+    spectrum = _spectrum(config)
     omega_min = config.range_omega_min if config.range_omega_min > 0 else None
     rng = omega_range(spectrum, config.range_mode, floor=config.range_floor,
                       omega_min=omega_min)
-    return discretize(spectrum, m, rng)
+    return discretize(spectrum, config.bath_modes, rng)
 
 
 def _system_state(config: ScenarioConfig, n_modes: int) -> GaussianState:
@@ -126,6 +125,42 @@ def _times(config: ScenarioConfig) -> np.ndarray:
     return np.linspace(0.0, config.t_max, config.samples)
 
 
+_SWEEP_TYPES = {"modes": int, "variant": str}
+
+
+def _swept(config: ScenarioConfig, parameter: str, default) -> list:
+    """Values of ``parameter`` to run: the config's sweep over it, else ``default``.
+
+    Each value becomes a config with ``dataclasses.replace`` at the call site.
+    """
+    if config.sweep_parameter != parameter:
+        return list(default)
+    kind = _SWEEP_TYPES.get(parameter, float)
+    return [kind(v) for v in config.sweep_values]
+
+
+def _exact(config: ScenarioConfig):
+    """(bath, cache, system state, t -> exact reduced state) of the config's scenario.
+
+    Both oscillators of ``two_coupled`` share one discretized bath; ``driven``
+    builds the drive (a singular W - omega_L raises ArithmeticError here).
+    """
+    bath = _bath(config)
+    if config.scenario == "two_coupled":
+        coupling = build_two(config.omega, config.omega2, config.beta, bath, bath)
+        variances = initial_variances(coupling, [bath, bath], config.bath_temperatures)
+        sys0 = _system_state(config, 2)
+    else:
+        coupling = build_single(config.omega, bath)
+        variances = initial_variances(coupling, [bath], [config.temperature])
+        sys0 = _system_state(config, 1)
+    if config.scenario == "driven":
+        cache = build_drive(coupling, config.rabi, config.omega_l)
+    else:
+        cache = PropagatorCache.build(coupling)
+    return bath, cache, sys0, lambda t: reduced_state(cache, t, sys0, variances)
+
+
 def _compare(exact_at, flows, sys0: GaussianState, times):
     """Exact reduced states and every flow's states at the same times.
 
@@ -136,36 +171,21 @@ def _compare(exact_at, flows, sys0: GaussianState, times):
     return exact, [[evolve_flow(flow, sys0, t) for t in times] for flow in flows]
 
 
-def _single_pieces(config: ScenarioConfig, *, temperature=None, modes=None,
-                   spectrum=None):
-    """Coupling cache, global initial state, and flow inputs for one oscillator."""
-    spec = spectrum if spectrum is not None else _spectrum(config)
-    temp = config.temperature if temperature is None else temperature
-    bath = _bath(config, spec, modes)
-    coupling = build_single(config.omega, bath)
-    cache = PropagatorCache.build(coupling)
-    sys0 = _system_state(config, 1)
-    global0 = global_initial_state(coupling, sys0, [bath], [temp])
-    gamma = decay_rate(spec, config.omega)
-    nbar = bose_occupation(config.omega, temp)
-    shift = lamb_shift(spec, config.omega)
-    return spec, bath, cache, sys0, global0, gamma, nbar, shift
-
-
-def _single_curve(config: ScenarioConfig, metric, *, temperature=None, modes=None,
-                  shifted=(True,)) -> list:
+def _single_curve(config: ScenarioConfig, metric, shifted=(True,)) -> list:
     """(t, metric(exact, *flow_states)) over the time grid of one oscillator.
 
     ``shifted`` lists the Markovian flows to compare, with (True) or without
     (False) the bath-induced frequency shift.
     """
-    _, _, cache, sys0, global0, gamma, nbar, shift = _single_pieces(
-        config, temperature=temperature, modes=modes)
+    spec = _spectrum(config)
+    _, _, sys0, exact_at = _exact(config)
+    gamma = decay_rate(spec, config.omega)
+    nbar = bose_occupation(config.omega, config.temperature)
+    shift = lamb_shift(spec, config.omega)
     flows = [flow_single(config.omega + shift if s else config.omega, gamma, nbar)
              for s in shifted]
     times = _times(config)
-    exact, states = _compare(lambda t: reduced_state(cache, t, global0), flows,
-                             sys0, times)
+    exact, states = _compare(exact_at, flows, sys0, times)
     return [(t, metric(*at_t)) for t, *at_t in zip(times, exact, *states)]
 
 
@@ -192,16 +212,13 @@ def run_fidelity_vs_time(config: ScenarioConfig) -> ExperimentResult:
     rows = []
     times = _times(config)
     if config.scenario == "single":
-        temps = [float(v) for v in config.sweep_values] \
-            if config.sweep_parameter == "temperature" else [config.temperature]
-        for temp in temps:
-            for t, f in _single_curve(config, fidelity_multi, temperature=temp):
+        for temp in _swept(config, "temperature", [config.temperature]):
+            for t, f in _single_curve(replace(config, temperature=temp), fidelity_multi):
                 rows.append(("temperature", _g17(temp), t, "fidelity", f))
     elif config.scenario == "two_coupled":
         rows = _equation_rows(times, *_two_oscillator_states(config, times))
     else:
-        variants = [str(v) for v in config.sweep_values] \
-            if config.sweep_parameter == "variant" else RABI_VARIANTS
+        variants = _swept(config, "variant", RABI_VARIANTS)
         curves = _driven_curves(config, variants, fidelity_multi, times)
         for variant, curve in zip(variants, curves):
             for t, f in zip(times, curve):
@@ -216,8 +233,8 @@ def run_recurrence_map(config: ScenarioConfig) -> ExperimentResult:
     if config.sweep_parameter != "modes" or not config.sweep_values:
         raise ConfigError("recurrence_map requires a sweep over modes")
     rows = []
-    for m in (int(v) for v in config.sweep_values):
-        for t, d in _single_curve(config, db_distance, modes=m):
+    for m in _swept(config, "modes", ()):
+        for t, d in _single_curve(replace(config, bath_modes=m), db_distance):
             rows.append(("modes", str(m), t, "bures_db", d))
     return ExperimentResult("recurrence_map", config, rows)
 
@@ -225,8 +242,7 @@ def run_recurrence_map(config: ScenarioConfig) -> ExperimentResult:
 def run_correlation_study(config: ScenarioConfig) -> ExperimentResult:
     """|C(s,T)| curves and FWHH(T), plus the zero-temperature kernel."""
     spec = _spectrum(config)
-    temps = [float(v) for v in config.sweep_values] \
-        if config.sweep_parameter == "temperature" else [config.temperature]
+    temps = _swept(config, "temperature", [config.temperature])
     s_grid = _times(config)
     bound = max(config.t_max, 20.0 / spec.omega_c)
     rows = []
@@ -247,10 +263,10 @@ def run_correlation_study(config: ScenarioConfig) -> ExperimentResult:
     return ExperimentResult("correlation_study", config, rows)
 
 
-def _factorization_curve(config: ScenarioConfig, alpha: float) -> list:
-    spec = OhmicSpectrum(alpha, config.omega_c)
-    _, bath, cache, sys0, global0, _, _, _ = _single_pieces(config, spectrum=spec)
+def _factorization_curve(config: ScenarioConfig) -> list:
+    bath, cache, sys0, _ = _exact(config)
     bath_thermal = make_thermal(bath.frequencies, config.temperature)
+    global0 = tensor_product(sys0, bath_thermal)
     n = cache.dim
     out = []
     for t in _times(config):
@@ -265,14 +281,14 @@ def run_factorization_distance(config: ScenarioConfig) -> ExperimentResult:
     """D_B between the full evolved state and the product ansatz rho_S(t) x rho_th."""
     if config.scenario != "single":
         raise ConfigError("factorization_distance requires scenario=single")
+    if config.bath_modes == 0:
+        raise ConfigError("factorization_distance needs a bath (modes >= 2)")
     if config.bath_modes > 60:
         raise ConfigError("factorization_distance caps the bath at 60 modes "
                           "(full-state fidelity)")
-    alphas = [float(v) for v in config.sweep_values] \
-        if config.sweep_parameter == "alpha" else [config.alpha]
     rows = []
-    for alpha in alphas:
-        for t, d in _factorization_curve(config, alpha):
+    for alpha in _swept(config, "alpha", [config.alpha]):
+        for t, d in _factorization_curve(replace(config, alpha=alpha)):
             rows.append(("alpha", _g17(alpha), t, "bures_db", d))
     return ExperimentResult("factorization_distance", config, rows)
 
@@ -282,28 +298,21 @@ def run_factorization_distance(config: ScenarioConfig) -> ExperimentResult:
 EQUATIONS = ("small_beta", "large_beta")
 
 
-def _two_oscillator_states(config: ScenarioConfig, times, beta: float | None = None):
+def _two_oscillator_states(config: ScenarioConfig, times):
     """Exact states and both equations' flow states (``EQUATIONS`` order) at ``times``."""
     if config.omega2 != config.omega:
         raise ConfigError("the two-oscillator study assumes equal frequencies "
                           "Omega1 = Omega2")
-    b = config.beta if beta is None else beta
     spec = _spectrum(config)
     t1, t2 = config.bath_temperatures
-    bath1 = _bath(config, spec)
-    bath2 = _bath(config, spec)
-    coupling = build_two(config.omega, config.omega2, b, bath1, bath2)
-    cache = PropagatorCache.build(coupling)
-    sys0 = _system_state(config, 2)
-    global0 = global_initial_state(coupling, sys0, [bath1, bath2], [t1, t2])
+    _, _, sys0, exact_at = _exact(config)
     gammas = (decay_rate(spec, config.omega), decay_rate(spec, config.omega2))
     nbars = (bose_occupation(config.omega, t1), bose_occupation(config.omega2, t2))
     shift = lamb_shift(spec, config.omega)
     small = flow_two_small_beta((config.omega + shift, config.omega2 + shift),
-                                b, gammas, nbars)
-    large = flow_two_large_beta((spec, spec), (t1, t2), config.omega, b)
-    return _compare(lambda t: reduced_state(cache, t, global0), (small, large),
-                    sys0, times)
+                                config.beta, gammas, nbars)
+    large = flow_two_large_beta((spec, spec), (t1, t2), config.omega, config.beta)
+    return _compare(exact_at, (small, large), sys0, times)
 
 
 def _equation_rows(times, exact, flow_states) -> list:
@@ -323,11 +332,10 @@ def run_two_oscillator_suite(config: ScenarioConfig) -> ExperimentResult:
     exact, flow_states = _two_oscillator_states(config, times)
     rows = _equation_rows(times, exact, flow_states)
 
-    betas = [float(v) for v in config.sweep_values] \
-        if config.sweep_parameter == "beta" else \
-        [b * config.omega for b in DEFAULT_BETA_GRID]
+    betas = _swept(config, "beta", [b * config.omega for b in DEFAULT_BETA_GRID])
     for beta in betas:
-        (exact_end,), ends = _two_oscillator_states(config, [config.t_max], beta)
+        (exact_end,), ends = _two_oscillator_states(replace(config, beta=beta),
+                                                    [config.t_max])
         for eq, (state,) in zip(EQUATIONS, ends):
             rows.append(("beta", _g17(beta), config.t_max, f"fidelity_{eq}",
                          fidelity_multi(exact_end, state)))
@@ -340,38 +348,29 @@ def run_two_oscillator_suite(config: ScenarioConfig) -> ExperimentResult:
 
 # -- driven machinery ---------------------------------------------------------
 
-def _driven_curves(config: ScenarioConfig, variants, metric, times, *, rabi=None,
-                   omega_l=None) -> list:
+def _driven_curves(config: ScenarioConfig, variants, metric, times) -> list:
     """metric(exact, flow state) at ``times`` for each drive variant.
 
     The exact evolution does not depend on the variant, so one drive serves
     all of them.  It is built first: a singular W - omega_L raises
     ArithmeticError before any variant can reject exact resonance.
     """
+    _, _, sys0, exact_at = _exact(config)
     spec = _spectrum(config)
-    r = config.rabi if rabi is None else rabi
-    wl = config.omega_l if omega_l is None else omega_l
-    bath = _bath(config, spec)
-    coupling = build_single(config.omega, bath)
-    drive = build_drive(coupling, r, wl)
-    sys0 = _system_state(config, 1)
-    global0 = global_initial_state(coupling, sys0, [bath], [config.temperature])
-    gamma = decay_rate(spec, config.omega)
-    nbar = bose_occupation(config.omega, config.temperature)
-    omega_bar = config.omega + lamb_shift(spec, config.omega)
+    omega, wl = config.omega, config.omega_l
+    gamma = decay_rate(spec, omega)
+    nbar = bose_occupation(omega, config.temperature)
+    omega_bar = omega + lamb_shift(spec, omega)
     flows = [flow_driven(omega_bar, gamma, nbar,
-                         rabi_renormalizations(spec, config.omega, wl, r, v), wl)
+                         rabi_renormalizations(spec, omega, wl, config.rabi, v), wl)
              for v in variants]
-    exact, states = _compare(lambda t: reduced_driven_state(drive, t, global0),
-                             flows, sys0, times)
+    exact, states = _compare(exact_at, flows, sys0, times)
     return [[metric(e, m) for e, m in zip(exact, s)] for s in states]
 
 
-def driven_variant_error(config: ScenarioConfig, variant: str, *, rabi=None,
-                         omega_l=None) -> float:
+def driven_variant_error(config: ScenarioConfig, variant: str) -> float:
     """Time-averaged D_B between exact and Markovian driven evolution."""
-    (dists,) = _driven_curves(config, [variant], db_distance, _times(config),
-                              rabi=rabi, omega_l=omega_l)
+    (dists,) = _driven_curves(config, [variant], db_distance, _times(config))
     return float(np.mean(dists))
 
 
@@ -391,15 +390,12 @@ def run_driven_suite(config: ScenarioConfig) -> ExperimentResult:
         for t, f in zip(times, curve):
             rows.append(("variant", variant, t, "fidelity", f))
 
-    detunings = [float(v) for v in config.sweep_values] \
-        if config.sweep_parameter == "detuning" else list(DEFAULT_DETUNING_GRID)
-    rabis = [float(v) for v in config.sweep_values] \
-        if config.sweep_parameter == "rabi" else list(DEFAULT_RABI_GRID)
-    points = [("detuning", d, {"omega_l": config.omega + d}) for d in detunings] \
-        + [("rabi", r, {"rabi": r}) for r in rabis]
+    points = [("detuning", d, replace(config, omega_l=config.omega + d))
+              for d in _swept(config, "detuning", DEFAULT_DETUNING_GRID)] \
+        + [("rabi", r, replace(config, rabi=r))
+           for r in _swept(config, "rabi", DEFAULT_RABI_GRID)]
     for param, value, point in points:
-        ends = _driven_curves(config, RABI_VARIANTS, fidelity_multi, [config.t_max],
-                              **point)
+        ends = _driven_curves(point, RABI_VARIANTS, fidelity_multi, [config.t_max])
         for variant, (f,) in zip(RABI_VARIANTS, ends):
             rows.append((param, _g17(value), config.t_max, f"fidelity_{variant}", f))
     return ExperimentResult("driven_suite", config, rows)

@@ -16,7 +16,7 @@ from oscbath.bath import (OhmicSpectrum, bose_occupation, corr_c0, corr_ct,
                           decay_rate, discretize, fwhh, lamb_shift,
                           omega_range)
 from oscbath.config import ScenarioConfig
-from oscbath.exact import (PropagatorCache, build_single, global_initial_state,
+from oscbath.exact import (PropagatorCache, build_single, initial_variances,
                            propagator, recurrence_time_estimate, reduced_state)
 from oscbath.experiments import (driven_variant_error, linear_fit,
                                  recurrence_onset, run_factorization_distance,
@@ -150,12 +150,13 @@ def test_criterion_3_steady_state_and_relaxation():
     bath = discretize(spec, 150, omega_range(spec, "floor", floor=0.1))
     coupling = build_single(1.0, bath)
     cache = PropagatorCache.build(coupling)
-    global0 = global_initial_state(coupling, make_thermal([1.0], 5.0), [bath], [temp])
+    sys0 = make_thermal([1.0], 5.0)
+    variances = initial_variances(coupling, [bath], [temp])
     flow = flow_single(1.0 + lamb_shift(spec, 1.0), decay_rate(spec, 1.0),
                        bose_occupation(1.0, temp))
     target = steady_state(flow)
     horizon = 0.9 * recurrence_time_estimate(bath)
-    dists = [db_distance(reduced_state(cache, t, global0), target)
+    dists = [db_distance(reduced_state(cache, t, sys0, variances), target)
              for t in np.linspace(0.0, horizon, 8)]
     assert all(b <= a + 1e-3 for a, b in zip(dists, dists[1:])), dists
     assert dists[-1] < 0.5 * dists[0]

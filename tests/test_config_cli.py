@@ -92,6 +92,8 @@ BAD_RUNS = {
     + "\n[sweep]\nparameter = variant\nvalues = plain, bogus\n",
     "equation_sweep": SMALL_RUN.replace("parameter = temperature", "parameter = equation")
     .replace("values = 0.1, 1", "values = small_beta, large_beta"),
+    "factorization_without_bath": SMALL_RUN.replace("modes = 12", "modes = 0")
+    .replace("= fidelity_vs_time", "= factorization_distance"),
 }
 
 ORACLE_SINGLE = ("[oracle]\nfamily = single\ncutoff = 10\nt = 2\n"

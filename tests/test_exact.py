@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from conftest import random_physical_state
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oscbath.bath import BathCouplings, OhmicSpectrum, discretize
 from oscbath.exact import (PropagatorCache, RwaValidityWarning,
-                           build_drive, build_single, build_two, evolve_cov,
-                           evolve_driven, global_initial_state, propagator,
-                           recurrence_time_estimate, reduced_driven_state,
-                           reduced_state)
-from oscbath.gaussian import (make_squeezed_vacuum, make_thermal, make_vacuum,
-                              symplectic_form)
+                           build_drive, build_single, build_two,
+                           evolve_driven, initial_variances, propagator,
+                           recurrence_time_estimate, reduced_state)
+from oscbath.gaussian import (GaussianState, make_squeezed_vacuum, make_thermal,
+                              make_vacuum, symplectic_form, tensor_product)
 
 SPEC = OhmicSpectrum(0.01, 3.0)
 
@@ -85,13 +87,14 @@ class TestPropagator:
         # Omega = omega_1, coupling g: full swap with period pi/g
         g = 0.1
         bath = BathCouplings(np.array([1.0]), np.array([g]))
-        cache = PropagatorCache.build(build_single(1.0, bath))
+        coupling = build_single(1.0, bath)
+        cache = PropagatorCache.build(coupling)
         hot = make_thermal([1.0], 5.0)
         nu = hot.cov[0, 0]
-        global0 = global_initial_state(build_single(1.0, bath), hot, [bath], [0.0])
+        variances = initial_variances(coupling, [bath], [0.0])
         # C11(t) = cos^2(gt) nu + sin^2(gt): closed two-mode Rabi solution
         for t in (0.0, np.pi / (4 * g), np.pi / (2 * g), np.pi / g):
-            red = reduced_state(cache, t, global0)
+            red = reduced_state(cache, t, hot, variances)
             expect = np.cos(g * t) ** 2 * nu + np.sin(g * t) ** 2
             assert red.cov[0, 0] == pytest.approx(expect, abs=1e-10)
 
@@ -108,7 +111,7 @@ class TestCovarianceEvolution:
         cache = PropagatorCache.build(build_single(1.0, small_bath()))
         eye = np.eye(2 * cache.dim)
         m = propagator(cache, 9.1)
-        np.testing.assert_allclose(evolve_cov(eye, m), eye, atol=1e-12)
+        np.testing.assert_allclose(m @ eye @ m.T, eye, atol=1e-12)
 
     def test_uniform_thermal_invariant(self):
         # all mode frequencies equal: c*I stays c*I
@@ -116,15 +119,15 @@ class TestCovarianceEvolution:
         cache = PropagatorCache.build(build_single(1.0, bath))
         c0 = 3.7 * np.eye(2 * cache.dim)
         m = propagator(cache, 5.0)
-        np.testing.assert_allclose(evolve_cov(c0, m), c0, atol=1e-10)
+        np.testing.assert_allclose(m @ c0 @ m.T, c0, atol=1e-10)
 
     def test_reduced_matches_explicit_double_sum(self):
         # element-wise sums of M_1k M_1l C_kl(0) at M = 20, t = 3
         bath = small_bath(20, 0.1, 9.0)
         coupling = build_single(1.0, bath)
         cache = PropagatorCache.build(coupling)
-        global0 = global_initial_state(coupling, make_thermal([1.0], 30.0),
-                                       [bath], [1.0])
+        sys0 = make_thermal([1.0], 30.0)
+        global0 = tensor_product(sys0, make_thermal(bath.frequencies, 1.0))
         t = 3.0
         m = propagator(cache, t)
         n = cache.dim
@@ -138,17 +141,18 @@ class TestCovarianceEvolution:
                     for l in range(2 * n):
                         acc += m[ra, k] * m[rb, l] * c0[k, l]
                 expect[a, b] = acc
-        red = reduced_state(cache, t, global0)
+        red = reduced_state(cache, t, sys0, initial_variances(coupling, [bath], [1.0]))
         np.testing.assert_allclose(red.cov, expect, atol=1e-12)
 
     def test_determinant_preserved(self):
         bath = small_bath(6)
         coupling = build_single(1.0, bath)
         cache = PropagatorCache.build(coupling)
-        global0 = global_initial_state(coupling, make_squeezed_vacuum(0.7), [bath], [0.5])
+        global0 = tensor_product(make_squeezed_vacuum(0.7),
+                                 make_thermal(bath.frequencies, 0.5))
         sign0, logdet0 = np.linalg.slogdet(global0.cov)
         m = propagator(cache, 17.0)
-        sign1, logdet1 = np.linalg.slogdet(evolve_cov(global0.cov, m))
+        sign1, logdet1 = np.linalg.slogdet(m @ global0.cov @ m.T)
         assert sign0 == sign1
         assert logdet1 == pytest.approx(logdet0, abs=1e-8)
 
@@ -158,9 +162,10 @@ class TestDriven:
         bath = small_bath()
         coupling = build_single(1.0, bath)
         drive = build_drive(coupling, 0.0, 0.83)
-        global0 = global_initial_state(coupling, make_squeezed_vacuum(0.4), [bath], [0.2])
+        global0 = tensor_product(make_squeezed_vacuum(0.4),
+                                 make_thermal(bath.frequencies, 0.2))
         out = evolve_driven(drive, global0, 6.0)
-        m0 = propagator(drive.cache, 6.0)
+        m0 = propagator(drive, 6.0)
         np.testing.assert_allclose(out.cov, m0 @ global0.cov @ m0.T, atol=1e-12)
         np.testing.assert_allclose(out.mean, np.zeros_like(out.mean), atol=1e-14)
 
@@ -168,7 +173,7 @@ class TestDriven:
         bath = small_bath()
         coupling = build_single(1.0, bath)
         drive = build_drive(coupling, 0.3, 0.83)
-        global0 = global_initial_state(coupling, make_vacuum(1), [bath], [0.0])
+        global0 = tensor_product(make_vacuum(1), make_thermal(bath.frequencies, 0.0))
         out = evolve_driven(drive, global0, 0.0)
         np.testing.assert_allclose(out.mean, global0.mean, atol=1e-14)
         np.testing.assert_allclose(out.cov, global0.cov, atol=1e-13)
@@ -181,7 +186,7 @@ class TestDriven:
         drive = build_drive(coupling, r, omega_l)
         vac = make_vacuum(1)
         for t in (0.9, 4.4, 21.0):
-            out = reduced_driven_state(drive, t, vac)
+            out = reduced_state(drive, t, vac, initial_variances(coupling, [None], [0.0]))
             a_lab = r * (np.exp(-1j * omega_l * t) - np.exp(-1j * omega * t)) / (omega_l - omega)
             a_rot = np.exp(1j * omega_l * t) * a_lab
             np.testing.assert_allclose(out.mean,
@@ -191,7 +196,8 @@ class TestDriven:
     def test_covariance_independent_of_rabi(self):
         bath = small_bath()
         coupling = build_single(1.0, bath)
-        global0 = global_initial_state(coupling, make_thermal([1.0], 2.0), [bath], [0.3])
+        global0 = tensor_product(make_thermal([1.0], 2.0),
+                                 make_thermal(bath.frequencies, 0.3))
         covs = []
         for r in (0.0, 0.2, 1.5):
             drive = build_drive(coupling, r, 0.77)
@@ -210,13 +216,69 @@ class TestDriven:
         bath = small_bath()
         coupling = build_single(1.0, bath)
         drive = build_drive(coupling, 0.4, 0.9)
-        global0 = global_initial_state(coupling, make_vacuum(1), [bath], [0.1])
+        sys0 = make_vacuum(1)
+        global0 = tensor_product(sys0, make_thermal(bath.frequencies, 0.1))
         t = 5.5
         full = evolve_driven(drive, global0, t)
         n = coupling.dim
-        red = reduced_driven_state(drive, t, global0)
+        red = reduced_state(drive, t, sys0, initial_variances(coupling, [bath], [0.1]))
         np.testing.assert_allclose(red.mean, full.mean[[0, n]], atol=1e-13)
         np.testing.assert_allclose(red.cov, full.cov[np.ix_([0, n], [0, n])], atol=1e-13)
+
+
+def dense_initial_state(sys0, baths, temperatures):
+    """system state (x) thermal baths as one dense state, in ``build_two``'s mode order.
+
+    ``tensor_product`` puts both oscillators first, (osc1, osc2, bath1..., bath2...);
+    the rows and columns are then permuted to (osc1, bath1..., osc2, bath2...).
+    """
+    state = sys0
+    for bath, temp in zip(baths, temperatures):
+        state = tensor_product(state, make_thermal(bath.frequencies, temp))
+    if len(baths) == 1:
+        return state
+    m1, n = baths[0].size, state.n_modes
+    order = np.concatenate([[0], 2 + np.arange(m1), [1], 2 + m1 + np.arange(n - 2 - m1)])
+    idx = np.concatenate([order, order + n])
+    return GaussianState(n, state.mean[idx], state.cov[np.ix_(idx, idx)])
+
+
+class TestReducedStateReferee:
+    """The product-state reduced evolution against the dense full-state evolution."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.sampled_from((1, 2)),
+           st.booleans(), st.floats(0.0, 3.0), st.floats(0.0, 50.0))
+    def test_matches_dense_evolution(self, seed, m, oscillators, driven, temp, t):
+        rng = np.random.default_rng(seed)
+
+        def random_bath():
+            return BathCouplings(np.sort(rng.uniform(0.1, 5.0, m)),
+                                 rng.uniform(0.0, 0.1, m))
+
+        omega = rng.uniform(0.5, 2.0)
+        baths = [random_bath() for _ in range(oscillators)]
+        temps = [temp, rng.uniform(0.0, 3.0)][:oscillators]
+        if oscillators == 1:
+            coupling = build_single(omega, baths[0])
+            sys0 = random_physical_state(rng, 1)
+        else:
+            coupling = build_two(omega, omega, rng.uniform(0.0, 0.1), *baths)
+            sys0 = random_physical_state(rng, 2)
+        if driven:
+            omega_l = rng.uniform(0.1, 6.0)
+            assume(np.abs(np.linalg.eigvalsh(coupling.matrix) - omega_l).min() > 1e-2)
+            cache = build_drive(coupling, rng.uniform(0.0, 1.0), omega_l)
+        else:
+            cache = PropagatorCache.build(coupling)
+
+        full = evolve_driven(cache, dense_initial_state(sys0, baths, temps), t)
+        red = reduced_state(cache, t, sys0, initial_variances(coupling, baths, temps))
+        sys_idx = list(coupling.system_indices)
+        idx = sys_idx + [i + coupling.dim for i in sys_idx]
+        np.testing.assert_allclose(red.mean, full.mean[idx], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(red.cov, full.cov[np.ix_(idx, idx)], rtol=0, atol=1e-10)
+
 
 
 class TestRecurrenceEstimate:

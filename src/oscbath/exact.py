@@ -7,11 +7,18 @@ ordering (x..., p...) is
     M(t) = [[cos(Wt), sin(Wt)], [-sin(Wt), cos(Wt)]]  with T_R = cos(Wt),
     T_I = -sin(Wt), M = [[T_R, -T_I], [T_I, T_R]].
 
-One symmetric eigendecomposition of W serves every requested time.  The
-initial state is always the product system state (x) thermal baths, so a
-reduced state needs only the system rows of M(t), the bath variances and the
-system state.  A classical drive, in the frame rotating at its frequency, is
-an affine offset stored in the same cache.
+One eigendecomposition of W serves every requested time.  For one oscillator
+with a bath, and for the driven W - omega_L, W is an arrowhead: a diagonal of
+bath frequencies bordered by one row of couplings.  Its eigenpairs come from
+the secular equation in O(N^2) (``arrowhead_eigh``), where a dense ``eigh``
+costs O(N^3) and dominates large baths.  Every other W (two oscillators, a
+bath-less oscillator, a coupling that is not > 0) uses ``np.linalg.eigh``,
+and so does the full-state factorization study, whose D_B near agreement
+moves with the rounding of any equally exact eigenbasis.  The initial state
+is always the product system state (x) thermal baths, so a reduced state
+needs only the system rows of M(t), the bath variances and the system state.
+A classical drive, in the frame rotating at its frequency, is an affine
+offset stored in the same cache.
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ from .gaussian import GaussianState, thermal_variance
 __all__ = [
     "CouplingMatrix",
     "PropagatorCache",
+    "is_arrowhead",
+    "arrowhead_eigh",
     "build_single",
     "build_two",
     "propagator",
@@ -100,6 +109,166 @@ def build_two(omega1: float, omega2: float, beta: float,
     return CouplingMatrix(w, (0, n1))
 
 
+def is_arrowhead(coupling: CouplingMatrix) -> bool:
+    """True when W is one system mode bordering a diagonal bath (``arrowhead_eigh``'s input).
+
+    That is ``build_single`` with a bath, also after a uniform shift by a drive
+    frequency: system index (0,), bath block diagonal with strictly ascending
+    frequencies, and every coupling g_j > 0.
+    """
+    w = coupling.matrix
+    if coupling.system_indices != (0,) or coupling.dim < 2:
+        return False
+    bath = w[1:, 1:]
+    freqs = np.diagonal(bath)
+    return bool(np.all(np.diff(freqs) > 0) and np.all(w[0, 1:] > 0)
+                and np.count_nonzero(bath) == np.count_nonzero(freqs))
+
+
+_SECULAR_BLOCK = 64  # roots solved together: keeps the (block x M) temporaries in cache
+_SECULAR_MAX_ITER = 100  # model steps converge in about 6; bisection alone may need ~100
+
+
+def arrowhead_eigh(omega: float, freqs: np.ndarray, g: np.ndarray):
+    """Eigenpairs of [[omega, g^T], [g, diag(freqs)]] in O(N^2), returned like ``np.linalg.eigh``.
+
+    ``freqs`` must be strictly ascending and every g_j > 0.  The eigenvalues are
+    the roots of the secular equation
+
+        f(lam) = omega - lam + sum_j g_j^2 / (lam - freqs_j) = 0,
+
+    one in each interval of the interlacing (below freqs_0, between
+    neighbouring freqs, above freqs_-1), and the eigenvector of lam is
+    (1, g / (lam - freqs)) normalized (Bunch, Nielsen & Sorensen, Numer. Math.
+    31, 1978).  Each root is held as an offset tau from the pole it lies
+    nearer to, so lam - freqs_j = tau - (freqs_j - origin) keeps its relative
+    accuracy however close lam comes to a pole.  The eigenvectors use the
+    couplings that make the computed roots exact (``_lowner_couplings``), so
+    they are orthogonal to working precision even in clusters of poles (Gu &
+    Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995; Stor, Slapnicar & Barlow,
+    Linear Algebra Appl. 464, 2015).
+    """
+    freqs = np.asarray(freqs, dtype=float)
+    g2 = np.asarray(g, dtype=float) ** 2
+    n = freqs.size + 1
+    # the border has norm |g|, so by Weyl every eigenvalue is within |g| of the diagonal's range
+    radius = np.sqrt(g2.sum())
+    lower = np.concatenate([[min(omega, freqs[0]) - radius], freqs])
+    upper = np.concatenate([freqs, [max(omega, freqs[-1]) + radius]])
+    tau, origin = np.empty(n), np.empty(n)
+    blocks = [np.arange(start, min(start + _SECULAR_BLOCK, n))
+              for start in range(0, n, _SECULAR_BLOCK)]
+    for k in blocks:
+        tau[k], origin[k] = _secular_roots(omega, freqs, g2, k, lower[k], upper[k])
+    g_hat = _lowner_couplings(freqs, tau, origin)
+    vecs = np.empty((n, n))  # one eigenvector per row: the norms sum pairwise
+    for k in blocks:
+        vec = vecs[k[0]:k[-1] + 1]
+        vec[:, 0] = 1.0
+        np.divide(g_hat, tau[k, None] - (freqs - origin[k, None]), out=vec[:, 1:])
+        vec /= np.sqrt((vec * vec).sum(axis=1))[:, None]
+    return origin + tau, vecs.T
+
+
+def _lowner_couplings(freqs, tau, origin):
+    """Couplings g_hat for which the roots origin + tau are the exact eigenvalues.
+
+    Evaluating det(W - lam) at lam = freqs_j gives
+    g_hat_j^2 = prod_k |lam_k - freqs_j| / prod_{i != j} |freqs_i - freqs_j|.
+    Each pole i is paired with the root on its far side from j (root i below
+    j, root i + 1 above), so every ratio is >= 1 and the product cannot
+    underflow; the two roots around freqs_j stay as factors.
+    """
+    m = freqs.size
+    i = np.arange(m)[:, None]
+    g_hat = np.empty(m)
+    for start in range(0, m, _SECULAR_BLOCK):
+        j = np.arange(start, min(start + _SECULAR_BLOCK, m))
+        gap = tau[:, None] - (freqs[j] - origin[:, None])  # lam_k - freqs_j, (m + 1, block)
+        own = i == j
+        num = np.where(own, 1.0, np.where(i < j, gap[:-1], gap[1:]))
+        den = np.where(own, 1.0, freqs[:, None] - freqs[j])
+        col = np.arange(j.size)
+        g_hat[j] = np.sqrt(np.abs(gap[j, col] * gap[j + 1, col]) * (num / den).prod(axis=0))
+    return g_hat
+
+
+def _secular_roots(omega, freqs, g2, k, lower, upper):
+    """Roots k (in (lower, upper)) of the secular equation as (tau, origin).
+
+    Each step fits f near tau by its value and slope with a model that keeps
+    the two poles around the root (the "middle way" of LAPACK's dlaed4; the
+    slope -1 of the linear term is shared between the poles) and takes the
+    model's root; a bisection bracket guards the step.  Outer roots have one
+    pole and keep the linear term exactly.
+    """
+    m = freqs.size
+    mid = 0.5 * (lower + upper)
+    f_mid = omega - mid + (g2 / (mid[:, None] - freqs)).sum(axis=1)
+    right = f_mid > 0  # f decreases between poles: the root lies above mid
+    origin = np.where(right, upper, lower)
+    origin[k == 0] = upper[k == 0]
+    origin[k == m] = lower[k == m]
+    lo = np.where(right, mid, lower) - origin
+    hi = np.where(right, upper, mid) - origin
+    tau = mid - origin
+    shift = omega - origin
+    has_left, has_right = k > 0, k < m
+    pole_lo = np.where(has_left, freqs[np.maximum(k - 1, 0)] - origin, 0.0)
+    pole_hi = np.where(has_right, freqs[np.minimum(k, m - 1)] - origin, 0.0)
+    # poles below every root of the block, then a band below only some of them
+    first, last = k[0], k[-1]
+    band = np.arange(first, last) < k[:, None]
+
+    def below(x, rows):
+        """Row sums of x over the poles below each root."""
+        return x[:, :first].sum(axis=1) + (x[:, first:last] * band[rows]).sum(axis=1)
+
+    eps = np.finfo(float).eps
+    act = np.arange(k.size)
+    for _ in range(_SECULAR_MAX_ITER):
+        diff = tau[act, None] - (freqs - origin[act, None])
+        terms = g2 / diff  # positive below the root, negative above
+        total, left = terms.sum(axis=1), below(terms, act)
+        f = shift[act] - tau[act] + total
+        tol = 8.0 * eps * (np.abs(shift[act]) + np.abs(tau[act]) + 2.0 * left - total)
+        todo = np.abs(f) > tol
+        if not todo.any():
+            break
+        act, diff, terms, f = act[todo], diff[todo], terms[todo], f[todo]
+        t = tau[act]
+        lo[act] = np.where(f > 0, t, lo[act])
+        hi[act] = np.where(f < 0, t, hi[act])
+        slope = terms / diff  # -d/dtau of each pole term
+        s_left = below(slope, act)
+        s_right = slope.sum(axis=1) - s_left
+        a, b = pole_lo[act], pole_hi[act]
+        inner = has_left[act] & has_right[act]
+        # interior: c + wl/(x - a) + wr/(x - b), matching f and f' at t
+        wl = (t - a) ** 2 * (s_left + 0.5)
+        wr = (t - b) ** 2 * (s_right + 0.5)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = f - wl / (t - a) - wr / (t - b)
+            qb = wl + wr - c * (a + b)
+            qc = c * a * b - wl * b - wr * a
+            disc = np.sqrt(np.maximum(qb * qb - 4.0 * c * qc, 0.0))
+            step_in = np.where(qb < 0, (disc - qb) / (2.0 * c), 2.0 * qc / (-qb - disc))
+            # outer: c - x + w/(x - p) with the pole p = 0 at the origin
+            w_out = t * t * (s_left + s_right)
+            c_out = f + t - w_out / t
+            disc_out = np.sqrt(c_out * c_out + 4.0 * w_out)
+            sign = np.where(has_left[act], 1.0, -1.0)  # the top root lies above its pole
+            step_out = np.where(sign * c_out >= 0, 0.5 * (c_out + sign * disc_out),
+                                -2.0 * w_out / (c_out - sign * disc_out))
+        step = np.where(inner, step_in, step_out)
+        ok = (step >= lo[act]) & (step <= hi[act])
+        tau[act] = np.where(ok, step, 0.5 * (lo[act] + hi[act]))
+    else:
+        raise ArithmeticError("arrowhead secular solver did not converge")
+
+    return tau, origin
+
+
 @dataclass(frozen=True)
 class PropagatorCache:
     """Spectral decomposition of a fixed W, reused for cos(Wt)/sin(Wt) at any t.
@@ -115,6 +284,16 @@ class PropagatorCache:
 
     @classmethod
     def build(cls, coupling: CouplingMatrix) -> "PropagatorCache":
+        """Eigendecomposition of W: the secular solver for arrowheads, else ``from_eigh``."""
+        if not is_arrowhead(coupling):
+            return cls.from_eigh(coupling)
+        w = coupling.matrix
+        evals, evecs = arrowhead_eigh(w[0, 0], np.diagonal(w)[1:], w[0, 1:])
+        return cls(evals, evecs, coupling.system_indices, np.zeros(coupling.dim))
+
+    @classmethod
+    def from_eigh(cls, coupling: CouplingMatrix) -> "PropagatorCache":
+        """Dense symmetric eigendecomposition of any W."""
         evals, evecs = np.linalg.eigh(coupling.matrix)
         return cls(evals, evecs, coupling.system_indices, np.zeros(coupling.dim))
 

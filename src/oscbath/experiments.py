@@ -264,9 +264,14 @@ def run_correlation_study(config: ScenarioConfig) -> ExperimentResult:
 
 
 def _factorization_curve(config: ScenarioConfig) -> list:
-    bath, cache, sys0, _ = _exact(config)
+    bath = _bath(config)
+    # Dense eigh, not the arrowhead solver of PropagatorCache.build: rounding
+    # in fidelity_multi at near-pure bath modes dominates this full-state D_B,
+    # which moves by up to 3.5e-5 at t = 0 (and 1.4e-9 later) under another,
+    # equally exact eigenbasis of W.
+    cache = PropagatorCache.from_eigh(build_single(config.omega, bath))
     bath_thermal = make_thermal(bath.frequencies, config.temperature)
-    global0 = tensor_product(sys0, bath_thermal)
+    global0 = tensor_product(_system_state(config, 1), bath_thermal)
     n = cache.dim
     out = []
     for t in _times(config):

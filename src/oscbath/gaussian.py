@@ -87,8 +87,10 @@ def thermal_variance(omega, temperature):
         raise ValueError("temperature must be >= 0")
     if temperature == 0:
         return np.ones_like(omega)
-    # 1 + 2 nbar = coth(omega / 2T); evaluated in the stable form
-    return 1.0 / np.tanh(omega / (2.0 * temperature))
+    # 1 + 2 nbar = coth(omega / 2T); evaluated in the stable form.  A subnormal
+    # T overflows omega / 2T to inf, and tanh(inf) = 1 is the right limit.
+    with np.errstate(over="ignore"):
+        return 1.0 / np.tanh(omega / (2.0 * temperature))
 
 
 def make_thermal(frequencies, temperature: float) -> GaussianState:
@@ -212,8 +214,14 @@ def fidelity_multi(a: GaussianState, b: GaussianState) -> float:
     _, logdet = np.linalg.slogdet(csum)
     delta = a.mean - b.mean
     expo = float(delta @ np.linalg.solve(csum, delta))
-    logf = n * np.log(2.0) - 0.5 * logdet + np.sum(np.log(nu + np.sqrt(nu**2 - 1.0))) - expo
-    return float(min(np.exp(logf), 1.0))
+    terms = (n * np.log(2.0), -0.5 * logdet, np.sum(np.log(nu + np.sqrt(nu**2 - 1.0))), -expo)
+    logf = sum(terms)
+    # A log F within the rounding of its terms is agreement: report F = 1, so
+    # that D_B of equal states is 0 and not sqrt(rounding) ~ 2e-8 that flips
+    # with the last bits of the inputs.
+    if logf >= -8.0 * np.finfo(float).eps * sum(abs(x) for x in terms):
+        return 1.0
+    return float(np.exp(logf))
 
 
 def bures_distance(a: GaussianState, b: GaussianState) -> float:

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 from conftest import random_physical_state
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oscbath.bath import BathCouplings, OhmicSpectrum, discretize
-from oscbath.exact import (PropagatorCache, RwaValidityWarning,
+from oscbath.bath import BathCouplings, OhmicSpectrum, discretize, omega_range
+from oscbath.exact import (CouplingMatrix, PropagatorCache, RwaValidityWarning,
                            build_drive, build_single, build_two,
-                           evolve_driven, initial_variances, propagator,
-                           recurrence_time_estimate, reduced_state)
+                           evolve_driven, initial_variances, is_arrowhead,
+                           propagator, recurrence_time_estimate, reduced_state)
 from oscbath.gaussian import (GaussianState, make_squeezed_vacuum, make_thermal,
                               make_vacuum, symplectic_form, tensor_product)
 
@@ -279,6 +279,68 @@ class TestReducedStateReferee:
         np.testing.assert_allclose(red.mean, full.mean[idx], rtol=0, atol=1e-10)
         np.testing.assert_allclose(red.cov, full.cov[np.ix_(idx, idx)], rtol=0, atol=1e-10)
 
+
+def assert_eigh_referee(coupling, cache, t=7.3):
+    """The cache of an arrowhead W against np.linalg.eigh, and its propagator."""
+    w = coupling.matrix
+    scale = max(np.abs(w).max(), 1.0)
+    evals, q = cache.eigenvalues, cache.eigenvectors
+    assert np.abs(evals - np.linalg.eigh(w)[0]).max() <= 1e-12 * scale
+    assert np.abs(q.T @ q - np.eye(coupling.dim)).max() <= 1e-13
+    assert np.abs(w @ q - q * evals).max() <= 1e-12 * scale
+    m = propagator(cache, t)
+    sigma = symplectic_form(coupling.dim)
+    assert np.abs(m @ sigma @ m.T - sigma).max() <= 1e-12
+
+
+class TestArrowheadSolver:
+    """The secular solver behind PropagatorCache.build, refereed by the dense eigh."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 60),
+           st.sampled_from(("below", "inside", "above")), st.floats(-12.0, 0.0),
+           st.booleans())
+    # without the Loewner couplings these lose orthogonality (2e-13)
+    @example(2930367297, 22, "below", -3.795787519925476, True)
+    @example(2274482886, 55, "inside", -3.772502209303628, False)
+    def test_matches_eigh(self, seed, m, where, log_gap, shifted):
+        rng = np.random.default_rng(seed)
+        # ascending poles with gaps down to 1e-12: clusters as well as spread bands
+        gaps = 10.0 ** rng.uniform(log_gap, 0.0, m)
+        freqs = 0.1 + np.cumsum(gaps)
+        assume(np.all(np.diff(freqs) > 0))
+        g = 10.0 ** rng.uniform(-4.0, -0.5, m)
+        lo, hi = freqs[0], freqs[-1]
+        omega = {"below": lo - rng.uniform(0.0, 3.0),
+                 "inside": rng.uniform(lo, hi),
+                 "above": hi + rng.uniform(0.0, 3.0)}[where]
+        coupling = build_single(omega, BathCouplings(freqs, g))
+        if shifted:  # W - omega_L as build_drive forms it, omega_L inside the band
+            w0 = coupling.matrix - rng.uniform(lo, hi) * np.eye(coupling.dim)
+            coupling = CouplingMatrix(w0, coupling.system_indices)
+        assert is_arrowhead(coupling)
+        assert_eigh_referee(coupling, PropagatorCache.build(coupling))
+
+    @pytest.mark.parametrize("range_mode", ["equal_tails", "floor"])
+    def test_large_ohmic_bath(self, range_mode):
+        spec = OhmicSpectrum(0.01, 3.0)
+        bath = discretize(spec, 600, omega_range(spec, range_mode, floor=0.1))
+        coupling = build_single(1.0, bath)
+        assert is_arrowhead(coupling)
+        assert_eigh_referee(coupling, PropagatorCache.build(coupling))
+
+    def test_other_couplings_are_not_arrowheads(self):
+        bath = small_bath()
+        assert not is_arrowhead(build_single(1.0, None))
+        assert not is_arrowhead(build_two(1.0, 1.0, 0.01, bath, bath))
+        zero_g = BathCouplings(bath.frequencies, np.r_[0.0, bath.couplings[1:]])
+        assert not is_arrowhead(build_single(1.0, zero_g))
+        w = build_single(1.0, bath).matrix
+        order = np.r_[0, np.arange(w.shape[0] - 1, 0, -1)]  # bath descending
+        assert not is_arrowhead(CouplingMatrix(w[np.ix_(order, order)], (0,)))
+        w = w.copy()
+        w[2, 3] = w[3, 2] = 1e-3
+        assert not is_arrowhead(CouplingMatrix(w, (0,)))
 
 
 class TestRecurrenceEstimate:

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oscbath import experiments
+from oscbath import exact, experiments
 from oscbath.bath import OhmicSpectrum, bose_occupation, decay_rate, lamb_shift
 from oscbath.config import ConfigError, ScenarioConfig
 from oscbath.experiments import (DEFAULT_RABI_GRID, config_from_csv,
@@ -314,6 +314,53 @@ class TestCallCounts:
             run_experiment("two_oscillator_suite", cfg)
         assert counts == {"eigh": 1 + len(betas),
                           "evolve": 2 * samples + 2 * len(betas)}
+
+
+class TestEigensolverDispatch:
+    """Single-oscillator and driven couplings skip the dense eigh; other caches call it once."""
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        calls = []
+        eigh = exact.np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(exact.np.linalg, "eigh", counted)
+        return calls
+
+    def run(self, name, cfg):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            run_experiment(name, cfg)
+
+    def test_recurrence_map(self, eigh_calls):
+        self.run("recurrence_map", ScenarioConfig(**{
+            **BASE_SINGLE, "samples": 4, "sweep_parameter": "modes",
+            "sweep_values": (10, 20)}))
+        assert eigh_calls == []
+
+    def test_driven_suite(self, eigh_calls):
+        self.run("driven_suite", ScenarioConfig(**{
+            **DRIVEN_BASE, "bath_modes": 20, "rabi": 0.3, "omega_l": 1.2,
+            "samples": 4, "sweep_parameter": "detuning", "sweep_values": (-0.1, 0.2)}))
+        assert eigh_calls == []
+
+    def test_factorization_distance(self, eigh_calls):
+        alphas = (0.002, 0.01)
+        self.run("factorization_distance", ScenarioConfig(**{
+            **BASE_SINGLE, "bath_modes": 14, "samples": 4,
+            "sweep_parameter": "alpha", "sweep_values": alphas}))
+        assert eigh_calls == [(15, 15)] * len(alphas)
+
+    def test_two_oscillator_suite(self, eigh_calls):
+        betas = (0.01, 0.1)
+        self.run("two_oscillator_suite", ScenarioConfig(**{
+            **TWO_BASE, "bath_modes": 20, "samples": 4, "temperature": 1.0,
+            "sweep_parameter": "beta", "sweep_values": betas}))
+        assert eigh_calls == [(42, 42)] * (1 + len(betas))
 
 
 class TestResultPlumbing:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import (fock_partial_trace_first, fock_uhlmann_fidelity,
@@ -41,6 +43,13 @@ class TestConstructors:
     def test_thermal_unit_values(self):
         st = make_thermal([1.0], 1.0)
         np.testing.assert_allclose(st.cov[0, 0], 2.163953413738652848770004, rtol=1e-14)
+
+    def test_thermal_subnormal_temperature_is_vacuum_silently(self):
+        # omega / 2T overflows to inf for a subnormal T; tanh(inf) = 1 is the limit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            st = make_thermal([1.0, 2.0], 1e-310)
+        np.testing.assert_array_equal(st.cov, np.eye(4))
 
     def test_thermal_rejects_bad_frequency(self):
         with pytest.raises(ValueError):
@@ -214,6 +223,15 @@ class TestDistances:
         st = make_thermal([1.0], 2.0)
         assert bures_distance(st, st) == pytest.approx(0.0, abs=1e-7)
         assert db_distance(st, st) == pytest.approx(0.0, abs=1e-7)
+
+    def test_equal_states_exactly_zero_nearby_states_resolved(self):
+        # rounding alone once gave D_B(s, s) ~ 2e-8 for a third of these temperatures
+        for temp in np.linspace(0.5, 40.0, 80):
+            st = make_thermal([1.0], temp)
+            assert db_distance(st, st) == 0.0
+            near = GaussianState(1, np.zeros(2), st.cov * (1.0 + 1e-4))
+            expect = np.sqrt(1.0 - fidelity_one_mode(st, near))
+            assert db_distance(st, near) == pytest.approx(expect, rel=1e-3)
 
     def test_orthogonal_limit(self):
         # far-displaced vacuum: F ~ exp(-400) ~ 0

@@ -10,11 +10,13 @@ ordering (x..., p...) is
 One eigendecomposition of W serves every requested time.  For one oscillator
 with a bath, and for the driven W - omega_L, W is an arrowhead: a diagonal of
 bath frequencies bordered by one row of couplings.  Its eigenpairs come from
-the secular equation in O(N^2) (``arrowhead_eigh``), where a dense ``eigh``
+the secular equation in O(N^2) (``_arrowhead_eigh``), where a dense ``eigh``
 costs O(N^3) and dominates large baths.  Every other W (two oscillators, a
 bath-less oscillator, a coupling that is not > 0) uses ``np.linalg.eigh``,
 and so does the full-state factorization study, whose D_B near agreement
-moves with the rounding of any equally exact eigenbasis.  The initial state
+moves with the rounding of any equally exact eigenbasis.  At t = 0 a
+reduced state is the initial state itself, whichever solver built the cache,
+since Q Q^T = 1 holds only to the solver's rounding.  The initial state
 is always the product system state (x) thermal baths, so a reduced state
 needs only the system rows of M(t), the bath variances and the system state.
 A classical drive, in the frame rotating at its frequency, is an affine
@@ -34,8 +36,6 @@ from .gaussian import GaussianState, thermal_variance
 __all__ = [
     "CouplingMatrix",
     "PropagatorCache",
-    "is_arrowhead",
-    "arrowhead_eigh",
     "build_single",
     "build_two",
     "propagator",
@@ -109,8 +109,8 @@ def build_two(omega1: float, omega2: float, beta: float,
     return CouplingMatrix(w, (0, n1))
 
 
-def is_arrowhead(coupling: CouplingMatrix) -> bool:
-    """True when W is one system mode bordering a diagonal bath (``arrowhead_eigh``'s input).
+def _is_arrowhead(coupling: CouplingMatrix) -> bool:
+    """True when W is one system mode bordering a diagonal bath (``_arrowhead_eigh``'s input).
 
     That is ``build_single`` with a bath, also after a uniform shift by a drive
     frequency: system index (0,), bath block diagonal with strictly ascending
@@ -129,7 +129,7 @@ _SECULAR_BLOCK = 64  # roots solved together: keeps the (block x M) temporaries 
 _SECULAR_MAX_ITER = 100  # model steps converge in about 6; bisection alone may need ~100
 
 
-def arrowhead_eigh(omega: float, freqs: np.ndarray, g: np.ndarray):
+def _arrowhead_eigh(omega: float, freqs: np.ndarray, g: np.ndarray):
     """Eigenpairs of [[omega, g^T], [g, diag(freqs)]] in O(N^2), returned like ``np.linalg.eigh``.
 
     ``freqs`` must be strictly ascending and every g_j > 0.  The eigenvalues are
@@ -285,10 +285,10 @@ class PropagatorCache:
     @classmethod
     def build(cls, coupling: CouplingMatrix) -> "PropagatorCache":
         """Eigendecomposition of W: the secular solver for arrowheads, else ``from_eigh``."""
-        if not is_arrowhead(coupling):
+        if not _is_arrowhead(coupling):
             return cls.from_eigh(coupling)
         w = coupling.matrix
-        evals, evecs = arrowhead_eigh(w[0, 0], np.diagonal(w)[1:], w[0, 1:])
+        evals, evecs = _arrowhead_eigh(w[0, 0], np.diagonal(w)[1:], w[0, 1:])
         return cls(evals, evecs, coupling.system_indices, np.zeros(coupling.dim))
 
     @classmethod
@@ -342,11 +342,15 @@ def reduced_state(cache: PropagatorCache, t: float, system0: GaussianState,
     system rows of M(t) and R_s their system columns,
     C(t) = (R diag(v, v)) R^T + R_s C_sys R_s^T; no 2N x 2N matrix is formed.
     Means gain sqrt(2)*((T_R-1) w ; T_I w) with w = ``cache.drive_offset``.
+    At t = 0, M = 1 exactly and system0 is returned as it is, so that row
+    does not carry the rounding of Q Q^T, which differs between eigensolvers.
     """
     sys_idx = list(cache.system_indices)
     k, n = len(sys_idx), cache.dim
     if system0.n_modes != k:
         raise ValueError("system state does not match the number of system modes")
+    if t == 0:
+        return system0
     rows = cache.rows(t, sys_idx)
     r_sys = rows[:, sys_idx + [i + n for i in sys_idx]]
     cov = ((rows * np.concatenate([variances, variances])) @ rows.T

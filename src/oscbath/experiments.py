@@ -268,7 +268,9 @@ def _factorization_curve(config: ScenarioConfig) -> list:
     # Dense eigh, not the arrowhead solver of PropagatorCache.build: rounding
     # in fidelity_multi at near-pure bath modes dominates this full-state D_B,
     # which moves by up to 3.5e-5 at t = 0 (and 1.4e-9 later) under another,
-    # equally exact eigenbasis of W.
+    # equally exact eigenbasis of W.  Once fidelity_multi is faithful there
+    # (ROADMAP item 1) and the golden rows are re-recorded, build this cache
+    # through _exact instead.
     cache = PropagatorCache.from_eigh(build_single(config.omega, bath))
     bath_thermal = make_thermal(bath.frequencies, config.temperature)
     global0 = tensor_product(_system_state(config, 1), bath_thermal)

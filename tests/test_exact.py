@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from oscbath.bath import BathCouplings, OhmicSpectrum, discretize, omega_range
 from oscbath.exact import (CouplingMatrix, PropagatorCache, RwaValidityWarning,
-                           build_drive, build_single, build_two,
-                           evolve_driven, initial_variances, is_arrowhead,
-                           propagator, recurrence_time_estimate, reduced_state)
+                           _is_arrowhead, build_drive, build_single, build_two,
+                           evolve_driven, initial_variances, propagator,
+                           recurrence_time_estimate, reduced_state)
 from oscbath.gaussian import (GaussianState, make_squeezed_vacuum, make_thermal,
                               make_vacuum, symplectic_form, tensor_product)
 
@@ -318,7 +318,7 @@ class TestArrowheadSolver:
         if shifted:  # W - omega_L as build_drive forms it, omega_L inside the band
             w0 = coupling.matrix - rng.uniform(lo, hi) * np.eye(coupling.dim)
             coupling = CouplingMatrix(w0, coupling.system_indices)
-        assert is_arrowhead(coupling)
+        assert _is_arrowhead(coupling)
         assert_eigh_referee(coupling, PropagatorCache.build(coupling))
 
     @pytest.mark.parametrize("range_mode", ["equal_tails", "floor"])
@@ -326,21 +326,32 @@ class TestArrowheadSolver:
         spec = OhmicSpectrum(0.01, 3.0)
         bath = discretize(spec, 600, omega_range(spec, range_mode, floor=0.1))
         coupling = build_single(1.0, bath)
-        assert is_arrowhead(coupling)
+        assert _is_arrowhead(coupling)
         assert_eigh_referee(coupling, PropagatorCache.build(coupling))
+
+    def test_initial_row_does_not_depend_on_the_eigensolver(self):
+        # Q Q^T differs from 1 by the solver's own rounding; t = 0 must not see it
+        coupling = build_single(1.0, small_bath(40))
+        sys0 = random_physical_state(np.random.default_rng(1), 1)
+        var = initial_variances(coupling, [small_bath(40)], [0.7])
+        for cache in (PropagatorCache.build(coupling), PropagatorCache.from_eigh(coupling),
+                      build_drive(coupling, 0.2, 1.1)):
+            state = reduced_state(cache, 0.0, sys0, var)
+            np.testing.assert_array_equal(state.cov, sys0.cov)
+            np.testing.assert_array_equal(state.mean, sys0.mean)
 
     def test_other_couplings_are_not_arrowheads(self):
         bath = small_bath()
-        assert not is_arrowhead(build_single(1.0, None))
-        assert not is_arrowhead(build_two(1.0, 1.0, 0.01, bath, bath))
+        assert not _is_arrowhead(build_single(1.0, None))
+        assert not _is_arrowhead(build_two(1.0, 1.0, 0.01, bath, bath))
         zero_g = BathCouplings(bath.frequencies, np.r_[0.0, bath.couplings[1:]])
-        assert not is_arrowhead(build_single(1.0, zero_g))
+        assert not _is_arrowhead(build_single(1.0, zero_g))
         w = build_single(1.0, bath).matrix
         order = np.r_[0, np.arange(w.shape[0] - 1, 0, -1)]  # bath descending
-        assert not is_arrowhead(CouplingMatrix(w[np.ix_(order, order)], (0,)))
+        assert not _is_arrowhead(CouplingMatrix(w[np.ix_(order, order)], (0,)))
         w = w.copy()
         w[2, 3] = w[3, 2] = 1e-3
-        assert not is_arrowhead(CouplingMatrix(w, (0,)))
+        assert not _is_arrowhead(CouplingMatrix(w, (0,)))
 
 
 class TestRecurrenceEstimate:

@@ -42,7 +42,7 @@ __all__ = [
     "initial_variances",
     "reduced_state",
     "build_drive",
-    "evolve_driven",
+    "evolve_full",
     "recurrence_time_estimate",
 ]
 
@@ -232,13 +232,14 @@ def _secular_roots(omega, freqs, g2, k, lower, upper):
         total, left = terms.sum(axis=1), below(terms, act)
         f = shift[act] - tau[act] + total
         tol = 8.0 * eps * (np.abs(shift[act]) + np.abs(tau[act]) + 2.0 * left - total)
-        todo = np.abs(f) > tol
-        if not todo.any():
-            break
-        act, diff, terms, f = act[todo], diff[todo], terms[todo], f[todo]
         t = tau[act]
         lo[act] = np.where(f > 0, t, lo[act])
         hi[act] = np.where(f < 0, t, hi[act])
+        # a bracket of adjacent floats locates the root although rounding keeps |f| > tol
+        todo = (np.abs(f) > tol) & (hi[act] - lo[act] > 2.0 * eps * np.abs(t))
+        if not todo.any():
+            break
+        act, diff, terms, f, t = act[todo], diff[todo], terms[todo], f[todo], t[todo]
         slope = terms / diff  # -d/dtau of each pole term
         s_left = below(slope, act)
         s_right = slope.sum(axis=1) - s_left
@@ -261,7 +262,8 @@ def _secular_roots(omega, freqs, g2, k, lower, upper):
             step_out = np.where(sign * c_out >= 0, 0.5 * (c_out + sign * disc_out),
                                 -2.0 * w_out / (c_out - sign * disc_out))
         step = np.where(inner, step_in, step_out)
-        ok = (step >= lo[act]) & (step <= hi[act])
+        # t is now an end of the bracket: a step back onto an end could cycle forever
+        ok = (step > lo[act]) & (step < hi[act])
         tau[act] = np.where(ok, step, 0.5 * (lo[act] + hi[act]))
     else:
         raise ArithmeticError("arrowhead secular solver did not converge")
@@ -385,10 +387,11 @@ def build_drive(coupling: CouplingMatrix, rabi: float, omega_l: float) -> Propag
     return replace(cache, drive_offset=w0inv_b)
 
 
-def evolve_driven(cache: PropagatorCache, state0: GaussianState, t: float) -> GaussianState:
-    """Full-state evolution with the drive of ``cache`` (the reduced states' referee).
+def evolve_full(cache: PropagatorCache, state0: GaussianState, t: float) -> GaussianState:
+    """Evolution of a full system + bath state, with the drive of ``cache`` if any.
 
-    Means gain the affine term sqrt(2)*((T_R-1) W0^{-1} b ; T_I W0^{-1} b) (the
+    It serves the factorization study and referees ``reduced_state``.  Means
+    gain the affine term sqrt(2)*((T_R-1) W0^{-1} b ; T_I W0^{-1} b) (the
     sqrt(2) converts amplitude units to our quadrature normalization); the
     drive cancels from the covariance.
     """

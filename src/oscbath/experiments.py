@@ -18,7 +18,7 @@ from .bath import (OhmicSpectrum, bose_occupation, corr_c0, corr_ct, decay_rate,
                    discretize, fwhh, lamb_shift, omega_range)
 from .config import ConfigError, ScenarioConfig, config_text, validate
 from .exact import (PropagatorCache, build_drive, build_single, build_two,
-                    initial_variances, propagator, reduced_state)
+                    evolve_full, initial_variances, reduced_state)
 from .flows import (RABI_VARIANTS, evolve_flow, flow_driven, flow_single,
                     flow_two_large_beta, flow_two_small_beta,
                     rabi_renormalizations)
@@ -140,7 +140,7 @@ def _swept(config: ScenarioConfig, parameter: str, default) -> list:
 
 
 def _exact(config: ScenarioConfig):
-    """(bath, cache, system state, t -> exact reduced state) of the config's scenario.
+    """(system state, t -> exact reduced state) of the config's scenario.
 
     Both oscillators of ``two_coupled`` share one discretized bath; ``driven``
     builds the drive (a singular W - omega_L raises ArithmeticError here).
@@ -158,7 +158,7 @@ def _exact(config: ScenarioConfig):
         cache = build_drive(coupling, config.rabi, config.omega_l)
     else:
         cache = PropagatorCache.build(coupling)
-    return bath, cache, sys0, lambda t: reduced_state(cache, t, sys0, variances)
+    return sys0, lambda t: reduced_state(cache, t, sys0, variances)
 
 
 def _compare(exact_at, flows, sys0: GaussianState, times):
@@ -178,7 +178,7 @@ def _single_curve(config: ScenarioConfig, metric, shifted=(True,)) -> list:
     (False) the bath-induced frequency shift.
     """
     spec = _spectrum(config)
-    _, _, sys0, exact_at = _exact(config)
+    sys0, exact_at = _exact(config)
     gamma = decay_rate(spec, config.omega)
     nbar = bose_occupation(config.omega, config.temperature)
     shift = lamb_shift(spec, config.omega)
@@ -274,11 +274,9 @@ def _factorization_curve(config: ScenarioConfig) -> list:
     cache = PropagatorCache.from_eigh(build_single(config.omega, bath))
     bath_thermal = make_thermal(bath.frequencies, config.temperature)
     global0 = tensor_product(_system_state(config, 1), bath_thermal)
-    n = cache.dim
     out = []
     for t in _times(config):
-        prop = propagator(cache, t)
-        full = GaussianState(n, prop @ global0.mean, prop @ global0.cov @ prop.T)
+        full = evolve_full(cache, global0, t)
         ansatz = tensor_product(partial_trace(full, {0}), bath_thermal)
         out.append((t, db_distance(full, ansatz)))
     return out
@@ -312,7 +310,7 @@ def _two_oscillator_states(config: ScenarioConfig, times):
                           "Omega1 = Omega2")
     spec = _spectrum(config)
     t1, t2 = config.bath_temperatures
-    _, _, sys0, exact_at = _exact(config)
+    sys0, exact_at = _exact(config)
     gammas = (decay_rate(spec, config.omega), decay_rate(spec, config.omega2))
     nbars = (bose_occupation(config.omega, t1), bose_occupation(config.omega2, t2))
     shift = lamb_shift(spec, config.omega)
@@ -362,7 +360,7 @@ def _driven_curves(config: ScenarioConfig, variants, metric, times) -> list:
     all of them.  It is built first: a singular W - omega_L raises
     ArithmeticError before any variant can reject exact resonance.
     """
-    _, _, sys0, exact_at = _exact(config)
+    sys0, exact_at = _exact(config)
     spec = _spectrum(config)
     omega, wl = config.omega, config.omega_l
     gamma = decay_rate(spec, omega)

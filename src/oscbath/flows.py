@@ -7,6 +7,15 @@ checks them once, and derives the affine flow they induce on Gaussian moments,
 
     d' = A d + c,      C' = A C + C A^T + D.
 
+Stacking the mean, the row-major vec(C) and a constant 1 into one vector s
+turns that flow into the linear ODE s' = G s with
+
+    G = [[A, 0, c], [0, A (+) A, vec D], [0, 0, 0]],
+
+where A (+) A = A kron 1 + 1 kron A is the Kronecker sum.  G is built once
+per generator; :func:`evolve_flow` is one exponential of it and
+:func:`steady_state` its fixed point.
+
 Each concrete equation only assembles its coefficients.  The same generator is
 what the Fock-space referee in :mod:`oscbath.fock` integrates, which validates
 every flow in the test suite.
@@ -18,7 +27,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, solve_continuous_lyapunov
+from scipy.linalg import expm
 
 from .bath import OhmicSpectrum, bose_occupation, decay_rate, lamb_shift
 from .gaussian import GaussianState
@@ -52,10 +61,11 @@ class QuadraticLindblad:
     ``frame_frequency`` records the rotating frame (0 for lab frame); within
     that frame the generator is autonomous.
 
-    The complex mean obeys d<a>/dt = G <a> - i f with
-    G = -i h - conj(K^E)/2 + K^A/2, which gives the drift A and mean drift c;
+    The complex mean obeys d<a>/dt = Z <a> - i f with
+    Z = -i h - conj(K^E)/2 + K^A/2, which gives the drift A and mean drift c;
     the diffusion matrix follows from the covariance rate at the vacuum,
-    D = dC/dt|_vac - (A + A^T).
+    D = dC/dt|_vac - (A + A^T).  ``moment_generator`` is G of the module
+    docstring, the (2n + 4n^2 + 1)-square generator of the stacked moments.
     """
 
     h: np.ndarray
@@ -66,6 +76,7 @@ class QuadraticLindblad:
     drift: np.ndarray = field(init=False, repr=False)
     diffusion: np.ndarray = field(init=False, repr=False)
     mean_drift: np.ndarray = field(init=False, repr=False)
+    moment_generator: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         h = np.atleast_2d(np.asarray(self.h, dtype=complex))
@@ -89,8 +100,8 @@ class QuadraticLindblad:
             if drive.shape != (n,):
                 raise ValueError(f"drive must have {n} entries")
 
-        g = -1j * h - 0.5 * k_emit.conj() + 0.5 * k_abs
-        a = np.block([[g.real, -g.imag], [g.imag, g.real]])
+        z = -1j * h - 0.5 * k_emit.conj() + 0.5 * k_abs
+        a = np.block([[z.real, -z.imag], [z.imag, z.real]])
 
         # at the vacuum N = M = 0 and dN/dt = conj(K^A), dM/dt = 0
         ndot = k_abs.conj()
@@ -107,9 +118,16 @@ class QuadraticLindblad:
             c = np.zeros(2 * n)
         else:
             c = np.sqrt(2.0) * np.concatenate([drive.imag, -drive.real])
+        dim = 2 * n
+        eye = np.eye(dim)
+        gen = np.zeros((dim + dim * dim + 1,) * 2)
+        gen[:dim, :dim] = a
+        gen[:dim, -1] = c
+        gen[dim:-1, dim:-1] = np.kron(a, eye) + np.kron(eye, a)
+        gen[dim:-1, -1] = d.ravel()
         for name, value in (("h", h), ("k_emit", k_emit), ("k_abs", k_abs),
-                            ("drive", drive), ("drift", a),
-                            ("diffusion", d), ("mean_drift", c)):
+                            ("drive", drive), ("drift", a), ("diffusion", d),
+                            ("mean_drift", c), ("moment_generator", gen)):
             object.__setattr__(self, name, value)
 
     @property
@@ -223,58 +241,41 @@ def flow_driven(omega_bar: float, gamma: float, nbar: float, r_bar: complex,
                              frame_frequency=omega_l)
 
 
-def _step_matrices(flow: QuadraticLindblad, dt: float):
-    """Exact one-step maps: mean d -> phi d + shift, cov C -> phi C phi^T + noise.
-
-    The mean shift comes from the augmented exponential; the accumulated noise
-    from the Van Loan block exp([[A, D], [0, -A^T]] dt), whose (1,2) block
-    times phi^T equals the diffusion integral without inverting A.
-    """
-    d = 2 * flow.n_modes
-    aug = np.zeros((d + 1, d + 1))
-    aug[:d, :d] = flow.drift
-    aug[:d, d] = flow.mean_drift
-    e = expm(aug * dt)
-    phi, shift = e[:d, :d], e[:d, d]
-    block = np.zeros((2 * d, 2 * d))
-    block[:d, :d] = flow.drift
-    block[:d, d:] = flow.diffusion
-    block[d:, d:] = -flow.drift.T
-    f = expm(block * dt)
-    noise = f[:d, d:] @ phi.T
-    return phi, shift, 0.5 * (noise + noise.T)
-
-
 def evolve_flow(flow: QuadraticLindblad, state: GaussianState, t: float) -> GaussianState:
-    """Exact solution of the moment ODEs at time t (semigroup property holds).
+    """Exact solution of the moment ODEs at time t: s(t) = exp(G t) s(0).
 
-    The autonomous flow is advanced in exact semigroup steps short enough that
-    the Van Loan exponential stays well conditioned (its -A^T block grows like
-    exp(gamma dt), so dissipative growth per step is capped).
+    One exponential of ``flow.moment_generator`` carries the mean and the
+    covariance together, for any t and any drift, damped or not.
     """
     if state.n_modes != flow.n_modes:
         raise ValueError("state and flow mode counts differ")
     t = float(t)
     if t == 0.0:
         return state
-    damping = max(0.0, -np.linalg.eigvals(flow.drift).real.min())
-    n_steps = max(1, int(np.ceil(abs(t) * damping / 2.0)))
-    phi, shift, noise = _step_matrices(flow, t / n_steps)
-    mean = state.mean.copy()
-    cov = state.cov.copy()
-    for _ in range(n_steps):
-        mean = phi @ mean + shift
-        cov = phi @ cov @ phi.T + noise
-    return GaussianState(flow.n_modes, mean, 0.5 * (cov + cov.T))
+    gen = flow.moment_generator * t
+    # expm takes its squarings from the 1-norm of G t.  An exact power-of-two
+    # weight w on the constant coordinate keeps the (c, vec D) column from
+    # setting that norm, which would cost a weakly damped flow 1e-11 by t = 1000.
+    const, dyn = np.abs(gen[:-1, -1]).sum(), np.abs(gen[:-1, :-1]).sum(axis=0).max()
+    w = 2.0 ** np.floor(np.log2(dyn / const)) if const > dyn > 0 else 1.0
+    gen[:-1, -1] *= w
+    s = expm(gen)[:-1] @ np.concatenate([state.mean, state.cov.ravel(), [1.0 / w]])
+    return _unstack(flow.n_modes, s)
 
 
 def steady_state(flow: QuadraticLindblad) -> GaussianState:
-    """Fixed point of the flow: A C + C A^T + D = 0 and d = -A^{-1} c."""
+    """Fixed point of the flow, G s = 0: A C + C A^T + D = 0 and A d + c = 0."""
     eig = np.linalg.eigvals(flow.drift)
     if eig.real.max() >= 0:
         raise ArithmeticError(
             f"drift matrix is not Hurwitz (max Re eigenvalue {eig.real.max():.3g}); "
             "no unique steady state")
-    cov = solve_continuous_lyapunov(flow.drift, -flow.diffusion)
-    mean = -np.linalg.solve(flow.drift, flow.mean_drift)
-    return GaussianState(flow.n_modes, mean, 0.5 * (cov + cov.T))
+    gen = flow.moment_generator
+    return _unstack(flow.n_modes, -np.linalg.solve(gen[:-1, :-1], gen[:-1, -1]))
+
+
+def _unstack(n_modes: int, s: np.ndarray) -> GaussianState:
+    """The state whose stacked moments (mean, row-major vec C) are s."""
+    dim = 2 * n_modes
+    cov = s[dim:].reshape(dim, dim)
+    return GaussianState(n_modes, s[:dim], 0.5 * (cov + cov.T))

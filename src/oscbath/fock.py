@@ -52,16 +52,13 @@ def mode_operators(n_modes: int, cutoff: int) -> list[np.ndarray]:
     raise ValueError("the Fock referee supports 1 or 2 modes only")
 
 
-def build_superoperator(lindblad: QuadraticLindblad, cutoff: int,
-                        literal_plus_sign: bool = False) -> sp.csr_matrix:
+def build_superoperator(lindblad: QuadraticLindblad, cutoff: int) -> sp.csr_matrix:
     """Sparse matrix acting on row-major vec(rho) as the master-equation generator.
 
     Each mode is truncated at ``cutoff`` quanta.  vec(A rho B) = (A kron B^T)
     vec(rho) for row-major flattening, so -i[H, .] maps to
     -i(H kron 1 - 1 kron H^T) and each dissipator term
     g (L . R^dag - {R^dag L, .}/2) to its three Kronecker pieces.
-    ``literal_plus_sign`` flips the anticommutator sign to the
-    (non-trace-preserving) literal form, for negative tests only.
     """
     if cutoff < 4:
         raise ValueError("cutoff must be at least 4")
@@ -80,7 +77,6 @@ def build_superoperator(lindblad: QuadraticLindblad, cutoff: int,
                    + np.conj(lindblad.drive[j]) * ops[j])
 
     lind = -1j * (sp.kron(ham, eye) - sp.kron(eye, ham.T))
-    anticomm_sign = 1.0 if literal_plus_sign else -1.0
     terms = []
     for j in range(n):
         for k in range(n):
@@ -91,8 +87,7 @@ def build_superoperator(lindblad: QuadraticLindblad, cutoff: int,
     for g, left, right in terms:
         rdl = right.T.conj() @ left
         lind = lind + g * (sp.kron(left, right.conj())
-                           + 0.5 * anticomm_sign * (sp.kron(rdl, eye)
-                                                    + sp.kron(eye, rdl.T)))
+                           - 0.5 * (sp.kron(rdl, eye) + sp.kron(eye, rdl.T)))
     return sp.csr_matrix(lind)
 
 

@@ -1,6 +1,7 @@
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -49,8 +50,13 @@ _ENTRIES = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def generators_and_states(draw):
-    """A random 1- or 2-mode generator with K = 0.1 B B^dag, and a physical state."""
+def generators_and_states(draw, hurwitz=False):
+    """A random 1- or 2-mode generator with K = 0.1 B B^dag, and a physical state.
+
+    With ``hurwitz``, K^E = conj(K^A) + 0.1 (B B^dag + delta 1) instead, so the
+    drift's complex form -i h - conj(K^E)/2 + K^A/2 = -i h - conj(K^E - conj(K^A))/2
+    has a negative definite Hermitian part and the flow is damped.
+    """
     n = draw(st.sampled_from((1, 2)))
 
     def complex_matrix():
@@ -60,9 +66,11 @@ def generators_and_states(draw):
     a = complex_matrix()
     b_emit, b_abs = complex_matrix(), complex_matrix()
     drive = draw(arrays(float, (n,), elements=_ENTRIES)) + 0j
-    lindblad = QuadraticLindblad(0.5 * (a + a.conj().T),
-                                 0.1 * b_emit @ b_emit.conj().T,
-                                 0.1 * b_abs @ b_abs.conj().T, drive=drive)
+    k_emit = 0.1 * b_emit @ b_emit.conj().T
+    k_abs = 0.1 * b_abs @ b_abs.conj().T
+    if hurwitz:
+        k_emit = k_abs.conj() + k_emit + 0.1 * draw(st.floats(0.01, 1.0)) * np.eye(n)
+    lindblad = QuadraticLindblad(0.5 * (a + a.conj().T), k_emit, k_abs, drive=drive)
     state = make_squeezed_vacuum(draw(st.floats(-1.0, 1.0)))
     if n == 2:
         state = tensor_product(state, make_coherent(draw(st.floats(-1.0, 1.0))))
@@ -87,6 +95,54 @@ class TestGeneratorProperties:
         np.testing.assert_allclose(once.mean, twice.mean, rtol=0, atol=1e-9)
         np.testing.assert_allclose(once.cov, twice.cov, rtol=0, atol=1e-9)
         assert physicality_violation(once) >= -1e-8
+
+
+def mp_moments(flow, state, t=None):
+    """Mean and covariance of the flow at t, or at its fixed point, to 40 digits.
+
+    Independent of :func:`evolve_flow`: the fixed point solves
+    A C + C A^T + D = 0 and A d + c = 0 in mpmath, and with Phi = exp(A t)
+    the solution is d(t) = d_inf + Phi (d0 - d_inf),
+    C(t) = C_inf + Phi (C0 - C_inf) Phi^T.
+    """
+    with mp.workdps(40):
+        a = mp.matrix(flow.drift.tolist())
+        dim = a.rows
+        lyap = mp.matrix(dim * dim, dim * dim)  # (A C + C A^T)_ij on row-major vec C
+        for i in range(dim):
+            for j in range(dim):
+                for k in range(dim):
+                    lyap[i * dim + j, k * dim + j] += a[i, k]
+                    lyap[i * dim + j, i * dim + k] += a[j, k]
+        vec = mp.lu_solve(lyap, mp.matrix((-flow.diffusion.ravel()).tolist()))
+        cov = mp.matrix([[vec[i * dim + j] for j in range(dim)] for i in range(dim)])
+        mean = -mp.lu_solve(a, mp.matrix(flow.mean_drift.tolist()))
+        if t is not None:
+            phi = mp.expm(a * t)
+            mean += phi * (mp.matrix(state.mean.tolist()) - mean)
+            cov += phi * (mp.matrix(state.cov.tolist()) - cov) * phi.T
+        return (np.array(mean.tolist(), dtype=float).ravel(),
+                np.array(cov.tolist(), dtype=float))
+
+
+def assert_matches_mp(out, mean, cov):
+    assert np.abs(out.mean - mean).max() <= 1e-11 * max(1.0, np.abs(mean).max())
+    assert np.abs(out.cov - cov).max() <= 1e-11 * max(1.0, np.abs(cov).max())
+
+
+class TestHighPrecisionReferee:
+    @settings(max_examples=30, deadline=None)
+    @given(generators_and_states(hurwitz=True))
+    @example(case=(QuadraticLindblad([[1.0]], [[0.00625]], [[0.0]]), make_vacuum(1)))
+    # hot and weakly damped: the (c, vec D) column must not set expm's scaling
+    @example(case=(QuadraticLindblad([[1.0]], [[2.001]], [[2.0]], drive=[0.25]),
+                   make_coherent(0.5)))
+    def test_evolve_and_steady_state_against_mpmath(self, case):
+        lindblad, state = case
+        for t in (0.5, 40.0, 1000.0):
+            assert_matches_mp(evolve_flow(lindblad, state, t),
+                              *mp_moments(lindblad, state, t))
+        assert_matches_mp(steady_state(lindblad), *mp_moments(lindblad, state))
 
 
 class TestFlowSingle:

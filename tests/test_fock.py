@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 
 from oscbath import fock
@@ -51,11 +52,17 @@ class TestSuperoperator:
 
     def test_literal_plus_sign_breaks_trace_preservation(self):
         lindblad = QuadraticLindblad([[1.0]], [[0.1]], [[0.02]])
-        lind = fock.build_superoperator(lindblad, 8, literal_plus_sign=True)
+        lind_ok = fock.build_superoperator(lindblad, 8)
+        # the literal form g (L . R^dag + {R^dag L, .}/2) of each dissipator term
+        a = sp.csr_matrix(fock.destroy(9))
+        eye = sp.identity(9, format="csr")
+        lind = lind_ok
+        for g, left in ((0.1, a), (0.02, a.T)):
+            rdl = left.T @ left  # R = L (diagonal rates) and real ladders: R^dag L = L^T L
+            lind = lind + g * (sp.kron(rdl, eye) + sp.kron(eye, rdl.T))
         rho = fock.thermal_rho(0.5, 8)
         trace_rate = np.trace((lind @ rho.ravel()).reshape(9, 9))
         assert abs(trace_rate) > 1e-3  # the canonical form keeps this at 0
-        lind_ok = fock.build_superoperator(lindblad, 8)
         assert abs(np.trace((lind_ok @ rho.ravel()).reshape(9, 9))) < 1e-14
 
     def test_spec_validation(self):

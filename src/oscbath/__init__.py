@@ -7,10 +7,3 @@ Gaussian-state fidelity.
 """
 
 __version__ = "0.1.0"
-
-from .bath import BathCouplings, OhmicSpectrum
-from .config import ScenarioConfig
-from .gaussian import GaussianState
-
-__all__ = ["BathCouplings", "GaussianState", "OhmicSpectrum", "ScenarioConfig",
-           "__version__"]

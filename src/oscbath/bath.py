@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import expi
 
@@ -24,11 +23,9 @@ __all__ = [
     "bose_occupation",
     "decay_rate",
     "lamb_shift",
-    "thermal_shift",
     "corr_c0",
     "corr_ct",
     "trigamma",
-    "principal_value_integral",
     "fwhh",
 ]
 
@@ -166,51 +163,6 @@ def lamb_shift(spectrum: OhmicSpectrum, nu: float) -> float:
         raise ValueError("lamb_shift requires nu > 0")
     x = nu / spectrum.omega_c
     return float(spectrum.alpha * nu * np.exp(-x) * expi(x) - spectrum.alpha * spectrum.omega_c)
-
-
-def principal_value_integral(f: Callable[[float], float], nu: float, upper: float) -> float:
-    """P.V. integral of f(omega)/(nu - omega) over (0, upper) with 0 < nu < upper.
-
-    The singular window (nu-h, nu+h) is folded into the regular integrand
-    [f(nu-u) - f(nu+u)]/u; the remaining smooth pieces use adaptive quadrature.
-    """
-    if not 0 < nu < upper:
-        raise ValueError("singularity must lie inside (0, upper)")
-    h = 0.5 * min(nu, upper - nu)
-    sym, _ = quad(lambda u: (f(nu - u) - f(nu + u)) / u, 0.0, h, limit=200)
-    left, _ = quad(lambda w: f(w) / (nu - w), 0.0, nu - h, limit=200)
-    pieces = [sym, left]
-    # split the long right tail so the quadrature resolves the exponential decay
-    cuts = [nu + h]
-    for c in (nu + 10 * h, upper / 2):
-        if cuts[-1] < c < upper:
-            cuts.append(c)
-    cuts.append(upper)
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        val, _ = quad(lambda w: f(w) / (nu - w), a, b, limit=200)
-        pieces.append(val)
-    return float(sum(pieces))
-
-
-def thermal_shift(spectrum: OhmicSpectrum, nu: float, temperature: float) -> float:
-    """Thermal counterpart Delta'(nu) = P.V. integral of J(omega) n(omega,T)/(nu - omega).
-
-    Diagnostic only: the implemented master equations carry the bare shift.
-    """
-    if nu <= 0:
-        raise ValueError("thermal_shift requires nu > 0")
-    if temperature < 0:
-        raise ValueError("temperature must be >= 0")
-    if temperature == 0:
-        return 0.0
-
-    def f(w):
-        if w <= 0:
-            return spectrum.alpha * temperature  # limit of J(w)*n(w) as w -> 0
-        return float(spectrum.j(w)) * float(bose_occupation(w, temperature))
-
-    upper = nu + 40.0 * spectrum.omega_c
-    return principal_value_integral(f, nu, upper)
 
 
 def corr_c0(spectrum: OhmicSpectrum, s):

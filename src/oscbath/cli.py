@@ -74,7 +74,7 @@ def _oracle_case(sec):
     from .bath import OhmicSpectrum
     from .flows import (flow_driven, flow_single, flow_two_large_beta,
                         flow_two_small_beta)
-    from .fock import coherent_rho, kron_rho, thermal_rho
+    from .fock import coherent_rho, thermal_rho
 
     unknown = sorted(set(sec) - _ORACLE_KEYS)
     if unknown:
@@ -105,13 +105,13 @@ def _oracle_case(sec):
     elif family == "two_small":
         lindblad = flow_two_small_beta((omega_bar, omega_bar), num("beta", 0.05),
                                        (gamma, gamma), (nbar, nbar))
-        rho0 = kron_rho(coherent_rho(alpha0, cutoff), thermal_rho(nbar, cutoff))
+        rho0 = np.kron(coherent_rho(alpha0, cutoff), thermal_rho(nbar, cutoff))
     elif family == "two_large":
         spectrum = OhmicSpectrum(num("alpha", 0.01), num("omega_c", 3.0))
         lindblad = flow_two_large_beta((spectrum, spectrum),
                                        (num("t1", 1.0), num("t2", 0.5)),
                                        omega_bar, num("beta", 0.3))
-        rho0 = kron_rho(coherent_rho(alpha0, cutoff), thermal_rho(nbar, cutoff))
+        rho0 = np.kron(coherent_rho(alpha0, cutoff), thermal_rho(nbar, cutoff))
     elif family == "driven":
         r_bar = complex(num("rabi_re", 0.1), num("rabi_im", 0.0))
         lindblad = flow_driven(omega_bar, gamma, nbar, r_bar, num("omega_l", 0.8))

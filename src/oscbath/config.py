@@ -244,9 +244,21 @@ def validate(config: ScenarioConfig):
         raise ConfigError(f"swept variants must be among {DRIVE_VARIANTS}")
     if c.sweep_parameter == "modes" and any(int(v) < 2 for v in c.sweep_values):
         raise ConfigError("swept bath sizes must be >= 2")
-    if c.sweep_parameter in ("temperature", "alpha", "rabi") and any(
+    if c.sweep_parameter in ("temperature", "rabi", "beta") and any(
             float(v) < 0 for v in c.sweep_values):
         raise ConfigError(f"swept {c.sweep_parameter} values must be >= 0")
+    if c.sweep_parameter == "alpha" and any(float(v) <= 0 for v in c.sweep_values):
+        raise ConfigError("swept alpha values must be positive")
+    if (c.scenario == "two_coupled" and c.sweep_parameter == "beta"
+            and any(float(v) >= c.omega for v in c.sweep_values)):
+        raise ConfigError(
+            f"swept beta values must stay below Omega={_fmt(c.omega)}: at beta >= Omega "
+            "the coupled system is unstable")
+    if (c.scenario == "driven" and c.sweep_parameter == "detuning"
+            and any(c.omega + float(d) <= 0 for d in c.sweep_values)):
+        raise ConfigError(
+            f"swept detunings must stay above -Omega={_fmt(-c.omega)}: the drive "
+            "frequency omega_l = Omega + detuning must be positive")
     for name in c.experiments:
         if name not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")

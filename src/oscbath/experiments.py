@@ -2,9 +2,10 @@
 
 Every runner takes a ScenarioConfig and returns an ExperimentResult whose rows
 are (sweep_param, sweep_value, t, quantity, value).  Runs are serial and
-deterministic: identical configs produce byte-identical CSV.  Every comparison
-of an exact evolution with Markovian flows goes through ``_compare``, which
-evaluates the exact state once per reported time and each flow at those times.
+deterministic: identical configs produce byte-identical CSV.  ``_compare`` is
+the one comparison of an exact evolution with Markovian flows: it assembles a
+scenario's exact side and the flows its labels name, evaluates the exact state
+once per reported time and each flow at those times.
 """
 
 from __future__ import annotations
@@ -125,68 +126,77 @@ def _times(config: ScenarioConfig) -> np.ndarray:
     return np.linspace(0.0, config.t_max, config.samples)
 
 
-_SWEEP_TYPES = {"modes": int, "variant": str}
-
-
 def _swept(config: ScenarioConfig, parameter: str, default) -> list:
     """Values of ``parameter`` to run: the config's sweep over it, else ``default``.
 
     Each value becomes a config with ``dataclasses.replace`` at the call site.
     """
-    if config.sweep_parameter != parameter:
-        return list(default)
-    kind = _SWEEP_TYPES.get(parameter, float)
-    return [kind(v) for v in config.sweep_values]
+    return list(config.sweep_values if config.sweep_parameter == parameter else default)
 
 
-def _exact(config: ScenarioConfig):
-    """(system state, t -> exact reduced state) of the config's scenario.
+EQUATIONS = ("small_beta", "large_beta")
 
-    Both oscillators of ``two_coupled`` share one discretized bath; ``driven``
-    builds the drive (a singular W - omega_L raises ArithmeticError here).
+
+def _compare(config: ScenarioConfig, labels, times):
+    """Exact reduced states and the states of each flow named in ``labels`` at ``times``.
+
+    ``labels`` are shift flags for ``single`` (True: the flow carries the
+    bath-induced frequency shift), ``EQUATIONS`` entries for ``two_coupled``
+    and drive variants for ``driven``.  Both oscillators of ``two_coupled``
+    share one discretized bath.  The exact side is built first, so a singular
+    W - omega_L raises ArithmeticError before any variant can reject exact
+    resonance, and its state is evaluated once per time, however many flows
+    share it.  Returns (exact states, [flow states per label]).
     """
+    pair = config.scenario == "two_coupled"
+    if pair and config.omega2 != config.omega:
+        raise ConfigError("the two-oscillator study assumes equal frequencies "
+                          "Omega1 = Omega2")
     bath = _bath(config)
-    if config.scenario == "two_coupled":
+    if pair:
         coupling = build_two(config.omega, config.omega2, config.beta, bath, bath)
         variances = initial_variances(coupling, [bath, bath], config.bath_temperatures)
-        sys0 = _system_state(config, 2)
     else:
         coupling = build_single(config.omega, bath)
         variances = initial_variances(coupling, [bath], [config.temperature])
-        sys0 = _system_state(config, 1)
     if config.scenario == "driven":
         cache = build_drive(coupling, config.rabi, config.omega_l)
     else:
         cache = PropagatorCache.build(coupling)
-    return sys0, lambda t: reduced_state(cache, t, sys0, variances)
+    sys0 = _system_state(config, 2 if pair else 1)
 
-
-def _compare(exact_at, flows, sys0: GaussianState, times):
-    """Exact reduced states and every flow's states at the same times.
-
-    ``exact_at(t)`` is evaluated once per time, however many flows it is
-    compared with; returns (exact_states, [flow_states per flow]).
-    """
-    exact = [exact_at(t) for t in times]
+    spec = _spectrum(config)
+    omega, wl, (t1, t2) = config.omega, config.omega_l, config.bath_temperatures
+    gamma = decay_rate(spec, omega)
+    nbar = bose_occupation(omega, t1)
+    omega_bar = omega + lamb_shift(spec, omega)
+    if config.scenario == "single":
+        flows = [flow_single(omega_bar if shifted else omega, gamma, nbar)
+                 for shifted in labels]
+    elif pair:
+        flows = [flow_two_small_beta((omega_bar, omega_bar), config.beta, (gamma, gamma),
+                                     (nbar, bose_occupation(omega, t2)))
+                 if eq == "small_beta" else
+                 flow_two_large_beta((spec, spec), (t1, t2), omega, config.beta)
+                 for eq in labels]
+    else:
+        flows = [flow_driven(omega_bar, gamma, nbar,
+                             rabi_renormalizations(spec, omega, wl, config.rabi, v), wl)
+                 for v in labels]
+    exact = [reduced_state(cache, t, sys0, variances) for t in times]
     return exact, [[evolve_flow(flow, sys0, t) for t in times] for flow in flows]
 
 
-def _single_curve(config: ScenarioConfig, metric, shifted=(True,)) -> list:
-    """(t, metric(exact, *flow_states)) over the time grid of one oscillator.
+def _curves(config: ScenarioConfig, labels, metric, times) -> list:
+    """metric(exact state, flow state) at ``times`` for each flow in ``labels``."""
+    exact, states = _compare(config, labels, times)
+    return [[metric(e, m) for e, m in zip(exact, s)] for s in states]
 
-    ``shifted`` lists the Markovian flows to compare, with (True) or without
-    (False) the bath-induced frequency shift.
-    """
-    spec = _spectrum(config)
-    sys0, exact_at = _exact(config)
-    gamma = decay_rate(spec, config.omega)
-    nbar = bose_occupation(config.omega, config.temperature)
-    shift = lamb_shift(spec, config.omega)
-    flows = [flow_single(config.omega + shift if s else config.omega, gamma, nbar)
-             for s in shifted]
-    times = _times(config)
-    exact, states = _compare(exact_at, flows, sys0, times)
-    return [(t, metric(*at_t)) for t, *at_t in zip(times, exact, *states)]
+
+def _rows(param: str, times, curves) -> list:
+    """Tidy rows of ``curves``, each a (sweep value, quantity, values at ``times``) triple."""
+    return [(param, value, t, quantity, v)
+            for value, quantity, curve in curves for t, v in zip(times, curve)]
 
 
 # ---------------------------------------------------------------------------
@@ -199,30 +209,29 @@ def run_variance_trajectory(config: ScenarioConfig) -> ExperimentResult:
     """2(dx)^2 of the oscillator: exact bath vs Markovian flow with/without shift."""
     if config.scenario != "single":
         raise ConfigError("variance_trajectory requires scenario=single")
+    times = _times(config)
     shifted = (True, False) if config.bath_modes > 0 else ()
-    curve = _single_curve(config, lambda *states: [s.cov[0, 0] for s in states],
-                          shifted=shifted)
-    rows = [("none", "", t, quantity, value) for t, values in curve
-            for quantity, value in zip(_VARIANCE_QUANTITIES, values)]
+    exact, states = _compare(config, shifted, times)
+    rows = [("none", "", t, quantity, s.cov[0, 0])
+            for t, *at_t in zip(times, exact, *states)
+            for quantity, s in zip(_VARIANCE_QUANTITIES, at_t)]
     return ExperimentResult("variance_trajectory", config, rows)
 
 
 def run_fidelity_vs_time(config: ScenarioConfig) -> ExperimentResult:
     """Fidelity between exact reduced state and the Markovian prediction over time."""
-    rows = []
     times = _times(config)
     if config.scenario == "single":
-        for temp in _swept(config, "temperature", [config.temperature]):
-            for t, f in _single_curve(replace(config, temperature=temp), fidelity_multi):
-                rows.append(("temperature", _g17(temp), t, "fidelity", f))
-    elif config.scenario == "two_coupled":
-        rows = _equation_rows(times, *_two_oscillator_states(config, times))
+        rows = _rows("temperature", times, [
+            (_g17(temp), "fidelity",
+             _curves(replace(config, temperature=temp), (True,), fidelity_multi, times)[0])
+            for temp in _swept(config, "temperature", [config.temperature])])
     else:
-        variants = _swept(config, "variant", RABI_VARIANTS)
-        curves = _driven_curves(config, variants, fidelity_multi, times)
-        for variant, curve in zip(variants, curves):
-            for t, f in zip(times, curve):
-                rows.append(("variant", variant, t, "fidelity", f))
+        param, labels = (("equation", EQUATIONS) if config.scenario == "two_coupled"
+                         else ("variant", _swept(config, "variant", RABI_VARIANTS)))
+        curves = _curves(config, labels, fidelity_multi, times)
+        rows = _rows(param, times, [(label, "fidelity", curve)
+                                    for label, curve in zip(labels, curves)])
     return ExperimentResult("fidelity_vs_time", config, rows)
 
 
@@ -232,10 +241,11 @@ def run_recurrence_map(config: ScenarioConfig) -> ExperimentResult:
         raise ConfigError("recurrence_map requires scenario=single")
     if config.sweep_parameter != "modes" or not config.sweep_values:
         raise ConfigError("recurrence_map requires a sweep over modes")
-    rows = []
-    for m in _swept(config, "modes", ()):
-        for t, d in _single_curve(replace(config, bath_modes=m), db_distance):
-            rows.append(("modes", str(m), t, "bures_db", d))
+    times = _times(config)
+    rows = _rows("modes", times, [
+        (str(m), "bures_db",
+         _curves(replace(config, bath_modes=m), (True,), db_distance, times)[0])
+        for m in config.sweep_values])
     return ExperimentResult("recurrence_map", config, rows)
 
 
@@ -270,7 +280,7 @@ def _factorization_curve(config: ScenarioConfig) -> list:
     # which moves by up to 3.5e-5 at t = 0 (and 1.4e-9 later) under another,
     # equally exact eigenbasis of W.  Once fidelity_multi is faithful there
     # (ROADMAP item 1) and the golden rows are re-recorded, build this cache
-    # through _exact instead.
+    # with PropagatorCache.build, as _compare does.
     cache = PropagatorCache.from_eigh(build_single(config.omega, bath))
     bath_thermal = make_thermal(bath.frequencies, config.temperature)
     global0 = tensor_product(_system_state(config, 1), bath_thermal)
@@ -298,33 +308,7 @@ def run_factorization_distance(config: ScenarioConfig) -> ExperimentResult:
     return ExperimentResult("factorization_distance", config, rows)
 
 
-# -- two-oscillator machinery -----------------------------------------------
-
-EQUATIONS = ("small_beta", "large_beta")
-
-
-def _two_oscillator_states(config: ScenarioConfig, times):
-    """Exact states and both equations' flow states (``EQUATIONS`` order) at ``times``."""
-    if config.omega2 != config.omega:
-        raise ConfigError("the two-oscillator study assumes equal frequencies "
-                          "Omega1 = Omega2")
-    spec = _spectrum(config)
-    t1, t2 = config.bath_temperatures
-    sys0, exact_at = _exact(config)
-    gammas = (decay_rate(spec, config.omega), decay_rate(spec, config.omega2))
-    nbars = (bose_occupation(config.omega, t1), bose_occupation(config.omega2, t2))
-    shift = lamb_shift(spec, config.omega)
-    small = flow_two_small_beta((config.omega + shift, config.omega2 + shift),
-                                config.beta, gammas, nbars)
-    large = flow_two_large_beta((spec, spec), (t1, t2), config.omega, config.beta)
-    return _compare(exact_at, (small, large), sys0, times)
-
-
-def _equation_rows(times, exact, flow_states) -> list:
-    return [("equation", eq, t, "fidelity", fidelity_multi(e, m))
-            for eq, states in zip(EQUATIONS, flow_states)
-            for t, e, m in zip(times, exact, states)]
-
+# -- suites: curves over time, then fidelities at t_max over a parameter grid --
 
 DEFAULT_BETA_GRID = (0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2)
 
@@ -333,49 +317,22 @@ def run_two_oscillator_suite(config: ScenarioConfig) -> ExperimentResult:
     """Fidelity vs t for both equations, vs beta at t_max, and between equations."""
     if config.scenario != "two_coupled":
         raise ConfigError("two_oscillator_suite requires scenario=two_coupled")
-    times = _times(config)
-    exact, flow_states = _two_oscillator_states(config, times)
-    rows = _equation_rows(times, exact, flow_states)
-
-    betas = _swept(config, "beta", [b * config.omega for b in DEFAULT_BETA_GRID])
-    for beta in betas:
-        (exact_end,), ends = _two_oscillator_states(replace(config, beta=beta),
-                                                    [config.t_max])
-        for eq, (state,) in zip(EQUATIONS, ends):
-            rows.append(("beta", _g17(beta), config.t_max, f"fidelity_{eq}",
-                         fidelity_multi(exact_end, state)))
-
-    for t, small, large in zip(times, *flow_states):
-        rows.append(("none", "", t, "fidelity_between_equations",
-                     fidelity_multi(small, large)))
+    times, t_end = _times(config), config.t_max
+    exact, (small, large) = _compare(config, EQUATIONS, times)
+    rows = _rows("equation", times, [(eq, "fidelity", map(fidelity_multi, exact, states))
+                                     for eq, states in zip(EQUATIONS, (small, large))])
+    for beta in _swept(config, "beta", [b * config.omega for b in DEFAULT_BETA_GRID]):
+        ends = _curves(replace(config, beta=beta), EQUATIONS, fidelity_multi, [t_end])
+        rows += _rows("beta", [t_end], [(_g17(beta), f"fidelity_{eq}", end)
+                                        for eq, end in zip(EQUATIONS, ends)])
+    rows += _rows("none", times, [("", "fidelity_between_equations",
+                                   map(fidelity_multi, small, large))])
     return ExperimentResult("two_oscillator_suite", config, rows)
-
-
-# -- driven machinery ---------------------------------------------------------
-
-def _driven_curves(config: ScenarioConfig, variants, metric, times) -> list:
-    """metric(exact, flow state) at ``times`` for each drive variant.
-
-    The exact evolution does not depend on the variant, so one drive serves
-    all of them.  It is built first: a singular W - omega_L raises
-    ArithmeticError before any variant can reject exact resonance.
-    """
-    sys0, exact_at = _exact(config)
-    spec = _spectrum(config)
-    omega, wl = config.omega, config.omega_l
-    gamma = decay_rate(spec, omega)
-    nbar = bose_occupation(omega, config.temperature)
-    omega_bar = omega + lamb_shift(spec, omega)
-    flows = [flow_driven(omega_bar, gamma, nbar,
-                         rabi_renormalizations(spec, omega, wl, config.rabi, v), wl)
-             for v in variants]
-    exact, states = _compare(exact_at, flows, sys0, times)
-    return [[metric(e, m) for e, m in zip(exact, s)] for s in states]
 
 
 def driven_variant_error(config: ScenarioConfig, variant: str) -> float:
     """Time-averaged D_B between exact and Markovian driven evolution."""
-    (dists,) = _driven_curves(config, [variant], db_distance, _times(config))
+    (dists,) = _curves(config, [variant], db_distance, _times(config))
     return float(np.mean(dists))
 
 
@@ -388,21 +345,23 @@ def run_driven_suite(config: ScenarioConfig) -> ExperimentResult:
     """Driven-oscillator fidelities vs time, detuning (at t_max) and Rabi frequency."""
     if config.scenario != "driven":
         raise ConfigError("driven_suite requires scenario=driven")
-    rows = []
-    times = _times(config)
-    curves = _driven_curves(config, RABI_VARIANTS, fidelity_multi, times)
-    for variant, curve in zip(RABI_VARIANTS, curves):
-        for t, f in zip(times, curve):
-            rows.append(("variant", variant, t, "fidelity", f))
-
-    points = [("detuning", d, replace(config, omega_l=config.omega + d))
-              for d in _swept(config, "detuning", DEFAULT_DETUNING_GRID)] \
+    detunings = _swept(config, "detuning", DEFAULT_DETUNING_GRID)
+    for d in detunings:
+        if config.omega + d <= 0:
+            raise ConfigError(
+                f"detuning {d} puts omega_l = Omega + detuning at or below 0; "
+                f"sweep the detuning over values above -Omega = {-config.omega}")
+    times, t_end = _times(config), config.t_max
+    curves = _curves(config, RABI_VARIANTS, fidelity_multi, times)
+    rows = _rows("variant", times, [(v, "fidelity", curve)
+                                    for v, curve in zip(RABI_VARIANTS, curves)])
+    points = [("detuning", d, replace(config, omega_l=config.omega + d)) for d in detunings] \
         + [("rabi", r, replace(config, rabi=r))
            for r in _swept(config, "rabi", DEFAULT_RABI_GRID)]
     for param, value, point in points:
-        ends = _driven_curves(point, RABI_VARIANTS, fidelity_multi, [config.t_max])
-        for variant, (f,) in zip(RABI_VARIANTS, ends):
-            rows.append((param, _g17(value), config.t_max, f"fidelity_{variant}", f))
+        ends = _curves(point, RABI_VARIANTS, fidelity_multi, [t_end])
+        rows += _rows(param, [t_end], [(_g17(value), f"fidelity_{v}", end)
+                                       for v, end in zip(RABI_VARIANTS, ends)])
     return ExperimentResult("driven_suite", config, rows)
 
 

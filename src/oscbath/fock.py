@@ -30,7 +30,6 @@ __all__ = [
     "thermal_rho",
     "coherent_rho",
     "squeezed_vacuum_rho",
-    "kron_rho",
     "assert_density_matrix",
 ]
 
@@ -207,10 +206,6 @@ def squeezed_vacuum_rho(r_sq: float, cutoff: int) -> np.ndarray:
     sq = expm(0.5 * r_sq * (a @ a - a.T.conj() @ a.T.conj()))
     rho = sq @ vacuum_rho(cutoff) @ sq.T.conj()
     return rho / np.trace(rho).real
-
-
-def kron_rho(rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
-    return np.kron(rho_a, rho_b)
 
 
 def assert_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,

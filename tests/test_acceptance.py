@@ -78,8 +78,8 @@ def test_criterion_1_oracle_equivalence():
             [[1.0, beta], [beta, 1.0]],
             np.diag([2 * g * (n + 1) for g, n in zip(gammas, nbars)]),
             np.diag([2 * g * n for g, n in zip(gammas, nbars)]))
-        rho0 = fock.kron_rho(fock.coherent_rho(0.35, cut2),
-                             fock.thermal_rho(0.15, cut2))
+        rho0 = np.kron(fock.coherent_rho(0.35, cut2),
+                       fock.thermal_rho(0.15, cut2))
         flow = flow_two_small_beta((1.0, 1.0), beta, gammas, nbars)
         horizon = 3.0 / (2 * min(gammas))
         _flow_vs_fock(flow, lindblad, cut2, rho0, (horizon / 3, horizon), tol)
@@ -96,8 +96,8 @@ def test_criterion_1_oracle_equivalence():
             lindblad = QuadraticLindblad(
                 [[flow.h[0, 0], flow.h[0, 1]], [flow.h[0, 1], flow.h[0, 0]]],
                 flow.k_emit, flow.k_abs)
-            rho0 = fock.kron_rho(fock.coherent_rho(0.3, cut2),
-                                 fock.squeezed_vacuum_rho(0.2, cut2))
+            rho0 = np.kron(fock.coherent_rho(0.3, cut2),
+                           fock.squeezed_vacuum_rho(0.2, cut2))
             gmin = np.linalg.eigvalsh(flow.k_emit - flow.k_abs).min() / 2
             horizon = 3.0 / (2 * gmin)
             _flow_vs_fock(flow, lindblad, cut2, rho0, (horizon / 3, horizon), tol)

@@ -1,11 +1,11 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from oscbath.bath import (BathCouplings, OhmicSpectrum, bose_occupation, corr_c0,
                           corr_ct, decay_rate, discretize, fwhh, lamb_shift,
-                          omega_range, principal_value_integral, thermal_shift,
-                          total_spectral_weight, trigamma)
+                          omega_range, total_spectral_weight, trigamma)
 
 SPEC = OhmicSpectrum(alpha=1.0, omega_c=3.0)
 
@@ -130,27 +130,6 @@ class TestShifts:
             ref = pv_oracle(lambda w: SPEC.j(w), nu, nu + 60 * SPEC.omega_c)
             assert lamb_shift(SPEC, nu) == pytest.approx(ref, abs=1e-6)
 
-    def test_pv_helper_matches_cauchy_oracle(self):
-        f = lambda w: SPEC.j(w)
-        for nu in (1.0, 4.0):
-            upper = nu + 40 * SPEC.omega_c
-            assert principal_value_integral(f, nu, upper) == pytest.approx(
-                pv_oracle(f, nu, upper), abs=1e-8)
-
-    def test_thermal_shift_zero_temperature(self):
-        assert thermal_shift(SPEC, 1.0, 0.0) == 0.0
-
-    def test_thermal_shift_against_oracle(self):
-        for nu, temp in ((1.0, 1.0), (2.0, 0.5), (0.7, 2.0)):
-            f = lambda w: (SPEC.j(w) * bose_occupation(w, temp)
-                           if w > 0 else SPEC.alpha * temp)
-            ref = pv_oracle(f, nu, nu + 40 * SPEC.omega_c)
-            assert thermal_shift(SPEC, nu, temp) == pytest.approx(ref, abs=1e-6)
-
-    def test_thermal_shift_sign_far_above_cutoff(self):
-        # integrand positive everywhere when nu is far beyond the support mass
-        assert thermal_shift(SPEC, 20 * SPEC.omega_c, 1.0) > 0
-
 
 EI_FIXTURES = (
     # (x, Ei(x)) at 30 significant digits
@@ -199,6 +178,60 @@ class TestSpecialFunctionKernels:
     def test_trigamma_domain(self):
         with pytest.raises(ValueError):
             trigamma(-1.0 + 0.5j)
+
+
+def _mp_trigamma(q) -> mp.mpc:
+    """psi'(q) at 40 digits, q taken exactly as given."""
+    with mp.workdps(40):
+        return mp.psi(1, mp.mpc(q.real, q.imag))
+
+
+def _signed_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """0 and n log-spaced magnitudes in [lo, hi] of each sign."""
+    mags = np.geomspace(lo, hi, n)
+    return np.concatenate([-mags[::-1], [0.0], mags])
+
+
+class TestHighPrecisionReferee:
+    """trigamma, lamb_shift and corr_ct against 40-digit mpmath values."""
+
+    @pytest.mark.parametrize("re_q", np.linspace(9.0, 11.0, 21))
+    def test_trigamma_across_series_handover(self, re_q):
+        # Re q = 10 is where the recurrence hands over to the asymptotic series
+        for im_q in _signed_grid(1e-3, 50.0, 6):
+            q = complex(re_q, im_q)
+            ref = complex(_mp_trigamma(q))
+            assert abs(trigamma(q) - ref) <= 1e-14 * abs(ref), q
+
+    @pytest.mark.parametrize("re_q", np.geomspace(1e-3, 1e3, 13))
+    def test_trigamma_broad_grid(self, re_q):
+        qs = re_q + 1j * _signed_grid(1e-3, 1e3, 7)
+        got = trigamma(qs)
+        for q, value in zip(qs, got):
+            ref = complex(_mp_trigamma(q))
+            assert abs(value - ref) <= 1e-14 * abs(ref), q
+
+    @pytest.mark.parametrize("alpha, omega_c", [(0.002, 3.0), (1.0, 3.0), (0.01, 0.5),
+                                                (0.05, 20.0)])
+    def test_lamb_shift(self, alpha, omega_c):
+        spec = OhmicSpectrum(alpha, omega_c)
+        for nu in omega_c * np.geomspace(1e-4, 40.0, 30):
+            with mp.workdps(40):
+                x = mp.mpf(nu) / omega_c
+                ref = alpha * mp.mpf(nu) * mp.exp(-x) * mp.ei(x) - mp.mpf(alpha) * omega_c
+            assert abs(lamb_shift(spec, nu) - float(ref)) <= 1e-14 * alpha * omega_c, nu
+
+    @pytest.mark.parametrize("temperature", [0.01, 0.1, 1.0, 3.0, 30.0])
+    def test_corr_ct(self, temperature):
+        for alpha, omega_c in ((0.002, 3.0), (1.0, 0.5)):
+            spec = OhmicSpectrum(alpha, omega_c)
+            for s in _signed_grid(1e-3, 100.0, 6):
+                with mp.workdps(40):
+                    t = mp.mpf(temperature)
+                    ref = complex(alpha * t**2 * mp.psi(
+                        1, mp.mpc(1 + t / omega_c, mp.mpf(s) * t)))
+                got = corr_ct(spec, s, temperature)
+                assert abs(got - ref) <= 1e-14 * abs(ref), (alpha, omega_c, s)
 
 
 class TestCorrelations:

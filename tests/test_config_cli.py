@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import oscbath
 from oscbath import cli
 from oscbath.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, cli_main
 from oscbath.config import (ConfigError, ScenarioConfig, config_text,
@@ -94,6 +98,23 @@ BAD_RUNS = {
     .replace("values = 0.1, 1", "values = small_beta, large_beta"),
     "factorization_without_bath": SMALL_RUN.replace("modes = 12", "modes = 0")
     .replace("= fidelity_vs_time", "= factorization_distance"),
+    # sweep points are configs too: each must pass what the base config must
+    "swept_beta_above_omega": SMALL_RUN.replace("kind = single", "kind = two_coupled")
+    .replace("parameter = temperature", "parameter = beta")
+    .replace("values = 0.1, 1", "values = 0.1, 1.5")
+    .replace("= fidelity_vs_time", "= two_oscillator_suite"),
+    "swept_beta_negative": SMALL_RUN.replace("kind = single", "kind = two_coupled")
+    .replace("parameter = temperature", "parameter = beta")
+    .replace("values = 0.1, 1", "values = 0.1, -0.2")
+    .replace("= fidelity_vs_time", "= two_oscillator_suite"),
+    "swept_alpha_zero": SMALL_RUN.replace("parameter = temperature", "parameter = alpha")
+    .replace("values = 0.1, 1", "values = 0.002, 0")
+    .replace("= fidelity_vs_time", "= factorization_distance"),
+    "swept_detuning_below_minus_omega": RESONANT_DRIVEN.replace("omega_l = 1", "omega_l = 1.2")
+    + "\n[sweep]\nparameter = detuning\nvalues = -0.1, -1\n",
+    # the default detuning grid reaches -0.5, below -Omega here
+    "default_detunings_below_minus_omega": RESONANT_DRIVEN
+    .replace("omega = 1\n", "omega = 0.4\n").replace("omega_l = 1", "omega_l = 0.45"),
 }
 
 ORACLE_SINGLE = ("[oracle]\nfamily = single\ncutoff = 10\nt = 2\n"
@@ -163,6 +184,26 @@ class TestCli:
         assert cli_main(["validate", str(p)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "unstable" in err
+
+    @pytest.mark.parametrize("case", ["swept_beta_above_omega", "swept_beta_negative",
+                                      "swept_alpha_zero",
+                                      "swept_detuning_below_minus_omega"])
+    def test_validate_checks_sweep_points(self, case, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_text(BAD_RUNS[case])
+        assert cli_main(["validate", str(p)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_cli_import_leaves_out_scipy_integrate(self):
+        # the quadrature module is most of a cold start, and only the oracle
+        # subcommand (through the Fock referee) needs it
+        path = [str(Path(oscbath.__file__).resolve().parent.parent),
+                os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        code = "import sys, oscbath.cli; print('scipy.integrate' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"
 
     def test_unknown_subcommand(self, capsys):
         assert cli_main(["frobnicate"]) == EXIT_USAGE

@@ -197,8 +197,8 @@ class TestFlowTwoSmallBeta:
         lindblad = QuadraticLindblad(
             [[omega, beta], [beta, omega]],
             np.diag([2 * gamma * (nbar + 1)] * 2), np.diag([2 * gamma * nbar] * 2))
-        rho0 = fock.kron_rho(fock.coherent_rho(0.4, cutoff),
-                             fock.thermal_rho(0.2, cutoff))
+        rho0 = np.kron(fock.coherent_rho(0.4, cutoff),
+                       fock.thermal_rho(0.2, cutoff))
         flow = flow_two_small_beta((omega, omega), beta, (gamma, gamma), (nbar, nbar))
         assert_matches_fock(flow, lindblad, cutoff, rho0, (1.0, 8.0, 30.0), 1e-6)
 
@@ -329,8 +329,8 @@ class TestFlowTwoLargeBeta:
         lindblad = QuadraticLindblad(
             [[flow.h[0, 0], flow.h[0, 1]], [flow.h[0, 1], flow.h[0, 0]]],
             flow.k_emit, flow.k_abs)
-        rho0 = fock.kron_rho(fock.coherent_rho(0.3, cutoff),
-                             fock.squeezed_vacuum_rho(0.2, cutoff))
+        rho0 = np.kron(fock.coherent_rho(0.3, cutoff),
+                       fock.squeezed_vacuum_rho(0.2, cutoff))
         assert_matches_fock(flow, lindblad, cutoff, rho0, (1.5, 7.0, 25.0), 1e-5)
 
 

@@ -204,7 +204,7 @@ class TestTimeGrid:
     def test_grid_matches_separate_calls(self, drive):
         rng = np.random.default_rng(23)
         lindblad = random_generator(rng, 2, drive)
-        rho0 = fock.kron_rho(fock.coherent_rho(0.3, 6), fock.thermal_rho(0.2, 6))
+        rho0 = np.kron(fock.coherent_rho(0.3, 6), fock.thermal_rho(0.2, 6))
         times = [0.0, 0.4, 1.5, 1.5, 4.0]
         rhos = fock.integrate(lindblad, 6, rho0, times)
         assert rhos.shape == (5, 49, 49)

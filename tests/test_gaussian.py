@@ -103,8 +103,8 @@ class TestPartialTrace:
         # beamsplitter-correlate thermal x squeezed, then reduce to mode 1
         cutoff = 20
         dim = cutoff + 1
-        rho0 = fock.kron_rho(fock.thermal_rho(0.3, cutoff),
-                             fock.squeezed_vacuum_rho(0.4, cutoff))
+        rho0 = np.kron(fock.thermal_rho(0.3, cutoff),
+                       fock.squeezed_vacuum_rho(0.4, cutoff))
         h = np.array([[0.0, 0.35], [0.35, 0.0]])
         unitary = QuadraticLindblad(h, np.zeros((2, 2)), np.zeros((2, 2)))
         rho_t = fock.integrate(unitary, cutoff, rho0, [1.3])[0]
@@ -192,11 +192,11 @@ class TestFidelity:
         h = np.array([[0.0, 0.3], [0.3, 0.0]])
         uni = QuadraticLindblad(h, np.zeros((2, 2)), np.zeros((2, 2)))
         rho_a = fock.integrate(
-            uni, cutoff, fock.kron_rho(fock.thermal_rho(0.15, cutoff),
-                                       fock.coherent_rho(0.25, cutoff)), [0.9])[0]
+            uni, cutoff, np.kron(fock.thermal_rho(0.15, cutoff),
+                                 fock.coherent_rho(0.25, cutoff)), [0.9])[0]
         rho_b = fock.integrate(
-            uni, cutoff, fock.kron_rho(fock.squeezed_vacuum_rho(0.2, cutoff),
-                                       fock.thermal_rho(0.1, cutoff)), [1.7])[0]
+            uni, cutoff, np.kron(fock.squeezed_vacuum_rho(0.2, cutoff),
+                                 fock.thermal_rho(0.1, cutoff)), [1.7])[0]
         sa = GaussianState(2, *fock.moments(rho_a, 2, cutoff))
         sb = GaussianState(2, *fock.moments(rho_b, 2, cutoff))
         f_ref = fock_uhlmann_fidelity(rho_a, rho_b)

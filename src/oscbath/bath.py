@@ -7,11 +7,11 @@ an equally spaced grid, so that sum_j g_j^2 delta(omega - omega_j) -> J(omega).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import expi
 
 __all__ = [
@@ -111,10 +111,65 @@ def omega_range(spectrum: OhmicSpectrum, mode: str = "equal_tails", *,
     else:
         raise ArithmeticError(f"no sign change while bracketing omega_max in [{wc}, {hi}]")
     try:
-        wmax = brentq(fun, lo, hi, xtol=1e-14, rtol=1e-15)
+        wmax = _brentq(fun, lo, hi, xtol=1e-14, rtol=1e-15)
     except (ValueError, RuntimeError) as exc:
         raise ArithmeticError(f"omega_max root-finding failed on bracket [{lo}, {hi}]") from exc
     return w1, float(wmax)
+
+
+def _brentq(f: Callable, xa: float, xb: float, xtol: float, rtol: float,
+            maxiter: int = 100) -> float:
+    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    A statement-for-statement port of scipy's C ``brentq``
+    (scipy/optimize/Zeros/brentq.c), so it returns the same float from the
+    same evaluations; it spares every process the import of scipy.optimize.
+    Raises ValueError on a NaN value or when f(xa) and f(xb) have the same
+    sign, RuntimeError when ``maxiter`` steps do not converge.
+    """
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x:.17g} is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Brent's method failed to converge after {maxiter} iterations")
 
 
 def discretize(spectrum: OhmicSpectrum, n_modes: int, rng: tuple[float, float]) -> BathCouplings:
@@ -221,7 +276,7 @@ def fwhh(f: Callable, search_bound: float) -> float:
 
     ``f`` must accept an array of s as well as a scalar: it is evaluated once
     on a 4097-point grid over [0, search_bound] to bracket the first crossing,
-    which brentq then refines with scalar calls.
+    which Brent's method then refines with scalar calls.
     """
     f0 = abs(f(0.0))
     if f0 <= 0:
@@ -234,5 +289,5 @@ def fwhh(f: Callable, search_bound: float) -> float:
     if below.size == 0:
         raise ArithmeticError(f"|f| never crosses half height within [0, {search_bound}]")
     i = below[0]
-    root = brentq(g, grid[i - 1], grid[i], xtol=1e-14, rtol=1e-15)
+    root = _brentq(g, grid[i - 1], grid[i], xtol=1e-14, rtol=1e-15)
     return 2.0 * float(root)

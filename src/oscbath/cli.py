@@ -152,7 +152,30 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _one_scipy_blas_thread():
+    """Run scipy's bundled OpenBLAS on one thread; do nothing where it is absent.
+
+    Here scipy's BLAS serves only ``expm`` of matrices of at most 21 rows (the
+    moment generator, the oracle's displacement), where a second thread buys
+    nothing and its hand-off after NumPy's large products costs milliseconds
+    per call.  NumPy's own OpenBLAS keeps its default.
+    """
+    import ctypes
+
+    import scipy
+
+    libs = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so")):
+        setter = getattr(ctypes.CDLL(str(path)), "scipy_openblas_set_num_threads", None)
+        if setter is not None:
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            setter(1)
+            return
+
+
 def cli_main(argv=None) -> int:
+    _one_scipy_blas_thread()
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and not argv[0].startswith("-") and argv[0] not in _SUBCOMMANDS:
         print(f"unknown subcommand {argv[0]!r}; expected one of {', '.join(_SUBCOMMANDS)}",

@@ -29,6 +29,10 @@ EXPERIMENTS = (
     "two_oscillator_suite",
     "driven_suite",
 )
+# detunings omega_l - Omega at which driven_suite reports t_max fidelities
+# unless the config sweeps the detuning itself
+DEFAULT_DETUNING_GRID = (-0.5, -0.2, -0.1, -0.05, -0.02, -0.005,
+                         0.005, 0.02, 0.05, 0.1, 0.2, 0.5)
 
 
 class ConfigError(ValueError):
@@ -254,14 +258,26 @@ def validate(config: ScenarioConfig):
         raise ConfigError(
             f"swept beta values must stay below Omega={_fmt(c.omega)}: at beta >= Omega "
             "the coupled system is unstable")
-    if (c.scenario == "driven" and c.sweep_parameter == "detuning"
-            and any(c.omega + float(d) <= 0 for d in c.sweep_values)):
-        raise ConfigError(
-            f"swept detunings must stay above -Omega={_fmt(-c.omega)}: the drive "
-            "frequency omega_l = Omega + detuning must be positive")
+    if c.scenario == "driven":
+        _check_detunings(c)
     for name in c.experiments:
         if name not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
+
+
+def _check_detunings(c: ScenarioConfig):
+    """Reject detunings that put the drive frequency omega_l = Omega + d at or below 0."""
+    if c.sweep_parameter == "detuning":
+        detunings, source = c.sweep_values, "swept detunings"
+    elif "driven_suite" in c.experiments:
+        detunings, source = DEFAULT_DETUNING_GRID, "driven_suite's default detunings"
+    else:
+        return
+    low = [float(d) for d in detunings if c.omega + float(d) <= 0]
+    if low:
+        raise ConfigError(
+            f"{source} reach {_fmt(min(low))}, but must stay above -Omega={_fmt(-c.omega)}: "
+            "the drive frequency omega_l = Omega + detuning must be positive")
 
 
 def _check_driven_resonance(c: ScenarioConfig):

@@ -1,8 +1,14 @@
+from unittest import mock
+
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
+from oscbath import bath
 from oscbath.bath import (BathCouplings, OhmicSpectrum, bose_occupation, corr_c0,
                           corr_ct, decay_rate, discretize, fwhh, lamb_shift,
                           omega_range, total_spectral_weight, trigamma)
@@ -308,3 +314,64 @@ class TestFwhh:
     def test_no_crossing_raises(self):
         with pytest.raises(ArithmeticError):
             fwhh(lambda s: 1.0 + 0.0 * s, 3.0)
+
+
+class TestBrentPort:
+    """bath's Brent root finder against scipy.optimize.brentq, of which it is a port.
+
+    Every root must be the same float, reached through the same evaluation points.
+    """
+
+    @staticmethod
+    def _roots(call) -> list:
+        """Run ``call`` with each bath root search done by the port and by scipy."""
+        port, found = bath._brentq, []
+
+        def both(f, a, b, **tols):
+            xs_port, xs_scipy = [], []
+            mine = port(lambda x: xs_port.append(x) or f(x), a, b, **tols)
+            ref = brentq(lambda x: xs_scipy.append(x) or f(x), a, b, **tols)
+            found.append((mine, ref, xs_port, xs_scipy))
+            return mine
+
+        with mock.patch.object(bath, "_brentq", both):
+            call()
+        assert found
+        return found
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-4.0, 1.0), st.floats(-1.0, 1.5), st.booleans(),
+           st.one_of(st.none(), st.floats(-5.0, -0.01)))
+    def test_omega_range(self, log_alpha, log_wc, floor_mode, log_frac):
+        spec = OhmicSpectrum(10.0**log_alpha, 10.0**log_wc)
+        lower = None if log_frac is None else spec.omega_c * 10.0**log_frac
+        if floor_mode:
+            lower = spec.omega_c * 1e-3 if lower is None else lower
+            call = lambda: omega_range(spec, "floor", floor=lower)
+        else:
+            call = lambda: omega_range(spec, "equal_tails", omega_min=lower)
+        for mine, ref, xs_port, xs_scipy in self._roots(call):
+            assert mine == ref
+            assert xs_port == xs_scipy
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-3.0, 0.0), st.floats(-0.5, 1.0), st.floats(-2.0, 1.5))
+    def test_fwhh(self, log_alpha, log_wc, log_temp):
+        spec, temp = OhmicSpectrum(10.0**log_alpha, 10.0**log_wc), 10.0**log_temp
+        bound = max(20.0 / spec.omega_c, 10.0 / temp)
+        for kernel in (lambda s: abs(corr_c0(spec, s)), lambda s: abs(corr_ct(spec, s, temp))):
+            for mine, ref, xs_port, xs_scipy in self._roots(lambda: fwhh(kernel, bound)):
+                assert mine == ref
+                assert xs_port == xs_scipy
+
+    def test_errors(self):
+        with pytest.raises(ValueError, match="different signs"):
+            bath._brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-14, rtol=1e-15)
+        with pytest.raises(ValueError, match="NaN"):
+            bath._brentq(lambda x: np.nan if x > 0.5 else x, -1.0, 1.0,
+                         xtol=1e-14, rtol=1e-15)
+        slow = lambda x: np.tanh(x - 0.3)
+        with pytest.raises(RuntimeError):
+            brentq(slow, -1.0, 2.0, xtol=1e-14, rtol=1e-15, maxiter=2)
+        with pytest.raises(RuntimeError, match="converge"):
+            bath._brentq(slow, -1.0, 2.0, xtol=1e-14, rtol=1e-15, maxiter=2)

@@ -187,23 +187,66 @@ class TestCli:
 
     @pytest.mark.parametrize("case", ["swept_beta_above_omega", "swept_beta_negative",
                                       "swept_alpha_zero",
-                                      "swept_detuning_below_minus_omega"])
+                                      "swept_detuning_below_minus_omega",
+                                      "default_detunings_below_minus_omega"])
     def test_validate_checks_sweep_points(self, case, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text(BAD_RUNS[case])
         assert cli_main(["validate", str(p)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
 
-    def test_cli_import_leaves_out_scipy_integrate(self):
-        # the quadrature module is most of a cold start, and only the oracle
-        # subcommand (through the Fock referee) needs it
+    @staticmethod
+    def _python(code: str, *args: str) -> str:
+        """Stdout of ``python -c code args`` in a fresh process that imports this package."""
         path = [str(Path(oscbath.__file__).resolve().parent.parent),
                 os.environ.get("PYTHONPATH", "")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        code = "import sys, oscbath.cli; print('scipy.integrate' in sys.modules)"
-        done = subprocess.run([sys.executable, "-c", code], env=env,
+        done = subprocess.run([sys.executable, "-c", code, *args], env=env,
                               capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "False"
+        return done.stdout
+
+    def test_cli_import_leaves_out_scipy_integrate(self):
+        # the quadrature and root-finding modules are most of a cold start:
+        # only the oracle subcommand (through the Fock referee) needs the first,
+        # and bath's Brent port replaces the second
+        code = ("import sys, oscbath.cli; "
+                "print('scipy.integrate' in sys.modules, 'scipy.optimize' in sys.modules)")
+        assert self._python(code).split() == ["False", "False"]
+
+    def test_cli_main_runs_scipy_blas_on_one_thread(self, tmp_path):
+        # scipy's OpenBLAS (expm only) drops to one thread; NumPy's keeps its default
+        p = tmp_path / "run.cfg"
+        p.write_text(SMALL_RUN)
+        code = """
+import ctypes, sys
+from pathlib import Path
+import numpy, scipy
+from oscbath.cli import cli_main
+
+def threads(libs, pattern, getter):
+    for path in sorted(Path(libs).glob(pattern)):
+        fn = getattr(ctypes.CDLL(str(path)), getter, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_int
+            return fn()
+    return -1
+
+site = Path(scipy.__file__).resolve().parent.parent
+def both():
+    return (threads(site / "scipy.libs", "libscipy_openblas*.so",
+                    "scipy_openblas_get_num_threads"),
+            threads(Path(numpy.__file__).resolve().parent.parent / "numpy.libs",
+                    "libscipy_openblas64_*.so", "scipy_openblas_get_num_threads64_"))
+before = both()
+assert cli_main(["validate", sys.argv[1]]) == 0
+print(*before, *both())
+"""
+        scipy_before, numpy_before, scipy_after, numpy_after = map(
+            int, self._python(code, str(p)).split()[-4:])
+        if scipy_before < 0:
+            pytest.skip("scipy has no bundled OpenBLAS to pin")
+        assert scipy_after == 1
+        assert numpy_after == numpy_before
 
     def test_unknown_subcommand(self, capsys):
         assert cli_main(["frobnicate"]) == EXIT_USAGE

@@ -190,31 +190,53 @@ def fidelity_multi(a: GaussianState, b: GaussianState) -> float:
             * exp[-delta^T (C1+C2)^{-1} delta],
 
     where the nu_k are the symplectic eigenvalues of the Gaussian operator
-    sqrt(rho1) rho2 sqrt(rho1), obtained as the positive eigenvalues of
-    (V1 V2 + 1)(V1 + V2)^{-1} with V_j = C_j * (i sigma).  The expression is
+    sqrt(rho1) rho2 sqrt(rho1): the positive eigenvalues of
+    W = (V1 V2 + 1)(V1 + V2)^{-1} with V_j = C_j * (i sigma).  Since
+    AB + 1 = A(A+B) - (A^2 - 1) = (A+B)B - (B^2 - 1),
+
+        W^2 - 1 = (V1^2 - 1)(V1 + V2)^{-1}(V2^2 - 1)(V1 + V2)^{-1} =: P,
+
+    whose eigenvalues are the nu_k^2 - 1, each twice, and
+    log(nu + sqrt(nu^2 - 1)) = asinh(sqrt(nu^2 - 1)).  Either matrix is
+    diagonalized to about eps times its norm, and near nu = 1 an error dnu
+    costs dnu / sqrt(nu^2 - 1) while an error dp costs dp / (2 sqrt(p)), so
+    the spectrum comes from P when ||P|| < 2 ||W||: states whose modes are
+    all moderately mixed, where P's factors V_j^2 - 1 are small.  Hot modes
+    make ||P|| ~ nu_max^2 and leave the evaluation on W.  The expression is
     regular for pure states (nu_k -> 1) and reduces exactly to the one-mode
     closed form.
     """
     _check_same_shape(a, b)
     n = a.n_modes
     eye = np.eye(2 * n)
-    s = 1j * symplectic_form(n)
+    sigma = symplectic_form(n)
+    s = 1j * sigma
     v1 = a.cov @ s
     v2 = b.cov @ s
     csum = a.cov + b.cov
     try:
         waux = np.linalg.solve((v1 + v2).T, (v1 @ v2 + eye).T).T
+        q = sigma @ np.linalg.inv(csum)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError("singular covariance sum in fidelity") from exc
-    eigs = np.linalg.eigvals(waux)
-    pos = eigs[eigs.real > 0]
-    if pos.size != n or np.abs(pos.imag).max(initial=0.0) > 1e-6 * max(np.abs(pos.real).max(initial=1.0), 1.0):
-        raise ArithmeticError("unexpected composite spectrum; states may be unphysical")
-    nu = np.maximum(pos.real, 1.0)
+    # P in real arithmetic: V_j^2 - 1 = -(C_j sigma C_j sigma + 1), (V1 + V2)^{-1} = i q
+    paux = -(a.cov @ sigma @ a.cov @ sigma + eye) @ q @ (b.cov @ sigma @ b.cov @ sigma + eye) @ q
+    if np.linalg.norm(paux) < 2.0 * np.linalg.norm(waux):
+        p = np.linalg.eigvals(paux)
+        if np.abs(p.imag).max() > 1e-6 * max(np.abs(p.real).max(), 1.0):
+            raise ArithmeticError("unexpected composite spectrum; states may be unphysical")
+        log_nu = 0.5 * np.sum(np.arcsinh(np.sqrt(np.maximum(p.real, 0.0))))
+    else:
+        eigs = np.linalg.eigvals(waux)
+        pos = eigs[eigs.real > 0]
+        if pos.size != n or np.abs(pos.imag).max(initial=0.0) > 1e-6 * max(np.abs(pos.real).max(initial=1.0), 1.0):
+            raise ArithmeticError("unexpected composite spectrum; states may be unphysical")
+        nu = np.maximum(pos.real, 1.0)
+        log_nu = np.sum(np.log(nu + np.sqrt(nu**2 - 1.0)))
     _, logdet = np.linalg.slogdet(csum)
     delta = a.mean - b.mean
     expo = float(delta @ np.linalg.solve(csum, delta))
-    logf = n * np.log(2.0) - 0.5 * logdet + np.sum(np.log(nu + np.sqrt(nu**2 - 1.0))) - expo
+    logf = n * np.log(2.0) - 0.5 * logdet + log_nu - expo
     return float(min(np.exp(logf), 1.0))
 
 

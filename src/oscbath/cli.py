@@ -41,16 +41,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    """Compute and check every requested experiment, then write their CSVs: all or none."""
     config = parse_path(args.config)
-    if not config.experiments:
-        raise ConfigError("config requests no experiments ([output] experiments=...)")
+    results = []
     for name in config.experiments:
         result = run_experiment(name, config)
         numbers = np.array([(t, value) for _, _, t, _, value in result.rows], dtype=float)
         if not np.isfinite(numbers).all():
             raise ArithmeticError(f"{name} produced a non-finite value; no CSV written")
-        args.out.mkdir(parents=True, exist_ok=True)
-        path = args.out / f"{name}.csv"
+        results.append(result)
+    args.out.mkdir(parents=True, exist_ok=True)
+    for result in results:
+        path = args.out / f"{result.name}.csv"
         path.write_text(result.to_csv(), encoding="utf-8")
         print(f"wrote {path} ({len(result.rows)} rows)")
     return EXIT_OK

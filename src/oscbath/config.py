@@ -12,27 +12,44 @@ import io
 import math
 from dataclasses import dataclass, fields, replace
 
-__all__ = ["ScenarioConfig", "ConfigError", "parse_config", "parse_path", "config_text"]
+__all__ = ["ScenarioConfig", "ConfigError", "parse_config", "parse_path", "config_text",
+           "sweep_points", "validate"]
 
 SCENARIOS = ("single", "two_coupled", "driven")
 INITIAL_STATES = ("vacuum", "thermal", "squeezed", "coherent")
 RANGE_MODES = ("equal_tails", "floor")
 DRIVE_VARIANTS = ("plain", "off_resonant", "no_secular")
-SWEEP_PARAMETERS = ("none", "temperature", "modes", "beta", "alpha", "detuning",
-                    "rabi", "variant")
-EXPERIMENTS = (
-    "variance_trajectory",
-    "fidelity_vs_time",
-    "recurrence_map",
-    "correlation_study",
-    "factorization_distance",
-    "two_oscillator_suite",
-    "driven_suite",
-)
-# detunings omega_l - Omega at which driven_suite reports t_max fidelities
-# unless the config sweeps the detuning itself
+# grids evaluated unless the config sweeps the parameter itself: two_oscillator_suite's
+# couplings beta / Omega, and driven_suite's detunings omega_l - Omega and Rabi
+# frequencies, at which the suites report t_max fidelities
+DEFAULT_BETA_GRID = (0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2)
 DEFAULT_DETUNING_GRID = (-0.5, -0.2, -0.1, -0.05, -0.02, -0.005,
                          0.005, 0.02, 0.05, 0.1, 0.2, 0.5)
+DEFAULT_RABI_GRID = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5)
+# sweep parameter -> (the field each of its values sets, its values when the
+# config does not sweep it; None: it has no default and must be swept)
+_GRIDS = {
+    "temperature": ("temperature", lambda c: [c.temperature]),
+    "modes": ("bath_modes", None),
+    "beta": ("beta", lambda c: [b * c.omega for b in DEFAULT_BETA_GRID]),
+    "alpha": ("alpha", lambda c: [c.alpha]),
+    "detuning": ("omega_l", lambda c: DEFAULT_DETUNING_GRID),  # omega_l = Omega + d
+    "rabi": ("rabi", lambda c: DEFAULT_RABI_GRID),
+    "variant": ("drive_variant", lambda c: DRIVE_VARIANTS),
+}
+SWEEP_PARAMETERS = ("none", *_GRIDS)
+# experiment -> {scenario it runs in: the sweeps it reads there}; "none" is the
+# config as given, which the experiment evaluates too
+EXPERIMENTS = {
+    "variance_trajectory": {"single": ("none",)},
+    "fidelity_vs_time": {"single": ("temperature",), "two_coupled": ("none",),
+                         "driven": ("variant",)},
+    "recurrence_map": {"single": ("modes",)},
+    "correlation_study": {"single": ("temperature",)},
+    "factorization_distance": {"single": ("alpha",)},
+    "two_oscillator_suite": {"two_coupled": ("none", "beta")},
+    "driven_suite": {"driven": ("none", "detuning", "rabi")},
+}
 
 
 class ConfigError(ValueError):
@@ -193,18 +210,82 @@ def parse_path(path) -> ScenarioConfig:
         return parse_config(fh.read())
 
 
+def sweep_points(config: ScenarioConfig, parameter: str) -> list:
+    """(value, point config) for each value of ``parameter`` that a run evaluates.
+
+    The values are the config's own sweep over ``parameter``, else the
+    parameter's default grid; a detuning d sets omega_l = Omega + d, and
+    "none" gives the config itself.
+    """
+    if parameter == "none":
+        return [("", config)]
+    field, default = _GRIDS[parameter]
+    if config.sweep_parameter == parameter:
+        values = config.sweep_values
+    elif default is None:
+        raise ConfigError(f"a sweep over {parameter} is required: it has no default grid")
+    else:
+        values = default(config)
+    return [(v, replace(config, **{field: config.omega + v if parameter == "detuning" else v}))
+            for v in values]
+
+
 def validate(config: ScenarioConfig):
-    """Raise ConfigError on any violated invariant."""
+    """Raise ConfigError unless ``oscbath run`` accepts the config.
+
+    The config and every point its experiments evaluate (``sweep_points`` of
+    each sweep they read, default grids included) must pass the same base
+    rules, and each point also the rules of the experiment that evaluates it.
+    A sweep that no requested experiment reads is an error.
+    """
     c = config
-    numbers = [(f.name, getattr(c, f.name)) for f in fields(c)]
-    numbers += [("sweep values", v) for v in c.sweep_values]
-    for name, value in numbers:
+    _check(c)
+    if not c.experiments:
+        raise ConfigError("config requests no experiments ([output] experiments=...)")
+    for name in c.experiments:
+        if name not in EXPERIMENTS:
+            raise ConfigError(f"unknown experiment {name!r}; choose from {tuple(EXPERIMENTS)}")
+        if c.scenario not in EXPERIMENTS[name]:
+            raise ConfigError(f"{name} requires scenario={' or '.join(EXPERIMENTS[name])}")
+        for parameter in EXPERIMENTS[name][c.scenario]:
+            for value, point in sweep_points(c, parameter):
+                try:
+                    _check(point)
+                    _check_point(name, point)
+                except ConfigError as exc:
+                    where = "" if parameter == "none" else f" at {parameter} = {_fmt(value)}"
+                    raise ConfigError(f"{name}{where}: {exc}") from None
+    read = {p for name in c.experiments for p in EXPERIMENTS[name][c.scenario]}
+    if c.sweep_parameter not in read | {"none"}:
+        raise ConfigError(f"no requested experiment reads the sweep over {c.sweep_parameter}")
+
+
+def _check_point(name: str, point: ScenarioConfig):
+    """The rules experiment ``name`` adds for each point it evaluates."""
+    if name == "recurrence_map" and point.bath_modes < 2:
+        raise ConfigError("the recurrence map needs a bath of >= 2 modes")
+    if name == "correlation_study" and point.temperature <= 0:
+        raise ConfigError("correlation kernels need a positive temperature")
+    if name == "factorization_distance" and not 2 <= point.bath_modes <= 60:
+        raise ConfigError("the full-state fidelity needs a bath of 2 to 60 modes")
+    if name == "driven_suite":  # it evaluates every variant at each point
+        for variant in DRIVE_VARIANTS:
+            _check(replace(point, drive_variant=variant))
+
+
+def _check(c: ScenarioConfig):
+    """Raise ConfigError on a violated invariant of one config or sweep point."""
+    for f in fields(c):
+        value = getattr(c, f.name)
         if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {_fmt(value)}")
+            raise ConfigError(f"{f.name} must be finite, got {_fmt(value)}")
     if c.scenario not in SCENARIOS:
         raise ConfigError(f"scenario must be one of {SCENARIOS}, got {c.scenario!r}")
-    if c.omega <= 0 or (c.scenario == "two_coupled" and c.omega2 <= 0):
-        raise ConfigError("system frequencies must be positive")
+    if c.omega <= 0:
+        raise ConfigError("the system frequency omega must be positive")
+    if c.scenario == "two_coupled" and c.omega2 != c.omega:
+        raise ConfigError("the two-oscillator study assumes equal frequencies "
+                          "Omega1 = Omega2")
     if c.alpha <= 0 or c.omega_c <= 0:
         raise ConfigError("spectrum parameters alpha and omega_c must be positive")
     if c.beta < 0:
@@ -228,71 +309,22 @@ def validate(config: ScenarioConfig):
         raise ConfigError("bath modes must be 0 (no bath) or >= 2")
     if c.temperature < 0:
         raise ConfigError("bath temperature must be >= 0")
+    if c.rabi < 0:
+        raise ConfigError("rabi must be >= 0")
     if c.scenario == "driven":
         if c.omega_l <= 0:
             raise ConfigError("driven scenario requires omega_l > 0")
         if c.drive_variant not in DRIVE_VARIANTS:
-            raise ConfigError("drive variant must be plain, off_resonant or no_secular")
-        if c.drive_variant != "plain" and c.omega_l == c.omega:
+            raise ConfigError(f"drive variant must be one of {DRIVE_VARIANTS}")
+        # without a bath, W - omega_L is itself singular on resonance and the
+        # run ends as a numeric failure
+        if c.drive_variant != "plain" and c.omega_l == c.omega and c.bath_modes > 0:
             raise ConfigError(
                 f"variant {c.drive_variant!r} is undefined on exact resonance "
                 "omega_l = Omega")
-        if c.bath_modes > 0:
-            _check_driven_resonance(c)
     if c.t_max <= 0 or c.samples < 2:
         raise ConfigError("time grid needs t_max > 0 and samples >= 2")
     if c.sweep_parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMETERS}")
-    if c.sweep_parameter == "variant" and any(v not in DRIVE_VARIANTS
-                                              for v in c.sweep_values):
-        raise ConfigError(f"swept variants must be among {DRIVE_VARIANTS}")
-    if c.sweep_parameter == "modes" and any(int(v) < 2 for v in c.sweep_values):
-        raise ConfigError("swept bath sizes must be >= 2")
-    if c.sweep_parameter in ("temperature", "rabi", "beta") and any(
-            float(v) < 0 for v in c.sweep_values):
-        raise ConfigError(f"swept {c.sweep_parameter} values must be >= 0")
-    if c.sweep_parameter == "alpha" and any(float(v) <= 0 for v in c.sweep_values):
-        raise ConfigError("swept alpha values must be positive")
-    if (c.scenario == "two_coupled" and c.sweep_parameter == "beta"
-            and any(float(v) >= c.omega for v in c.sweep_values)):
-        raise ConfigError(
-            f"swept beta values must stay below Omega={_fmt(c.omega)}: at beta >= Omega "
-            "the coupled system is unstable")
-    if c.scenario == "driven":
-        _check_detunings(c)
-    for name in c.experiments:
-        if name not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
-
-
-def _check_detunings(c: ScenarioConfig):
-    """Reject detunings that put the drive frequency omega_l = Omega + d at or below 0."""
-    if c.sweep_parameter == "detuning":
-        detunings, source = c.sweep_values, "swept detunings"
-    elif "driven_suite" in c.experiments:
-        detunings, source = DEFAULT_DETUNING_GRID, "driven_suite's default detunings"
-    else:
-        return
-    low = [float(d) for d in detunings if c.omega + float(d) <= 0]
-    if low:
-        raise ConfigError(
-            f"{source} reach {_fmt(min(low))}, but must stay above -Omega={_fmt(-c.omega)}: "
-            "the drive frequency omega_l = Omega + detuning must be positive")
-
-
-def _check_driven_resonance(c: ScenarioConfig):
-    """Reject driven runs that would evaluate a renormalized variant at resonance.
-
-    Only with a bath: without one, W - omega_L is itself singular there and
-    the run ends as a numeric failure.
-    """
-    suite = "driven_suite" in c.experiments
-    curves = "fidelity_vs_time" in c.experiments and (
-        c.sweep_parameter != "variant" or any(v != "plain" for v in c.sweep_values))
-    detunings = c.sweep_values if suite and c.sweep_parameter == "detuning" else ()
-    resonant = c.omega_l == c.omega or any(c.omega + float(d) == c.omega
-                                           for d in detunings)
-    if resonant and (suite or curves):
-        raise ConfigError(
-            "the off_resonant and no_secular variants are undefined on exact "
-            "resonance omega_l = Omega; move omega_l or the swept detunings off it")
+    if (c.sweep_parameter == "none") != (not c.sweep_values):
+        raise ConfigError("a sweep needs both a parameter and at least one value")

@@ -5,7 +5,9 @@ are (sweep_param, sweep_value, t, quantity, value).  Runs are serial and
 deterministic: identical configs produce byte-identical CSV.  ``_compare`` is
 the one comparison of an exact evolution with Markovian flows: it assembles a
 scenario's exact side and the flows its labels name, evaluates the exact state
-once per reported time and each flow at those times.
+once per reported time and each flow at those times.  Runners check nothing:
+``run_experiment`` validates the config first, and the points a runner
+evaluates are the ones ``config.validate`` checked, from ``config.sweep_points``.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ import numpy as np
 from . import __version__
 from .bath import (OhmicSpectrum, bose_occupation, corr_c0, corr_ct, decay_rate,
                    discretize, fwhh, lamb_shift, omega_range)
-from .config import (DEFAULT_DETUNING_GRID, ConfigError, ScenarioConfig, config_text,
+from .config import (DRIVE_VARIANTS, ScenarioConfig, config_text, sweep_points,
                      validate)
 from .exact import (PropagatorCache, build_drive, build_single, build_two,
                     evolve_full, initial_variances, reduced_state)
-from .flows import (RABI_VARIANTS, evolve_flow, flow_driven, flow_single,
+from .flows import (evolve_flow, flow_driven, flow_single,
                     flow_two_large_beta, flow_two_small_beta,
                     rabi_renormalizations)
 from .gaussian import (GaussianState, db_distance, fidelity_multi, make_coherent,
@@ -127,14 +129,6 @@ def _times(config: ScenarioConfig) -> np.ndarray:
     return np.linspace(0.0, config.t_max, config.samples)
 
 
-def _swept(config: ScenarioConfig, parameter: str, default) -> list:
-    """Values of ``parameter`` to run: the config's sweep over it, else ``default``.
-
-    Each value becomes a config with ``dataclasses.replace`` at the call site.
-    """
-    return list(config.sweep_values if config.sweep_parameter == parameter else default)
-
-
 EQUATIONS = ("small_beta", "large_beta")
 
 
@@ -150,9 +144,6 @@ def _compare(config: ScenarioConfig, labels, times):
     share it.  Returns (exact states, [flow states per label]).
     """
     pair = config.scenario == "two_coupled"
-    if pair and config.omega2 != config.omega:
-        raise ConfigError("the two-oscillator study assumes equal frequencies "
-                          "Omega1 = Omega2")
     bath = _bath(config)
     if pair:
         coupling = build_two(config.omega, config.omega2, config.beta, bath, bath)
@@ -208,8 +199,6 @@ _VARIANCE_QUANTITIES = ("var2x_exact", "var2x_markov_shift", "var2x_markov_noshi
 
 def run_variance_trajectory(config: ScenarioConfig) -> ExperimentResult:
     """2(dx)^2 of the oscillator: exact bath vs Markovian flow with/without shift."""
-    if config.scenario != "single":
-        raise ConfigError("variance_trajectory requires scenario=single")
     times = _times(config)
     shifted = (True, False) if config.bath_modes > 0 else ()
     exact, states = _compare(config, shifted, times)
@@ -224,12 +213,11 @@ def run_fidelity_vs_time(config: ScenarioConfig) -> ExperimentResult:
     times = _times(config)
     if config.scenario == "single":
         rows = _rows("temperature", times, [
-            (_g17(temp), "fidelity",
-             _curves(replace(config, temperature=temp), (True,), fidelity_multi, times)[0])
-            for temp in _swept(config, "temperature", [config.temperature])])
+            (_g17(temp), "fidelity", _curves(point, (True,), fidelity_multi, times)[0])
+            for temp, point in sweep_points(config, "temperature")])
     else:
         param, labels = (("equation", EQUATIONS) if config.scenario == "two_coupled"
-                         else ("variant", _swept(config, "variant", RABI_VARIANTS)))
+                         else ("variant", [v for v, _ in sweep_points(config, "variant")]))
         curves = _curves(config, labels, fidelity_multi, times)
         rows = _rows(param, times, [(label, "fidelity", curve)
                                     for label, curve in zip(labels, curves)])
@@ -238,22 +226,16 @@ def run_fidelity_vs_time(config: ScenarioConfig) -> ExperimentResult:
 
 def run_recurrence_map(config: ScenarioConfig) -> ExperimentResult:
     """D_B between exact and Markovian states on a (t, bath size) grid."""
-    if config.scenario != "single":
-        raise ConfigError("recurrence_map requires scenario=single")
-    if config.sweep_parameter != "modes" or not config.sweep_values:
-        raise ConfigError("recurrence_map requires a sweep over modes")
     times = _times(config)
     rows = _rows("modes", times, [
-        (str(m), "bures_db",
-         _curves(replace(config, bath_modes=m), (True,), db_distance, times)[0])
-        for m in config.sweep_values])
+        (str(m), "bures_db", _curves(point, (True,), db_distance, times)[0])
+        for m, point in sweep_points(config, "modes")])
     return ExperimentResult("recurrence_map", config, rows)
 
 
 def run_correlation_study(config: ScenarioConfig) -> ExperimentResult:
     """|C(s,T)| curves and FWHH(T), plus the zero-temperature kernel."""
     spec = _spectrum(config)
-    temps = _swept(config, "temperature", [config.temperature])
     s_grid = _times(config)
     bound = max(config.t_max, 20.0 / spec.omega_c)
     rows = []
@@ -261,9 +243,7 @@ def run_correlation_study(config: ScenarioConfig) -> ExperimentResult:
         rows.append(("none", "", s, "abs_corr_c0", abs(corr_c0(spec, s))))
     rows.append(("none", "", 0.0, "fwhh_c0",
                  fwhh(lambda s: abs(corr_c0(spec, s)), bound)))
-    for temp in temps:
-        if temp <= 0:
-            raise ConfigError("correlation_study temperatures must be positive")
+    for temp, _ in sweep_points(config, "temperature"):
         for s in s_grid:
             rows.append(("temperature", _g17(temp), s, "abs_corr_ct",
                          abs(corr_ct(spec, s, temp))))
@@ -295,35 +275,23 @@ def _factorization_curve(config: ScenarioConfig) -> list:
 
 def run_factorization_distance(config: ScenarioConfig) -> ExperimentResult:
     """D_B between the full evolved state and the product ansatz rho_S(t) x rho_th."""
-    if config.scenario != "single":
-        raise ConfigError("factorization_distance requires scenario=single")
-    if config.bath_modes == 0:
-        raise ConfigError("factorization_distance needs a bath (modes >= 2)")
-    if config.bath_modes > 60:
-        raise ConfigError("factorization_distance caps the bath at 60 modes "
-                          "(full-state fidelity)")
     rows = []
-    for alpha in _swept(config, "alpha", [config.alpha]):
-        for t, d in _factorization_curve(replace(config, alpha=alpha)):
+    for alpha, point in sweep_points(config, "alpha"):
+        for t, d in _factorization_curve(point):
             rows.append(("alpha", _g17(alpha), t, "bures_db", d))
     return ExperimentResult("factorization_distance", config, rows)
 
 
 # -- suites: curves over time, then fidelities at t_max over a parameter grid --
 
-DEFAULT_BETA_GRID = (0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2)
-
-
 def run_two_oscillator_suite(config: ScenarioConfig) -> ExperimentResult:
     """Fidelity vs t for both equations, vs beta at t_max, and between equations."""
-    if config.scenario != "two_coupled":
-        raise ConfigError("two_oscillator_suite requires scenario=two_coupled")
     times, t_end = _times(config), config.t_max
     exact, (small, large) = _compare(config, EQUATIONS, times)
     rows = _rows("equation", times, [(eq, "fidelity", map(fidelity_multi, exact, states))
                                      for eq, states in zip(EQUATIONS, (small, large))])
-    for beta in _swept(config, "beta", [b * config.omega for b in DEFAULT_BETA_GRID]):
-        ends = _curves(replace(config, beta=beta), EQUATIONS, fidelity_multi, [t_end])
+    for beta, point in sweep_points(config, "beta"):
+        ends = _curves(point, EQUATIONS, fidelity_multi, [t_end])
         rows += _rows("beta", [t_end], [(_g17(beta), f"fidelity_{eq}", end)
                                         for eq, end in zip(EQUATIONS, ends)])
     rows += _rows("none", times, [("", "fidelity_between_equations",
@@ -337,25 +305,17 @@ def driven_variant_error(config: ScenarioConfig, variant: str) -> float:
     return float(np.mean(dists))
 
 
-DEFAULT_RABI_GRID = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5)
-
-
 def run_driven_suite(config: ScenarioConfig) -> ExperimentResult:
     """Driven-oscillator fidelities vs time, detuning (at t_max) and Rabi frequency."""
-    if config.scenario != "driven":
-        raise ConfigError("driven_suite requires scenario=driven")
-    detunings = _swept(config, "detuning", DEFAULT_DETUNING_GRID)
     times, t_end = _times(config), config.t_max
-    curves = _curves(config, RABI_VARIANTS, fidelity_multi, times)
+    curves = _curves(config, DRIVE_VARIANTS, fidelity_multi, times)
     rows = _rows("variant", times, [(v, "fidelity", curve)
-                                    for v, curve in zip(RABI_VARIANTS, curves)])
-    points = [("detuning", d, replace(config, omega_l=config.omega + d)) for d in detunings] \
-        + [("rabi", r, replace(config, rabi=r))
-           for r in _swept(config, "rabi", DEFAULT_RABI_GRID)]
-    for param, value, point in points:
-        ends = _curves(point, RABI_VARIANTS, fidelity_multi, [t_end])
-        rows += _rows(param, [t_end], [(_g17(value), f"fidelity_{v}", end)
-                                       for v, end in zip(RABI_VARIANTS, ends)])
+                                    for v, curve in zip(DRIVE_VARIANTS, curves)])
+    for param in ("detuning", "rabi"):
+        for value, point in sweep_points(config, param):
+            ends = _curves(point, DRIVE_VARIANTS, fidelity_multi, [t_end])
+            rows += _rows(param, [t_end], [(_g17(value), f"fidelity_{v}", end)
+                                           for v, end in zip(DRIVE_VARIANTS, ends)])
     return ExperimentResult("driven_suite", config, rows)
 
 
@@ -371,9 +331,8 @@ _RUNNERS = {
 
 
 def run_experiment(name: str, config: ScenarioConfig) -> ExperimentResult:
-    validate(config)
-    if name not in _RUNNERS:
-        raise ConfigError(f"unknown experiment {name!r}")
+    """Run experiment ``name`` on a config that ``validate`` accepts with only it requested."""
+    validate(replace(config, experiments=(name,)))
     return _RUNNERS[name](config)
 
 

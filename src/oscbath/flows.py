@@ -30,6 +30,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .bath import OhmicSpectrum, bose_occupation, decay_rate, lamb_shift
+from .config import DRIVE_VARIANTS
 from .gaussian import GaussianState
 
 __all__ = [
@@ -44,9 +45,6 @@ __all__ = [
     "steady_state",
 ]
 
-RABI_VARIANTS = ("plain", "off_resonant", "no_secular")
-
-
 class SecularValidityWarning(UserWarning):
     """Emitted when a secular/weak-coupling premise of an equation is strained."""
 
@@ -58,8 +56,6 @@ class QuadraticLindblad:
     The generator is -i[H, .] + sum_jk K^E_jk (a_j . a_k^dag - {a_k^dag a_j, .}/2)
     + sum_jk K^A_jk (a_j^dag . a_k - {a_k a_j^dag, .}/2), with
     H = sum h_jk a_j^dag a_k + sum_j (f_j a_j^dag + conj(f_j) a_j).
-    ``frame_frequency`` records the rotating frame (0 for lab frame); within
-    that frame the generator is autonomous.
 
     The complex mean obeys d<a>/dt = Z <a> - i f with
     Z = -i h - conj(K^E)/2 + K^A/2, which gives the drift A and mean drift c;
@@ -72,7 +68,6 @@ class QuadraticLindblad:
     k_emit: np.ndarray
     k_abs: np.ndarray
     drive: np.ndarray | None = None
-    frame_frequency: float = 0.0
     drift: np.ndarray = field(init=False, repr=False)
     diffusion: np.ndarray = field(init=False, repr=False)
     mean_drift: np.ndarray = field(init=False, repr=False)
@@ -208,8 +203,8 @@ def flow_two_large_beta(spectra, temperatures, omega: float,
 def rabi_renormalizations(spectrum: OhmicSpectrum, omega: float, omega_l: float,
                           rabi: float, variant: str) -> complex:
     """Bath-renormalized Rabi frequency for the three driven-oscillator equations."""
-    if variant not in RABI_VARIANTS:
-        raise ValueError(f"variant must be one of {RABI_VARIANTS}")
+    if variant not in DRIVE_VARIANTS:
+        raise ValueError(f"variant must be one of {DRIVE_VARIANTS}")
     if variant == "plain":
         return complex(rabi)
     detuning = omega - omega_l
@@ -237,8 +232,7 @@ def flow_driven(omega_bar: float, gamma: float, nbar: float, r_bar: complex,
     return QuadraticLindblad([[omega_bar - omega_l]],
                              [[2.0 * gamma * (nbar + 1.0)]],
                              [[2.0 * gamma * nbar]],
-                             drive=[np.conj(r_bar)],
-                             frame_frequency=omega_l)
+                             drive=[np.conj(r_bar)])
 
 
 def evolve_flow(flow: QuadraticLindblad, state: GaussianState, t: float) -> GaussianState:

@@ -4,11 +4,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oscbath
 from oscbath import cli
 from oscbath.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, cli_main
-from oscbath.config import (ConfigError, ScenarioConfig, config_text,
+from oscbath.config import (DRIVE_VARIANTS, EXPERIMENTS, INITIAL_STATES, RANGE_MODES,
+                            SCENARIOS, ConfigError, ScenarioConfig, config_text,
                             parse_config, validate)
 from oscbath.experiments import ExperimentResult, config_from_csv
 
@@ -75,6 +78,8 @@ samples = 4
 experiments = driven_suite
 """
 
+NO_SWEEP = SMALL_RUN.replace("[sweep]\nparameter = temperature\nvalues = 0.1, 1\n", "")
+
 BAD_RUNS = {
     "t_max_nan": SMALL_RUN.replace("t_max = 8", "t_max = nan"),
     "squeeze_nan": SMALL_RUN.replace("initial = thermal",
@@ -115,6 +120,25 @@ BAD_RUNS = {
     # the default detuning grid reaches -0.5, below -Omega here
     "default_detunings_below_minus_omega": RESONANT_DRIVEN
     .replace("omega = 1\n", "omega = 0.4\n").replace("omega_l = 1", "omega_l = 0.45"),
+    # each experiment's own rules: scenario, required sweep, per-point limits
+    "wrong_scenario": SMALL_RUN.replace("= fidelity_vs_time",
+                                        "= fidelity_vs_time, two_oscillator_suite"),
+    "correlation_at_zero_temperature": NO_SWEEP.replace("temperature = 0.5", "temperature = 0")
+    .replace("= fidelity_vs_time", "= correlation_study"),
+    "recurrence_without_modes_sweep": NO_SWEEP.replace("= fidelity_vs_time",
+                                                       "= recurrence_map"),
+    "empty_modes_sweep": SMALL_RUN.replace("parameter = temperature", "parameter = modes")
+    .replace("values = 0.1, 1", "values =").replace("= fidelity_vs_time", "= recurrence_map"),
+    "two_coupled_unequal_frequencies": NO_SWEEP.replace("kind = single", "kind = two_coupled")
+    .replace("omega = 1\n", "omega = 1\nomega2 = 1.5\n")
+    .replace("= fidelity_vs_time", "= two_oscillator_suite"),
+    "factorization_70_modes": NO_SWEEP.replace("modes = 12", "modes = 70")
+    .replace("= fidelity_vs_time", "= factorization_distance"),
+    # the sweep has no column in variance_trajectory's CSV
+    "unread_sweep": SMALL_RUN.replace("parameter = temperature", "parameter = alpha")
+    .replace("values = 0.1, 1", "values = 0.002, 0.01")
+    .replace("= fidelity_vs_time", "= variance_trajectory"),
+    "no_experiments": SMALL_RUN.replace("[output]\nexperiments = fidelity_vs_time\n", ""),
 }
 
 ORACLE_SINGLE = ("[oracle]\nfamily = single\ncutoff = 10\nt = 2\n"
@@ -134,12 +158,62 @@ BAD_ORACLES = {
 }
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SWEEP_VALUES = {
+    "temperature": st.floats(0.0, 50.0), "modes": st.integers(0, 70),
+    "beta": st.floats(0.0, 0.99), "alpha": st.floats(1e-4, 0.1),
+    "detuning": st.floats(-0.9, 2.0), "rabi": st.floats(0.0, 1.0),
+    "variant": st.sampled_from(DRIVE_VARIANTS),
+}
+
+
+@st.composite
+def runnable_configs(draw):
+    """Configs that validate accepts: experiments of one scenario and a sweep they read."""
+    scenario = draw(st.sampled_from(SCENARIOS))
+    names = [name for name, needs in EXPERIMENTS.items() if scenario in needs]
+    experiments = tuple(draw(st.lists(st.sampled_from(names), min_size=1, max_size=3,
+                                      unique=True)))
+    reads = {p for name in experiments for p in EXPERIMENTS[name][scenario]} - {"none"}
+    parameter = draw(st.sampled_from(["none", *sorted(reads)]))
+    values = () if parameter == "none" else tuple(
+        draw(st.lists(SWEEP_VALUES[parameter], min_size=1, max_size=4)))
+    omega = draw(st.floats(1.0, 3.0))
+    config = ScenarioConfig(
+        scenario=scenario, omega=omega,
+        omega2=omega if scenario == "two_coupled" else draw(FINITE),
+        beta=draw(st.floats(0.0, 0.99)), initial=draw(st.sampled_from(INITIAL_STATES)),
+        initial_temperature=draw(st.floats(0.0, 50.0)), initial_squeeze=draw(FINITE),
+        initial_coherent_re=draw(FINITE), initial_coherent_im=draw(FINITE),
+        alpha=draw(st.floats(1e-4, 0.1)), omega_c=draw(st.floats(1.0, 10.0)),
+        bath_modes=draw(st.sampled_from([0, 2, 3, 40, 60, 150])),
+        range_mode=draw(st.sampled_from(RANGE_MODES)),
+        range_floor=draw(st.floats(0.01, 0.99)), range_omega_min=draw(st.floats(0.0, 0.99)),
+        temperature=draw(st.floats(0.0, 50.0)), temperature2=draw(FINITE),
+        rabi=draw(st.floats(0.0, 1.0)), omega_l=draw(st.floats(0.1, 5.0)),
+        drive_variant=draw(st.sampled_from(DRIVE_VARIANTS)),
+        t_max=draw(st.floats(0.1, 100.0)), samples=draw(st.integers(2, 500)),
+        sweep_parameter=parameter, sweep_values=values, experiments=experiments)
+    try:
+        validate(config)
+    except ConfigError:
+        assume(False)
+    return config
+
+
 class TestConfigParsing:
     def test_round_trip(self):
         cfg = parse_config(SMALL_RUN)
         assert cfg.bath_modes == 12
         assert cfg.sweep_values == (0.1, 1.0)
         assert parse_config(config_text(cfg)) == cfg
+
+    @settings(max_examples=200, deadline=None)
+    @given(runnable_configs())
+    def test_echo_round_trips_every_runnable_config(self, config):
+        assert parse_config(config_text(config)) == config
+        csv = ExperimentResult(config.experiments[0], config, []).to_csv()
+        assert config_from_csv(csv) == config
 
     def test_bundled_configs_parse(self):
         for path in sorted(CONFIG_DIR.glob("*.cfg")):
@@ -185,11 +259,11 @@ class TestCli:
         err = capsys.readouterr().err
         assert "unstable" in err
 
-    @pytest.mark.parametrize("case", ["swept_beta_above_omega", "swept_beta_negative",
-                                      "swept_alpha_zero",
-                                      "swept_detuning_below_minus_omega",
-                                      "default_detunings_below_minus_omega"])
+    @pytest.mark.parametrize("case", sorted(BAD_RUNS))
     def test_validate_checks_sweep_points(self, case, tmp_path, capsys):
+        # validate rejects whatever run rejects: every sweep point is a config,
+        # and each experiment's rules live in the same table
+
         p = tmp_path / "bad.cfg"
         p.write_text(BAD_RUNS[case])
         assert cli_main(["validate", str(p)]) == EXIT_CONFIG
@@ -307,6 +381,24 @@ print(*before, *both())
         assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_failed_run_writes_no_csv(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def second_fails(name, config):
+            calls.append(name)
+            if len(calls) == 2:
+                raise ArithmeticError(f"{name} failed")
+            return ExperimentResult(name, config, [("none", "", 0.0, "x", 1.0)])
+
+        monkeypatch.setattr(cli, "run_experiment", second_fails)
+        p = tmp_path / "run.cfg"
+        p.write_text(SMALL_RUN.replace("= fidelity_vs_time",
+                                       "= fidelity_vs_time, correlation_study"))
+        assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
+        assert calls == ["fidelity_vs_time", "correlation_study"]
+        assert "correlation_study failed" in capsys.readouterr().err
+        assert not list(tmp_path.glob("o/*.csv"))
 
     def test_resonant_plain_fidelity_vs_time_runs(self, tmp_path):
         p = tmp_path / "res.cfg"

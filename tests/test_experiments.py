@@ -5,8 +5,8 @@ import pytest
 
 from oscbath import exact, experiments
 from oscbath.bath import OhmicSpectrum, bose_occupation, decay_rate, lamb_shift
-from oscbath.config import ConfigError, ScenarioConfig
-from oscbath.experiments import (DEFAULT_RABI_GRID, config_from_csv,
+from oscbath.config import DEFAULT_RABI_GRID, ConfigError, ScenarioConfig
+from oscbath.experiments import (config_from_csv,
                                  driven_variant_error,
                                  linear_fit, recurrence_onset,
                                  run_correlation_study, run_experiment,
@@ -77,7 +77,8 @@ class TestVarianceTrajectory:
 
     def test_rejects_wrong_scenario(self):
         with pytest.raises(ConfigError):
-            run_variance_trajectory(ScenarioConfig(scenario="driven", omega_l=1.2))
+            run_experiment("variance_trajectory",
+                           ScenarioConfig(scenario="driven", omega_l=1.2))
 
 
 class TestFidelityVsTime:
@@ -129,7 +130,7 @@ class TestRecurrenceMap:
 
     def test_requires_modes_sweep(self):
         with pytest.raises(ConfigError):
-            run_recurrence_map(ScenarioConfig(**BASE_SINGLE))
+            run_experiment("recurrence_map", ScenarioConfig(**BASE_SINGLE))
 
 
 class TestCorrelationStudy:
@@ -180,8 +181,8 @@ class TestFactorization:
 
     def test_large_bath_rejected(self):
         with pytest.raises(ConfigError, match="60"):
-            run_factorization_distance(ScenarioConfig(**{**BASE_SINGLE,
-                                                         "bath_modes": 61}))
+            run_experiment("factorization_distance",
+                           ScenarioConfig(**{**BASE_SINGLE, "bath_modes": 61}))
 
 
 TWO_BASE = dict(scenario="two_coupled", omega=1.0, omega2=1.0, beta=0.05,

@@ -371,7 +371,6 @@ class TestFlowDriven:
         np.testing.assert_allclose(flow.drift, ref.drift)
         np.testing.assert_allclose(flow.diffusion, ref.diffusion)
         np.testing.assert_allclose(flow.mean_drift, np.zeros(2))
-        assert flow.frame_frequency == 0.8
 
     def test_steady_mean_is_displaced_fixed_point(self):
         omega_bar, gamma, wl = 1.0, 0.02, 0.7

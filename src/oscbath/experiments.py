@@ -331,8 +331,8 @@ _RUNNERS = {
 
 
 def run_experiment(name: str, config: ScenarioConfig) -> ExperimentResult:
-    """Run experiment ``name`` on a config that ``validate`` accepts with only it requested."""
-    validate(replace(config, experiments=(name,)))
+    """Run experiment ``name`` on a config that ``validate`` accepts with it requested."""
+    validate(replace(config, experiments=tuple(dict.fromkeys((*config.experiments, name)))))
     return _RUNNERS[name](config)
 
 

@@ -400,6 +400,21 @@ print(*before, *both())
         assert "correlation_study failed" in capsys.readouterr().err
         assert not list(tmp_path.glob("o/*.csv"))
 
+    @pytest.mark.parametrize("text", [
+        SMALL_RUN.replace("= fidelity_vs_time", "= fidelity_vs_time, variance_trajectory"),
+        SMALL_RUN.replace("kind = single", "kind = two_coupled")
+        .replace("parameter = temperature", "parameter = beta")
+        .replace("values = 0.1, 1", "values = 0.1, 0.2")
+        .replace("= fidelity_vs_time", "= fidelity_vs_time, two_oscillator_suite"),
+    ], ids=["temperature", "beta"])
+    def test_sweep_read_by_one_of_two_experiments_runs(self, text, tmp_path):
+        # the unread-sweep rule looks at every requested experiment, in run as in validate
+        p = tmp_path / "run.cfg"
+        p.write_text(text)
+        assert cli_main(["validate", str(p)]) == EXIT_OK
+        assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert len(list(tmp_path.glob("o/*.csv"))) == 2
+
     def test_resonant_plain_fidelity_vs_time_runs(self, tmp_path):
         p = tmp_path / "res.cfg"
         p.write_text(BAD_RUNS["resonant_fidelity_vs_time"]

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expi
 
 __all__ = [
     "OhmicSpectrum",
@@ -212,12 +211,40 @@ def lamb_shift(spectrum: OhmicSpectrum, nu: float) -> float:
     """Frequency shift Delta(nu) = alpha*nu*exp(-nu/omega_c)*Ei(nu/omega_c) - alpha*omega_c.
 
     Closed form of the principal-value integral of J(omega)/(nu - omega); the
-    temperature never enters.
+    temperature never enters.  Finite for every nu > 0: the exponential and Ei
+    enter only through their product, ``_ei``.
     """
     if nu <= 0:
         raise ValueError("lamb_shift requires nu > 0")
-    x = nu / spectrum.omega_c
-    return float(spectrum.alpha * nu * np.exp(-x) * expi(x) - spectrum.alpha * spectrum.omega_c)
+    return float(spectrum.alpha * nu * _ei(nu / spectrum.omega_c)
+                 - spectrum.alpha * spectrum.omega_c)
+
+
+def _ei(x: float) -> float:
+    """The scaled exponential integral e^{-x} Ei(x) for x > 0, finite for every x.
+
+    Up to x = 40 the positive series Ei(x) = gamma + ln x + sum_k x^k/(k k!);
+    beyond, the asymptotic series e^{-x} Ei(x) ~ sum_k k!/x^(k+1), cut before
+    its terms grow, whose smallest term there is below 1e-16 of the sum.  It
+    spares every process the import of scipy.special (for ``expi``), and unlike
+    e^{-x} * expi(x) it does not overflow past x = 709.
+    """
+    x = float(x)
+    if x <= 40.0:
+        power = total = x  # power = x^k / k!
+        k = 1
+        while power > 1e-17 * k * total:
+            k += 1
+            power *= x / k
+            total += power / k
+        return math.exp(-x) * (np.euler_gamma + math.log(x) + total)
+    term = total = 1.0 / x
+    k = 1
+    while k < x and term > 1e-17 * total:
+        term *= k / x
+        total += term
+        k += 1
+    return total
 
 
 def corr_c0(spectrum: OhmicSpectrum, s):

@@ -130,6 +130,7 @@ def _cmd_oracle(args) -> int:
     from .fock import integrate, moments
     from .gaussian import GaussianState
 
+    _one_scipy_blas_thread()
     parser = configparser.ConfigParser()
     if not parser.read(args.config):
         raise ConfigError(f"cannot read oracle config {args.config}")
@@ -157,10 +158,10 @@ def _cmd_oracle(args) -> int:
 def _one_scipy_blas_thread():
     """Run scipy's bundled OpenBLAS on one thread; do nothing where it is absent.
 
-    Here scipy's BLAS serves only ``expm`` of matrices of at most 21 rows (the
-    moment generator, the oracle's displacement), where a second thread buys
-    nothing and its hand-off after NumPy's large products costs milliseconds
-    per call.  NumPy's own OpenBLAS keeps its default.
+    Only the oracle loads scipy, and there its BLAS serves only the Fock
+    referee's set-up ``expm`` of a cutoff-square matrix.  Left at its default,
+    scipy's idle pool threads still cost each oracle process CPU time while
+    the Fock integration runs.  NumPy's own OpenBLAS keeps its default.
     """
     import ctypes
 
@@ -177,7 +178,6 @@ def _one_scipy_blas_thread():
 
 
 def cli_main(argv=None) -> int:
-    _one_scipy_blas_thread()
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and not argv[0].startswith("-") and argv[0] not in _SUBCOMMANDS:
         print(f"unknown subcommand {argv[0]!r}; expected one of {', '.join(_SUBCOMMANDS)}",

@@ -12,6 +12,8 @@ import io
 import math
 from dataclasses import dataclass, fields, replace
 
+from .bath import OhmicSpectrum, decay_rate
+
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "parse_path", "config_text",
            "sweep_points", "validate"]
 
@@ -328,3 +330,16 @@ def _check(c: ScenarioConfig):
         raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMETERS}")
     if (c.sweep_parameter == "none") != (not c.sweep_values):
         raise ConfigError("a sweep needs both a parameter and at least one value")
+    # the frequencies at which the scenario's master equations take a decay rate
+    if c.scenario == "two_coupled":
+        rate_frequencies = (c.omega, c.omega + c.beta, c.omega - c.beta)
+    elif c.scenario == "driven" and c.drive_variant == "no_secular":
+        rate_frequencies = (c.omega, c.omega_l)
+    else:
+        rate_frequencies = (c.omega,)
+    spectrum = OhmicSpectrum(c.alpha, c.omega_c)
+    for nu in rate_frequencies:
+        if not decay_rate(spectrum, nu) > 0:
+            raise ConfigError(
+                f"the Markov decay rate pi*J(nu) underflows to 0 at nu = {_fmt(nu)} "
+                f"(nu/omega_c = {_fmt(nu / c.omega_c)}, alpha = {_fmt(c.alpha)})")

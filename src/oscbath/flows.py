@@ -23,11 +23,11 @@ every flow in the test suite.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .bath import OhmicSpectrum, bose_occupation, decay_rate, lamb_shift
 from .config import DRIVE_VARIANTS
@@ -247,14 +247,65 @@ def evolve_flow(flow: QuadraticLindblad, state: GaussianState, t: float) -> Gaus
     if t == 0.0:
         return state
     gen = flow.moment_generator * t
-    # expm takes its squarings from the 1-norm of G t.  An exact power-of-two
+    # _expm takes its squarings from the 1-norm of G t.  An exact power-of-two
     # weight w on the constant coordinate keeps the (c, vec D) column from
     # setting that norm, which would cost a weakly damped flow 1e-11 by t = 1000.
     const, dyn = np.abs(gen[:-1, -1]).sum(), np.abs(gen[:-1, :-1]).sum(axis=0).max()
     w = 2.0 ** np.floor(np.log2(dyn / const)) if const > dyn > 0 else 1.0
     gen[:-1, -1] *= w
-    s = expm(gen)[:-1] @ np.concatenate([state.mean, state.cov.ravel(), [1.0 / w]])
+    s = _expm(gen)[:-1] @ np.concatenate([state.mean, state.cov.ravel(), [1.0 / w]])
     return _unstack(flow.n_modes, s)
+
+
+# Higham (2005), Table 2.3: for each Pade order m, the largest 1-norm theta_m at
+# which the [m/m] approximant of exp is accurate to double precision, and the
+# approximant's coefficients b_0 ... b_m
+_PADE = (
+    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
+                            1512.0, 56.0, 1.0)),
+    (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
+                           30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+)
+_THETA_13 = 5.371920351148152
+_B_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a real square matrix by Pade scaling and squaring (Higham 2005).
+
+    The lowest order m in 3, 5, 7, 9 whose theta_m bounds the 1-norm of a;
+    otherwise order 13 on a / 2^s, squared s times, with s the fewest halvings
+    that bring the 1-norm to theta_13.  Replaces scipy.linalg.expm, whose
+    import (with scipy.special's) is most of the command line's start-up.
+    """
+    norm = np.abs(a).sum(axis=0).max()
+    eye = np.eye(a.shape[0])
+    a2 = a @ a
+    for theta, b in _PADE:
+        if norm <= theta:
+            powers = [eye, a2]
+            while len(powers) < len(b) // 2:
+                powers.append(powers[-1] @ a2)
+            u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
+            v = sum(b[2 * k] * p for k, p in enumerate(powers))
+            return np.linalg.solve(v - u, v + u)
+    s = max(0, math.ceil(math.log2(norm / _THETA_13)))
+    a, a2 = a * 2.0**-s, a2 * 4.0**-s
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    b = _B_13
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def steady_state(flow: QuadraticLindblad) -> GaussianState:

@@ -136,6 +136,16 @@ class TestShifts:
             ref = pv_oracle(lambda w: SPEC.j(w), nu, nu + 60 * SPEC.omega_c)
             assert lamb_shift(SPEC, nu) == pytest.approx(ref, abs=1e-6)
 
+    @pytest.mark.parametrize("x", [720.0, 1e4])
+    def test_finite_far_in_the_tail(self, x):
+        # Ei(720) > 1e308, but the shift alpha*omega_c*(x e^{-x} Ei(x) - 1) -> alpha*omega_c/x
+        with mp.workdps(50):
+            xm = mp.mpf(x)
+            ref = float(SPEC.alpha * SPEC.omega_c * (xm * mp.exp(-xm) * mp.ei(xm) - 1))
+        shift = lamb_shift(SPEC, x * SPEC.omega_c)
+        assert np.isfinite(shift)
+        assert abs(shift - ref) <= 1e-14 * SPEC.alpha * SPEC.omega_c
+
 
 EI_FIXTURES = (
     # (x, Ei(x)) at 30 significant digits
@@ -168,9 +178,8 @@ TRIGAMMA_FIXTURES = (
 
 class TestSpecialFunctionKernels:
     def test_expi_against_reference(self):
-        from scipy.special import expi
         for x, ref in EI_FIXTURES:
-            assert expi(x) == pytest.approx(ref, rel=1e-12)
+            assert np.exp(x) * bath._ei(x) == pytest.approx(ref, rel=1e-12)
 
     def test_trigamma_against_reference(self):
         for re, im, ref_re, ref_im in TRIGAMMA_FIXTURES:
@@ -198,8 +207,24 @@ def _signed_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.concatenate([-mags[::-1], [0.0], mags])
 
 
+# the one positive root of Ei, where e^{-x} Ei(x) is a difference of O(1) terms
+EI_ROOT = 0.37250741078136663
+
+
 class TestHighPrecisionReferee:
-    """trigamma, lamb_shift and corr_ct against 40-digit mpmath values."""
+    """trigamma, lamb_shift and corr_ct against 40-digit mpmath values, Ei against 50."""
+
+    def test_scaled_ei(self):
+        # both series and their handover at x = 40; near the root the error is absolute
+        xs = [*np.geomspace(1e-6, 1e4, 241), EI_ROOT, 40.0, np.nextafter(40.0, 41.0)]
+        for x in xs:
+            with mp.workdps(50):
+                ref = float(mp.exp(-mp.mpf(x)) * mp.ei(mp.mpf(x)))
+            err = abs(bath._ei(x) - ref)
+            if abs(x - EI_ROOT) < 0.1:
+                assert err <= 1e-15, x
+            else:
+                assert err <= 1e-14 * abs(ref), x
 
     @pytest.mark.parametrize("re_q", np.linspace(9.0, 11.0, 21))
     def test_trigamma_across_series_handover(self, re_q):

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -80,6 +81,30 @@ experiments = driven_suite
 
 NO_SWEEP = SMALL_RUN.replace("[sweep]\nparameter = temperature\nvalues = 0.1, 1\n", "")
 
+# Omega/omega_c = 720: gamma = pi J(Omega) is about 4.6e-313, still positive, and
+# Ei(720) overflows, but the shift alpha*Omega*exp(-x)*Ei(x) - alpha*omega_c does not
+FAR_TAIL = """
+[scenario]
+kind = single
+
+[system]
+omega = 720
+
+[spectrum]
+alpha = 0.001
+omega_c = 1
+
+[bath]
+modes = 20
+
+[time]
+t_max = 8
+samples = 3
+
+[output]
+experiments = variance_trajectory
+"""
+
 BAD_RUNS = {
     "t_max_nan": SMALL_RUN.replace("t_max = 8", "t_max = nan"),
     "squeeze_nan": SMALL_RUN.replace("initial = thermal",
@@ -139,6 +164,14 @@ BAD_RUNS = {
     .replace("values = 0.1, 1", "values = 0.002, 0.01")
     .replace("= fidelity_vs_time", "= variance_trajectory"),
     "no_experiments": SMALL_RUN.replace("[output]\nexperiments = fidelity_vs_time\n", ""),
+    # the Markov rates a scenario's flows take must not underflow to 0
+    "decay_rate_underflow": FAR_TAIL.replace("omega = 720", "omega = 800"),
+    # the default beta grid reaches Omega + beta = 840
+    "default_betas_underflow_decay_rate": FAR_TAIL.replace("kind = single", "kind = two_coupled")
+    .replace("omega = 720", "omega = 700\nomega2 = 700")
+    .replace("= variance_trajectory", "= two_oscillator_suite"),
+    "no_secular_decay_rate_underflow_at_omega_l": RESONANT_DRIVEN.replace("omega_l = 1",
+                                                                          "omega_l = 2500"),
 }
 
 ORACLE_SINGLE = ("[oracle]\nfamily = single\ncutoff = 10\nt = 2\n"
@@ -279,18 +312,24 @@ class TestCli:
                               capture_output=True, text=True, check=True)
         return done.stdout
 
-    def test_cli_import_leaves_out_scipy_integrate(self):
-        # the quadrature and root-finding modules are most of a cold start:
-        # only the oracle subcommand (through the Fock referee) needs the first,
-        # and bath's Brent port replaces the second
-        code = ("import sys, oscbath.cli; "
-                "print('scipy.integrate' in sys.modules, 'scipy.optimize' in sys.modules)")
-        assert self._python(code).split() == ["False", "False"]
-
-    def test_cli_main_runs_scipy_blas_on_one_thread(self, tmp_path):
-        # scipy's OpenBLAS (expm only) drops to one thread; NumPy's keeps its default
+    def test_run_and_validate_load_no_scipy(self, tmp_path):
+        # scipy's import is most of a cold start: bath's Brent port and Ei and
+        # flows' expm replace what run and validate would take from it; only the
+        # oracle subcommand (through the Fock referee) loads it
         p = tmp_path / "run.cfg"
         p.write_text(SMALL_RUN)
+        code = ("import sys; from oscbath.cli import cli_main; "
+                "assert cli_main(['validate', sys.argv[1]]) == 0; "
+                "assert cli_main(['run', sys.argv[1], '--out', sys.argv[2]]) == 0; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert self._python(code, str(p), str(tmp_path / "o")).splitlines()[-1] == "[]"
+        assert (tmp_path / "o" / "fidelity_vs_time.csv").exists()
+
+    def test_cli_main_runs_scipy_blas_on_one_thread(self, tmp_path):
+        # the oracle drops scipy's OpenBLAS (the Fock set-up's expm) to one
+        # thread; NumPy's keeps its default
+        p = tmp_path / "oracle.cfg"
+        p.write_text(ORACLE_SINGLE)
         code = """
 import ctypes, sys
 from pathlib import Path
@@ -312,7 +351,7 @@ def both():
             threads(Path(numpy.__file__).resolve().parent.parent / "numpy.libs",
                     "libscipy_openblas64_*.so", "scipy_openblas_get_num_threads64_"))
 before = both()
-assert cli_main(["validate", sys.argv[1]]) == 0
+assert cli_main(["oracle", sys.argv[1]]) == 0
 print(*before, *both())
 """
         scipy_before, numpy_before, scipy_after, numpy_after = map(
@@ -414,6 +453,16 @@ print(*before, *both())
         assert cli_main(["validate", str(p)]) == EXIT_OK
         assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK
         assert len(list(tmp_path.glob("o/*.csv"))) == 2
+
+    def test_far_tail_run_is_finite(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text(FAR_TAIL)
+        assert cli_main(["validate", str(p)]) == EXIT_OK
+        assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK
+        text = (tmp_path / "o" / "variance_trajectory.csv").read_text()
+        rows = [l.split(",") for l in text.splitlines() if not l.startswith("#")][1:]
+        assert len(rows) == 9
+        assert all(np.isfinite(float(row[-1])) for row in rows)
 
     def test_resonant_plain_fidelity_vs_time_runs(self, tmp_path):
         p = tmp_path / "res.cfg"

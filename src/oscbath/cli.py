@@ -64,6 +64,12 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+# RK45's step count grows with t times the generator's fastest rate, so the
+# oracle refuses cases above this dimensionless work.  Damping is the stiff
+# part: at the cap, two_small with gamma (2 nbar + 1) t = 98 at cutoff 14 took
+# 22 s on 2 vCPUs, and at 665 it did not end within 300 s.
+ORACLE_MAX_WORK = 100.0
+
 # every key some oracle family reads; any other key is a typo, not a default
 _ORACLE_KEYS = frozenset({
     "family", "cutoff", "t", "gamma", "nbar", "omega_bar", "coherent_re",
@@ -100,6 +106,7 @@ def _oracle_case(sec):
     nbar = num("nbar", 0.2)
     omega_bar = num("omega_bar", 1.0)
     alpha0 = complex(num("coherent_re", 0.3), num("coherent_im", 0.0))
+    omega_l = 0.0
 
     if family == "single":
         lindblad = flow_single(omega_bar, gamma, nbar)
@@ -116,10 +123,19 @@ def _oracle_case(sec):
         rho0 = np.kron(coherent_rho(alpha0, cutoff), thermal_rho(nbar, cutoff))
     elif family == "driven":
         r_bar = complex(num("rabi_re", 0.1), num("rabi_im", 0.0))
-        lindblad = flow_driven(omega_bar, gamma, nbar, r_bar, num("omega_l", 0.8))
+        omega_l = num("omega_l", 0.8)
+        lindblad = flow_driven(omega_bar, gamma, nbar, r_bar, omega_l)
         rho0 = coherent_rho(alpha0, cutoff)
     else:
         raise ConfigError(f"unknown oracle family {family!r}")
+    # the fastest rate: a frequency (h, omega_bar, omega_L) or the damping
+    # (K^E + K^A)/2, which is gamma (2 nbar + 1) for one mode
+    damping = 0.5 * (lindblad.k_emit + lindblad.k_abs)
+    rate = max(np.abs(lindblad.h).sum(axis=1).max(), np.abs(damping).sum(axis=1).max(),
+               abs(omega_bar), abs(omega_l))
+    if t * rate > ORACLE_MAX_WORK:
+        raise ConfigError(f"oracle case too long: t * rate = {t * rate:.3g} exceeds "
+                          f"{ORACLE_MAX_WORK:g} (rate = largest frequency or damping rate)")
     return family, cutoff, t, lindblad, rho0
 
 

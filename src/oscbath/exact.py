@@ -1,32 +1,46 @@
 """Exact Gaussian evolution of system + discretized bath.
 
-The quadratic Hamiltonian with coupling matrix W evolves annihilation
-operators as A(t) = exp(-iWt) A(0), so the phase-space propagator in block
-ordering (x..., p...) is
+The quadratic Hamiltonian with one-particle coupling matrix W evolves
+annihilation operators as a(t) = exp(-iWt) a(0).  Two paths evaluate this.
 
-    M(t) = [[cos(Wt), sin(Wt)], [-sin(Wt), cos(Wt)]]  with T_R = cos(Wt),
-    T_I = -sin(Wt), M = [[T_R, -T_I], [T_I, T_R]].
+Reduced states, which every exact-vs-Markov comparison needs, take the
+batched spectral path, ``ReducedPropagator``.  One oscillator with a bath
+has an arrowhead W: a diagonal of bath frequencies bordered by one row of
+couplings, and so has W - omega_L in the frame of a drive at omega_L.  Two
+oscillators of equal frequency Omega, each with its own copy of one bath,
+split under (x1 +- x2)/sqrt(2), (b1j +- b2j)/sqrt(2) into two arrowhead
+"sectors" with system frequencies Omega +- beta and the bath's omega_j, g_j.
+A sector's eigenvalues lam_k are the roots of its secular equation
+(``_arrowhead_spectrum``, O(N^2) time, O(N) memory); eigenvector k has
+system component q0_k and bath components q0_k g_hat_j / (lam_k - omega_j).
+So the system row of exp(-iWt) is
 
-One eigendecomposition of W serves every requested time.  For one oscillator
-with a bath, and for the driven W - omega_L, W is an arrowhead: a diagonal of
-bath frequencies bordered by one row of couplings.  Its eigenpairs come from
-the secular equation in O(N^2) (``_arrowhead_eigh``), where a dense ``eigh``
-costs O(N^3) and dominates large baths.  Every other W (two oscillators, a
-bath-less oscillator, a coupling that is not > 0) uses ``np.linalg.eigh``,
-and so does the full-state factorization study, whose D_B near agreement
-moves with the rounding of any equally exact eigenbasis.  At t = 0 a
-reduced state is the initial state itself, whichever solver built the cache,
-since Q Q^T = 1 holds only to the solver's rounding.  The initial state
-is always the product system state (x) thermal baths, so a reduced state
-needs only the system rows of M(t), the bath variances and the system state.
-A classical drive, in the frame rotating at its frequency, is an affine
-offset stored in the same cache.
+    u_0(t) = sum_k q0_k^2 e^{-i lam_k t},
+    u_j(t) = g_hat_j sum_k q0_k^2 e^{-i lam_k t} / (lam_k - omega_j),
+
+a (times x N) matrix times a Cauchy matrix, one product per column block
+for every reported time at once (``_Sector.bath_rows``).  Only the roots,
+g_hat and q0 are stored: no N x N array is formed.  The initial state is
+the product system state (x) thermal baths, so a reduced state needs only
+these amplitudes, the bath variances and the system state.  Bath modes with
+g_j = 0 are exactly decoupled and dropped first, so a bath-less oscillator
+is the M = 0 case of the same code.  At t = 0 a reduced state is the initial
+state itself.
+
+Full system + bath states (the factorization study, and the referee of the
+reduced states in the tests) take the dense path: ``PropagatorCache.from_eigh``
+diagonalizes any W with ``np.linalg.eigh``, and ``propagator`` forms the
+phase-space propagator in block ordering (x..., p...),
+
+    M(t) = [[cos(Wt), sin(Wt)], [-sin(Wt), cos(Wt)]],
+
+which ``evolve_full`` applies to a full state.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,12 +50,10 @@ from .gaussian import GaussianState, thermal_variance
 __all__ = [
     "CouplingMatrix",
     "PropagatorCache",
+    "ReducedPropagator",
     "build_single",
     "build_two",
     "propagator",
-    "initial_variances",
-    "reduced_state",
-    "build_drive",
     "evolve_full",
     "recurrence_time_estimate",
 ]
@@ -84,53 +96,27 @@ def build_single(omega: float, bath: BathCouplings | None) -> CouplingMatrix:
     return CouplingMatrix(w, (0,))
 
 
-def build_two(omega1: float, omega2: float, beta: float,
-              bath1: BathCouplings | None, bath2: BathCouplings | None) -> CouplingMatrix:
-    """Two locally damped oscillators exchange-coupled with strength beta.
+def build_two(omega: float, beta: float, bath: BathCouplings | None) -> CouplingMatrix:
+    """Dense W of two oscillators of frequency omega, exchange-coupled by beta.
 
-    Layout: (osc1, bath1 modes..., osc2, bath2 modes...).
+    Each oscillator has its own copy of ``bath``; layout (osc1, bath modes...,
+    osc2, bath modes...).  This is the W that ``ReducedPropagator`` splits
+    into its two sectors.
     """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    if beta > min(omega1, omega2) / 5.0:
-        warnings.warn(
-            f"beta={beta} is not small against Omega={min(omega1, omega2)}; the "
-            "rotating-wave form of the oscillator coupling becomes questionable",
-            RwaValidityWarning,
-        )
-    b1 = build_single(omega1, bath1).matrix
-    b2 = build_single(omega2, bath2).matrix
-    n1, n2 = b1.shape[0], b2.shape[0]
-    w = np.zeros((n1 + n2, n1 + n2))
-    w[:n1, :n1] = b1
-    w[n1:, n1:] = b2
-    w[0, n1] = beta
-    w[n1, 0] = beta
-    return CouplingMatrix(w, (0, n1))
+    one = build_single(omega, bath).matrix
+    n = one.shape[0]
+    w = np.zeros((2 * n, 2 * n))
+    w[:n, :n] = w[n:, n:] = one
+    w[0, n] = w[n, 0] = beta
+    return CouplingMatrix(w, (0, n))
 
 
-def _is_arrowhead(coupling: CouplingMatrix) -> bool:
-    """True when W is one system mode bordering a diagonal bath (``_arrowhead_eigh``'s input).
-
-    That is ``build_single`` with a bath, also after a uniform shift by a drive
-    frequency: system index (0,), bath block diagonal with strictly ascending
-    frequencies, and every coupling g_j > 0.
-    """
-    w = coupling.matrix
-    if coupling.system_indices != (0,) or coupling.dim < 2:
-        return False
-    bath = w[1:, 1:]
-    freqs = np.diagonal(bath)
-    return bool(np.all(np.diff(freqs) > 0) and np.all(w[0, 1:] > 0)
-                and np.count_nonzero(bath) == np.count_nonzero(freqs))
-
-
-_SECULAR_BLOCK = 64  # roots solved together: keeps the (block x M) temporaries in cache
+_SECULAR_BLOCK = 64  # roots (or bath columns) done together: keeps (block x N) temporaries small
 _SECULAR_MAX_ITER = 100  # model steps converge in about 6; bisection alone may need ~100
 
 
-def _arrowhead_eigh(omega: float, freqs: np.ndarray, g: np.ndarray):
-    """Eigenpairs of [[omega, g^T], [g, diag(freqs)]] in O(N^2), returned like ``np.linalg.eigh``.
+def _arrowhead_spectrum(omega: float, freqs: np.ndarray, g: np.ndarray):
+    """Spectrum of [[omega, g^T], [g, diag(freqs)]] in O(N^2) time and O(N) memory.
 
     ``freqs`` must be strictly ascending and every g_j > 0.  The eigenvalues are
     the roots of the secular equation
@@ -143,14 +129,21 @@ def _arrowhead_eigh(omega: float, freqs: np.ndarray, g: np.ndarray):
     31, 1978).  Each root is held as an offset tau from the pole it lies
     nearer to, so lam - freqs_j = tau - (freqs_j - origin) keeps its relative
     accuracy however close lam comes to a pole.  The eigenvectors use the
-    couplings that make the computed roots exact (``_lowner_couplings``), so
-    they are orthogonal to working precision even in clusters of poles (Gu &
+    couplings g_hat that make the computed roots exact (``_lowner_couplings``),
+    so they are orthogonal to working precision even in clusters of poles (Gu &
     Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995; Stor, Slapnicar & Barlow,
     Linear Algebra Appl. 464, 2015).
+
+    Returns (origin, tau, g_hat, weight): eigenvalue k is origin_k + tau_k and
+    weight_k = q0_k^2 is the squared system component of its eigenvector, whose
+    bath components are q0_k g_hat_j / (tau_k - (freqs_j - origin_k)).
+    Without bath modes the one eigenvalue is omega itself.
     """
     freqs = np.asarray(freqs, dtype=float)
     g2 = np.asarray(g, dtype=float) ** 2
     n = freqs.size + 1
+    if n == 1:
+        return np.array([float(omega)]), np.zeros(1), np.empty(0), np.ones(1)
     # the border has norm |g|, so by Weyl every eigenvalue is within |g| of the diagonal's range
     radius = np.sqrt(g2.sum())
     lower = np.concatenate([[min(omega, freqs[0]) - radius], freqs])
@@ -161,13 +154,11 @@ def _arrowhead_eigh(omega: float, freqs: np.ndarray, g: np.ndarray):
     for k in blocks:
         tau[k], origin[k] = _secular_roots(omega, freqs, g2, k, lower[k], upper[k])
     g_hat = _lowner_couplings(freqs, tau, origin)
-    vecs = np.empty((n, n))  # one eigenvector per row: the norms sum pairwise
+    weight = np.empty(n)
     for k in blocks:
-        vec = vecs[k[0]:k[-1] + 1]
-        vec[:, 0] = 1.0
-        np.divide(g_hat, tau[k, None] - (freqs - origin[k, None]), out=vec[:, 1:])
-        vec /= np.sqrt((vec * vec).sum(axis=1))[:, None]
-    return origin + tau, vecs.T
+        ratio = g_hat / (tau[k, None] - (freqs - origin[k, None]))
+        weight[k] = 1.0 / (1.0 + (ratio * ratio).sum(axis=1))
+    return origin, tau, g_hat, weight
 
 
 def _lowner_couplings(freqs, tau, origin):
@@ -271,137 +262,177 @@ def _secular_roots(omega, freqs, g2, k, lower, upper):
     return tau, origin
 
 
+SINGULAR_TOL = 1e-12  # relative size below which an eigenvalue of W - omega_L counts as 0
+_PAIR_MIXING = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+
+@dataclass(frozen=True)
+class _Sector:
+    """One arrowhead block of W, as ``_arrowhead_spectrum`` returns it."""
+
+    origin: np.ndarray
+    tau: np.ndarray
+    g_hat: np.ndarray
+    weight: np.ndarray  # q0_k^2
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.origin + self.tau
+
+    def bath_rows(self, poles: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """a @ C diag(g_hat) with the Cauchy matrix C_kj = 1/(lam_k - poles_j).
+
+        C is formed one block of columns at a time, so memory stays
+        O(N * block + rows * M).  The product is NumPy's own einsum loop, not
+        BLAS: on 2 vCPUs a two-thread OpenBLAS GEMM of one such block took
+        10-50 ms (up to 1 s for the first in a process) against 0.2 ms on one
+        thread, and einsum keeps the result independent of the thread count.
+        """
+        out = np.empty((a.shape[0], poles.size))
+        for start in range(0, poles.size, _SECULAR_BLOCK):
+            j = slice(start, start + _SECULAR_BLOCK)
+            cauchy = 1.0 / (self.tau[:, None] - (poles[j] - self.origin[:, None]))
+            out[:, j] = np.einsum("tk,kj->tj", a, cauchy)
+        return out * self.g_hat
+
+
+def _real_form(z: np.ndarray) -> np.ndarray:
+    """[[Re z, -Im z], [Im z, Re z]] of a stack of complex k x k matrices."""
+    return np.block([[z.real, -z.imag], [z.imag, z.real]])
+
+
+@dataclass(frozen=True)
+class ReducedPropagator:
+    """Exact reduced dynamics of one oscillator, or an equal-frequency pair, on a bath.
+
+    ``mixing`` P takes sectors to system modes: system mode a is
+    sum_s P[a, s] times sector s's system mode, and likewise for each bath
+    mode's copies.  ``freqs`` are the coupled bath frequencies (lab frame);
+    the sectors hold the spectra of W - omega_L, and a drive of Rabi
+    frequency ``rabi`` acts on the first system mode.
+    """
+
+    sectors: tuple[_Sector, ...]
+    mixing: np.ndarray
+    freqs: np.ndarray
+    rabi: float = 0.0
+    omega_l: float = 0.0
+
+    @classmethod
+    def build(cls, omega: float, bath: BathCouplings | None, beta: float | None = None,
+              drive: tuple[float, float] | None = None) -> "ReducedPropagator":
+        """Sector spectra of one oscillator (``beta`` None) or of a pair.
+
+        A pair is two oscillators of frequency omega exchange-coupled by
+        ``beta``, each with its own copy of ``bath``.  ``drive`` = (rabi,
+        omega_L) drives the first system mode; its states are reported in the
+        frame rotating at omega_L, where W - omega_L must be regular.
+        """
+        if beta is None:
+            system, mixing = [omega], np.ones((1, 1))
+        else:
+            if beta < 0:
+                raise ValueError("beta must be >= 0")
+            if beta > omega / 5.0:
+                warnings.warn(
+                    f"beta={beta} is not small against Omega={omega}; the rotating-wave "
+                    "form of the oscillator coupling becomes questionable",
+                    RwaValidityWarning,
+                )
+            system, mixing = [omega + beta, omega - beta], _PAIR_MIXING
+        rabi, omega_l = (0.0, 0.0) if drive is None else map(float, drive)
+        freqs, g = (np.empty(0), np.empty(0)) if bath is None else (bath.frequencies,
+                                                                      bath.couplings)
+        coupled = g != 0  # a mode with g_j = 0 never meets the system
+        freqs, g = freqs[coupled], g[coupled]
+        sectors = tuple(_Sector(*_arrowhead_spectrum(w - omega_l, freqs - omega_l, g))
+                        for w in system)
+        if drive is not None:
+            lam = np.concatenate([s.eigenvalues for s in sectors])
+            smallest = np.abs(lam).argmin()
+            if abs(lam[smallest]) < SINGULAR_TOL * max(np.abs(lam).max(), 1.0):
+                raise ArithmeticError(
+                    f"W - omega_L*1 is singular: eigenvalue {lam[smallest] + omega_l:.12g} "
+                    f"resonant with drive frequency {omega_l:.12g}; perturb omega_L")
+        return cls(sectors, mixing, freqs, rabi, omega_l)
+
+    def states(self, times, system0: GaussianState, temperatures) -> list:
+        """Reduced states at ``times`` from system0 (x) thermal baths.
+
+        ``temperatures`` holds one bath temperature per oscillator.  With U the
+        system rows of exp(-iWt), U_s their system columns and V the initial
+        bath variances, H = U V U^dagger and R_s = [[Re U_s, -Im U_s],
+        [Im U_s, Re U_s]] give C(t) = R_s C_sys R_s^T + [[Re H, -Im H],
+        [Im H, Re H]] and mean R_s m_sys + sqrt(2) (Re d, Im d), where
+        d = (U - 1) W0^{-1} b is the drive's affine term.  Per sector,
+        U_s = P diag(u_0) P^T and H = P H_sec P^T, where sectors s and r see
+        bath mode j with covariance (P^T diag(v_j) P)_sr: for a pair
+        (v1_j + v2_j)/2 within a sector and (v1_j - v2_j)/2 across.  A t = 0
+        entry is system0 itself.
+        """
+        p = self.mixing
+        k = p.shape[0]
+        if system0.n_modes != k or len(temperatures) != k:
+            raise ValueError("system state and temperatures must match the oscillators")
+        times = np.asarray(times, dtype=float)
+        t = times[times != 0]
+        poles = self.freqs - self.omega_l
+        u_sys, u_bath, offset = [], [], []
+        for sector in self.sectors:
+            lam = sector.eigenvalues
+            lt = np.outer(t, lam)
+            re, im = sector.weight * np.cos(lt), -sector.weight * np.sin(lt)
+            u_sys.append(re.sum(axis=1) + 1j * im.sum(axis=1))
+            rows = sector.bath_rows(poles, np.concatenate([re, im]))
+            u_bath.append(rows[:t.size] + 1j * rows[t.size:])
+            if self.rabi:  # (e^{-i lam t} - 1) / lam, without cancellation at small lam t
+                half = np.sin(0.5 * lt)
+                offset.append(((-2.0 * sector.weight * half * half + 1j * im) / lam).sum(axis=1))
+        var = np.array([thermal_variance(self.freqs, temp) for temp in temperatures])
+        var_sec = np.einsum("as,aj,ar->srj", p, var, p)
+        u_bath = np.array(u_bath)
+        h_sec = np.einsum("srj,stj,rtj->tsr", var_sec, u_bath, u_bath.conj())
+        h = np.einsum("as,tsr,br->tab", p, h_sec, p)
+        r_sys = _real_form(np.einsum("as,ts,bs->tab", p, np.array(u_sys).T, p))
+        cov = r_sys @ system0.cov @ r_sys.transpose(0, 2, 1) + _real_form(h)
+        mean = r_sys @ system0.mean
+        if self.rabi:
+            d = self.rabi * np.array(offset).T @ (p * p[0]).T
+            mean = mean + np.sqrt(2.0) * np.concatenate([d.real, d.imag], axis=1)
+        moving = zip(mean, cov)  # GaussianState symmetrizes each covariance
+        return [system0 if ti == 0 else GaussianState(k, *next(moving)) for ti in times]
+
+
 @dataclass(frozen=True)
 class PropagatorCache:
-    """Spectral decomposition of a fixed W, reused for cos(Wt)/sin(Wt) at any t.
-
-    ``drive_offset`` is W^{-1} b for a classical drive b (zeros without one):
-    it adds the affine term of the driven evolution to every mean.
-    """
+    """Dense eigendecomposition of W, reused for cos(Wt) and sin(Wt) at any t."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    system_indices: tuple[int, ...]
-    drive_offset: np.ndarray
-
-    @classmethod
-    def build(cls, coupling: CouplingMatrix) -> "PropagatorCache":
-        """Eigendecomposition of W: the secular solver for arrowheads, else ``from_eigh``."""
-        if not _is_arrowhead(coupling):
-            return cls.from_eigh(coupling)
-        w = coupling.matrix
-        evals, evecs = _arrowhead_eigh(w[0, 0], np.diagonal(w)[1:], w[0, 1:])
-        return cls(evals, evecs, coupling.system_indices, np.zeros(coupling.dim))
 
     @classmethod
     def from_eigh(cls, coupling: CouplingMatrix) -> "PropagatorCache":
         """Dense symmetric eigendecomposition of any W."""
-        evals, evecs = np.linalg.eigh(coupling.matrix)
-        return cls(evals, evecs, coupling.system_indices, np.zeros(coupling.dim))
+        return cls(*np.linalg.eigh(coupling.matrix))
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
 
-    def rows(self, t: float, modes) -> np.ndarray:
-        """Phase-space propagator rows (x then p) for the selected modes."""
-        modes = list(modes)
-        q = self.eigenvectors
-        lt = self.eigenvalues * t
-        tr = (q[modes, :] * np.cos(lt)) @ q.T
-        ti = -(q[modes, :] * np.sin(lt)) @ q.T
-        return np.block([[tr, -ti], [ti, tr]])
-
 
 def propagator(cache: PropagatorCache, t: float) -> np.ndarray:
     """Full 2N x 2N symplectic-orthogonal propagator M(t)."""
-    return cache.rows(t, range(cache.dim))
-
-
-def initial_variances(coupling: CouplingMatrix, baths, temperatures) -> np.ndarray:
-    """Quadrature variances of the thermal baths, one per mode of ``coupling``.
-
-    ``baths`` and ``temperatures`` are sequences with one entry per oscillator
-    (entries may be None/ignored for bath-less oscillators).  System entries
-    are 0: their block of the product initial state is the system state's.
-    """
-    sys_idx = list(coupling.system_indices)
-    var = np.ones(coupling.dim)
-    for k, sidx in enumerate(sys_idx):
-        bath = baths[k] if k < len(baths) else None
-        if bath is not None and bath.size:
-            var[sidx + 1: sidx + 1 + bath.size] = thermal_variance(
-                bath.frequencies, temperatures[k])
-    var[sys_idx] = 0.0
-    return var
-
-
-def reduced_state(cache: PropagatorCache, t: float, system0: GaussianState,
-                  variances: np.ndarray) -> GaussianState:
-    """Evolved system modes from system0 (x) thermal baths (``initial_variances``).
-
-    The initial covariance is diag(v, v) plus the system block, so with R the
-    system rows of M(t) and R_s their system columns,
-    C(t) = (R diag(v, v)) R^T + R_s C_sys R_s^T; no 2N x 2N matrix is formed.
-    Means gain sqrt(2)*((T_R-1) w ; T_I w) with w = ``cache.drive_offset``.
-    At t = 0, M = 1 exactly and system0 is returned as it is, so that row
-    does not carry the rounding of Q Q^T, which differs between eigensolvers.
-    """
-    sys_idx = list(cache.system_indices)
-    k, n = len(sys_idx), cache.dim
-    if system0.n_modes != k:
-        raise ValueError("system state does not match the number of system modes")
-    if t == 0:
-        return system0
-    rows = cache.rows(t, sys_idx)
-    r_sys = rows[:, sys_idx + [i + n for i in sys_idx]]
-    cov = ((rows * np.concatenate([variances, variances])) @ rows.T
-           + r_sys @ system0.cov @ r_sys.T)
-    w = cache.drive_offset
-    shift = np.sqrt(2.0) * np.concatenate([rows[:k, :n] @ w - w[sys_idx],
-                                           rows[k:, :n] @ w])
-    mean = r_sys @ system0.mean + shift
-    return GaussianState(k, mean, 0.5 * (cov + cov.T))
-
-
-SINGULAR_TOL = 1e-12  # relative size below which an eigenvalue of W - omega_L counts as 0
-
-
-def build_drive(coupling: CouplingMatrix, rabi: float, omega_l: float) -> PropagatorCache:
-    """Cache of W0 = W - omega_L (frame rotating at the drive) with offset W0^{-1} b.
-
-    b = (r, 0, ...) drives the first system mode with Rabi frequency r.
-    """
-    w0 = coupling.matrix - omega_l * np.eye(coupling.dim)
-    cache = PropagatorCache.build(CouplingMatrix(w0, coupling.system_indices))
-    scale = max(np.abs(cache.eigenvalues).max(), 1.0)
-    smallest = np.abs(cache.eigenvalues).min()
-    if smallest < SINGULAR_TOL * scale:
-        offender = cache.eigenvalues[np.abs(cache.eigenvalues).argmin()]
-        raise ArithmeticError(
-            f"W - omega_L*1 is singular: eigenvalue {offender + omega_l:.12g} "
-            f"resonant with drive frequency {omega_l:.12g}; perturb omega_L")
-    b = np.zeros(coupling.dim)
-    b[coupling.system_indices[0]] = rabi
-    w0inv_b = cache.eigenvectors @ ((cache.eigenvectors.T @ b) / cache.eigenvalues)
-    return replace(cache, drive_offset=w0inv_b)
+    q = cache.eigenvectors
+    lt = cache.eigenvalues * t
+    cos, sin = (q * np.cos(lt)) @ q.T, (q * np.sin(lt)) @ q.T
+    return np.block([[cos, sin], [-sin, cos]])
 
 
 def evolve_full(cache: PropagatorCache, state0: GaussianState, t: float) -> GaussianState:
-    """Evolution of a full system + bath state, with the drive of ``cache`` if any.
-
-    It serves the factorization study and referees ``reduced_state``.  Means
-    gain the affine term sqrt(2)*((T_R-1) W0^{-1} b ; T_I W0^{-1} b) (the
-    sqrt(2) converts amplitude units to our quadrature normalization); the
-    drive cancels from the covariance.
-    """
+    """Evolution of a full system + bath state: M(t) mean and M(t) C M(t)^T."""
     prop = propagator(cache, t)
-    n = cache.dim
-    w = cache.drive_offset
-    shift = np.sqrt(2.0) * np.concatenate([prop[:n, :n] @ w - w, prop[n:, :n] @ w])
-    mean = prop @ state0.mean + shift
     cov = prop @ state0.cov @ prop.T
-    return GaussianState(state0.n_modes, mean, 0.5 * (cov + cov.T))
+    return GaussianState(state0.n_modes, prop @ state0.mean, 0.5 * (cov + cov.T))
 
 
 def recurrence_time_estimate(bath: BathCouplings) -> float:

@@ -4,10 +4,11 @@ Every runner takes a ScenarioConfig and returns an ExperimentResult whose rows
 are (sweep_param, sweep_value, t, quantity, value).  Runs are serial and
 deterministic: identical configs produce byte-identical CSV.  ``_compare`` is
 the one comparison of an exact evolution with Markovian flows: it assembles a
-scenario's exact side and the flows its labels name, evaluates the exact state
-once per reported time and each flow at those times.  Runners check nothing:
-``run_experiment`` validates the config first, and the points a runner
-evaluates are the ones ``config.validate`` checked, from ``config.sweep_points``.
+scenario's exact side and the flows its labels name, evaluates the exact
+states at every reported time in one batched call and each flow at those
+times.  Runners check nothing: ``run_experiment`` validates the config first,
+and the points a runner evaluates are the ones ``config.validate`` checked,
+from ``config.sweep_points``.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from .bath import (OhmicSpectrum, bose_occupation, corr_c0, corr_ct, decay_rate,
                    discretize, fwhh, lamb_shift, omega_range)
 from .config import (DRIVE_VARIANTS, ScenarioConfig, config_text, sweep_points,
                      validate)
-from .exact import (PropagatorCache, build_drive, build_single, build_two,
-                    evolve_full, initial_variances, reduced_state)
+from .exact import PropagatorCache, ReducedPropagator, build_single, evolve_full
 from .flows import (evolve_flow, flow_driven, flow_single,
                     flow_two_large_beta, flow_two_small_beta,
                     rabi_renormalizations)
@@ -140,21 +140,14 @@ def _compare(config: ScenarioConfig, labels, times):
     and drive variants for ``driven``.  Both oscillators of ``two_coupled``
     share one discretized bath.  The exact side is built first, so a singular
     W - omega_L raises ArithmeticError before any variant can reject exact
-    resonance, and its state is evaluated once per time, however many flows
-    share it.  Returns (exact states, [flow states per label]).
+    resonance, and its states at all ``times`` come from one batched call,
+    however many flows share them.  Returns (exact states, [flow states per
+    label]).
     """
     pair = config.scenario == "two_coupled"
-    bath = _bath(config)
-    if pair:
-        coupling = build_two(config.omega, config.omega2, config.beta, bath, bath)
-        variances = initial_variances(coupling, [bath, bath], config.bath_temperatures)
-    else:
-        coupling = build_single(config.omega, bath)
-        variances = initial_variances(coupling, [bath], [config.temperature])
-    if config.scenario == "driven":
-        cache = build_drive(coupling, config.rabi, config.omega_l)
-    else:
-        cache = PropagatorCache.build(coupling)
+    drive = (config.rabi, config.omega_l) if config.scenario == "driven" else None
+    exact = ReducedPropagator.build(config.omega, _bath(config),
+                                    beta=config.beta if pair else None, drive=drive)
     sys0 = _system_state(config, 2 if pair else 1)
 
     spec = _spectrum(config)
@@ -175,8 +168,9 @@ def _compare(config: ScenarioConfig, labels, times):
         flows = [flow_driven(omega_bar, gamma, nbar,
                              rabi_renormalizations(spec, omega, wl, config.rabi, v), wl)
                  for v in labels]
-    exact = [reduced_state(cache, t, sys0, variances) for t in times]
-    return exact, [[evolve_flow(flow, sys0, t) for t in times] for flow in flows]
+    temperatures = config.bath_temperatures if pair else [config.temperature]
+    return (exact.states(times, sys0, temperatures),
+            [[evolve_flow(flow, sys0, t) for t in times] for flow in flows])
 
 
 def _curves(config: ScenarioConfig, labels, metric, times) -> list:
@@ -256,12 +250,13 @@ def run_correlation_study(config: ScenarioConfig) -> ExperimentResult:
 
 def _factorization_curve(config: ScenarioConfig) -> list:
     bath = _bath(config)
-    # Dense eigh, not the arrowhead solver of PropagatorCache.build: rounding
-    # in fidelity_multi at near-pure bath modes dominates this full-state D_B,
-    # which moves by up to 3.5e-5 at t = 0 (and 1.4e-9 later) under another,
-    # equally exact eigenbasis of W.  Once fidelity_multi is faithful there
-    # (ROADMAP item 1) and the golden rows are re-recorded, build this cache
-    # with PropagatorCache.build, as _compare does.
+    # The one dense eigh of the package: a full state needs every row of the
+    # propagator, not the system rows that _compare's spectral path gives.  An
+    # arrowhead eigenbasis would do, but rounding in fidelity_multi at near-pure
+    # bath modes dominates this full-state D_B, which moves by up to 3.5e-5 at
+    # t = 0 (and 1.4e-9 later) under another, equally exact eigenbasis of W.
+    # Once fidelity_multi is faithful there (ROADMAP item 1) and the golden
+    # rows are re-recorded, the basis can come from the arrowhead spectrum.
     cache = PropagatorCache.from_eigh(build_single(config.omega, bath))
     bath_thermal = make_thermal(bath.frequencies, config.temperature)
     global0 = tensor_product(_system_state(config, 1), bath_thermal)

@@ -83,6 +83,8 @@ class QuadraticLindblad:
                         ("absorption rate matrix", k_abs)):
             if m.shape != (n, n):
                 raise ValueError(f"{name} must be {n}x{n}")
+            if not np.isfinite(m).all():
+                raise ValueError(f"{name} must be finite")
             if np.abs(m - m.T.conj()).max() > 1e-10 * max(np.abs(m).max(), 1.0):
                 raise ValueError(f"{name} must be Hermitian")
         for name, m in (("emission rate matrix", k_emit),

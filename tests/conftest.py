@@ -1,10 +1,11 @@
-"""Shared test helpers: random physical states and Fock-space utilities."""
+"""Shared test helpers: random physical states, sector eigenbases and Fock-space utilities."""
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import expm, sqrtm
 
+from oscbath.exact import PropagatorCache
 from oscbath.gaussian import GaussianState, symplectic_form
 
 
@@ -49,3 +50,24 @@ def fock_partial_trace_first(rho: np.ndarray, dim: int) -> np.ndarray:
     """Trace out the second mode of a two-mode density matrix (dim per mode)."""
     r = rho.reshape(dim, dim, dim, dim)
     return np.einsum("ikjk->ij", r)
+
+
+def sector_cache(reduced) -> PropagatorCache:
+    """Dense eigendecomposition of W (W - omega_L with a drive) assembled from the sector spectra.
+
+    Eigenvector k of a sector has system component q0_k = sqrt(weight_k) and
+    bath components q0_k g_hat_j / (lam_k - omega_j) in that sector's modes;
+    the mixing P spreads each over the oscillators' copies, in the layout
+    (osc1, bath modes..., osc2, bath modes...) of ``build_single``/``build_two``.
+    Every bath mode of ``reduced`` must be coupled.
+    """
+    poles = reduced.freqs - reduced.omega_l
+    vecs = []
+    for sector in reduced.sectors:
+        q0 = np.sqrt(sector.weight)
+        gap = sector.tau - (poles[:, None] - sector.origin)  # lam_k - omega_j, (M, N)
+        vecs.append(np.vstack([q0, q0 * sector.g_hat[:, None] / gap]))
+    p = reduced.mixing
+    q = np.vstack([np.hstack([p[a, s] * vec for s, vec in enumerate(vecs)])
+                   for a in range(p.shape[0])])
+    return PropagatorCache(np.concatenate([s.eigenvalues for s in reduced.sectors]), q)

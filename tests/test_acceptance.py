@@ -8,7 +8,7 @@ import time
 import warnings
 
 import numpy as np
-from conftest import random_physical_state
+from conftest import random_physical_state, sector_cache
 from scipy.integrate import quad
 
 from oscbath import fock
@@ -16,8 +16,7 @@ from oscbath.bath import (OhmicSpectrum, bose_occupation, corr_c0, corr_ct,
                           decay_rate, discretize, fwhh, lamb_shift,
                           omega_range)
 from oscbath.config import ScenarioConfig
-from oscbath.exact import (PropagatorCache, build_single, initial_variances,
-                           propagator, recurrence_time_estimate, reduced_state)
+from oscbath.exact import ReducedPropagator, propagator, recurrence_time_estimate
 from oscbath.experiments import (driven_variant_error, linear_fit,
                                  recurrence_onset, run_factorization_distance,
                                  run_recurrence_map)
@@ -119,9 +118,8 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_propagator_invariants():
     spec = OhmicSpectrum(0.01, 3.0)
     bath = discretize(spec, 350, omega_range(spec, "equal_tails"))
-    coupling = build_single(1.0, bath)
     tic = time.time()
-    cache = PropagatorCache.build(coupling)
+    cache = sector_cache(ReducedPropagator.build(1.0, bath))
     assert time.time() - tic < 60.0
     n = cache.dim
     assert 2 * n == 702
@@ -144,16 +142,13 @@ def test_criterion_3_steady_state_and_relaxation():
     alpha, temp = 0.01, 1.0
     spec = OhmicSpectrum(alpha, 3.0)
     bath = discretize(spec, 150, omega_range(spec, "floor", floor=0.1))
-    coupling = build_single(1.0, bath)
-    cache = PropagatorCache.build(coupling)
     sys0 = make_thermal([1.0], 5.0)
-    variances = initial_variances(coupling, [bath], [temp])
     flow = flow_single(1.0 + lamb_shift(spec, 1.0), decay_rate(spec, 1.0),
                        bose_occupation(1.0, temp))
     target = steady_state(flow)
     horizon = 0.9 * recurrence_time_estimate(bath)
-    dists = [db_distance(reduced_state(cache, t, sys0, variances), target)
-             for t in np.linspace(0.0, horizon, 8)]
+    states = ReducedPropagator.build(1.0, bath).states(np.linspace(0.0, horizon, 8), sys0, [temp])
+    dists = [db_distance(state, target) for state in states]
     assert all(b <= a + 1e-3 for a, b in zip(dists, dists[1:])), dists
     assert dists[-1] < 0.5 * dists[0]
 

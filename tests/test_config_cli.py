@@ -188,6 +188,13 @@ BAD_ORACLES = {
     "t_nan": ORACLE_SINGLE.replace("t = 2", "t = nan"),
     "t_negative": ORACLE_SINGLE.replace("t = 2", "t = -1"),
     "unknown_key": ORACLE_SINGLE + "gama = 0.1\n",
+    # finite inputs that RK45 would integrate without end: beyond the work cap,
+    # or rates 2 gamma (nbar + 1) that overflow
+    "t_1e300": ORACLE_SINGLE.replace("t = 2", "t = 1e300"),
+    "gamma_1e308": ORACLE_SINGLE.replace("gamma = 0.08", "gamma = 1e308"),
+    "gamma_above_cap": ORACLE_SINGLE.replace("gamma = 0.08", "gamma = 1e6"),
+    "driven_work_above_cap": ORACLE_SINGLE.replace("single", "driven")
+    .replace("t = 2", "t = 150"),
 }
 
 

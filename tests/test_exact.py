@@ -1,14 +1,16 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
-from conftest import random_physical_state
+from conftest import random_physical_state, sector_cache
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oscbath.bath import BathCouplings, OhmicSpectrum, discretize, omega_range
-from oscbath.exact import (CouplingMatrix, PropagatorCache, RwaValidityWarning,
-                           _is_arrowhead, build_drive, build_single, build_two,
-                           evolve_full, initial_variances, propagator,
-                           recurrence_time_estimate, reduced_state)
+from oscbath.exact import (CouplingMatrix, PropagatorCache, ReducedPropagator,
+                           RwaValidityWarning, build_single, build_two,
+                           evolve_full, propagator, recurrence_time_estimate)
 from oscbath.gaussian import (GaussianState, make_squeezed_vacuum, make_thermal,
                               make_vacuum, symplectic_form, tensor_product)
 
@@ -19,10 +21,31 @@ def small_bath(m=8, lo=0.2, hi=6.0):
     return discretize(SPEC, m, (lo, hi))
 
 
-def random_coupling(rng, m=30, scale=0.2):
-    freqs = np.sort(rng.uniform(0.1, 8.0, m))
-    gs = rng.uniform(0.0, scale, m)
-    return build_single(1.0, BathCouplings(freqs, gs))
+def random_bath(rng, m=30, scale=0.2):
+    return BathCouplings(np.sort(rng.uniform(0.1, 8.0, m)), rng.uniform(0.0, scale, m))
+
+
+def arrowhead_cache(omega, bath, **kwargs):
+    """Dense cache of W from the sector spectra that the reduced states use."""
+    return sector_cache(ReducedPropagator.build(omega, bath, **kwargs))
+
+
+def dense_driven(coupling, rabi, omega_l, state0, t):
+    """Full state under the drive, by eigh of W - omega_L: M(t) s0 plus the affine term.
+
+    The mean gains sqrt(2)((cos(W0 t) - 1) w ; -sin(W0 t) w) with w = W0^{-1} b
+    and b = rabi on the first system mode; the drive cancels from the covariance.
+    """
+    w0 = CouplingMatrix(coupling.matrix - omega_l * np.eye(coupling.dim),
+                        coupling.system_indices)
+    cache = PropagatorCache.from_eigh(w0)
+    out = evolve_full(cache, state0, t)
+    b = np.zeros(coupling.dim)
+    b[coupling.system_indices[0]] = rabi
+    w = np.linalg.solve(w0.matrix, b)
+    m, n = propagator(cache, t), coupling.dim
+    shift = np.sqrt(2.0) * np.concatenate([m[:n, :n] @ w - w, m[n:, :n] @ w])
+    return GaussianState(n, out.mean + shift, out.cov)
 
 
 class TestBuilders:
@@ -41,33 +64,34 @@ class TestBuilders:
         np.testing.assert_array_equal(w.matrix, w.matrix.T)
 
     def test_two_uncoupled_is_block_diagonal(self):
-        b1, b2 = small_bath(4), small_bath(4)
-        w = build_two(1.0, 1.1, 0.0, b1, b2)
+        bath = small_bath(4)
+        w = build_two(1.0, 0.0, bath)
         np.testing.assert_array_equal(w.matrix[:5, 5:], np.zeros((5, 5)))
-        np.testing.assert_allclose(w.matrix[:5, :5], build_single(1.0, b1).matrix)
-        np.testing.assert_allclose(w.matrix[5:, 5:], build_single(1.1, b2).matrix)
+        np.testing.assert_array_equal(w.matrix[:5, :5], build_single(1.0, bath).matrix)
+        np.testing.assert_array_equal(w.matrix[5:, 5:], build_single(1.0, bath).matrix)
         assert w.system_indices == (0, 5)
 
     def test_two_bare(self):
-        w = build_two(1.0, 1.2, 0.05, None, None)
-        np.testing.assert_allclose(w.matrix, [[1.0, 0.05], [0.05, 1.2]])
+        w = build_two(1.0, 0.05, None)
+        np.testing.assert_allclose(w.matrix, [[1.0, 0.05], [0.05, 1.0]])
 
     def test_two_warns_when_rwa_strained(self):
         with pytest.warns(RwaValidityWarning):
-            build_two(1.0, 1.0, 0.5, None, None)
+            ReducedPropagator.build(1.0, None, beta=0.5)
+        with pytest.raises(ValueError, match="beta"):
+            ReducedPropagator.build(1.0, None, beta=-0.1)
 
 
 class TestPropagator:
     def test_identity_at_zero(self):
-        cache = PropagatorCache.build(build_single(1.0, small_bath()))
+        cache = arrowhead_cache(1.0, small_bath())
         np.testing.assert_allclose(propagator(cache, 0.0), np.eye(2 * cache.dim),
                                    atol=1e-15)
 
     def test_symplectic_orthogonal(self):
         rng = np.random.default_rng(4)
         for _ in range(3):
-            w = random_coupling(rng, m=50)
-            cache = PropagatorCache.build(w)
+            cache = arrowhead_cache(1.0, random_bath(rng, m=50))
             sigma = symplectic_form(cache.dim)
             for t in (0.7, 13.0, 100.0):
                 m = propagator(cache, t)
@@ -76,8 +100,7 @@ class TestPropagator:
 
     def test_group_property(self):
         rng = np.random.default_rng(6)
-        w = random_coupling(rng, m=25)
-        cache = PropagatorCache.build(w)
+        cache = arrowhead_cache(1.0, random_bath(rng, m=25))
         t1, t2 = 3.3, 7.9
         m12 = propagator(cache, t1 + t2)
         np.testing.assert_allclose(m12, propagator(cache, t1) @ propagator(cache, t2),
@@ -87,28 +110,32 @@ class TestPropagator:
         # Omega = omega_1, coupling g: full swap with period pi/g
         g = 0.1
         bath = BathCouplings(np.array([1.0]), np.array([g]))
-        coupling = build_single(1.0, bath)
-        cache = PropagatorCache.build(coupling)
         hot = make_thermal([1.0], 5.0)
         nu = hot.cov[0, 0]
-        variances = initial_variances(coupling, [bath], [0.0])
+        times = (0.0, np.pi / (4 * g), np.pi / (2 * g), np.pi / g)
         # C11(t) = cos^2(gt) nu + sin^2(gt): closed two-mode Rabi solution
-        for t in (0.0, np.pi / (4 * g), np.pi / (2 * g), np.pi / g):
-            red = reduced_state(cache, t, hot, variances)
+        for t, red in zip(times, ReducedPropagator.build(1.0, bath).states(times, hot, [0.0])):
             expect = np.cos(g * t) ** 2 * nu + np.sin(g * t) ** 2
             assert red.cov[0, 0] == pytest.approx(expect, abs=1e-10)
 
-    def test_rows_match_full_propagator(self):
-        cache = PropagatorCache.build(build_single(1.0, small_bath()))
-        t = 4.2
-        full = propagator(cache, t)
-        rows = cache.rows(t, [0])
-        np.testing.assert_allclose(rows, full[[0, cache.dim], :], atol=1e-14)
+    def test_bath_rows_match_full_propagator(self):
+        # the Cauchy product of the batched path against the system row of an eigh propagator
+        bath = small_bath()
+        (sector,) = ReducedPropagator.build(1.0, bath).sectors
+        times = np.array([4.2, 11.0])
+        lt = np.outer(times, sector.eigenvalues)
+        rows = sector.bath_rows(bath.frequencies, np.concatenate(
+            [sector.weight * np.cos(lt), -sector.weight * np.sin(lt)]))
+        n = bath.size + 1
+        for i, t in enumerate(times):
+            full = propagator(PropagatorCache.from_eigh(build_single(1.0, bath)), t)
+            np.testing.assert_allclose(rows[i], full[0, 1:n], rtol=0, atol=1e-14)  # cos(Wt)
+            np.testing.assert_allclose(rows[2 + i], -full[0, n + 1:], rtol=0, atol=1e-14)
 
 
 class TestCovarianceEvolution:
     def test_global_vacuum_invariant(self):
-        cache = PropagatorCache.build(build_single(1.0, small_bath()))
+        cache = arrowhead_cache(1.0, small_bath())
         eye = np.eye(2 * cache.dim)
         m = propagator(cache, 9.1)
         np.testing.assert_allclose(m @ eye @ m.T, eye, atol=1e-12)
@@ -116,7 +143,7 @@ class TestCovarianceEvolution:
     def test_uniform_thermal_invariant(self):
         # all mode frequencies equal: c*I stays c*I
         bath = BathCouplings(np.array([1.0, 1.0 + 1e-12]), np.array([0.1, 0.12]))
-        cache = PropagatorCache.build(build_single(1.0, bath))
+        cache = arrowhead_cache(1.0, bath)
         c0 = 3.7 * np.eye(2 * cache.dim)
         m = propagator(cache, 5.0)
         np.testing.assert_allclose(m @ c0 @ m.T, c0, atol=1e-10)
@@ -124,8 +151,7 @@ class TestCovarianceEvolution:
     def test_reduced_matches_explicit_double_sum(self):
         # element-wise sums of M_1k M_1l C_kl(0) at M = 20, t = 3
         bath = small_bath(20, 0.1, 9.0)
-        coupling = build_single(1.0, bath)
-        cache = PropagatorCache.build(coupling)
+        cache = arrowhead_cache(1.0, bath)
         sys0 = make_thermal([1.0], 30.0)
         global0 = tensor_product(sys0, make_thermal(bath.frequencies, 1.0))
         t = 3.0
@@ -141,13 +167,12 @@ class TestCovarianceEvolution:
                     for l in range(2 * n):
                         acc += m[ra, k] * m[rb, l] * c0[k, l]
                 expect[a, b] = acc
-        red = reduced_state(cache, t, sys0, initial_variances(coupling, [bath], [1.0]))
+        (red,) = ReducedPropagator.build(1.0, bath).states([t], sys0, [1.0])
         np.testing.assert_allclose(red.cov, expect, atol=1e-12)
 
     def test_determinant_preserved(self):
         bath = small_bath(6)
-        coupling = build_single(1.0, bath)
-        cache = PropagatorCache.build(coupling)
+        cache = arrowhead_cache(1.0, bath)
         global0 = tensor_product(make_squeezed_vacuum(0.7),
                                  make_thermal(bath.frequencies, 0.5))
         sign0, logdet0 = np.linalg.slogdet(global0.cov)
@@ -159,34 +184,34 @@ class TestCovarianceEvolution:
 
 class TestDriven:
     def test_zero_rabi_matches_undriven_covariance(self):
+        # a drive of zero strength still frames the state at omega_L, and adds no mean
         bath = small_bath()
-        coupling = build_single(1.0, bath)
-        drive = build_drive(coupling, 0.0, 0.83)
-        global0 = tensor_product(make_squeezed_vacuum(0.4),
-                                 make_thermal(bath.frequencies, 0.2))
-        out = evolve_full(drive, global0, 6.0)
-        m0 = propagator(drive, 6.0)
-        np.testing.assert_allclose(out.cov, m0 @ global0.cov @ m0.T, atol=1e-12)
-        np.testing.assert_allclose(out.mean, np.zeros_like(out.mean), atol=1e-14)
+        sys0 = make_squeezed_vacuum(0.4)
+        global0 = tensor_product(sys0, make_thermal(bath.frequencies, 0.2))
+        (out,) = ReducedPropagator.build(1.0, bath, drive=(0.0, 0.83)).states([6.0], sys0, [0.2])
+        full = dense_driven(build_single(1.0, bath), 0.0, 0.83, global0, 6.0)
+        n = bath.size + 1
+        np.testing.assert_allclose(out.cov, full.cov[np.ix_([0, n], [0, n])], atol=1e-12)
+        np.testing.assert_array_equal(out.mean, np.zeros(2))
 
     def test_identity_at_zero(self):
         bath = small_bath()
-        coupling = build_single(1.0, bath)
-        drive = build_drive(coupling, 0.3, 0.83)
-        global0 = tensor_product(make_vacuum(1), make_thermal(bath.frequencies, 0.0))
-        out = evolve_full(drive, global0, 0.0)
+        sys0 = make_vacuum(1)
+        global0 = tensor_product(sys0, make_thermal(bath.frequencies, 0.0))
+        out = dense_driven(build_single(1.0, bath), 0.3, 0.83, global0, 0.0)
         np.testing.assert_allclose(out.mean, global0.mean, atol=1e-14)
         np.testing.assert_allclose(out.cov, global0.cov, atol=1e-13)
+        (red,) = ReducedPropagator.build(1.0, bath, drive=(0.3, 0.83)).states([0.0], sys0, [0.0])
+        assert red is sys0
 
     def test_bare_oscillator_matches_closed_form(self):
         # <a~(t)> = r (e^{-i wL t} - e^{-i W t})/(wL - W) in the lab frame;
         # rotating frame values differ by e^{+i wL t}
         omega, omega_l, r = 1.0, 0.8, 0.25
-        coupling = build_single(omega, None)
-        drive = build_drive(coupling, r, omega_l)
-        vac = make_vacuum(1)
-        for t in (0.9, 4.4, 21.0):
-            out = reduced_state(drive, t, vac, initial_variances(coupling, [None], [0.0]))
+        times = (0.9, 4.4, 21.0)
+        states = ReducedPropagator.build(omega, None, drive=(r, omega_l)).states(
+            times, make_vacuum(1), [0.0])
+        for t, out in zip(times, states):
             a_lab = r * (np.exp(-1j * omega_l * t) - np.exp(-1j * omega * t)) / (omega_l - omega)
             a_rot = np.exp(1j * omega_l * t) * a_lab
             np.testing.assert_allclose(out.mean,
@@ -195,97 +220,100 @@ class TestDriven:
 
     def test_covariance_independent_of_rabi(self):
         bath = small_bath()
-        coupling = build_single(1.0, bath)
-        global0 = tensor_product(make_thermal([1.0], 2.0),
-                                 make_thermal(bath.frequencies, 0.3))
-        covs = []
-        for r in (0.0, 0.2, 1.5):
-            drive = build_drive(coupling, r, 0.77)
-            covs.append(evolve_full(drive, global0, 8.0).cov)
+        sys0 = make_thermal([1.0], 2.0)
+        covs = [ReducedPropagator.build(1.0, bath, drive=(r, 0.77)).states(
+                    [8.0], sys0, [0.3])[0].cov for r in (0.0, 0.2, 1.5)]
         np.testing.assert_allclose(covs[1], covs[0], atol=1e-12)
         np.testing.assert_allclose(covs[2], covs[0], atol=1e-12)
 
     def test_resonant_drive_frequency_rejected(self):
         bath = small_bath()
-        coupling = build_single(1.0, bath)
-        resonant = float(np.linalg.eigvalsh(coupling.matrix)[2])
+        resonant = float(np.linalg.eigvalsh(build_single(1.0, bath).matrix)[2])
         with pytest.raises(ArithmeticError, match="resonant"):
-            build_drive(coupling, 0.1, resonant)
+            ReducedPropagator.build(1.0, bath, drive=(0.1, resonant))
 
     def test_reduced_driven_matches_full(self):
         bath = small_bath()
-        coupling = build_single(1.0, bath)
-        drive = build_drive(coupling, 0.4, 0.9)
         sys0 = make_vacuum(1)
         global0 = tensor_product(sys0, make_thermal(bath.frequencies, 0.1))
         t = 5.5
-        full = evolve_full(drive, global0, t)
-        n = coupling.dim
-        red = reduced_state(drive, t, sys0, initial_variances(coupling, [bath], [0.1]))
+        full = dense_driven(build_single(1.0, bath), 0.4, 0.9, global0, t)
+        n = bath.size + 1
+        (red,) = ReducedPropagator.build(1.0, bath, drive=(0.4, 0.9)).states([t], sys0, [0.1])
         np.testing.assert_allclose(red.mean, full.mean[[0, n]], atol=1e-13)
         np.testing.assert_allclose(red.cov, full.cov[np.ix_([0, n], [0, n])], atol=1e-13)
 
 
-def dense_initial_state(sys0, baths, temperatures):
+def dense_initial_state(sys0, bath, temperatures):
     """system state (x) thermal baths as one dense state, in ``build_two``'s mode order.
 
+    One copy of ``bath`` (None: no bath) per oscillator, at its temperature.
     ``tensor_product`` puts both oscillators first, (osc1, osc2, bath1..., bath2...);
     the rows and columns are then permuted to (osc1, bath1..., osc2, bath2...).
     """
     state = sys0
-    for bath, temp in zip(baths, temperatures):
-        state = tensor_product(state, make_thermal(bath.frequencies, temp))
-    if len(baths) == 1:
+    if bath is not None:
+        for temp in temperatures:
+            state = tensor_product(state, make_thermal(bath.frequencies, temp))
+    if len(temperatures) == 1:
         return state
-    m1, n = baths[0].size, state.n_modes
-    order = np.concatenate([[0], 2 + np.arange(m1), [1], 2 + m1 + np.arange(n - 2 - m1)])
+    m, n = (state.n_modes - 2) // 2, state.n_modes
+    order = np.concatenate([[0], 2 + np.arange(m), [1], 2 + m + np.arange(m)])
     idx = np.concatenate([order, order + n])
     return GaussianState(n, state.mean[idx], state.cov[np.ix_(idx, idx)])
 
 
 class TestReducedStateReferee:
-    """The product-state reduced evolution against the dense full-state evolution."""
+    """The batched reduced states against dense full-state evolution by eigh."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.sampled_from((1, 2)),
-           st.booleans(), st.floats(0.0, 3.0), st.floats(0.0, 50.0))
-    def test_matches_dense_evolution(self, seed, m, oscillators, driven, temp, t):
+    @given(st.integers(0, 2**32 - 1), st.one_of(st.just(0), st.integers(2, 40)),
+           st.sampled_from(("single", "driven", "pair")), st.booleans(),
+           st.floats(0.0, 3.0), st.floats(0.0, 50.0))
+    def test_matches_dense_evolution(self, seed, m, scenario, decoupled, temp, t):
         rng = np.random.default_rng(seed)
-
-        def random_bath():
-            return BathCouplings(np.sort(rng.uniform(0.1, 5.0, m)),
-                                 rng.uniform(0.0, 0.1, m))
-
         omega = rng.uniform(0.5, 2.0)
-        baths = [random_bath() for _ in range(oscillators)]
-        temps = [temp, rng.uniform(0.0, 3.0)][:oscillators]
-        if oscillators == 1:
-            coupling = build_single(omega, baths[0])
-            sys0 = random_physical_state(rng, 1)
+        bath = None
+        if m:
+            g = rng.uniform(0.0, 0.1, m)
+            if decoupled:
+                g[rng.integers(m)] = 0.0  # an exactly decoupled mode
+            bath = BathCouplings(np.sort(rng.uniform(0.1, 5.0, m)), g)
+        pair = scenario == "pair"
+        temps = [temp, rng.uniform(0.0, 3.0)] if pair else [temp]
+        sys0 = random_physical_state(rng, len(temps))
+        global0 = dense_initial_state(sys0, bath, temps)
+        times = [0.5 * t, 0.0, t]  # t = 0 inside the grid, not only at its start
+        if pair:
+            beta = rng.uniform(0.0, 0.1)
+            coupling = build_two(omega, beta, bath)
+            reduced = ReducedPropagator.build(omega, bath, beta=beta)
+            full = [evolve_full(PropagatorCache.from_eigh(coupling), global0, s) for s in times]
         else:
-            coupling = build_two(omega, omega, rng.uniform(0.0, 0.1), *baths)
-            sys0 = random_physical_state(rng, 2)
-        if driven:
-            omega_l = rng.uniform(0.1, 6.0)
-            assume(np.abs(np.linalg.eigvalsh(coupling.matrix) - omega_l).min() > 1e-2)
-            cache = build_drive(coupling, rng.uniform(0.0, 1.0), omega_l)
-        else:
-            cache = PropagatorCache.build(coupling)
+            coupling = build_single(omega, bath)
+            if scenario == "driven":
+                rabi, omega_l = rng.uniform(0.0, 1.0), rng.uniform(0.1, 6.0)
+                assume(np.abs(np.linalg.eigvalsh(coupling.matrix) - omega_l).min() > 1e-2)
+                reduced = ReducedPropagator.build(omega, bath, drive=(rabi, omega_l))
+                full = [dense_driven(coupling, rabi, omega_l, global0, s) for s in times]
+            else:
+                reduced = ReducedPropagator.build(omega, bath)
+                full = [evolve_full(PropagatorCache.from_eigh(coupling), global0, s)
+                        for s in times]
 
-        full = evolve_full(cache, dense_initial_state(sys0, baths, temps), t)
-        red = reduced_state(cache, t, sys0, initial_variances(coupling, baths, temps))
         sys_idx = list(coupling.system_indices)
         idx = sys_idx + [i + coupling.dim for i in sys_idx]
-        np.testing.assert_allclose(red.mean, full.mean[idx], rtol=0, atol=1e-10)
-        np.testing.assert_allclose(red.cov, full.cov[np.ix_(idx, idx)], rtol=0, atol=1e-10)
+        for red, ref in zip(reduced.states(times, sys0, temps), full):
+            np.testing.assert_allclose(red.mean, ref.mean[idx], rtol=0, atol=1e-10)
+            np.testing.assert_allclose(red.cov, ref.cov[np.ix_(idx, idx)], rtol=0, atol=1e-10)
 
 
 def assert_eigh_referee(coupling, cache, t=7.3):
-    """The cache of an arrowhead W against np.linalg.eigh, and its propagator."""
+    """A cache assembled from sector spectra against np.linalg.eigh, and its propagator."""
     w = coupling.matrix
     scale = max(np.abs(w).max(), 1.0)
     evals, q = cache.eigenvalues, cache.eigenvectors
-    assert np.abs(evals - np.linalg.eigh(w)[0]).max() <= 1e-12 * scale
+    assert np.abs(np.sort(evals) - np.linalg.eigh(w)[0]).max() <= 1e-12 * scale
     assert np.abs(q.T @ q - np.eye(coupling.dim)).max() <= 1e-13
     assert np.abs(w @ q - q * evals).max() <= 1e-12 * scale
     m = propagator(cache, t)
@@ -293,8 +321,23 @@ def assert_eigh_referee(coupling, cache, t=7.3):
     assert np.abs(m @ sigma @ m.T - sigma).max() <= 1e-12
 
 
+def random_arrowhead(seed, m, where, log_gap):
+    """System frequency and bath: poles with gaps down to 10^log_gap, omega below/inside/above."""
+    rng = np.random.default_rng(seed)
+    # ascending poles with gaps down to 1e-12: clusters as well as spread bands
+    gaps = 10.0 ** rng.uniform(log_gap, 0.0, m)
+    freqs = 0.1 + np.cumsum(gaps)
+    assume(np.all(np.diff(freqs) > 0))
+    g = 10.0 ** rng.uniform(-4.0, -0.5, m)
+    lo, hi = freqs[0], freqs[-1]
+    omega = {"below": lo - rng.uniform(0.0, 3.0),
+             "inside": rng.uniform(lo, hi),
+             "above": hi + rng.uniform(0.0, 3.0)}[where]
+    return rng, omega, BathCouplings(freqs, g)
+
+
 class TestArrowheadSolver:
-    """The secular solver behind PropagatorCache.build, refereed by the dense eigh."""
+    """The secular solver behind ReducedPropagator, refereed by the dense eigh."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 60),
@@ -308,54 +351,86 @@ class TestArrowheadSolver:
     @example(4551, 2, "inside", 0.0, False)
     @example(27057, 2, "inside", -1.0, False)
     def test_matches_eigh(self, seed, m, where, log_gap, shifted):
-        rng = np.random.default_rng(seed)
-        # ascending poles with gaps down to 1e-12: clusters as well as spread bands
-        gaps = 10.0 ** rng.uniform(log_gap, 0.0, m)
-        freqs = 0.1 + np.cumsum(gaps)
-        assume(np.all(np.diff(freqs) > 0))
-        g = 10.0 ** rng.uniform(-4.0, -0.5, m)
-        lo, hi = freqs[0], freqs[-1]
-        omega = {"below": lo - rng.uniform(0.0, 3.0),
-                 "inside": rng.uniform(lo, hi),
-                 "above": hi + rng.uniform(0.0, 3.0)}[where]
-        coupling = build_single(omega, BathCouplings(freqs, g))
-        if shifted:  # W - omega_L as build_drive forms it, omega_L inside the band
-            w0 = coupling.matrix - rng.uniform(lo, hi) * np.eye(coupling.dim)
-            coupling = CouplingMatrix(w0, coupling.system_indices)
-        assert _is_arrowhead(coupling)
-        assert_eigh_referee(coupling, PropagatorCache.build(coupling))
+        rng, omega, bath = random_arrowhead(seed, m, where, log_gap)
+        coupling = build_single(omega, bath)
+        drive = None
+        if shifted:  # W - omega_L as a drive frames it, omega_L inside the band
+            omega_l = rng.uniform(bath.frequencies[0], bath.frequencies[-1])
+            coupling = CouplingMatrix(coupling.matrix - omega_l * np.eye(coupling.dim),
+                                      coupling.system_indices)
+            drive = (0.0, omega_l)
+        try:
+            cache = arrowhead_cache(omega, bath, drive=drive)
+        except ArithmeticError as exc:
+            assume("resonant" not in str(exc))  # such a drive is refused before any solve is used
+            raise
+        assert_eigh_referee(coupling, cache)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40),
+           st.sampled_from(("below", "inside", "above")), st.floats(-12.0, 0.0),
+           st.floats(0.0, 0.5))
+    def test_pair_matches_eigh(self, seed, m, where, log_gap, beta):
+        # two oscillators on copies of one bath: Q assembled from the Omega +- beta sectors
+        _, omega, bath = random_arrowhead(seed, m, where, log_gap)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RwaValidityWarning)
+            cache = arrowhead_cache(omega, bath, beta=beta)
+        assert_eigh_referee(build_two(omega, beta, bath), cache)
 
     @pytest.mark.parametrize("range_mode", ["equal_tails", "floor"])
     def test_large_ohmic_bath(self, range_mode):
         spec = OhmicSpectrum(0.01, 3.0)
         bath = discretize(spec, 600, omega_range(spec, range_mode, floor=0.1))
-        coupling = build_single(1.0, bath)
-        assert _is_arrowhead(coupling)
-        assert_eigh_referee(coupling, PropagatorCache.build(coupling))
+        assert_eigh_referee(build_single(1.0, bath), arrowhead_cache(1.0, bath))
 
     def test_initial_row_does_not_depend_on_the_eigensolver(self):
         # Q Q^T differs from 1 by the solver's own rounding; t = 0 must not see it
-        coupling = build_single(1.0, small_bath(40))
-        sys0 = random_physical_state(np.random.default_rng(1), 1)
-        var = initial_variances(coupling, [small_bath(40)], [0.7])
-        for cache in (PropagatorCache.build(coupling), PropagatorCache.from_eigh(coupling),
-                      build_drive(coupling, 0.2, 1.1)):
-            state = reduced_state(cache, 0.0, sys0, var)
-            np.testing.assert_array_equal(state.cov, sys0.cov)
-            np.testing.assert_array_equal(state.mean, sys0.mean)
+        bath = small_bath(40)
+        rng = np.random.default_rng(1)
+        for reduced, modes in ((ReducedPropagator.build(1.0, bath), 1),
+                               (ReducedPropagator.build(1.0, bath, drive=(0.2, 1.1)), 1),
+                               (ReducedPropagator.build(1.0, bath, beta=0.05), 2)):
+            sys0 = random_physical_state(rng, modes)
+            states = reduced.states([0.0, 2.0, 0.0], sys0, [0.7] * modes)
+            for state in states[::2]:
+                np.testing.assert_array_equal(state.cov, sys0.cov)
+                np.testing.assert_array_equal(state.mean, sys0.mean)
 
-    def test_other_couplings_are_not_arrowheads(self):
+    def test_other_couplings_reduce_to_arrowheads(self):
+        # bath-less W and decoupled modes need no other solver than the sector solve
+        (bare,) = ReducedPropagator.build(1.3, None).sectors
+        np.testing.assert_array_equal(bare.eigenvalues, [1.3])
+        np.testing.assert_array_equal(bare.weight, [1.0])
+        pair = ReducedPropagator.build(1.0, None, beta=0.05)
+        np.testing.assert_array_equal([s.eigenvalues[0] for s in pair.sectors], [1.05, 0.95])
         bath = small_bath()
-        assert not _is_arrowhead(build_single(1.0, None))
-        assert not _is_arrowhead(build_two(1.0, 1.0, 0.01, bath, bath))
-        zero_g = BathCouplings(bath.frequencies, np.r_[0.0, bath.couplings[1:]])
-        assert not _is_arrowhead(build_single(1.0, zero_g))
-        w = build_single(1.0, bath).matrix
-        order = np.r_[0, np.arange(w.shape[0] - 1, 0, -1)]  # bath descending
-        assert not _is_arrowhead(CouplingMatrix(w[np.ix_(order, order)], (0,)))
-        w = w.copy()
-        w[2, 3] = w[3, 2] = 1e-3
-        assert not _is_arrowhead(CouplingMatrix(w, (0,)))
+        zero_g = BathCouplings(bath.frequencies, np.r_[bath.couplings[:3], 0.0,
+                                                       bath.couplings[4:]])
+        kept = BathCouplings(np.delete(bath.frequencies, 3), np.delete(bath.couplings, 3))
+        dropped = ReducedPropagator.build(1.0, zero_g)
+        reference = ReducedPropagator.build(1.0, kept)
+        np.testing.assert_array_equal(dropped.freqs, kept.frequencies)
+        np.testing.assert_array_equal(dropped.sectors[0].eigenvalues,
+                                      reference.sectors[0].eigenvalues)
+
+
+class TestMemory:
+    def test_large_bath_trajectory_needs_no_dense_matrix(self):
+        # M = 3000: one dense 3001^2 float64 array is 72 MB; the batched path
+        # stores roots, couplings and (times x modes) amplitudes
+        spec = OhmicSpectrum(0.01, 3.0)
+        bath = discretize(spec, 3000, omega_range(spec, "equal_tails"))
+        times = np.linspace(0.0, 60.0, 16)
+        tracemalloc.start()
+        try:
+            states = ReducedPropagator.build(1.0, bath).states(
+                times, make_thermal([1.0], 20.0), [1.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(states) == times.size
+        assert peak < 36e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestRecurrenceEstimate:

@@ -271,24 +271,30 @@ class TestDrivenSuite:
 
 
 class TestCallCounts:
-    """Each exact evolution is built once and evaluated only at reported times."""
+    """Each exact evolution is built once and evaluated at all reported times in one call."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"eigh": 0, "evolve": 0}
-        build = experiments.PropagatorCache.build.__func__
+        counts = {"build": 0, "states": 0, "evolve": 0}
+        build = experiments.ReducedPropagator.build.__func__
+        states = experiments.ReducedPropagator.states
         evolve = experiments.evolve_flow
 
-        def counted_build(cls, coupling):
-            counts["eigh"] += 1
-            return build(cls, coupling)
+        def counted_build(cls, *args, **kwargs):
+            counts["build"] += 1
+            return build(cls, *args, **kwargs)
+
+        def counted_states(*args):
+            counts["states"] += 1
+            return states(*args)
 
         def counted_evolve(*args):
             counts["evolve"] += 1
             return evolve(*args)
 
-        monkeypatch.setattr(experiments.PropagatorCache, "build",
+        monkeypatch.setattr(experiments.ReducedPropagator, "build",
                             classmethod(counted_build))
+        monkeypatch.setattr(experiments.ReducedPropagator, "states", counted_states)
         monkeypatch.setattr(experiments, "evolve_flow", counted_evolve)
         return counts
 
@@ -303,7 +309,8 @@ class TestCallCounts:
             run_experiment("driven_suite", cfg)
         points = len(detunings) + len(DEFAULT_RABI_GRID)
         assert len(DEFAULT_RABI_GRID) == 6
-        assert counts == {"eigh": 1 + points, "evolve": 3 * samples + 3 * points}
+        assert counts == {"build": 1 + points, "states": 1 + points,
+                          "evolve": 3 * samples + 3 * points}
 
     def test_two_oscillator_suite(self, counts):
         samples, betas = 6, (0.01, 0.05, 0.1)
@@ -313,12 +320,12 @@ class TestCallCounts:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             run_experiment("two_oscillator_suite", cfg)
-        assert counts == {"eigh": 1 + len(betas),
+        assert counts == {"build": 1 + len(betas), "states": 1 + len(betas),
                           "evolve": 2 * samples + 2 * len(betas)}
 
 
 class TestEigensolverDispatch:
-    """Single-oscillator and driven couplings skip the dense eigh; other caches call it once."""
+    """Reduced-state experiments skip the dense eigh; factorization calls it once per point."""
 
     @pytest.fixture
     def eigh_calls(self, monkeypatch):
@@ -361,7 +368,32 @@ class TestEigensolverDispatch:
         self.run("two_oscillator_suite", ScenarioConfig(**{
             **TWO_BASE, "bath_modes": 20, "samples": 4, "temperature": 1.0,
             "sweep_parameter": "beta", "sweep_values": betas}))
-        assert eigh_calls == [(42, 42)] * (1 + len(betas))
+        assert eigh_calls == []
+
+
+class TestNoDenseSolve:
+    """No reduced-state scenario reaches a dense eigendecomposition, with or without a bath."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_dense(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigendecomposition in a reduced-state scenario")
+
+        monkeypatch.setattr(exact.np.linalg, "eigh", refuse)
+        monkeypatch.setattr(exact.PropagatorCache, "from_eigh", classmethod(refuse))
+
+    @pytest.mark.parametrize("modes", [0, 20])
+    @pytest.mark.parametrize("base, labels", [
+        (BASE_SINGLE, (True, False)),
+        ({**DRIVEN_BASE, "rabi": 0.3, "omega_l": 1.2}, ("plain", "off_resonant", "no_secular")),
+        (TWO_BASE, experiments.EQUATIONS),
+    ], ids=["single", "driven", "two_coupled"])
+    def test_compare(self, base, labels, modes):
+        cfg = ScenarioConfig(**{**base, "bath_modes": modes, "samples": 5})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            exact_states, flows = experiments._compare(cfg, labels, np.linspace(0.0, 5.0, 5))
+        assert len(exact_states) == 5 and len(flows) == len(labels)
 
 
 class TestResultPlumbing:

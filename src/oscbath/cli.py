@@ -64,10 +64,11 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-# RK45's step count grows with t times the generator's fastest rate, so the
-# oracle refuses cases above this dimensionless work.  Damping is the stiff
-# part: at the cap, two_small with gamma (2 nbar + 1) t = 98 at cutoff 14 took
-# 22 s on 2 vCPUs, and at 665 it did not end within 300 s.
+# The Fock referee's substep count grows with t times the superoperator's
+# 1-norm, which grows with the fastest rate and the cutoff, so the oracle
+# refuses cases above this dimensionless work.  Damping dominates that norm:
+# at the cap, two_small with gamma (2 nbar + 1) t = 98 at cutoff 14 takes
+# 33-37 s on 2 vCPUs (13 693 superoperator products).
 ORACLE_MAX_WORK = 100.0
 
 # every key some oracle family reads; any other key is a typo, not a default
@@ -146,7 +147,6 @@ def _cmd_oracle(args) -> int:
     from .fock import integrate, moments
     from .gaussian import GaussianState
 
-    _one_scipy_blas_thread()
     parser = configparser.ConfigParser()
     if not parser.read(args.config):
         raise ConfigError(f"cannot read oracle config {args.config}")
@@ -169,28 +169,6 @@ def _cmd_oracle(args) -> int:
     print(f"max |cov_fock  - cov_flow|  = {dcov:.3e}")
     print(f"trace(rho_t) = {np.trace(rho_t).real:.12f}")
     return EXIT_OK
-
-
-def _one_scipy_blas_thread():
-    """Run scipy's bundled OpenBLAS on one thread; do nothing where it is absent.
-
-    Only the oracle loads scipy, and there its BLAS serves only the Fock
-    referee's set-up ``expm`` of a cutoff-square matrix.  Left at its default,
-    scipy's idle pool threads still cost each oracle process CPU time while
-    the Fock integration runs.  NumPy's own OpenBLAS keeps its default.
-    """
-    import ctypes
-
-    import scipy
-
-    libs = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
-    for path in sorted(libs.glob("libscipy_openblas*.so")):
-        setter = getattr(ctypes.CDLL(str(path)), "scipy_openblas_set_num_threads", None)
-        if setter is not None:
-            setter.argtypes = [ctypes.c_int]
-            setter.restype = None
-            setter(1)
-            return
 
 
 def cli_main(argv=None) -> int:

@@ -1,113 +1,219 @@
-"""Brute-force referee: dense Lindblad integration in a truncated number basis.
+"""Brute-force referee: Lindblad integration in a truncated number basis.
 
 Used by tests and the ``oracle`` CLI subcommand to validate every moment flow
 in :mod:`oscbath.flows` against a direct density-matrix integration: it
 consumes the same :class:`~oscbath.flows.QuadraticLindblad` generator the flow
-is derived from.  :func:`integrate` makes one RK45 run per time grid, in the
-rotating frame of the generator's common frequency when there is no drive.
-Scope is deliberately small (1-2 modes, low occupation) so runs stay
-seconds-fast.
+is derived from.  The superoperator is stored as a few offset diagonals
+(:class:`BandedSuperoperator`), and :func:`integrate` applies its exponential
+to vec(rho) by a truncated Taylor series on short substeps, in the rotating
+frame of the generator's common frequency when there is no drive.  It loads
+NumPy only and shares no numerics with the flows it checks, which take a Padé
+exponential of the moment generator.  Scope is deliberately small (1-2
+modes, low occupation) so runs stay seconds-fast.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from .flows import QuadraticLindblad
 
 __all__ = [
-    "destroy",
-    "mode_operators",
+    "BandedSuperoperator",
     "build_superoperator",
     "integrate",
     "moments",
     "vacuum_rho",
     "thermal_rho",
     "coherent_rho",
-    "squeezed_vacuum_rho",
-    "assert_density_matrix",
 ]
 
 
-def destroy(dim: int) -> np.ndarray:
-    """Single-mode annihilation operator on a dim-level truncation."""
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1)
+# A one-diagonal operator is a pair (offset p, band) with op[i, i + p] = band[i]
+# and zeros elsewhere.  Every ladder operator, and every product of two, is one.
+
+def _shift(band: np.ndarray, p: int) -> np.ndarray:
+    """band[i + p] at each i, zero where i + p falls outside."""
+    out = np.zeros_like(band)
+    n = band.size
+    out[max(0, -p):min(n, n - p)] = band[max(0, p):min(n, n + p)]
+    return out
 
 
-def mode_operators(n_modes: int, cutoff: int) -> list[np.ndarray]:
-    """Annihilation operators of each mode on the full truncated product space."""
+def _product(a, b):
+    """The product a b of two one-diagonal operators."""
+    (pa, band_a), (pb, band_b) = a, b
+    return pa + pb, band_a * _shift(band_b, pa)
+
+
+def _dagger(a):
+    """The adjoint of a one-diagonal operator."""
+    p, band = a
+    return -p, np.conj(_shift(band, -p))
+
+
+def _ladders(n_modes: int, cutoff: int) -> list:
+    """Each mode's annihilation operator on the truncated product space."""
+    if n_modes not in (1, 2):
+        raise ValueError("the Fock referee supports 1 or 2 modes only")
     dim = cutoff + 1
-    a = destroy(dim)
-    eye = np.eye(dim)
+    ladder = np.append(np.sqrt(np.arange(1.0, dim)), 0.0)  # a[i, i + 1], zero at the edge
     if n_modes == 1:
-        return [a]
-    if n_modes == 2:
-        return [np.kron(a, eye), np.kron(eye, a)]
-    raise ValueError("the Fock referee supports 1 or 2 modes only")
+        return [(1, ladder)]
+    ones = np.ones(dim)
+    return [(dim, np.kron(ladder, ones)), (1, np.kron(ones, ladder))]
 
 
-def build_superoperator(lindblad: QuadraticLindblad, cutoff: int) -> sp.csr_matrix:
-    """Sparse matrix acting on row-major vec(rho) as the master-equation generator.
+class BandedSuperoperator:
+    """A square matrix stored as offset diagonals: L[r, r + offsets[i]] = bands[i, r].
 
-    Each mode is truncated at ``cutoff`` quanta.  vec(A rho B) = (A kron B^T)
-    vec(rho) for row-major flattening, so -i[H, .] maps to
-    -i(H kron 1 - 1 kron H^T) and each dissipator term
-    g (L . R^dag - {R^dag L, .}/2) to its three Kronecker pieces.
+    Entries of a band whose column r + offset falls outside the matrix are
+    zero.  ``L @ y`` is the matrix-vector product.
+    """
+
+    def __init__(self, offsets, bands: np.ndarray):
+        self.offsets = tuple(int(p) for p in offsets)
+        self.bands = bands
+
+    @property
+    def size(self) -> int:
+        return self.bands.shape[1]
+
+    def _pairs(self):
+        """Each band with the row slice it touches and the column slice it reads."""
+        n = self.size
+        for p, band in zip(self.offsets, self.bands):
+            rows = slice(max(0, -p), min(n, n - p))
+            yield band[rows], rows, slice(rows.start + p, rows.stop + p)
+
+    def __matmul__(self, y: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.size, dtype=complex)
+        scratch = np.empty(self.size, dtype=complex)
+        for band, rows, cols in self._pairs():
+            part = scratch[rows]
+            np.multiply(band, y[cols], out=part)
+            out[rows] += part
+        return out
+
+    def norm1(self) -> float:
+        """The 1-norm, the largest column sum of |L|."""
+        colsum = np.zeros(self.size)
+        for band, _rows, cols in self._pairs():
+            colsum[cols] += np.abs(band)
+        return float(colsum.max())
+
+
+def build_superoperator(lindblad: QuadraticLindblad, cutoff: int) -> BandedSuperoperator:
+    """The master-equation generator as a matrix on row-major vec(rho).
+
+    Each mode is truncated at ``cutoff`` quanta.  Every ladder operator and
+    every product of two is one diagonal of the d x d Hilbert space, and for
+    row-major flattening vec(A rho B) = (A kron B^T) vec(rho), whose one
+    diagonal at offset p d - q is outer(band_A, band_{B^T}) when A sits at
+    offset p and B at q.  -i[H, .] and each dissipator term
+    g (L . R^dag - {R^dag L, .}/2) are sums of such sandwiches, assembled
+    band by band; terms with a common offset share one stored band.
     """
     if cutoff < 4:
         raise ValueError("cutoff must be at least 4")
     n = lindblad.n_modes
-    ops = [sp.csr_matrix(a) for a in mode_operators(n, cutoff)]
+    ops = _ladders(n, cutoff)
     d = (cutoff + 1) ** n
-    eye = sp.identity(d, dtype=complex, format="csr")
-    ham = sp.csr_matrix((d, d), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            if lindblad.h[j, k] != 0:
-                ham = ham + lindblad.h[j, k] * (ops[j].T.conj() @ ops[k])
+    eye = (0, np.ones(d))
+
+    # offset 0 is always stored: integrate adds its rotating frame there
+    bands: dict[int, np.ndarray] = {0: np.zeros(d * d, dtype=complex)}
+
+    def sandwich(g, left, right):
+        """Add g (left . right) to the stored bands."""
+        (p, band_l), (q, band_r) = left, right
+        offset = p * d - q
+        term = np.outer(g * band_l, _shift(band_r, -q)).ravel()
+        if offset in bands:
+            bands[offset] += term
+        else:
+            bands[offset] = term
+
+    ham = [(lindblad.h[j, k], _product(_dagger(ops[j]), ops[k]))
+           for j in range(n) for k in range(n) if lindblad.h[j, k] != 0]
     if lindblad.drive is not None:
         for j in range(n):
-            ham = (ham + lindblad.drive[j] * ops[j].T.conj()
-                   + np.conj(lindblad.drive[j]) * ops[j])
-
-    lind = -1j * (sp.kron(ham, eye) - sp.kron(eye, ham.T))
-    terms = []
+            ham += [(lindblad.drive[j], _dagger(ops[j])), (np.conj(lindblad.drive[j]), ops[j])]
+    for c, op in ham:
+        sandwich(-1j * c, op, eye)
+        sandwich(1j * c, eye, op)
     for j in range(n):
         for k in range(n):
-            if lindblad.k_emit[j, k] != 0:
-                terms.append((lindblad.k_emit[j, k], ops[j], ops[k]))
-            if lindblad.k_abs[j, k] != 0:
-                terms.append((lindblad.k_abs[j, k], ops[j].T.conj(), ops[k].T.conj()))
-    for g, left, right in terms:
-        rdl = right.T.conj() @ left
-        lind = lind + g * (sp.kron(left, right.conj())
-                           - 0.5 * (sp.kron(rdl, eye) + sp.kron(eye, rdl.T)))
-    return sp.csr_matrix(lind)
+            for g, left, right in ((lindblad.k_emit[j, k], ops[j], ops[k]),
+                                   (lindblad.k_abs[j, k], _dagger(ops[j]), _dagger(ops[k]))):
+                if g == 0:
+                    continue
+                right_dag = _dagger(right)
+                rdl = _product(right_dag, left)
+                sandwich(g, left, right_dag)
+                sandwich(-0.5 * g, rdl, eye)
+                sandwich(-0.5 * g, eye, rdl)
+    offsets = sorted(bands)
+    return BandedSuperoperator(offsets, np.array([bands[p] for p in offsets]))
 
 
-RTOL = 1e-10
-ATOL = 1e-12
+# Substeps h keep h ||L||_1 <= THETA; Taylor terms are summed until two in a
+# row together fall below EPS of the partial sum (Al-Mohy & Higham, SIAM J.
+# Sci. Comput. 33, 488 (2011)), and at most MAX_TERMS, which at THETA = 6
+# leaves a remainder below 6^56 / 56! ~ 1e-31 of the vector.
+THETA = 6.0
+EPS = 2.0 ** -53
+MAX_TERMS = 55
+
+
+def _norm(y: np.ndarray) -> float:
+    """Largest |Re| or |Im| entry: a norm, and cheaper than the largest modulus."""
+    return float(np.abs(y.view(float)).max())
+
+
+def _taylor_action(lind: BandedSuperoperator, norm1: float, dt: float,
+                   y: np.ndarray) -> np.ndarray:
+    """e^{dt L} y by truncated Taylor series on ceil(dt ||L||_1 / THETA) substeps."""
+    steps = max(1, math.ceil(dt * norm1 / THETA))
+    h = dt / steps
+    for _ in range(steps):
+        total = y.copy()
+        term = y
+        last = _norm(term)
+        for k in range(1, MAX_TERMS + 1):
+            term = lind @ term
+            term *= h / k
+            total += term
+            size = _norm(term)
+            if last + size <= EPS * _norm(total):
+                break
+            last = size
+        y = total
+    if not np.isfinite(y).all():
+        raise ArithmeticError("Lindblad integration produced a non-finite state")
+    return y
 
 
 def integrate(lindblad: QuadraticLindblad, cutoff: int, rho0: np.ndarray, times):
     """Density matrices at each of ``times`` under the master equation truncated at ``cutoff``.
 
     ``times`` is a non-decreasing 1-D sequence of t >= 0; the result has shape
-    (len(times), d, d).  One adaptive RK45 run covers the whole grid and keeps
-    only the requested states.  A t = 0 entry returns rho0 unchanged.
+    (len(times), d, d).  The state is carried from each distinct requested
+    time to the next by a Taylor action of the superoperator.  A t = 0 entry
+    returns rho0 unchanged; a non-finite generator or state raises
+    ``ArithmeticError``.
 
     Without a drive every term of the generator conserves n_row - n_col of
     each vec(rho) entry, also at the truncation edge, so the grading
     superoperator Delta commutes with L and
     e^{tL} = e^{-i w t Delta} e^{t(L + i w Delta)} exactly for any w.  With
     w = tr(h)/n the fast common rotation is applied as an elementwise phase
-    and RK45 integrates only the slow remainder.  A drive breaks the grading,
-    so driven generators (already written in the laser frame) use w = 0.
+    and the series sums only the slow remainder, whose smaller 1-norm needs
+    fewer substeps.  A drive breaks the grading, so driven generators
+    (already written in the laser frame) use w = 0.
     """
     times = np.asarray(times, dtype=float)
     if (times.ndim != 1 or not np.all(np.isfinite(times)) or np.any(times < 0)
@@ -130,16 +236,29 @@ def integrate(lindblad: QuadraticLindblad, cutoff: int, rho0: np.ndarray, times)
         quanta = np.add.outer(quanta, quanta).ravel()
     delta = np.subtract.outer(quanta, quanta).ravel()  # n_row - n_col of vec(rho)
     omega = np.trace(lindblad.h).real / n if lindblad.drive is None else 0.0
-    slow = lind + sp.diags(1j * omega * delta)
+    lind.bands[lind.offsets.index(0)] += 1j * omega * delta
+    norm1 = lind.norm1()
+    if not math.isfinite(norm1):
+        raise ArithmeticError("Lindblad superoperator has a non-finite 1-norm")
+
     t_eval, inverse = np.unique(times[later], return_inverse=True)
-    sol = solve_ivp(lambda _t, y: slow @ y, (0.0, t_eval[-1]), rho0.ravel(),
-                    method="RK45", t_eval=t_eval, rtol=RTOL, atol=ATOL)
-    if not sol.success:
-        raise ArithmeticError(f"Lindblad integration failed: {sol.message}")
-    ys = sol.y.T * np.exp(-1j * omega * t_eval[:, None] * delta)
-    rho = ys.reshape(-1, d, d)[inverse]
+    rho = np.empty((t_eval.size, d * d), dtype=complex)
+    y, now = rho0.ravel(), 0.0
+    for i, t in enumerate(t_eval):
+        y = _taylor_action(lind, norm1, t - now, y)
+        now = t
+        rho[i] = y * np.exp(-1j * omega * t * delta)
+    rho = rho.reshape(-1, d, d)[inverse]
     out[later] = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
     return out
+
+
+def _expect(rho: np.ndarray, op) -> complex:
+    """tr(rho op) for a one-diagonal operator op."""
+    p, band = op
+    diag = np.diagonal(rho, -p)  # rho[i + p, i]
+    start = max(0, -p)
+    return complex(np.dot(band[start:start + diag.size], diag))
 
 
 def moments(rho: np.ndarray, n_modes: int, cutoff: int):
@@ -148,28 +267,23 @@ def moments(rho: np.ndarray, n_modes: int, cutoff: int):
     Warns when occupation of the top truncation level exceeds 1e-6, which
     signals that the reported moments may be truncation-biased.
     """
-    ops = mode_operators(n_modes, cutoff)
-    dim = cutoff + 1
-    top = np.zeros(dim)
-    top[-1] = 1.0
+    ops = _ladders(n_modes, cutoff)
+    levels = np.diagonal(rho).real.reshape((cutoff + 1,) * n_modes)
     for j in range(n_modes):
-        if n_modes == 1:
-            proj = np.diag(top)
-        else:
-            proj = np.diag(np.kron(top, np.ones(dim)) if j == 0 else np.kron(np.ones(dim), top))
-        occupancy = float(np.real(np.trace(rho @ proj)))
+        occupancy = float(levels.take(-1, axis=j).sum())
         if occupancy > 1e-6:
             warnings.warn(
                 f"mode {j} occupies the truncation edge with weight {occupancy:.2e}; "
                 "moments may be biased", UserWarning)
-    amps = np.array([np.trace(rho @ op) for op in ops])
+    amps = np.array([_expect(rho, a) for a in ops])
     mean = np.concatenate([np.sqrt(2.0) * amps.real, np.sqrt(2.0) * amps.imag])
     nmat = np.zeros((n_modes, n_modes), dtype=complex)
     mmat = np.zeros((n_modes, n_modes), dtype=complex)
     for j in range(n_modes):
         for k in range(n_modes):
-            nmat[j, k] = np.trace(rho @ ops[j].T.conj() @ ops[k]) - np.conj(amps[j]) * amps[k]
-            mmat[j, k] = np.trace(rho @ ops[j] @ ops[k]) - amps[j] * amps[k]
+            nmat[j, k] = (_expect(rho, _product(_dagger(ops[j]), ops[k]))
+                          - np.conj(amps[j]) * amps[k])
+            mmat[j, k] = _expect(rho, _product(ops[j], ops[k])) - amps[j] * amps[k]
     cxx = np.eye(n_modes) + 2.0 * (nmat.real + mmat.real)
     cpp = np.eye(n_modes) + 2.0 * (nmat.real - mmat.real)
     cxp = 2.0 * (mmat.imag + nmat.imag)
@@ -194,26 +308,13 @@ def thermal_rho(nbar: float, cutoff: int) -> np.ndarray:
 
 
 def coherent_rho(alpha: complex, cutoff: int) -> np.ndarray:
-    a = destroy(cutoff + 1)
-    disp = expm(alpha * a.T.conj() - np.conj(alpha) * a)
-    rho = disp @ vacuum_rho(cutoff) @ disp.T.conj()
-    return rho / np.trace(rho).real
+    """Coherent state |alpha><alpha|, renormalized on the truncated space.
 
-
-def squeezed_vacuum_rho(r_sq: float, cutoff: int) -> np.ndarray:
-    """Squeezed vacuum with cov diag(e^{-2r}, e^{2r}) in the package convention."""
-    a = destroy(cutoff + 1)
-    sq = expm(0.5 * r_sq * (a @ a - a.T.conj() @ a.T.conj()))
-    rho = sq @ vacuum_rho(cutoff) @ sq.T.conj()
-    return rho / np.trace(rho).real
-
-
-def assert_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
-                          trace_tol: float = 1e-10, eig_tol: float = -1e-8):
-    """Raise when rho fails Hermiticity, unit trace, or positivity tolerances."""
-    if np.abs(rho - rho.T.conj()).max() > herm_tol:
-        raise AssertionError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > trace_tol:
-        raise AssertionError(f"trace {np.trace(rho).real} deviates from 1")
-    if np.linalg.eigvalsh(0.5 * (rho + rho.T.conj())).min() < eig_tol:
-        raise AssertionError("density matrix has a significantly negative eigenvalue")
+    Its number-basis amplitudes are e^{-|alpha|^2/2} alpha^n / sqrt(n!).
+    """
+    amps = np.ones(cutoff + 1, dtype=complex)
+    for n in range(1, cutoff + 1):
+        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
+    amps *= math.exp(-0.5 * abs(alpha) ** 2)
+    amps /= np.linalg.norm(amps)
+    return np.outer(amps, amps.conj())

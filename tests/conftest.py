@@ -6,6 +6,7 @@ import numpy as np
 from scipy.linalg import expm, sqrtm
 
 from oscbath.exact import PropagatorCache
+from oscbath.fock import vacuum_rho
 from oscbath.gaussian import GaussianState, symplectic_form
 
 
@@ -44,6 +45,39 @@ def fock_uhlmann_fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
     mid = 0.5 * (mid + mid.T.conj())
     eig = np.linalg.eigvalsh(mid)
     return float(np.sum(np.sqrt(np.clip(eig, 0.0, None))) ** 2)
+
+
+def destroy(dim: int) -> np.ndarray:
+    """Single-mode annihilation operator on a dim-level truncation."""
+    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1)
+
+
+def mode_operators(n_modes: int, cutoff: int) -> list[np.ndarray]:
+    """Dense annihilation operators of each of 1 or 2 modes on the truncated product space."""
+    a = destroy(cutoff + 1)
+    if n_modes == 1:
+        return [a]
+    eye = np.eye(cutoff + 1)
+    return [np.kron(a, eye), np.kron(eye, a)]
+
+
+def squeezed_vacuum_rho(r_sq: float, cutoff: int) -> np.ndarray:
+    """Squeezed vacuum with cov diag(e^{-2r}, e^{2r}) in the package convention."""
+    a = destroy(cutoff + 1)
+    sq = expm(0.5 * r_sq * (a @ a - a.T.conj() @ a.T.conj()))
+    rho = sq @ vacuum_rho(cutoff) @ sq.T.conj()
+    return rho / np.trace(rho).real
+
+
+def assert_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
+                          trace_tol: float = 1e-10, eig_tol: float = -1e-8):
+    """Raise when rho fails Hermiticity, unit trace, or positivity tolerances."""
+    if np.abs(rho - rho.T.conj()).max() > herm_tol:
+        raise AssertionError("density matrix is not Hermitian")
+    if abs(np.trace(rho).real - 1.0) > trace_tol:
+        raise AssertionError(f"trace {np.trace(rho).real} deviates from 1")
+    if np.linalg.eigvalsh(0.5 * (rho + rho.T.conj())).min() < eig_tol:
+        raise AssertionError("density matrix has a significantly negative eigenvalue")
 
 
 def fock_partial_trace_first(rho: np.ndarray, dim: int) -> np.ndarray:

@@ -8,7 +8,7 @@ import time
 import warnings
 
 import numpy as np
-from conftest import random_physical_state, sector_cache
+from conftest import random_physical_state, sector_cache, squeezed_vacuum_rho
 from scipy.integrate import quad
 
 from oscbath import fock
@@ -63,7 +63,7 @@ def test_criterion_1_oracle_equivalence():
     for omega, gamma, nbar in ((1.0, 0.05, 0.0), (1.0, 0.05, 0.3), (1.3, 0.1, 0.8)):
         lindblad = QuadraticLindblad(
             [[omega]], [[2 * gamma * (nbar + 1)]], [[2 * gamma * nbar]])
-        rho0 = fock.squeezed_vacuum_rho(0.5, 35)
+        rho0 = squeezed_vacuum_rho(0.5, 35)
         horizon = 3.0 / (2 * gamma)
         _flow_vs_fock(flow_single(omega, gamma, nbar), lindblad, 35, rho0,
                       (horizon / 3, horizon), tol)
@@ -95,7 +95,7 @@ def test_criterion_1_oracle_equivalence():
                 [[flow.h[0, 0], flow.h[0, 1]], [flow.h[0, 1], flow.h[0, 0]]],
                 flow.k_emit, flow.k_abs)
             rho0 = np.kron(fock.coherent_rho(0.3, cut2),
-                           fock.squeezed_vacuum_rho(0.2, cut2))
+                           squeezed_vacuum_rho(0.2, cut2))
             gmin = np.linalg.eigvalsh(flow.k_emit - flow.k_abs).min() / 2
             horizon = 3.0 / (2 * gmin)
             _flow_vs_fock(flow, lindblad, cut2, rho0, (horizon / 3, horizon), tol)

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oscbath
-from oscbath import cli
+from oscbath import cli, fock
 from oscbath.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, cli_main
 from oscbath.config import (DRIVE_VARIANTS, EXPERIMENTS, INITIAL_STATES, RANGE_MODES,
                             SCENARIOS, ConfigError, ScenarioConfig, config_text,
@@ -188,7 +188,7 @@ BAD_ORACLES = {
     "t_nan": ORACLE_SINGLE.replace("t = 2", "t = nan"),
     "t_negative": ORACLE_SINGLE.replace("t = 2", "t = -1"),
     "unknown_key": ORACLE_SINGLE + "gama = 0.1\n",
-    # finite inputs that RK45 would integrate without end: beyond the work cap,
+    # finite inputs that the referee would integrate without end: beyond the work cap,
     # or rates 2 gamma (nbar + 1) that overflow
     "t_1e300": ORACLE_SINGLE.replace("t = 2", "t = 1e300"),
     "gamma_1e308": ORACLE_SINGLE.replace("gamma = 0.08", "gamma = 1e308"),
@@ -321,52 +321,23 @@ class TestCli:
 
     def test_run_and_validate_load_no_scipy(self, tmp_path):
         # scipy's import is most of a cold start: bath's Brent port and Ei and
-        # flows' expm replace what run and validate would take from it; only the
-        # oracle subcommand (through the Fock referee) loads it
+        # flows' expm replace what run and validate would take from it, and the
+        # Fock referee behind oracle is NumPy-only for every family
         p = tmp_path / "run.cfg"
         p.write_text(SMALL_RUN)
+        oracles = []
+        for family in ("single", "two_small", "two_large", "driven"):
+            oracles.append(tmp_path / f"oracle_{family}.cfg")
+            oracles[-1].write_text(ORACLE_SINGLE.replace("single", family))
         code = ("import sys; from oscbath.cli import cli_main; "
                 "assert cli_main(['validate', sys.argv[1]]) == 0; "
                 "assert cli_main(['run', sys.argv[1], '--out', sys.argv[2]]) == 0; "
+                "assert all(cli_main(['oracle', f]) == 0 for f in sys.argv[3:]); "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        assert self._python(code, str(p), str(tmp_path / "o")).splitlines()[-1] == "[]"
+        out = self._python(code, str(p), str(tmp_path / "o"), *map(str, oracles))
+        assert out.splitlines()[-1] == "[]"
+        assert out.count("trace(rho_t)") == 4
         assert (tmp_path / "o" / "fidelity_vs_time.csv").exists()
-
-    def test_cli_main_runs_scipy_blas_on_one_thread(self, tmp_path):
-        # the oracle drops scipy's OpenBLAS (the Fock set-up's expm) to one
-        # thread; NumPy's keeps its default
-        p = tmp_path / "oracle.cfg"
-        p.write_text(ORACLE_SINGLE)
-        code = """
-import ctypes, sys
-from pathlib import Path
-import numpy, scipy
-from oscbath.cli import cli_main
-
-def threads(libs, pattern, getter):
-    for path in sorted(Path(libs).glob(pattern)):
-        fn = getattr(ctypes.CDLL(str(path)), getter, None)
-        if fn is not None:
-            fn.argtypes, fn.restype = [], ctypes.c_int
-            return fn()
-    return -1
-
-site = Path(scipy.__file__).resolve().parent.parent
-def both():
-    return (threads(site / "scipy.libs", "libscipy_openblas*.so",
-                    "scipy_openblas_get_num_threads"),
-            threads(Path(numpy.__file__).resolve().parent.parent / "numpy.libs",
-                    "libscipy_openblas64_*.so", "scipy_openblas_get_num_threads64_"))
-before = both()
-assert cli_main(["oracle", sys.argv[1]]) == 0
-print(*before, *both())
-"""
-        scipy_before, numpy_before, scipy_after, numpy_after = map(
-            int, self._python(code, str(p)).split()[-4:])
-        if scipy_before < 0:
-            pytest.skip("scipy has no bundled OpenBLAS to pin")
-        assert scipy_after == 1
-        assert numpy_after == numpy_before
 
     def test_unknown_subcommand(self, capsys):
         assert cli_main(["frobnicate"]) == EXIT_USAGE
@@ -499,6 +470,22 @@ print(*before, *both())
         assert len(mismatches) == 2
         assert max(mismatches) <= 1e-5
         assert "trace" in out
+
+    def test_non_finite_oracle_integration_is_a_numeric_failure(self, tmp_path, capsys,
+                                                                monkeypatch):
+        def nan_state(alpha, cutoff):
+            rho = fock.vacuum_rho(cutoff)
+            rho[0, 1] = np.nan
+            return rho
+
+        monkeypatch.setattr(fock, "coherent_rho", nan_state)
+        p = tmp_path / "oracle.cfg"
+        p.write_text(ORACLE_SINGLE)
+        assert cli_main(["oracle", str(p)]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numeric failure:")
+        assert "non-finite" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("case", sorted(BAD_ORACLES))
     def test_bad_oracle_input_is_a_config_error(self, case, tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from conftest import squeezed_vacuum_rho
 from scipy.linalg import expm
 
 from oscbath import fock
@@ -190,7 +191,7 @@ class TestFlowSingle:
         gamma, nbar, omega = 0.05, 0.5, 1.0
         lindblad = QuadraticLindblad(
             [[omega]], [[2 * gamma * (nbar + 1)]], [[2 * gamma * nbar]])
-        rho0 = fock.squeezed_vacuum_rho(0.5, 40)
+        rho0 = squeezed_vacuum_rho(0.5, 40)
         assert_matches_fock(flow_single(omega, gamma, nbar), lindblad, 40, rho0,
                             (0.5, 3.0, 9.0, 20.0), 1e-6)
 
@@ -352,7 +353,7 @@ class TestFlowTwoLargeBeta:
             [[flow.h[0, 0], flow.h[0, 1]], [flow.h[0, 1], flow.h[0, 0]]],
             flow.k_emit, flow.k_abs)
         rho0 = np.kron(fock.coherent_rho(0.3, cutoff),
-                       fock.squeezed_vacuum_rho(0.2, cutoff))
+                       squeezed_vacuum_rho(0.2, cutoff))
         assert_matches_fock(flow, lindblad, cutoff, rho0, (1.5, 7.0, 25.0), 1e-5)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import assert_density_matrix, destroy, mode_operators, squeezed_vacuum_rho
 from scipy.linalg import expm
 
 from oscbath import fock
@@ -9,6 +10,65 @@ from oscbath.flows import QuadraticLindblad
 
 def purity(rho):
     return float(np.trace(rho @ rho).real)
+
+
+def reference_superoperator(lindblad, cutoff):
+    """The generator on row-major vec(rho) assembled from scipy.sparse Kronecker products.
+
+    vec(A rho B) = (A kron B^T) vec(rho), so -i[H, .] maps to
+    -i(H kron 1 - 1 kron H^T) and each dissipator term
+    g (L . R^dag - {R^dag L, .}/2) to its three Kronecker pieces.  The
+    reference that ``fock.build_superoperator``'s band-wise assembly is checked against.
+    """
+    n = lindblad.n_modes
+    ops = [sp.csr_matrix(a) for a in mode_operators(n, cutoff)]
+    d = (cutoff + 1) ** n
+    eye = sp.identity(d, dtype=complex, format="csr")
+    ham = sp.csr_matrix((d, d), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            if lindblad.h[j, k] != 0:
+                ham = ham + lindblad.h[j, k] * (ops[j].T.conj() @ ops[k])
+    if lindblad.drive is not None:
+        for j in range(n):
+            ham = (ham + lindblad.drive[j] * ops[j].T.conj()
+                   + np.conj(lindblad.drive[j]) * ops[j])
+
+    lind = -1j * (sp.kron(ham, eye) - sp.kron(eye, ham.T))
+    terms = []
+    for j in range(n):
+        for k in range(n):
+            if lindblad.k_emit[j, k] != 0:
+                terms.append((lindblad.k_emit[j, k], ops[j], ops[k]))
+            if lindblad.k_abs[j, k] != 0:
+                terms.append((lindblad.k_abs[j, k], ops[j].T.conj(), ops[k].T.conj()))
+    for g, left, right in terms:
+        rdl = right.T.conj() @ left
+        lind = lind + g * (sp.kron(left, right.conj())
+                           - 0.5 * (sp.kron(rdl, eye) + sp.kron(eye, rdl.T)))
+    return sp.csr_matrix(lind)
+
+
+def reference_moments(rho, n_modes, cutoff):
+    """Mean and covariance from traces of rho times dense ladder products.
+
+    The reference that ``fock.moments``, which reads them off diagonals of
+    rho, is checked against.
+    """
+    ops = mode_operators(n_modes, cutoff)
+    amps = np.array([np.trace(rho @ op) for op in ops])
+    mean = np.concatenate([np.sqrt(2.0) * amps.real, np.sqrt(2.0) * amps.imag])
+    nmat = np.zeros((n_modes, n_modes), dtype=complex)
+    mmat = np.zeros((n_modes, n_modes), dtype=complex)
+    for j in range(n_modes):
+        for k in range(n_modes):
+            nmat[j, k] = np.trace(rho @ ops[j].T.conj() @ ops[k]) - np.conj(amps[j]) * amps[k]
+            mmat[j, k] = np.trace(rho @ ops[j] @ ops[k]) - amps[j] * amps[k]
+    cxx = np.eye(n_modes) + 2.0 * (nmat.real + mmat.real)
+    cpp = np.eye(n_modes) + 2.0 * (nmat.real - mmat.real)
+    cxp = 2.0 * (mmat.imag + nmat.imag)
+    cov = np.block([[cxx, cxp], [cxp.T, cpp]])
+    return mean, 0.5 * (cov + cov.T)
 
 
 class TestSuperoperator:
@@ -54,16 +114,17 @@ class TestSuperoperator:
         lindblad = QuadraticLindblad([[1.0]], [[0.1]], [[0.02]])
         lind_ok = fock.build_superoperator(lindblad, 8)
         # the literal form g (L . R^dag + {R^dag L, .}/2) of each dissipator term
-        a = sp.csr_matrix(fock.destroy(9))
+        # adds g {R^dag L, .} to the canonical one
+        a = sp.csr_matrix(destroy(9))
         eye = sp.identity(9, format="csr")
-        lind = lind_ok
+        extra = sp.csr_matrix((81, 81))
         for g, left in ((0.1, a), (0.02, a.T)):
             rdl = left.T @ left  # R = L (diagonal rates) and real ladders: R^dag L = L^T L
-            lind = lind + g * (sp.kron(rdl, eye) + sp.kron(eye, rdl.T))
-        rho = fock.thermal_rho(0.5, 8)
-        trace_rate = np.trace((lind @ rho.ravel()).reshape(9, 9))
+            extra = extra + g * (sp.kron(rdl, eye) + sp.kron(eye, rdl.T))
+        vec = fock.thermal_rho(0.5, 8).ravel()
+        trace_rate = np.trace((lind_ok @ vec + extra @ vec).reshape(9, 9))
         assert abs(trace_rate) > 1e-3  # the canonical form keeps this at 0
-        assert abs(np.trace((lind_ok @ rho.ravel()).reshape(9, 9))) < 1e-14
+        assert abs(np.trace((lind_ok @ vec).reshape(9, 9))) < 1e-14
 
     def test_spec_validation(self):
         # the referee's own limits; the generator's checks live in QuadraticLindblad
@@ -98,7 +159,7 @@ class TestIntegrate:
 
     def test_trace_preserved_along_integration(self):
         lindblad = QuadraticLindblad([[1.0]], [[0.2]], [[0.05]])
-        rho0 = fock.squeezed_vacuum_rho(0.4, 10)
+        rho0 = squeezed_vacuum_rho(0.4, 10)
         for t in (1.0, 10.0):
             rho = fock.integrate(lindblad, 10, rho0, [t])[0]
             assert abs(np.trace(rho).real - 1.0) < 1e-9 * max(t, 1.0)
@@ -108,8 +169,18 @@ class TestIntegrate:
         rho0 = fock.coherent_rho(0.8, 12)
         for t in (0.7, 5.0):
             rho = fock.integrate(lindblad, 12, rho0, [t])[0]
-            fock.assert_density_matrix(rho, herm_tol=1e-11, trace_tol=1e-9,
-                                       eig_tol=-1e-7)
+            assert_density_matrix(rho, herm_tol=1e-11, trace_tol=1e-9, eig_tol=-1e-7)
+
+    @pytest.mark.parametrize("case", ["nan_state", "overflowing_generator"])
+    def test_non_finite_integration_raises(self, case):
+        lindblad = QuadraticLindblad([[1.0]], [[0.1]], [[0.0]])
+        rho0 = fock.coherent_rho(0.3, 6)
+        if case == "nan_state":
+            rho0[1, 2] = np.nan
+        else:  # a finite absorption rate whose superoperator entries overflow
+            lindblad = QuadraticLindblad([[1.0]], [[0.0]], [[5e307]])
+        with np.errstate(over="ignore"), pytest.raises(ArithmeticError, match="non-finite"):
+            fock.integrate(lindblad, 6, rho0, [0.5])
 
     def test_cutoff_convergence(self):
         gamma, nbar = 0.1, 0.3
@@ -138,6 +209,16 @@ class TestMoments:
             mean, [np.sqrt(2) * beta_c.real, np.sqrt(2) * beta_c.imag], atol=1e-10)
         np.testing.assert_allclose(cov, np.eye(2), atol=1e-9)
 
+    def test_coherent_rho_is_the_displaced_vacuum(self):
+        # closed-form amplitudes against D(alpha)|0> from a much larger
+        # truncation, where the edge does not reach the kept levels
+        alpha = 0.7 + 0.4j
+        a = destroy(80)
+        ket = expm(alpha * a.T - np.conj(alpha) * a)[:21, 0]
+        ket /= np.linalg.norm(ket)
+        np.testing.assert_allclose(fock.coherent_rho(alpha, 20), np.outer(ket, ket.conj()),
+                                   atol=1e-14)
+
     def test_thermal_state(self):
         nbar = 0.6
         mean, cov = fock.moments(fock.thermal_rho(nbar, 60), 1, 60)
@@ -146,6 +227,29 @@ class TestMoments:
     def test_truncation_warning(self):
         with pytest.warns(UserWarning, match="truncation"):
             fock.moments(fock.coherent_rho(2.5, 6), 1, 6)
+
+    @pytest.mark.parametrize("n_modes, cutoff", [(1, 8), (2, 4)])
+    def test_matches_dense_reference(self, n_modes, cutoff):
+        rng = np.random.default_rng(31 + n_modes)
+        levels = np.arange(cutoff + 1)
+        weight = np.exp(-5.0 * (np.add.outer(levels, levels) if n_modes == 2 else levels))
+        rho = random_rho(rng, (cutoff + 1) ** n_modes)
+        rho *= np.sqrt(np.outer(weight.ravel(), weight.ravel()))  # little weight at the edge
+        rho /= np.trace(rho).real
+        mean, cov = fock.moments(rho, n_modes, cutoff)
+        ref_mean, ref_cov = reference_moments(rho, n_modes, cutoff)
+        np.testing.assert_allclose(mean, ref_mean, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(cov, ref_cov, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("mode", [0, 1])
+    def test_truncation_warning_names_the_mode(self, mode):
+        # the top level of one mode of a product state, and only that one
+        states = [fock.vacuum_rho(5), fock.vacuum_rho(5)]
+        states[mode] = np.zeros((6, 6), complex)
+        states[mode][5, 5] = 1.0
+        with pytest.warns(UserWarning) as record:
+            fock.moments(np.kron(*states), 2, 5)
+        assert [str(w.message).split(" occupies")[0] for w in record] == [f"mode {mode}"]
 
 
 def random_generator(rng, n_modes, drive=False):
@@ -166,23 +270,57 @@ def random_rho(rng, d):
     return rho / np.trace(rho).real
 
 
+class TestBandedAssembly:
+    @pytest.mark.parametrize("n_modes, cutoff", [(1, 8), (2, 4)])
+    @pytest.mark.parametrize("drive", [False, True])
+    def test_action_matches_kronecker_reference(self, n_modes, cutoff, drive):
+        rng = np.random.default_rng(3 + n_modes + 2 * drive)
+        lindblad = random_generator(rng, n_modes, drive)
+        lind = fock.build_superoperator(lindblad, cutoff)
+        ref = reference_superoperator(lindblad, cutoff)
+        for _ in range(3):
+            vec = rng.normal(size=ref.shape[0]) + 1j * rng.normal(size=ref.shape[0])
+            expect = ref @ vec
+            assert np.abs(lind @ vec - expect).max() <= 1e-14 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("n_modes, cutoff", [(1, 8), (2, 4)])
+    def test_norm1_matches_reference(self, n_modes, cutoff):
+        rng = np.random.default_rng(9)
+        lindblad = random_generator(rng, n_modes, drive=True)
+        ref = abs(reference_superoperator(lindblad, cutoff)).sum(axis=0).max()
+        assert fock.build_superoperator(lindblad, cutoff).norm1() == pytest.approx(ref, rel=1e-14)
+
+
+def linked_grades(lind, grade):
+    """Grades of the row and column of every nonzero stored entry of a banded L."""
+    rows, cols = [], []
+    for p, band in zip(lind.offsets, lind.bands):
+        r = np.flatnonzero(band)
+        assert np.all((r + p >= 0) & (r + p < band.size))  # nothing stored off the matrix
+        rows.append(r)
+        cols.append(r + p)
+    return grade[np.concatenate(rows)], grade[np.concatenate(cols)]
+
+
 class TestRotatingFrame:
     @pytest.mark.parametrize("n_modes, cutoff", [(1, 8), (2, 4)])
     def test_drive_free_generator_conserves_number_difference(self, n_modes, cutoff):
-        # the premise of the frame split: every stored entry of L links vec
-        # entries with equal n_row - n_col; levels from arange, not from diag(a^dag a)
+        # the premise of the frame split: every nonzero entry of every stored
+        # diagonal links vec entries with equal n_row - n_col; levels from
+        # arange, not from diag(a^dag a)
         levels = np.arange(cutoff + 1)
         if n_modes == 2:
             levels = np.add.outer(levels, levels).ravel()
         grade = np.subtract.outer(levels, levels).ravel()
         rng = np.random.default_rng(5)
-        lind = fock.build_superoperator(random_generator(rng, n_modes), cutoff).tocoo()
-        assert lind.nnz > 0
-        np.testing.assert_array_equal(grade[lind.row], grade[lind.col])
+        lind = fock.build_superoperator(random_generator(rng, n_modes), cutoff)
+        row_grade, col_grade = linked_grades(lind, grade)
+        assert row_grade.size > 0
+        np.testing.assert_array_equal(row_grade, col_grade)
         # a drive breaks the grading, which is why driven runs use no frame
-        driven = fock.build_superoperator(
-            random_generator(rng, n_modes, drive=True), cutoff).tocoo()
-        assert np.any(grade[driven.row] != grade[driven.col])
+        driven = fock.build_superoperator(random_generator(rng, n_modes, drive=True), cutoff)
+        row_grade, col_grade = linked_grades(driven, grade)
+        assert np.any(row_grade != col_grade)
 
     @pytest.mark.parametrize("n_modes, cutoff", [(1, 8), (2, 4)])
     @pytest.mark.parametrize("drive", [False, True])
@@ -191,12 +329,12 @@ class TestRotatingFrame:
         lindblad = random_generator(rng, n_modes, drive)
         d = (cutoff + 1) ** n_modes
         rho0 = random_rho(rng, d)
-        dense = fock.build_superoperator(lindblad, cutoff).toarray()
+        dense = reference_superoperator(lindblad, cutoff).toarray()
         times = [0.3, 1.1, 2.5]
         rhos = fock.integrate(lindblad, cutoff, rho0, times)
         for t, rho in zip(times, rhos):
             ref = (expm(t * dense) @ rho0.ravel()).reshape(d, d)
-            assert np.abs(rho - ref).max() < 1e-9
+            assert np.abs(rho - ref).max() < 1e-12
 
 
 class TestTimeGrid:
@@ -211,7 +349,7 @@ class TestTimeGrid:
         np.testing.assert_array_equal(rhos[0], rho0)
         np.testing.assert_array_equal(rhos[2], rhos[3])
         for t, rho in zip(times, rhos):
-            assert np.abs(rho - fock.integrate(lindblad, 6, rho0, [t])[0]).max() < 1e-9
+            assert np.abs(rho - fock.integrate(lindblad, 6, rho0, [t])[0]).max() < 1e-12
 
     @pytest.mark.parametrize("times", [[-0.5], [0.0, -1.0], [2.0, 1.0], [[1.0, 2.0]],
                                        [np.nan], 1.0])

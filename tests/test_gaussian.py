@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import (fock_partial_trace_first, fock_uhlmann_fidelity,
-                      random_physical_state, random_symplectic_orthogonal)
+                      random_physical_state, random_symplectic_orthogonal,
+                      squeezed_vacuum_rho)
 
 from oscbath import fock
 from oscbath.flows import QuadraticLindblad, evolve_flow
@@ -107,7 +108,7 @@ class TestPartialTrace:
         cutoff = 20
         dim = cutoff + 1
         rho0 = np.kron(fock.thermal_rho(0.3, cutoff),
-                       fock.squeezed_vacuum_rho(0.4, cutoff))
+                       squeezed_vacuum_rho(0.4, cutoff))
         h = np.array([[0.0, 0.35], [0.35, 0.0]])
         unitary = QuadraticLindblad(h, np.zeros((2, 2)), np.zeros((2, 2)))
         rho_t = fock.integrate(unitary, cutoff, rho0, [1.3])[0]
@@ -198,7 +199,7 @@ class TestFidelity:
             uni, cutoff, np.kron(fock.thermal_rho(0.15, cutoff),
                                  fock.coherent_rho(0.25, cutoff)), [0.9])[0]
         rho_b = fock.integrate(
-            uni, cutoff, np.kron(fock.squeezed_vacuum_rho(0.2, cutoff),
+            uni, cutoff, np.kron(squeezed_vacuum_rho(0.2, cutoff),
                                  fock.thermal_rho(0.1, cutoff)), [1.7])[0]
         sa = GaussianState(2, *fock.moments(rho_a, 2, cutoff))
         sb = GaussianState(2, *fock.moments(rho_b, 2, cutoff))

@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "OhmicSpectrum",
     "BathCouplings",
-    "total_spectral_weight",
     "omega_range",
     "discretize",
     "bose_occupation",
@@ -69,11 +68,6 @@ class BathCouplings:
     @property
     def size(self) -> int:
         return self.frequencies.size
-
-
-def total_spectral_weight(spectrum: OhmicSpectrum) -> float:
-    """Integral of J over (0, inf), equal to alpha * omega_c^2."""
-    return spectrum.alpha * spectrum.omega_c**2
 
 
 def omega_range(spectrum: OhmicSpectrum, mode: str = "equal_tails", *,

@@ -83,7 +83,7 @@ def _oracle_case(sec):
     from .bath import OhmicSpectrum
     from .flows import (flow_driven, flow_single, flow_two_large_beta,
                         flow_two_small_beta)
-    from .fock import coherent_rho, thermal_rho
+    from .fock import check_cutoff, coherent_rho, thermal_rho
 
     unknown = sorted(set(sec) - _ORACLE_KEYS)
     if unknown:
@@ -111,22 +111,18 @@ def _oracle_case(sec):
 
     if family == "single":
         lindblad = flow_single(omega_bar, gamma, nbar)
-        rho0 = coherent_rho(alpha0, cutoff)
     elif family == "two_small":
         lindblad = flow_two_small_beta((omega_bar, omega_bar), num("beta", 0.05),
                                        (gamma, gamma), (nbar, nbar))
-        rho0 = np.kron(coherent_rho(alpha0, cutoff), thermal_rho(nbar, cutoff))
     elif family == "two_large":
         spectrum = OhmicSpectrum(num("alpha", 0.01), num("omega_c", 3.0))
         lindblad = flow_two_large_beta((spectrum, spectrum),
                                        (num("t1", 1.0), num("t2", 0.5)),
                                        omega_bar, num("beta", 0.3))
-        rho0 = np.kron(coherent_rho(alpha0, cutoff), thermal_rho(nbar, cutoff))
     elif family == "driven":
         r_bar = complex(num("rabi_re", 0.1), num("rabi_im", 0.0))
         omega_l = num("omega_l", 0.8)
         lindblad = flow_driven(omega_bar, gamma, nbar, r_bar, omega_l)
-        rho0 = coherent_rho(alpha0, cutoff)
     else:
         raise ConfigError(f"unknown oracle family {family!r}")
     # the fastest rate: a frequency (h, omega_bar, omega_L) or the damping
@@ -137,6 +133,10 @@ def _oracle_case(sec):
     if t * rate > ORACLE_MAX_WORK:
         raise ConfigError(f"oracle case too long: t * rate = {t * rate:.3g} exceeds "
                           f"{ORACLE_MAX_WORK:g} (rate = largest frequency or damping rate)")
+    check_cutoff(lindblad.n_modes, cutoff)  # before building a state of that size
+    rho0 = coherent_rho(alpha0, cutoff)
+    if lindblad.n_modes == 2:  # the second oscillator starts thermal
+        rho0 = np.kron(rho0, thermal_rho(nbar, cutoff))
     return family, cutoff, t, lindblad, rho0
 
 

@@ -1,11 +1,12 @@
 """Exact Gaussian evolution of system + discretized bath.
 
 The quadratic Hamiltonian with one-particle coupling matrix W evolves
-annihilation operators as a(t) = exp(-iWt) a(0).  Two paths evaluate this.
+annihilation operators as a(t) = exp(-iWt) a(0).  Two entry points evaluate
+this, each at every reported time in one call.
 
-Reduced states, which every exact-vs-Markov comparison needs, take the
-batched spectral path, ``ReducedPropagator``.  One oscillator with a bath
-has an arrowhead W: a diagonal of bath frequencies bordered by one row of
+``ReducedPropagator.states`` gives the reduced states that every
+exact-vs-Markov comparison needs.  One oscillator with a bath has an
+arrowhead W: a diagonal of bath frequencies bordered by one row of
 couplings, and so has W - omega_L in the frame of a drive at omega_L.  Two
 oscillators of equal frequency Omega, each with its own copy of one bath,
 split under (x1 +- x2)/sqrt(2), (b1j +- b2j)/sqrt(2) into two arrowhead
@@ -27,14 +28,13 @@ g_j = 0 are exactly decoupled and dropped first, so a bath-less oscillator
 is the M = 0 case of the same code.  At t = 0 a reduced state is the initial
 state itself.
 
-Full system + bath states (the factorization study, and the referee of the
-reduced states in the tests) take the dense path: ``PropagatorCache.from_eigh``
-diagonalizes any W with ``np.linalg.eigh``, and ``propagator`` forms the
-phase-space propagator in block ordering (x..., p...),
+``full_states`` gives the full system + bath states of the factorization
+study.  It diagonalizes the one oscillator's W with ``np.linalg.eigh`` and
+applies the phase-space propagator in block ordering (x..., p...),
 
     M(t) = [[cos(Wt), sin(Wt)], [-sin(Wt), cos(Wt)]],
 
-which ``evolve_full`` applies to a full state.
+to the initial full state.
 """
 
 from __future__ import annotations
@@ -47,68 +47,11 @@ import numpy as np
 from .bath import BathCouplings
 from .gaussian import GaussianState, thermal_variance
 
-__all__ = [
-    "CouplingMatrix",
-    "PropagatorCache",
-    "ReducedPropagator",
-    "build_single",
-    "build_two",
-    "propagator",
-    "evolve_full",
-    "recurrence_time_estimate",
-]
+__all__ = ["ReducedPropagator", "RwaValidityWarning", "full_states"]
 
 
 class RwaValidityWarning(UserWarning):
     """Emitted when a rotating-wave premise of the model is strained."""
-
-
-@dataclass(frozen=True)
-class CouplingMatrix:
-    """Symmetric one-particle coupling matrix with the system mode positions."""
-
-    matrix: np.ndarray
-    system_indices: tuple[int, ...]
-
-    def __post_init__(self):
-        w = np.asarray(self.matrix, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError("coupling matrix must be square")
-        if np.abs(w - w.T).max() > 1e-12 * max(np.abs(w).max(), 1.0):
-            raise ValueError("coupling matrix must be symmetric")
-        object.__setattr__(self, "matrix", 0.5 * (w + w.T))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def build_single(omega: float, bath: BathCouplings | None) -> CouplingMatrix:
-    """(M+1) x (M+1) coupling matrix: diagonal (Omega, omega_j), first row g_j."""
-    if bath is None or bath.size == 0:
-        return CouplingMatrix(np.array([[float(omega)]]), (0,))
-    m = bath.size
-    w = np.zeros((m + 1, m + 1))
-    w[0, 0] = omega
-    w[1:, 1:] = np.diag(bath.frequencies)
-    w[0, 1:] = bath.couplings
-    w[1:, 0] = bath.couplings
-    return CouplingMatrix(w, (0,))
-
-
-def build_two(omega: float, beta: float, bath: BathCouplings | None) -> CouplingMatrix:
-    """Dense W of two oscillators of frequency omega, exchange-coupled by beta.
-
-    Each oscillator has its own copy of ``bath``; layout (osc1, bath modes...,
-    osc2, bath modes...).  This is the W that ``ReducedPropagator`` splits
-    into its two sectors.
-    """
-    one = build_single(omega, bath).matrix
-    n = one.shape[0]
-    w = np.zeros((2 * n, 2 * n))
-    w[:n, :n] = w[n:, n:] = one
-    w[0, n] = w[n, 0] = beta
-    return CouplingMatrix(w, (0, n))
 
 
 _SECULAR_BLOCK = 64  # roots (or bath columns) done together: keeps (block x N) temporaries small
@@ -403,41 +346,22 @@ class ReducedPropagator:
         return [system0 if ti == 0 else GaussianState(k, *next(moving)) for ti in times]
 
 
-@dataclass(frozen=True)
-class PropagatorCache:
-    """Dense eigendecomposition of W, reused for cos(Wt) and sin(Wt) at any t."""
+def full_states(omega: float, bath: BathCouplings, state0: GaussianState, times) -> list:
+    """Full system + bath states M(t) state0 at ``times``, from one eigh of W.
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @classmethod
-    def from_eigh(cls, coupling: CouplingMatrix) -> "PropagatorCache":
-        """Dense symmetric eigendecomposition of any W."""
-        return cls(*np.linalg.eigh(coupling.matrix))
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
-
-
-def propagator(cache: PropagatorCache, t: float) -> np.ndarray:
-    """Full 2N x 2N symplectic-orthogonal propagator M(t)."""
-    q = cache.eigenvectors
-    lt = cache.eigenvalues * t
-    cos, sin = (q * np.cos(lt)) @ q.T, (q * np.sin(lt)) @ q.T
-    return np.block([[cos, sin], [-sin, cos]])
-
-
-def evolve_full(cache: PropagatorCache, state0: GaussianState, t: float) -> GaussianState:
-    """Evolution of a full system + bath state: M(t) mean and M(t) C M(t)^T."""
-    prop = propagator(cache, t)
-    cov = prop @ state0.cov @ prop.T
-    return GaussianState(state0.n_modes, prop @ state0.mean, 0.5 * (cov + cov.T))
-
-
-def recurrence_time_estimate(bath: BathCouplings) -> float:
-    """Heuristic bath echo time 2*pi/(level spacing); scales linearly with M."""
-    if bath.size < 2:
-        return np.inf
-    dw = (bath.frequencies[-1] - bath.frequencies[0]) / (bath.size - 1)
-    return float(2.0 * np.pi / dw)
+    W is the bordered (M+1)-square matrix with diagonal (omega, omega_j) and
+    couplings g_j in its first row and column, and state0 lists the system
+    mode first.  With W = Q diag(lam) Q^T, cos(Wt) = Q diag(cos lam t) Q^T and
+    likewise sin(Wt); each state is (M(t) mean, M(t) C M(t)^T).
+    """
+    w = np.diag(np.concatenate([[omega], bath.frequencies]))
+    w[0, 1:] = w[1:, 0] = bath.couplings
+    lam, q = np.linalg.eigh(w)
+    out = []
+    for t in times:
+        lt = lam * t
+        cos, sin = (q * np.cos(lt)) @ q.T, (q * np.sin(lt)) @ q.T
+        prop = np.block([[cos, sin], [-sin, cos]])
+        cov = prop @ state0.cov @ prop.T
+        out.append(GaussianState(state0.n_modes, prop @ state0.mean, 0.5 * (cov + cov.T)))
+    return out

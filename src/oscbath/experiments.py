@@ -22,7 +22,7 @@ from .bath import (OhmicSpectrum, bose_occupation, corr_c0, corr_ct, decay_rate,
                    discretize, fwhh, lamb_shift, omega_range)
 from .config import (DRIVE_VARIANTS, ScenarioConfig, config_text, sweep_points,
                      validate)
-from .exact import PropagatorCache, ReducedPropagator, build_single, evolve_full
+from .exact import ReducedPropagator, full_states
 from .flows import (evolve_flow, flow_driven, flow_single,
                     flow_two_large_beta, flow_two_small_beta,
                     rabi_renormalizations)
@@ -40,9 +40,6 @@ __all__ = [
     "run_factorization_distance",
     "run_two_oscillator_suite",
     "run_driven_suite",
-    "recurrence_onset",
-    "linear_fit",
-    "driven_variant_error",
 ]
 
 CSV_HEADER = "sweep_param,sweep_value,t,quantity,value"
@@ -250,22 +247,18 @@ def run_correlation_study(config: ScenarioConfig) -> ExperimentResult:
 
 def _factorization_curve(config: ScenarioConfig) -> list:
     bath = _bath(config)
-    # The one dense eigh of the package: a full state needs every row of the
-    # propagator, not the system rows that _compare's spectral path gives.  An
-    # arrowhead eigenbasis would do, but rounding in fidelity_multi at near-pure
-    # bath modes dominates this full-state D_B, which moves by up to 3.5e-5 at
-    # t = 0 (and 1.4e-9 later) under another, equally exact eigenbasis of W.
-    # Once fidelity_multi is faithful there (ROADMAP item 1) and the golden
-    # rows are re-recorded, the basis can come from the arrowhead spectrum.
-    cache = PropagatorCache.from_eigh(build_single(config.omega, bath))
+    # full_states holds the one dense eigh of the package: a full state needs
+    # every row of the propagator, not the system rows of _compare's spectral
+    # path.  An arrowhead eigenbasis would do, but rounding in fidelity_multi at
+    # near-pure bath modes dominates this full-state D_B, which moves by up to
+    # 3.5e-5 at t = 0 (and 1.4e-9 later) under another, equally exact eigenbasis
+    # of W.  Once fidelity_multi is faithful there (ROADMAP item 1) and the
+    # golden rows are re-recorded, the basis can come from the arrowhead spectrum.
     bath_thermal = make_thermal(bath.frequencies, config.temperature)
     global0 = tensor_product(_system_state(config, 1), bath_thermal)
-    out = []
-    for t in _times(config):
-        full = evolve_full(cache, global0, t)
-        ansatz = tensor_product(partial_trace(full, {0}), bath_thermal)
-        out.append((t, db_distance(full, ansatz)))
-    return out
+    times = _times(config)
+    return [(t, db_distance(full, tensor_product(partial_trace(full, {0}), bath_thermal)))
+            for t, full in zip(times, full_states(config.omega, bath, global0, times))]
 
 
 def run_factorization_distance(config: ScenarioConfig) -> ExperimentResult:
@@ -292,12 +285,6 @@ def run_two_oscillator_suite(config: ScenarioConfig) -> ExperimentResult:
     rows += _rows("none", times, [("", "fidelity_between_equations",
                                    map(fidelity_multi, small, large))])
     return ExperimentResult("two_oscillator_suite", config, rows)
-
-
-def driven_variant_error(config: ScenarioConfig, variant: str) -> float:
-    """Time-averaged D_B between exact and Markovian driven evolution."""
-    (dists,) = _curves(config, [variant], db_distance, _times(config))
-    return float(np.mean(dists))
 
 
 def run_driven_suite(config: ScenarioConfig) -> ExperimentResult:
@@ -329,35 +316,3 @@ def run_experiment(name: str, config: ScenarioConfig) -> ExperimentResult:
     """Run experiment ``name`` on a config that ``validate`` accepts with it requested."""
     validate(replace(config, experiments=tuple(dict.fromkeys((*config.experiments, name)))))
     return _RUNNERS[name](config)
-
-
-# ---------------------------------------------------------------------------
-# analysis helpers
-
-def recurrence_onset(times, values, baseline_end: float, factor: float = 3.0) -> float:
-    """First time the distance exceeds ``factor`` times its pre-recurrence median.
-
-    The baseline window starts after the initial adjustment transient (first
-    tenth of the window) and ends at ``baseline_end``.
-    """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    window = (times > 0.1 * baseline_end) & (times <= baseline_end)
-    if window.sum() < 3:
-        raise ValueError("baseline window too short to estimate an onset")
-    threshold = factor * np.median(values[window])
-    beyond = np.nonzero((times > baseline_end) & (values > threshold))[0]
-    if beyond.size == 0:
-        raise ArithmeticError("no recurrence onset detected within the time grid")
-    return float(times[beyond[0]])
-
-
-def linear_fit(x, y):
-    """Least-squares line fit returning (slope, intercept, r_squared)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    total = y - y.mean()
-    r2 = 1.0 - float(resid @ resid) / float(total @ total)
-    return float(slope), float(intercept), r2

@@ -96,6 +96,8 @@ class QuadraticLindblad:
             drive = np.atleast_1d(np.asarray(drive, dtype=complex))
             if drive.shape != (n,):
                 raise ValueError(f"drive must have {n} entries")
+            if not np.isfinite(drive).all():
+                raise ValueError("drive must be finite")
 
         z = -1j * h - 0.5 * k_emit.conj() + 0.5 * k_abs
         a = np.block([[z.real, -z.imag], [z.imag, z.real]])
@@ -259,17 +261,8 @@ def evolve_flow(flow: QuadraticLindblad, state: GaussianState, t: float) -> Gaus
     return _unstack(flow.n_modes, s)
 
 
-# Higham (2005), Table 2.3: for each Pade order m, the largest 1-norm theta_m at
-# which the [m/m] approximant of exp is accurate to double precision, and the
-# approximant's coefficients b_0 ... b_m
-_PADE = (
-    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
-                            1512.0, 56.0, 1.0)),
-    (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
-                           30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
-)
+# Higham (2005), Table 2.3: the largest 1-norm theta_13 at which the [13/13]
+# Pade approximant of exp is accurate to double precision, and its coefficients
 _THETA_13 = 5.371920351148152
 _B_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
          1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
@@ -279,23 +272,15 @@ _B_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 def _expm(a: np.ndarray) -> np.ndarray:
     """exp(a) of a real square matrix by Pade scaling and squaring (Higham 2005).
 
-    The lowest order m in 3, 5, 7, 9 whose theta_m bounds the 1-norm of a;
-    otherwise order 13 on a / 2^s, squared s times, with s the fewest halvings
-    that bring the 1-norm to theta_13.  Replaces scipy.linalg.expm, whose
-    import (with scipy.special's) is most of the command line's start-up.
+    Order 13 on a / 2^s, squared s times, with s the fewest halvings that
+    bring the 1-norm to theta_13 (none for a zero matrix).  Replaces
+    scipy.linalg.expm, whose import (with scipy.special's) is most of the
+    command line's start-up.
     """
     norm = np.abs(a).sum(axis=0).max()
+    s = max(0, math.ceil(math.log2(norm / _THETA_13))) if norm != 0 else 0
     eye = np.eye(a.shape[0])
     a2 = a @ a
-    for theta, b in _PADE:
-        if norm <= theta:
-            powers = [eye, a2]
-            while len(powers) < len(b) // 2:
-                powers.append(powers[-1] @ a2)
-            u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
-            v = sum(b[2 * k] * p for k, p in enumerate(powers))
-            return np.linalg.solve(v - u, v + u)
-    s = max(0, math.ceil(math.log2(norm / _THETA_13)))
     a, a2 = a * 2.0**-s, a2 * 4.0**-s
     a4 = a2 @ a2
     a6 = a4 @ a2

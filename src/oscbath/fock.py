@@ -23,6 +23,7 @@ from .flows import QuadraticLindblad
 
 __all__ = [
     "BandedSuperoperator",
+    "check_cutoff",
     "build_superoperator",
     "integrate",
     "moments",
@@ -106,6 +107,21 @@ class BandedSuperoperator:
         return float(colsum.max())
 
 
+# The longest vec(rho), (cutoff + 1)^(2 n) entries, the referee builds: two
+# modes up to cutoff 25.  Its dozen or so complex bands then take about 100 MB.
+MAX_VEC_LENGTH = 2 ** 19
+
+
+def check_cutoff(n_modes: int, cutoff: int):
+    """ValueError unless 4 <= cutoff and vec(rho) has at most MAX_VEC_LENGTH entries."""
+    if cutoff < 4:
+        raise ValueError("cutoff must be at least 4")
+    size = (cutoff + 1) ** (2 * n_modes)
+    if size > MAX_VEC_LENGTH:
+        raise ValueError(f"cutoff {cutoff} gives {n_modes} mode(s) a vec(rho) of {size} "
+                         f"entries, above the referee's {MAX_VEC_LENGTH}")
+
+
 def build_superoperator(lindblad: QuadraticLindblad, cutoff: int) -> BandedSuperoperator:
     """The master-equation generator as a matrix on row-major vec(rho).
 
@@ -117,10 +133,9 @@ def build_superoperator(lindblad: QuadraticLindblad, cutoff: int) -> BandedSuper
     g (L . R^dag - {R^dag L, .}/2) are sums of such sandwiches, assembled
     band by band; terms with a common offset share one stored band.
     """
-    if cutoff < 4:
-        raise ValueError("cutoff must be at least 4")
     n = lindblad.n_modes
     ops = _ladders(n, cutoff)
+    check_cutoff(n, cutoff)
     d = (cutoff + 1) ** n
     eye = (0, np.ones(d))
 
@@ -163,10 +178,13 @@ def build_superoperator(lindblad: QuadraticLindblad, cutoff: int) -> BandedSuper
 # Substeps h keep h ||L||_1 <= THETA; Taylor terms are summed until two in a
 # row together fall below EPS of the partial sum (Al-Mohy & Higham, SIAM J.
 # Sci. Comput. 33, 488 (2011)), and at most MAX_TERMS, which at THETA = 6
-# leaves a remainder below 6^56 / 56! ~ 1e-31 of the vector.
+# leaves a remainder below 6^56 / 56! ~ 1e-31 of the vector.  One integrate
+# call plans at most MAX_SUBSTEPS substeps; the oracle's longest accepted case
+# (two modes at cutoff 14, ||L||_1 = 739, t = 14) plans 1 724.
 THETA = 6.0
 EPS = 2.0 ** -53
 MAX_TERMS = 55
+MAX_SUBSTEPS = 10_000
 
 
 def _norm(y: np.ndarray) -> float:
@@ -174,11 +192,9 @@ def _norm(y: np.ndarray) -> float:
     return float(np.abs(y.view(float)).max())
 
 
-def _taylor_action(lind: BandedSuperoperator, norm1: float, dt: float,
+def _taylor_action(lind: BandedSuperoperator, h: float, steps: int,
                    y: np.ndarray) -> np.ndarray:
-    """e^{dt L} y by truncated Taylor series on ceil(dt ||L||_1 / THETA) substeps."""
-    steps = max(1, math.ceil(dt * norm1 / THETA))
-    h = dt / steps
+    """e^{steps h L} y by truncated Taylor series on ``steps`` substeps of length h."""
     for _ in range(steps):
         total = y.copy()
         term = y
@@ -204,7 +220,7 @@ def integrate(lindblad: QuadraticLindblad, cutoff: int, rho0: np.ndarray, times)
     (len(times), d, d).  The state is carried from each distinct requested
     time to the next by a Taylor action of the superoperator.  A t = 0 entry
     returns rho0 unchanged; a non-finite generator or state raises
-    ``ArithmeticError``.
+    ``ArithmeticError``, and more than ``MAX_SUBSTEPS`` substeps ``ValueError``.
 
     Without a drive every term of the generator conserves n_row - n_col of
     each vec(rho) entry, also at the truncation edge, so the grading
@@ -242,11 +258,15 @@ def integrate(lindblad: QuadraticLindblad, cutoff: int, rho0: np.ndarray, times)
         raise ArithmeticError("Lindblad superoperator has a non-finite 1-norm")
 
     t_eval, inverse = np.unique(times[later], return_inverse=True)
+    dts = np.diff(t_eval, prepend=0.0)
+    steps = np.maximum(1.0, np.ceil(dts * norm1 / THETA))  # h ||L||_1 <= THETA
+    if steps.sum() > MAX_SUBSTEPS:
+        raise ValueError(f"integration to t = {t_eval[-1]:.3g} needs {steps.sum():.3g} "
+                         f"Taylor substeps (||L||_1 = {norm1:.3g}), above {MAX_SUBSTEPS}")
     rho = np.empty((t_eval.size, d * d), dtype=complex)
-    y, now = rho0.ravel(), 0.0
-    for i, t in enumerate(t_eval):
-        y = _taylor_action(lind, norm1, t - now, y)
-        now = t
+    y = rho0.ravel()
+    for i, (t, dt, n_steps) in enumerate(zip(t_eval, dts, steps)):
+        y = _taylor_action(lind, dt / n_steps, int(n_steps), y)
         rho[i] = y * np.exp(-1j * omega * t * delta)
     rho = rho.reshape(-1, d, d)[inverse]
     out[later] = 0.5 * (rho + rho.conj().transpose(0, 2, 1))

@@ -27,10 +27,7 @@ __all__ = [
     "tensor_product",
     "partial_trace",
     "physicality_violation",
-    "is_physical",
-    "fidelity_one_mode",
     "fidelity_multi",
-    "bures_distance",
     "db_distance",
 ]
 
@@ -149,38 +146,6 @@ def physicality_violation(state: GaussianState) -> float:
     return float(np.linalg.eigvalsh(herm).min())
 
 
-def is_physical(state: GaussianState, tol: float = PHYSICALITY_TOL) -> bool:
-    """Whether the uncertainty relation C + i*sigma >= tol holds."""
-    return physicality_violation(state) >= tol
-
-
-def _check_same_shape(a: GaussianState, b: GaussianState):
-    if a.n_modes != b.n_modes:
-        raise ValueError(f"mode count mismatch: {a.n_modes} vs {b.n_modes}")
-
-
-def fidelity_one_mode(a: GaussianState, b: GaussianState) -> float:
-    """Closed-form fidelity of two one-mode Gaussian states.
-
-    F = 2 exp[-delta^T (C1+C2)^{-1} delta] / (sqrt(Lambda+Phi) - sqrt(Phi)) with
-    Lambda = det(C1+C2) and Phi = (det C1 - 1)(det C2 - 1).
-    """
-    _check_same_shape(a, b)
-    if a.n_modes != 1:
-        raise ValueError("fidelity_one_mode requires one-mode states")
-    csum = a.cov + b.cov
-    lam = float(np.linalg.det(csum))
-    phi = (float(np.linalg.det(a.cov)) - 1.0) * (float(np.linalg.det(b.cov)) - 1.0)
-    phi = max(phi, 0.0)  # physical states have det C >= 1; guard rounding
-    delta = a.mean - b.mean
-    try:
-        expo = float(delta @ np.linalg.solve(csum, delta))
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError("singular covariance sum in fidelity") from exc
-    f = 2.0 / (np.sqrt(lam + phi) - np.sqrt(phi)) * np.exp(-expo)
-    return float(min(max(f, 0.0), 1.0))
-
-
 def fidelity_multi(a: GaussianState, b: GaussianState) -> float:
     """Uhlmann fidelity of two n-mode Gaussian states from their moments.
 
@@ -206,7 +171,8 @@ def fidelity_multi(a: GaussianState, b: GaussianState) -> float:
     regular for pure states (nu_k -> 1) and reduces exactly to the one-mode
     closed form.
     """
-    _check_same_shape(a, b)
+    if a.n_modes != b.n_modes:
+        raise ValueError(f"mode count mismatch: {a.n_modes} vs {b.n_modes}")
     n = a.n_modes
     eye = np.eye(2 * n)
     sigma = symplectic_form(n)
@@ -238,12 +204,6 @@ def fidelity_multi(a: GaussianState, b: GaussianState) -> float:
     expo = float(delta @ np.linalg.solve(csum, delta))
     logf = n * np.log(2.0) - 0.5 * logdet + log_nu - expo
     return float(min(np.exp(logf), 1.0))
-
-
-def bures_distance(a: GaussianState, b: GaussianState) -> float:
-    """Bures distance sqrt(2 - 2 sqrt(F))."""
-    f = fidelity_multi(a, b)
-    return float(np.sqrt(max(2.0 - 2.0 * np.sqrt(f), 0.0)))
 
 
 def db_distance(a: GaussianState, b: GaussianState) -> float:

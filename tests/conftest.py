@@ -1,13 +1,14 @@
-"""Shared test helpers: random physical states, sector eigenbases and Fock-space utilities."""
+"""Shared test helpers: random physical states, dense referees, acceptance helpers and
+Fock-space utilities."""
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import expm, sqrtm
 
-from oscbath.exact import PropagatorCache
+from oscbath.experiments import _curves, _times
 from oscbath.fock import vacuum_rho
-from oscbath.gaussian import GaussianState, symplectic_form
+from oscbath.gaussian import GaussianState, db_distance, symplectic_form
 
 
 def random_symplectic(rng, n_modes: int, scale: float = 0.4) -> np.ndarray:
@@ -86,8 +87,48 @@ def fock_partial_trace_first(rho: np.ndarray, dim: int) -> np.ndarray:
     return np.einsum("ikjk->ij", r)
 
 
-def sector_cache(reduced) -> PropagatorCache:
-    """Dense eigendecomposition of W (W - omega_L with a drive) assembled from the sector spectra.
+def build_single(omega, bath) -> np.ndarray:
+    """(M+1)-square W of one oscillator: diagonal (omega, omega_j), first row and column g_j."""
+    freqs, g = (np.empty(0), np.empty(0)) if bath is None else (bath.frequencies, bath.couplings)
+    w = np.diag(np.concatenate([[float(omega)], freqs]))
+    w[0, 1:] = w[1:, 0] = g
+    return w
+
+
+def build_two(omega, beta, bath) -> np.ndarray:
+    """W of two oscillators of frequency omega, exchange-coupled by beta.
+
+    Each oscillator has its own copy of ``bath``; layout (osc1, bath modes...,
+    osc2, bath modes...).  This is the W that ``ReducedPropagator`` splits
+    into its two sectors.
+    """
+    one = build_single(omega, bath)
+    n = one.shape[0]
+    w = np.zeros((2 * n, 2 * n))
+    w[:n, :n] = w[n:, n:] = one
+    w[0, n] = w[n, 0] = beta
+    return w
+
+
+def propagator(lam, q, t) -> np.ndarray:
+    """Phase-space propagator [[cos Wt, sin Wt], [-sin Wt, cos Wt]] of W = Q diag(lam) Q^T."""
+    cos, sin = (q * np.cos(lam * t)) @ q.T, (q * np.sin(lam * t)) @ q.T
+    return np.block([[cos, sin], [-sin, cos]])
+
+
+def dense_states(w, state0, times) -> list:
+    """Full states M(t) state0 at ``times`` for any symmetric W, by one eigh."""
+    lam, q = np.linalg.eigh(w)
+    out = []
+    for t in times:
+        m = propagator(lam, q, t)
+        cov = m @ state0.cov @ m.T
+        out.append(GaussianState(state0.n_modes, m @ state0.mean, 0.5 * (cov + cov.T)))
+    return out
+
+
+def sector_cache(reduced):
+    """Eigendecomposition (lam, Q) of W (W - omega_L with a drive) assembled from the sector spectra.
 
     Eigenvector k of a sector has system component q0_k = sqrt(weight_k) and
     bath components q0_k g_hat_j / (lam_k - omega_j) in that sector's modes;
@@ -104,4 +145,59 @@ def sector_cache(reduced) -> PropagatorCache:
     p = reduced.mixing
     q = np.vstack([np.hstack([p[a, s] * vec for s, vec in enumerate(vecs)])
                    for a in range(p.shape[0])])
-    return PropagatorCache(np.concatenate([s.eigenvalues for s in reduced.sectors]), q)
+    return np.concatenate([s.eigenvalues for s in reduced.sectors]), q
+
+
+def fidelity_one_mode(a: GaussianState, b: GaussianState) -> float:
+    """Closed-form fidelity of two one-mode Gaussian states, the referee of ``fidelity_multi``.
+
+    F = 2 exp[-delta^T (C1+C2)^{-1} delta] / (sqrt(Lambda+Phi) - sqrt(Phi)) with
+    Lambda = det(C1+C2) and Phi = (det C1 - 1)(det C2 - 1).
+    """
+    assert a.n_modes == b.n_modes == 1
+    csum = a.cov + b.cov
+    lam = float(np.linalg.det(csum))
+    phi = (float(np.linalg.det(a.cov)) - 1.0) * (float(np.linalg.det(b.cov)) - 1.0)
+    phi = max(phi, 0.0)  # physical states have det C >= 1; guard rounding
+    delta = a.mean - b.mean
+    expo = float(delta @ np.linalg.solve(csum, delta))
+    f = 2.0 / (np.sqrt(lam + phi) - np.sqrt(phi)) * np.exp(-expo)
+    return float(min(max(f, 0.0), 1.0))
+
+
+def recurrence_time_estimate(bath) -> float:
+    """Heuristic bath echo time 2*pi/(level spacing); scales linearly with M."""
+    if bath.size < 2:
+        return np.inf
+    dw = (bath.frequencies[-1] - bath.frequencies[0]) / (bath.size - 1)
+    return float(2.0 * np.pi / dw)
+
+
+def recurrence_onset(times, values, baseline_end: float, factor: float = 3.0) -> float:
+    """First time the distance exceeds ``factor`` times its pre-recurrence median.
+
+    The baseline window starts after the initial adjustment transient (first
+    tenth of the window) and ends at ``baseline_end``.
+    """
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    window = (times > 0.1 * baseline_end) & (times <= baseline_end)
+    assert window.sum() >= 3, "baseline window too short to estimate an onset"
+    threshold = factor * np.median(values[window])
+    beyond = np.nonzero((times > baseline_end) & (values > threshold))[0]
+    assert beyond.size, "no recurrence onset detected within the time grid"
+    return float(times[beyond[0]])
+
+
+def linear_fit(x, y):
+    """Least-squares line fit returning (slope, intercept, r_squared)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    slope, intercept = np.polyfit(x, y, 1)
+    r2 = 1.0 - np.sum((y - slope * x - intercept) ** 2) / np.sum((y - y.mean()) ** 2)
+    return float(slope), float(intercept), float(r2)
+
+
+def driven_variant_error(config, variant: str) -> float:
+    """Time-averaged D_B between exact and Markovian driven evolution."""
+    (dists,) = _curves(config, [variant], db_distance, _times(config))
+    return float(np.mean(dists))

@@ -8,7 +8,9 @@ import time
 import warnings
 
 import numpy as np
-from conftest import random_physical_state, sector_cache, squeezed_vacuum_rho
+from conftest import (driven_variant_error, fidelity_one_mode, linear_fit, propagator,
+                      random_physical_state, recurrence_onset, recurrence_time_estimate,
+                      sector_cache, squeezed_vacuum_rho)
 from scipy.integrate import quad
 
 from oscbath import fock
@@ -16,16 +18,13 @@ from oscbath.bath import (OhmicSpectrum, bose_occupation, corr_c0, corr_ct,
                           decay_rate, discretize, fwhh, lamb_shift,
                           omega_range)
 from oscbath.config import ScenarioConfig
-from oscbath.exact import ReducedPropagator, propagator, recurrence_time_estimate
-from oscbath.experiments import (driven_variant_error, linear_fit,
-                                 recurrence_onset, run_factorization_distance,
-                                 run_recurrence_map)
+from oscbath.exact import ReducedPropagator
+from oscbath.experiments import run_factorization_distance, run_recurrence_map
 from oscbath.flows import (QuadraticLindblad, evolve_flow, flow_driven,
                            flow_single, flow_two_large_beta, flow_two_small_beta,
                            steady_state)
-from oscbath.gaussian import (GaussianState, db_distance, fidelity_multi,
-                              fidelity_one_mode, make_thermal, make_vacuum,
-                              physicality_violation)
+from oscbath.gaussian import (GaussianState, db_distance, fidelity_multi, make_thermal,
+                              make_vacuum, physicality_violation)
 
 
 def report(number: int, description: str):
@@ -119,18 +118,18 @@ def test_criterion_2_propagator_invariants():
     spec = OhmicSpectrum(0.01, 3.0)
     bath = discretize(spec, 350, omega_range(spec, "equal_tails"))
     tic = time.time()
-    cache = sector_cache(ReducedPropagator.build(1.0, bath))
+    lam, q = sector_cache(ReducedPropagator.build(1.0, bath))
     assert time.time() - tic < 60.0
-    n = cache.dim
+    n = lam.size
     assert 2 * n == 702
     sigma = np.zeros((2 * n, 2 * n))
     sigma[:n, n:] = np.eye(n)
     sigma[n:, :n] = -np.eye(n)
     for t in (50.0, 200.0):
-        m = propagator(cache, t)
+        m = propagator(lam, q, t)
         assert np.abs(m @ sigma @ m.T - sigma).max() <= 1e-9
-    m1, m2 = propagator(cache, 78.5), propagator(cache, 121.5)
-    assert np.abs(propagator(cache, 200.0) - m1 @ m2).max() <= 1e-9
+    m1, m2 = propagator(lam, q, 78.5), propagator(lam, q, 121.5)
+    assert np.abs(propagator(lam, q, 200.0) - m1 @ m2).max() <= 1e-9
 
 
 @report(3, "Markovian steady covariance is (2n+1)I and the exact state relaxes to it")

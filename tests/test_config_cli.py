@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -180,6 +182,9 @@ ORACLE_SINGLE = ("[oracle]\nfamily = single\ncutoff = 10\nt = 2\n"
 # one [oracle] key changed per case
 BAD_ORACLES = {
     "cutoff_3": ORACLE_SINGLE.replace("cutoff = 10", "cutoff = 3"),
+    # (cutoff + 1)^4 entries of vec(rho): refused before the initial state is built
+    "cutoff_1000_two_small": ORACLE_SINGLE.replace("single", "two_small")
+    .replace("cutoff = 10", "cutoff = 1000"),
     "gamma_zero": ORACLE_SINGLE.replace("gamma = 0.08", "gamma = 0"),
     "gamma_not_a_number": ORACLE_SINGLE.replace("gamma = 0.08", "gamma = abc"),
     "driven_negative_nbar": ORACLE_SINGLE.replace("single", "driven")
@@ -496,3 +501,11 @@ class TestCli:
         assert captured.err.startswith("config error:")
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(oscbath.__path__)))
+def test_star_import_and_all_entries_exist(module):
+    # a name deleted from a module must leave its __all__ too
+    mod = importlib.import_module(f"oscbath.{module}")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+    exec(f"from oscbath.{module} import *", {})

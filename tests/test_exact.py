@@ -3,14 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import random_physical_state, sector_cache
+from conftest import (build_single, build_two, dense_states, propagator,
+                      random_physical_state, recurrence_time_estimate, sector_cache)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oscbath.bath import BathCouplings, OhmicSpectrum, discretize, omega_range
-from oscbath.exact import (CouplingMatrix, PropagatorCache, ReducedPropagator,
-                           RwaValidityWarning, build_single, build_two,
-                           evolve_full, propagator, recurrence_time_estimate)
+from oscbath.exact import ReducedPropagator, RwaValidityWarning, full_states
 from oscbath.gaussian import (GaussianState, make_squeezed_vacuum, make_thermal,
                               make_vacuum, symplectic_form, tensor_product)
 
@@ -26,7 +25,7 @@ def random_bath(rng, m=30, scale=0.2):
 
 
 def arrowhead_cache(omega, bath, **kwargs):
-    """Dense cache of W from the sector spectra that the reduced states use."""
+    """(lam, Q) of W from the sector spectra that the reduced states use."""
     return sector_cache(ReducedPropagator.build(omega, bath, **kwargs))
 
 
@@ -34,46 +33,41 @@ def dense_driven(coupling, rabi, omega_l, state0, t):
     """Full state under the drive, by eigh of W - omega_L: M(t) s0 plus the affine term.
 
     The mean gains sqrt(2)((cos(W0 t) - 1) w ; -sin(W0 t) w) with w = W0^{-1} b
-    and b = rabi on the first system mode; the drive cancels from the covariance.
+    and b = rabi on the first system mode (mode 0); the drive cancels from the
+    covariance.
     """
-    w0 = CouplingMatrix(coupling.matrix - omega_l * np.eye(coupling.dim),
-                        coupling.system_indices)
-    cache = PropagatorCache.from_eigh(w0)
-    out = evolve_full(cache, state0, t)
-    b = np.zeros(coupling.dim)
-    b[coupling.system_indices[0]] = rabi
-    w = np.linalg.solve(w0.matrix, b)
-    m, n = propagator(cache, t), coupling.dim
+    n = coupling.shape[0]
+    w0 = coupling - omega_l * np.eye(n)
+    m = propagator(*np.linalg.eigh(w0), t)
+    b = np.zeros(n)
+    b[0] = rabi
+    w = np.linalg.solve(w0, b)
     shift = np.sqrt(2.0) * np.concatenate([m[:n, :n] @ w - w, m[n:, :n] @ w])
-    return GaussianState(n, out.mean + shift, out.cov)
+    cov = m @ state0.cov @ m.T
+    return GaussianState(n, m @ state0.mean + shift, 0.5 * (cov + cov.T))
 
 
 class TestBuilders:
     def test_single_no_bath(self):
-        w = build_single(2.5, None)
-        np.testing.assert_array_equal(w.matrix, [[2.5]])
-        assert w.system_indices == (0,)
+        np.testing.assert_array_equal(build_single(2.5, None), [[2.5]])
 
     def test_single_one_mode(self):
         bath = BathCouplings(np.array([1.3]), np.array([0.2]))
-        w = build_single(1.0, bath)
-        np.testing.assert_allclose(w.matrix, [[1.0, 0.2], [0.2, 1.3]])
+        np.testing.assert_allclose(build_single(1.0, bath), [[1.0, 0.2], [0.2, 1.3]])
 
     def test_single_symmetry(self):
         w = build_single(1.0, small_bath())
-        np.testing.assert_array_equal(w.matrix, w.matrix.T)
+        np.testing.assert_array_equal(w, w.T)
 
     def test_two_uncoupled_is_block_diagonal(self):
         bath = small_bath(4)
         w = build_two(1.0, 0.0, bath)
-        np.testing.assert_array_equal(w.matrix[:5, 5:], np.zeros((5, 5)))
-        np.testing.assert_array_equal(w.matrix[:5, :5], build_single(1.0, bath).matrix)
-        np.testing.assert_array_equal(w.matrix[5:, 5:], build_single(1.0, bath).matrix)
-        assert w.system_indices == (0, 5)
+        np.testing.assert_array_equal(w[:5, 5:], np.zeros((5, 5)))
+        np.testing.assert_array_equal(w[:5, :5], build_single(1.0, bath))
+        np.testing.assert_array_equal(w[5:, 5:], build_single(1.0, bath))
 
     def test_two_bare(self):
-        w = build_two(1.0, 0.05, None)
-        np.testing.assert_allclose(w.matrix, [[1.0, 0.05], [0.05, 1.0]])
+        np.testing.assert_allclose(build_two(1.0, 0.05, None), [[1.0, 0.05], [0.05, 1.0]])
 
     def test_two_warns_when_rwa_strained(self):
         with pytest.warns(RwaValidityWarning):
@@ -84,26 +78,26 @@ class TestBuilders:
 
 class TestPropagator:
     def test_identity_at_zero(self):
-        cache = arrowhead_cache(1.0, small_bath())
-        np.testing.assert_allclose(propagator(cache, 0.0), np.eye(2 * cache.dim),
+        lam, q = arrowhead_cache(1.0, small_bath())
+        np.testing.assert_allclose(propagator(lam, q, 0.0), np.eye(2 * lam.size),
                                    atol=1e-15)
 
     def test_symplectic_orthogonal(self):
         rng = np.random.default_rng(4)
         for _ in range(3):
-            cache = arrowhead_cache(1.0, random_bath(rng, m=50))
-            sigma = symplectic_form(cache.dim)
+            lam, q = arrowhead_cache(1.0, random_bath(rng, m=50))
+            sigma = symplectic_form(lam.size)
             for t in (0.7, 13.0, 100.0):
-                m = propagator(cache, t)
+                m = propagator(lam, q, t)
                 assert np.abs(m @ sigma @ m.T - sigma).max() <= 1e-10
-                assert np.abs(m @ m.T - np.eye(2 * cache.dim)).max() <= 1e-10
+                assert np.abs(m @ m.T - np.eye(2 * lam.size)).max() <= 1e-10
 
     def test_group_property(self):
         rng = np.random.default_rng(6)
-        cache = arrowhead_cache(1.0, random_bath(rng, m=25))
+        lam, q = arrowhead_cache(1.0, random_bath(rng, m=25))
         t1, t2 = 3.3, 7.9
-        m12 = propagator(cache, t1 + t2)
-        np.testing.assert_allclose(m12, propagator(cache, t1) @ propagator(cache, t2),
+        m12 = propagator(lam, q, t1 + t2)
+        np.testing.assert_allclose(m12, propagator(lam, q, t1) @ propagator(lam, q, t2),
                                    atol=1e-11)
 
     def test_resonant_pair_swaps_excitation(self):
@@ -128,35 +122,35 @@ class TestPropagator:
             [sector.weight * np.cos(lt), -sector.weight * np.sin(lt)]))
         n = bath.size + 1
         for i, t in enumerate(times):
-            full = propagator(PropagatorCache.from_eigh(build_single(1.0, bath)), t)
+            full = propagator(*np.linalg.eigh(build_single(1.0, bath)), t)
             np.testing.assert_allclose(rows[i], full[0, 1:n], rtol=0, atol=1e-14)  # cos(Wt)
             np.testing.assert_allclose(rows[2 + i], -full[0, n + 1:], rtol=0, atol=1e-14)
 
 
 class TestCovarianceEvolution:
     def test_global_vacuum_invariant(self):
-        cache = arrowhead_cache(1.0, small_bath())
-        eye = np.eye(2 * cache.dim)
-        m = propagator(cache, 9.1)
+        lam, q = arrowhead_cache(1.0, small_bath())
+        eye = np.eye(2 * lam.size)
+        m = propagator(lam, q, 9.1)
         np.testing.assert_allclose(m @ eye @ m.T, eye, atol=1e-12)
 
     def test_uniform_thermal_invariant(self):
         # all mode frequencies equal: c*I stays c*I
         bath = BathCouplings(np.array([1.0, 1.0 + 1e-12]), np.array([0.1, 0.12]))
-        cache = arrowhead_cache(1.0, bath)
-        c0 = 3.7 * np.eye(2 * cache.dim)
-        m = propagator(cache, 5.0)
+        lam, q = arrowhead_cache(1.0, bath)
+        c0 = 3.7 * np.eye(2 * lam.size)
+        m = propagator(lam, q, 5.0)
         np.testing.assert_allclose(m @ c0 @ m.T, c0, atol=1e-10)
 
     def test_reduced_matches_explicit_double_sum(self):
         # element-wise sums of M_1k M_1l C_kl(0) at M = 20, t = 3
         bath = small_bath(20, 0.1, 9.0)
-        cache = arrowhead_cache(1.0, bath)
+        lam, q = arrowhead_cache(1.0, bath)
         sys0 = make_thermal([1.0], 30.0)
         global0 = tensor_product(sys0, make_thermal(bath.frequencies, 1.0))
         t = 3.0
-        m = propagator(cache, t)
-        n = cache.dim
+        m = propagator(lam, q, t)
+        n = lam.size
         c0 = global0.cov
         rows = (0, n)  # x and p of the system oscillator
         expect = np.empty((2, 2))
@@ -172,14 +166,40 @@ class TestCovarianceEvolution:
 
     def test_determinant_preserved(self):
         bath = small_bath(6)
-        cache = arrowhead_cache(1.0, bath)
+        lam, q = arrowhead_cache(1.0, bath)
         global0 = tensor_product(make_squeezed_vacuum(0.7),
                                  make_thermal(bath.frequencies, 0.5))
         sign0, logdet0 = np.linalg.slogdet(global0.cov)
-        m = propagator(cache, 17.0)
+        m = propagator(lam, q, 17.0)
         sign1, logdet1 = np.linalg.slogdet(m @ global0.cov @ m.T)
         assert sign0 == sign1
         assert logdet1 == pytest.approx(logdet0, abs=1e-8)
+
+
+class TestFullStates:
+    """full_states, the one dense eigh: its system block is the reduced state, invariants hold."""
+
+    def test_system_block_is_the_reduced_state(self):
+        bath = small_bath(20, 0.1, 9.0)
+        sys0 = random_physical_state(np.random.default_rng(8), 1)
+        global0 = tensor_product(sys0, make_thermal(bath.frequencies, 0.7))
+        times = [0.0, 2.5, 31.0]
+        full = full_states(1.0, bath, global0, times)
+        n = bath.size + 1
+        for f, red in zip(full, ReducedPropagator.build(1.0, bath).states(times, sys0, [0.7])):
+            np.testing.assert_allclose(f.mean[[0, n]], red.mean, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(f.cov[np.ix_([0, n], [0, n])], red.cov, rtol=0, atol=1e-12)
+
+    def test_invariants(self):
+        # t = 0 gives state0; det C and the global vacuum are conserved
+        bath = small_bath(6)
+        global0 = tensor_product(make_squeezed_vacuum(0.7), make_thermal(bath.frequencies, 0.5))
+        first, later = full_states(1.0, bath, global0, [0.0, 17.0])
+        np.testing.assert_allclose(first.cov, global0.cov, rtol=0, atol=1e-13)
+        assert (np.linalg.slogdet(later.cov)[1]
+                == pytest.approx(np.linalg.slogdet(global0.cov)[1], abs=1e-8))
+        (vac,) = full_states(1.0, bath, make_vacuum(bath.size + 1), [9.1])
+        np.testing.assert_allclose(vac.cov, np.eye(2 * bath.size + 2), rtol=0, atol=1e-12)
 
 
 class TestDriven:
@@ -228,7 +248,7 @@ class TestDriven:
 
     def test_resonant_drive_frequency_rejected(self):
         bath = small_bath()
-        resonant = float(np.linalg.eigvalsh(build_single(1.0, bath).matrix)[2])
+        resonant = float(np.linalg.eigvalsh(build_single(1.0, bath))[2])
         with pytest.raises(ArithmeticError, match="resonant"):
             ReducedPropagator.build(1.0, bath, drive=(0.1, resonant))
 
@@ -288,36 +308,36 @@ class TestReducedStateReferee:
             beta = rng.uniform(0.0, 0.1)
             coupling = build_two(omega, beta, bath)
             reduced = ReducedPropagator.build(omega, bath, beta=beta)
-            full = [evolve_full(PropagatorCache.from_eigh(coupling), global0, s) for s in times]
+            full = dense_states(coupling, global0, times)
         else:
             coupling = build_single(omega, bath)
             if scenario == "driven":
                 rabi, omega_l = rng.uniform(0.0, 1.0), rng.uniform(0.1, 6.0)
-                assume(np.abs(np.linalg.eigvalsh(coupling.matrix) - omega_l).min() > 1e-2)
+                assume(np.abs(np.linalg.eigvalsh(coupling) - omega_l).min() > 1e-2)
                 reduced = ReducedPropagator.build(omega, bath, drive=(rabi, omega_l))
                 full = [dense_driven(coupling, rabi, omega_l, global0, s) for s in times]
             else:
                 reduced = ReducedPropagator.build(omega, bath)
-                full = [evolve_full(PropagatorCache.from_eigh(coupling), global0, s)
-                        for s in times]
+                full = dense_states(coupling, global0, times)
 
-        sys_idx = list(coupling.system_indices)
-        idx = sys_idx + [i + coupling.dim for i in sys_idx]
+        n = coupling.shape[0]
+        sys_idx = [0, n // 2] if pair else [0]  # (osc1, bath..., osc2, bath...)
+        idx = sys_idx + [i + n for i in sys_idx]
         for red, ref in zip(reduced.states(times, sys0, temps), full):
             np.testing.assert_allclose(red.mean, ref.mean[idx], rtol=0, atol=1e-10)
             np.testing.assert_allclose(red.cov, ref.cov[np.ix_(idx, idx)], rtol=0, atol=1e-10)
 
 
-def assert_eigh_referee(coupling, cache, t=7.3):
-    """A cache assembled from sector spectra against np.linalg.eigh, and its propagator."""
-    w = coupling.matrix
+def assert_eigh_referee(w, cache, t=7.3):
+    """(lam, Q) assembled from sector spectra against np.linalg.eigh of W, and its propagator."""
     scale = max(np.abs(w).max(), 1.0)
-    evals, q = cache.eigenvalues, cache.eigenvectors
+    evals, q = cache
+    dim = w.shape[0]
     assert np.abs(np.sort(evals) - np.linalg.eigh(w)[0]).max() <= 1e-12 * scale
-    assert np.abs(q.T @ q - np.eye(coupling.dim)).max() <= 1e-13
+    assert np.abs(q.T @ q - np.eye(dim)).max() <= 1e-13
     assert np.abs(w @ q - q * evals).max() <= 1e-12 * scale
-    m = propagator(cache, t)
-    sigma = symplectic_form(coupling.dim)
+    m = propagator(evals, q, t)
+    sigma = symplectic_form(dim)
     assert np.abs(m @ sigma @ m.T - sigma).max() <= 1e-12
 
 
@@ -356,8 +376,7 @@ class TestArrowheadSolver:
         drive = None
         if shifted:  # W - omega_L as a drive frames it, omega_L inside the band
             omega_l = rng.uniform(bath.frequencies[0], bath.frequencies[-1])
-            coupling = CouplingMatrix(coupling.matrix - omega_l * np.eye(coupling.dim),
-                                      coupling.system_indices)
+            coupling = coupling - omega_l * np.eye(coupling.shape[0])
             drive = (0.0, omega_l)
         try:
             cache = arrowhead_cache(omega, bath, drive=drive)

@@ -2,14 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import driven_variant_error, linear_fit, recurrence_onset
 
 from oscbath import exact, experiments
 from oscbath.bath import OhmicSpectrum, bose_occupation, decay_rate, lamb_shift
 from oscbath.config import DEFAULT_RABI_GRID, ConfigError, ScenarioConfig
-from oscbath.experiments import (config_from_csv,
-                                 driven_variant_error,
-                                 linear_fit, recurrence_onset,
-                                 run_correlation_study, run_experiment,
+from oscbath.experiments import (config_from_csv, run_correlation_study, run_experiment,
                                  run_factorization_distance,
                                  run_fidelity_vs_time, run_recurrence_map,
                                  run_two_oscillator_suite,
@@ -380,7 +378,7 @@ class TestNoDenseSolve:
             raise AssertionError("dense eigendecomposition in a reduced-state scenario")
 
         monkeypatch.setattr(exact.np.linalg, "eigh", refuse)
-        monkeypatch.setattr(exact.PropagatorCache, "from_eigh", classmethod(refuse))
+        monkeypatch.setattr(experiments, "full_states", refuse)
 
     @pytest.mark.parametrize("modes", [0, 20])
     @pytest.mark.parametrize("base, labels", [

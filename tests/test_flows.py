@@ -46,6 +46,9 @@ class TestQuadraticLindblad:
             QuadraticLindblad([[1.0, 0.0]], [[0.1]], [[0.0]])
         with pytest.raises(ValueError, match="drive"):
             QuadraticLindblad([[1.0]], [[0.1]], [[0.0]], drive=[0.1, 0.2])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="drive must be finite"):
+                QuadraticLindblad([[1.0]], [[0.1]], [[0.0]], drive=[bad])
 
 
 _ENTRIES = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)

@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +7,7 @@ from conftest import assert_density_matrix, destroy, mode_operators, squeezed_va
 from scipy.linalg import expm
 
 from oscbath import fock
-from oscbath.flows import QuadraticLindblad
+from oscbath.flows import QuadraticLindblad, flow_two_small_beta
 
 
 def purity(rho):
@@ -133,6 +135,9 @@ class TestSuperoperator:
                 QuadraticLindblad(np.eye(3), np.zeros((3, 3)), np.zeros((3, 3))), 8)
         with pytest.raises(ValueError, match="cutoff"):
             fock.build_superoperator(QuadraticLindblad([[1.0]], [[0.1]], [[0.0]]), 3)
+        with pytest.raises(ValueError, match="above the referee"):
+            fock.build_superoperator(
+                QuadraticLindblad(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))), 30)
         with pytest.raises(ValueError, match="rho0"):
             fock.integrate(QuadraticLindblad([[1.0]], [[0.1]], [[0.0]]), 8,
                            fock.vacuum_rho(6), [1.0])
@@ -181,6 +186,36 @@ class TestIntegrate:
             lindblad = QuadraticLindblad([[1.0]], [[0.0]], [[5e307]])
         with np.errstate(over="ignore"), pytest.raises(ArithmeticError, match="non-finite"):
             fock.integrate(lindblad, 6, rho0, [0.5])
+
+    def test_endless_integration_is_refused_at_once(self):
+        # t = 1e300 would plan ~1e300 Taylor substeps; the alarm ends the test if any are taken
+        def too_slow(signum, frame):
+            raise TimeoutError("integrate started an endless integration")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(10)
+        try:
+            with pytest.raises(ValueError, match="substeps"):
+                fock.integrate(QuadraticLindblad([[1]], [[0.1]], [[0]]), 6,
+                               fock.vacuum_rho(6), [1e300])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_oracle_cap_case_is_within_the_substep_bound(self, monkeypatch):
+        # the longest case the oracle accepts (two_small, gamma (2 nbar + 1) t = 98 at
+        # cutoff 14) must stay integrable: count its planned substeps without taking them
+        planned = []
+
+        def count(lind, h, steps, y):
+            planned.append(steps)
+            return y
+
+        monkeypatch.setattr(fock, "_taylor_action", count)
+        lindblad = flow_two_small_beta((1.0, 1.0), 0.05, (5.0, 5.0), (0.2, 0.2))
+        rho0 = np.kron(fock.coherent_rho(0.3, 14), fock.thermal_rho(0.2, 14))
+        fock.integrate(lindblad, 14, rho0, [14.0])
+        assert 1000 < sum(planned) <= fock.MAX_SUBSTEPS
 
     def test_cutoff_convergence(self):
         gamma, nbar = 0.1, 0.3

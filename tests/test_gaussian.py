@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import (fock_partial_trace_first, fock_uhlmann_fidelity,
+from conftest import (fidelity_one_mode, fock_partial_trace_first, fock_uhlmann_fidelity,
                       random_physical_state, random_symplectic_orthogonal,
                       squeezed_vacuum_rho)
 
 from oscbath import fock
 from oscbath.flows import QuadraticLindblad, evolve_flow
-from oscbath.gaussian import (GaussianState, bures_distance, db_distance,
-                              fidelity_multi, fidelity_one_mode, is_physical,
+from oscbath.gaussian import (PHYSICALITY_TOL, GaussianState, db_distance, fidelity_multi,
                               make_coherent, make_squeezed_vacuum, make_thermal,
                               make_vacuum, partial_trace, physicality_violation,
                               symplectic_form, tensor_product)
@@ -32,7 +31,7 @@ class TestConstructors:
         st = make_vacuum(1)
         eig = np.linalg.eigvalsh(st.cov + 1j * symplectic_form(1))
         np.testing.assert_allclose(np.sort(eig), [0.0, 2.0], atol=1e-14)
-        assert is_physical(st)
+        assert physicality_violation(st) >= PHYSICALITY_TOL
 
     def test_thermal_zero_temperature_is_vacuum(self):
         st = make_thermal([1.0, 2.0, 0.3], 0.0)
@@ -67,7 +66,7 @@ class TestConstructors:
         st = make_squeezed_vacuum(0.5)
         np.testing.assert_allclose(np.diag(st.cov), [np.exp(-1.0), np.exp(1.0)], rtol=1e-15)
         assert np.linalg.det(st.cov) == pytest.approx(1.0, rel=1e-13)
-        assert is_physical(st)
+        assert physicality_violation(st) >= PHYSICALITY_TOL
 
     def test_constructors_are_physical(self):
         rng = np.random.default_rng(11)
@@ -300,14 +299,12 @@ def _mp_fidelity(a, b):
 class TestDistances:
     def test_identical_states_zero(self):
         st = make_thermal([1.0], 2.0)
-        assert bures_distance(st, st) == pytest.approx(0.0, abs=1e-7)
         assert db_distance(st, st) == pytest.approx(0.0, abs=1e-7)
 
     def test_orthogonal_limit(self):
         # far-displaced vacuum: F ~ exp(-400) ~ 0
         far = GaussianState(1, np.array([40.0, 0.0]), np.eye(2))
         assert db_distance(make_vacuum(1), far) == pytest.approx(1.0, abs=1e-12)
-        assert bures_distance(make_vacuum(1), far) == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     def test_db_monotone_in_fidelity(self):
         vac = make_vacuum(1)

@@ -476,6 +476,29 @@ class TestCli:
         assert max(mismatches) <= 1e-5
         assert "trace" in out
 
+    @pytest.mark.parametrize("family", ["single", "two_small", "two_large", "driven"])
+    def test_oracle_never_integrates_the_full_density_matrix(self, family, tmp_path,
+                                                            capsys, monkeypatch):
+        # the oracle prints moments and the trace only, which fock.evolve_moments
+        # gives without fock.integrate's full matrices; a refactor back to them fails here
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called fock.integrate")
+
+        monkeypatch.setattr(fock, "integrate", refuse)
+        p = tmp_path / "oracle.cfg"
+        p.write_text(ORACLE_SINGLE.replace("single", family))
+        assert cli_main(["oracle", str(p)]) == EXIT_OK
+        assert "trace(rho_t) = 1.0000" in capsys.readouterr().out
+
+    def test_oracle_with_a_large_coherent_amplitude_runs(self, tmp_path, capsys):
+        # |alpha| = 30 underflowed e^{-|alpha|^2/2} into an all-NaN initial state;
+        # now the state is finite and only the truncation edge is reported
+        p = tmp_path / "oracle.cfg"
+        p.write_text(ORACLE_SINGLE.replace("cutoff = 10", "cutoff = 20") + "coherent_re = 30\n")
+        with pytest.warns(UserWarning, match="truncation edge"):
+            assert cli_main(["oracle", str(p)]) == EXIT_OK
+        assert "trace(rho_t) = 1.0000" in capsys.readouterr().out
+
     def test_non_finite_oracle_integration_is_a_numeric_failure(self, tmp_path, capsys,
                                                                 monkeypatch):
         def nan_state(alpha, cutoff):

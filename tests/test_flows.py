@@ -25,8 +25,9 @@ def fock_state(lindblad, cutoff, rho):
 
 def assert_matches_fock(flow, lindblad, cutoff, rho0, times, tol):
     state0 = fock_state(lindblad, cutoff, rho0)
-    for t, rho_t in zip(times, fock.integrate(lindblad, cutoff, rho0, times)):
-        ref = fock_state(lindblad, cutoff, rho_t)
+    means, covs, _traces = fock.evolve_moments(lindblad, cutoff, rho0, times)
+    for t, mean, cov in zip(times, means, covs):
+        ref = GaussianState(lindblad.n_modes, mean, cov)
         out = evolve_flow(flow, state0, t)
         assert np.abs(out.mean - ref.mean).max() < tol
         assert np.abs(out.cov - ref.cov).max() < tol

@@ -1,4 +1,5 @@
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from conftest import assert_density_matrix, destroy, mode_operators, squeezed_va
 from scipy.linalg import expm
 
 from oscbath import fock
-from oscbath.flows import QuadraticLindblad, flow_two_small_beta
+from oscbath.bath import OhmicSpectrum
+from oscbath.flows import (QuadraticLindblad, flow_driven, flow_single, flow_two_large_beta,
+                           flow_two_small_beta)
 
 
 def purity(rho):
@@ -254,6 +257,26 @@ class TestMoments:
         np.testing.assert_allclose(fock.coherent_rho(alpha, 20), np.outer(ket, ket.conj()),
                                    atol=1e-14)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 2.0 + 1.0j, -10.0j, 25.0, -17.0 + 18.0j])
+    def test_coherent_rho_matches_the_direct_product(self, alpha):
+        # the log-space amplitudes against e^{-|alpha|^2/2} alpha^n / sqrt(n!) by
+        # running products, where those are finite
+        amps = np.ones(21, dtype=complex)
+        for n in range(1, 21):
+            amps[n] = amps[n - 1] * alpha / np.sqrt(n)
+        amps *= np.exp(-0.5 * abs(alpha) ** 2)
+        amps /= np.linalg.norm(amps)
+        np.testing.assert_allclose(fock.coherent_rho(alpha, 20), np.outer(amps, amps.conj()),
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("alpha", [30.0, 100.0, 1e5 - 1e5j])
+    def test_coherent_rho_at_large_amplitude(self, alpha):
+        # e^{-|alpha|^2/2} and the squared norm underflow here; the state must not
+        rho = fock.coherent_rho(alpha, 20)
+        assert np.isfinite(rho).all()
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
+        assert np.abs(np.diagonal(rho)).argmax() == 20  # weight piles at the edge
+
     def test_thermal_state(self):
         nbar = 0.6
         mean, cov = fock.moments(fock.thermal_rho(nbar, 60), 1, 60)
@@ -392,3 +415,111 @@ class TestTimeGrid:
         lindblad = QuadraticLindblad([[1.0]], [[0.1]], [[0.0]])
         with pytest.raises(ValueError, match="times"):
             fock.integrate(lindblad, 6, fock.vacuum_rho(6), times)
+
+
+def oracle_generators():
+    """One generator of each oracle family, with the CLI's default parameters."""
+    spectrum = OhmicSpectrum(0.01, 3.0)
+    return {
+        "single": flow_single(1.0, 0.08, 0.2),
+        "two_small": flow_two_small_beta((1.0, 1.0), 0.05, (0.08, 0.08), (0.2, 0.2)),
+        "two_large": flow_two_large_beta((spectrum, spectrum), (1.0, 0.5), 1.0, 0.3),
+        "driven": flow_driven(1.0, 0.08, 0.2, 0.1 + 0.05j, 0.8),
+    }
+
+
+def oracle_state(lindblad, cutoff):
+    rho0 = fock.coherent_rho(0.4 - 0.2j, cutoff)
+    if lindblad.n_modes == 2:
+        rho0 = np.kron(rho0, fock.thermal_rho(0.2, cutoff))
+    return rho0
+
+
+class TestEvolveMoments:
+    @pytest.mark.parametrize("family", ["single", "two_small", "two_large", "driven"])
+    def test_matches_integrate_and_moments(self, family):
+        lindblad = oracle_generators()[family]
+        cutoff = 12 if lindblad.n_modes == 1 else 8
+        rho0 = oracle_state(lindblad, cutoff)
+        times = [0.0, 0.0, 0.8, 3.0, 3.0, 7.5]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the same edge warnings on both paths
+            means, covs, traces = fock.evolve_moments(lindblad, cutoff, rho0, times)
+            rhos = fock.integrate(lindblad, cutoff, rho0, times)
+            assert means.shape == (6, 2 * lindblad.n_modes)
+            for mean, cov, trace, rho in zip(means, covs, traces, rhos):
+                ref_mean, ref_cov = fock.moments(rho, lindblad.n_modes, cutoff)
+                np.testing.assert_allclose(mean, ref_mean, rtol=0, atol=1e-13)
+                np.testing.assert_allclose(cov, ref_cov, rtol=0, atol=1e-13)
+                assert abs(trace - np.trace(rho).real) <= 1e-13
+        np.testing.assert_array_equal(covs[3], covs[4])
+
+    def test_edge_weight_warns_as_integrate_does(self):
+        lindblad = oracle_generators()["two_small"]
+        rho0 = np.kron(fock.coherent_rho(1.6, 6), fock.thermal_rho(0.2, 6))
+        with pytest.warns(UserWarning) as block:
+            fock.evolve_moments(lindblad, 6, rho0, [0.5])
+        with pytest.warns(UserWarning) as full:
+            fock.moments(fock.integrate(lindblad, 6, rho0, [0.5])[0], 2, 6)
+        assert [str(w.message) for w in block] == [str(w.message) for w in full]
+        assert "mode 0 occupies the truncation edge" in str(block[0].message)
+
+    def test_generator_breaking_the_grading_raises(self, monkeypatch):
+        # a drive-free generator whose superoperator links the kept sectors to
+        # dropped ones must fail loudly, never give moments of a wrong block
+        lindblad = oracle_generators()["single"]
+        driven = fock.build_superoperator(oracle_generators()["driven"], 6)
+        monkeypatch.setattr(fock, "build_superoperator", lambda lind, cutoff: driven)
+        with pytest.raises(ValueError, match="kept and dropped"):
+            fock.evolve_moments(lindblad, 6, fock.vacuum_rho(6), [1.0])
+
+    def test_drive_free_block_is_invariant(self):
+        # the block the moments read (n_row - n_col in {0, 1, 2}) and nothing
+        # else: restricting L to it loses no entry of its kept rows
+        lind = fock.build_superoperator(random_generator(np.random.default_rng(2), 2), 4)
+        levels = np.add.outer(np.arange(5), np.arange(5)).ravel()
+        grade = np.subtract.outer(levels, levels).ravel()
+        keep = np.flatnonzero((grade >= 0) & (grade <= 2))
+        block = lind.restrict(keep)
+        vec = np.zeros(lind.size, dtype=complex)
+        vec[keep] = np.random.default_rng(4).normal(size=keep.size)
+        np.testing.assert_array_equal(block @ vec[keep], (lind @ vec)[keep])
+        assert block.norm1() <= lind.norm1()
+
+    @pytest.mark.parametrize("family", ["single", "two_small"])
+    def test_non_finite_initial_state_outside_the_block_raises(self, family):
+        # rho[0, 1] has n_row - n_col = -1, an entry the block drops
+        lindblad = oracle_generators()[family]
+        rho0 = oracle_state(lindblad, 6)
+        rho0[0, 1] = np.nan
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            fock.evolve_moments(lindblad, 6, rho0, [0.5])
+
+    def test_overflowing_generator_raises(self):
+        lindblad = QuadraticLindblad([[1.0]], [[0.0]], [[5e307]])
+        with np.errstate(over="ignore"), pytest.raises(ArithmeticError, match="non-finite"):
+            fock.evolve_moments(lindblad, 6, fock.vacuum_rho(6), [0.5])
+
+    def test_size_and_time_limits_hold(self):
+        two = QuadraticLindblad(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="above the referee"):
+            fock.evolve_moments(two, 30, np.eye(1), [1.0])
+        with pytest.raises(ValueError, match="substeps"):
+            fock.evolve_moments(QuadraticLindblad([[1]], [[0.1]], [[0]]), 6,
+                                fock.vacuum_rho(6), [1e300])
+        with pytest.raises(ValueError, match="times"):
+            fock.evolve_moments(QuadraticLindblad([[1]], [[0.1]], [[0]]), 6,
+                                fock.vacuum_rho(6), [2.0, 1.0])
+
+    def test_oracle_cap_case_is_within_the_substep_bound(self, monkeypatch):
+        planned = []
+
+        def count(lind, h, steps, y):
+            planned.append(steps)
+            return y
+
+        monkeypatch.setattr(fock, "_taylor_action", count)
+        lindblad = flow_two_small_beta((1.0, 1.0), 0.05, (5.0, 5.0), (0.2, 0.2))
+        rho0 = np.kron(fock.coherent_rho(0.3, 14), fock.thermal_rho(0.2, 14))
+        fock.evolve_moments(lindblad, 14, rho0, [14.0])
+        assert 1000 < sum(planned) <= fock.MAX_SUBSTEPS

@@ -1,7 +1,9 @@
 """Command-line interface: run experiment configs, validate them, or spot-check
 a master equation against the Fock-space referee.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure, 64 usage error.
+Exit codes: 0 success, 2 configuration error (also a config file that cannot be
+read as UTF-8 text), 3 numeric failure, 64 usage error (also a ``run --out`` that
+cannot be made a directory).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, parse_path
+from .config import ConfigError, parse_path, read_text
 from .experiments import run_experiment
 
 EXIT_OK = 0
@@ -43,6 +45,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     """Compute and check every requested experiment, then write their CSVs: all or none."""
     config = parse_path(args.config)
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"usage error: --out {args.out} cannot be made a directory: {exc}",
+              file=sys.stderr)
+        return EXIT_USAGE
     results = []
     for name in config.experiments:
         result = run_experiment(name, config)
@@ -50,7 +58,6 @@ def _cmd_run(args) -> int:
         if not np.isfinite(numbers).all():
             raise ArithmeticError(f"{name} produced a non-finite value; no CSV written")
         results.append(result)
-    args.out.mkdir(parents=True, exist_ok=True)
     for result in results:
         path = args.out / f"{result.name}.csv"
         path.write_text(result.to_csv(), encoding="utf-8")
@@ -148,8 +155,10 @@ def _cmd_oracle(args) -> int:
     from .gaussian import GaussianState
 
     parser = configparser.ConfigParser()
-    if not parser.read(args.config):
-        raise ConfigError(f"cannot read oracle config {args.config}")
+    try:
+        parser.read_string(read_text(args.config))
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed oracle config: {exc}") from exc
     if "oracle" not in parser:
         raise ConfigError("oracle config needs an [oracle] section")
     try:
@@ -192,9 +201,6 @@ def cli_main(argv=None) -> int:
             return _cmd_validate(args)
         return _cmd_oracle(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ArithmeticError, np.linalg.LinAlgError) as exc:

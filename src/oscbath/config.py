@@ -14,16 +14,16 @@ from dataclasses import dataclass, fields, replace
 
 from .bath import OhmicSpectrum, decay_rate
 
-__all__ = ["ScenarioConfig", "ConfigError", "parse_config", "parse_path", "config_text",
-           "sweep_points", "validate"]
+__all__ = ["ScenarioConfig", "ConfigError", "read_text", "parse_config", "parse_path",
+           "config_text", "sweep_points", "validate"]
 
 SCENARIOS = ("single", "two_coupled", "driven")
 INITIAL_STATES = ("vacuum", "thermal", "squeezed", "coherent")
 RANGE_MODES = ("equal_tails", "floor")
 DRIVE_VARIANTS = ("plain", "off_resonant", "no_secular")
-# grids evaluated unless the config sweeps the parameter itself: two_oscillator_suite's
-# couplings beta / Omega, and driven_suite's detunings omega_l - Omega and Rabi
-# frequencies, at which the suites report t_max fidelities
+# grids evaluated unless the config sweeps the parameter itself, in units of Omega:
+# two_oscillator_suite's couplings beta, and driven_suite's detunings omega_l - Omega
+# and Rabi frequencies, at which the suites report t_max fidelities
 DEFAULT_BETA_GRID = (0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2)
 DEFAULT_DETUNING_GRID = (-0.5, -0.2, -0.1, -0.05, -0.02, -0.005,
                          0.005, 0.02, 0.05, 0.1, 0.2, 0.5)
@@ -35,8 +35,8 @@ _GRIDS = {
     "modes": ("bath_modes", None),
     "beta": ("beta", lambda c: [b * c.omega for b in DEFAULT_BETA_GRID]),
     "alpha": ("alpha", lambda c: [c.alpha]),
-    "detuning": ("omega_l", lambda c: DEFAULT_DETUNING_GRID),  # omega_l = Omega + d
-    "rabi": ("rabi", lambda c: DEFAULT_RABI_GRID),
+    "detuning": ("omega_l", lambda c: [d * c.omega for d in DEFAULT_DETUNING_GRID]),
+    "rabi": ("rabi", lambda c: [r * c.omega for r in DEFAULT_RABI_GRID]),
     "variant": ("drive_variant", lambda c: DRIVE_VARIANTS),
 }
 SWEEP_PARAMETERS = ("none", *_GRIDS)
@@ -207,17 +207,25 @@ def parse_config(text: str) -> ScenarioConfig:
     return config
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of a config file; ConfigError if it cannot be read as such."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+
+
 def parse_path(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return parse_config(read_text(path))
 
 
 def sweep_points(config: ScenarioConfig, parameter: str) -> list:
     """(value, point config) for each value of ``parameter`` that a run evaluates.
 
     The values are the config's own sweep over ``parameter``, else the
-    parameter's default grid; a detuning d sets omega_l = Omega + d, and
-    "none" gives the config itself.
+    parameter's default grid (frequencies in units of Omega); a detuning d
+    sets omega_l = Omega + d, and "none" gives the config itself.
     """
     if parameter == "none":
         return [("", config)]

@@ -3,22 +3,25 @@
 Used by tests and the ``oracle`` CLI subcommand to validate every moment flow
 in :mod:`oscbath.flows` against a direct density-matrix integration: it
 consumes the same :class:`~oscbath.flows.QuadraticLindblad` generator the flow
-is derived from.  The superoperator is stored as a few offset diagonals
-(:class:`BandedSuperoperator`), and :func:`integrate` applies its exponential
-to vec(rho) by a truncated Taylor series on short substeps, in the rotating
-frame of the generator's common frequency when there is no drive.
+is derived from.  The superoperator is assembled by band on the entries of
+vec(rho) that are evolved (:class:`BandedSuperoperator`: per band, a value
+for each kept entry and the kept entry it reads).  :func:`integrate` applies
+its exponential to all of vec(rho) by a truncated Taylor series on short
+substeps; without a drive the generator's common frequency is first folded
+out of h (a rotating frame, undone by an elementwise phase).
 :func:`evolve_moments` returns only the moments and the trace, and without a
-drive evolves only the entries of vec(rho) they read, on the restriction of
-the superoperator to that invariant block.  It loads
-NumPy only and shares no numerics with the flows it checks, which take a Padé
-exponential of the moment generator.  Scope is deliberately small (1-2
-modes, low occupation) so runs stay seconds-fast.
+drive assembles and evolves only the entries of vec(rho) they read, a set
+the generator maps into itself.  It loads NumPy only and shares no numerics
+with the flows it checks, which take a Padé exponential of the moment
+generator.  Scope is deliberately small (1-2 modes, low occupation) so runs
+stay seconds-fast.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -73,91 +76,43 @@ def _ladders(n_modes: int, cutoff: int) -> list:
 
 
 class BandedSuperoperator:
-    """A square matrix stored as offset diagonals: L[r, r + offsets[i]] = bands[i, r].
+    """The rows ``keep`` of a square matrix L, which L maps into themselves, by band.
 
-    Entries of a band whose column r + offset falls outside the matrix are
-    zero.  ``L @ y`` is the matrix-vector product.
+    ``keep`` lists sorted indices of L.  Band b holds one value per kept row
+    and the kept column that row reads:
+    L[keep[i], keep[reads[b, i]]] = values[b, i].  A row without an entry in
+    band b holds 0 and reads itself.  ``L @ y`` is the product on the kept
+    entries, one gather per band.
     """
 
-    def __init__(self, offsets, bands: np.ndarray):
-        self.offsets = tuple(int(p) for p in offsets)
-        self.bands = bands
+    def __init__(self, keep: np.ndarray, values: np.ndarray, reads: np.ndarray):
+        self.keep = keep
+        self.values = values
+        self.reads = reads
 
     @property
     def size(self) -> int:
-        return self.bands.shape[1]
-
-    def _pairs(self):
-        """Each band with the rows it touches and the columns it reads."""
-        n = self.size
-        for p, band in zip(self.offsets, self.bands):
-            rows = slice(max(0, -p), min(n, n - p))
-            yield band[rows], rows, slice(rows.start + p, rows.stop + p)
+        return self.keep.size
 
     def __matmul__(self, y: np.ndarray) -> np.ndarray:
         out = np.zeros(self.size, dtype=complex)
-        scratch = np.empty(self.size, dtype=complex)
-        for band, rows, cols in self._pairs():
-            part = scratch[rows]
-            np.multiply(band, y[cols], out=part)
-            out[rows] += part
+        part = np.empty(self.size, dtype=complex)
+        for values, reads in zip(self.values, self.reads):
+            np.take(y, reads, out=part, mode="clip")  # in range; "raise" would buffer
+            part *= values
+            out += part
         return out
 
     def norm1(self) -> float:
         """The 1-norm, the largest column sum of |L|."""
-        colsum = np.zeros(self.size)
-        for band, _rows, cols in self._pairs():
-            colsum[cols] += np.abs(band)
+        colsum = np.bincount(self.reads.ravel(), np.abs(self.values).ravel(),
+                             minlength=self.size)
         return float(colsum.max())
-
-    def restrict(self, keep: np.ndarray) -> "BandedSuperoperator":
-        """The block of L on the sorted vec indices ``keep``, which L must map into itself."""
-        return _Block(self, keep)
-
-
-class _Block(BandedSuperoperator):
-    """The block of a banded L on an invariant set of vec indices.
-
-    Each band keeps the nonzero entries of its kept rows, as a value for
-    every row of the block and the index of the block column it reads; rows
-    without an entry hold 0 and read the columns no entry of that band reads.
-    The columns of a band are then a permutation of the block, so ``@`` takes
-    one gather per band and no scatter, and ``norm1``'s column sums stay
-    exact.  A nonzero entry that reads a dropped column raises
-    ``ValueError``: the block would not evolve on its own.
-    """
-
-    def __init__(self, lind: BandedSuperoperator, keep: np.ndarray):
-        n = lind.size
-        position = np.full(n, -1)
-        position[keep] = np.arange(keep.size)
-        self._size = keep.size
-        self._stored = []
-        for p, band in zip(lind.offsets, lind.bands):
-            rows = keep[(keep + p >= 0) & (keep + p < n)]
-            rows = rows[band[rows] != 0]
-            cols = position[rows + p]
-            if np.any(cols < 0):
-                raise ValueError("the generator links kept and dropped vec(rho) entries")
-            values = np.zeros(keep.size, dtype=complex)
-            reads = np.full(keep.size, -1)
-            values[position[rows]] = band[rows]
-            reads[position[rows]] = cols
-            unread = np.ones(keep.size, dtype=bool)
-            unread[cols] = False
-            reads[reads < 0] = np.flatnonzero(unread)
-            self._stored.append((values, slice(None), reads))
-
-    @property
-    def size(self) -> int:
-        return self._size
-
-    def _pairs(self):
-        return iter(self._stored)
 
 
 # The longest vec(rho), (cutoff + 1)^(2 n) entries, the referee builds: two
-# modes up to cutoff 25.  Its dozen or so complex bands then take about 100 MB.
+# modes up to cutoff 25.  Its dozen or so bands, a complex value and an index
+# per entry, then take about 160 MB (13 bands without a drive, 21 with one).
 MAX_VEC_LENGTH = 2 ** 19
 
 
@@ -171,31 +126,35 @@ def check_cutoff(n_modes: int, cutoff: int):
                          f"entries, above the referee's {MAX_VEC_LENGTH}")
 
 
-def build_superoperator(lindblad: QuadraticLindblad, cutoff: int) -> BandedSuperoperator:
-    """The master-equation generator as a matrix on row-major vec(rho).
+def build_superoperator(lindblad: QuadraticLindblad, cutoff: int,
+                        keep=None) -> BandedSuperoperator:
+    """The master-equation generator on the entries ``keep`` of row-major vec(rho).
 
-    Each mode is truncated at ``cutoff`` quanta.  Every ladder operator and
-    every product of two is one diagonal of the d x d Hilbert space, and for
-    row-major flattening vec(A rho B) = (A kron B^T) vec(rho), whose one
-    diagonal at offset p d - q is outer(band_A, band_{B^T}) when A sits at
-    offset p and B at q.  -i[H, .] and each dissipator term
-    g (L . R^dag - {R^dag L, .}/2) are sums of such sandwiches, assembled
-    band by band; terms with a common offset share one stored band.
+    Each mode is truncated at ``cutoff`` quanta, and ``keep`` lists sorted
+    vec(rho) indices, all of them by default.  Every ladder operator and
+    every product of two is one diagonal of the d x d Hilbert space, so the
+    sandwich g A rho B with A at offset p and B at offset q sets row
+    k = i d + j of vec(A rho B) to g A[i, i + p] B[j - q, j] vec(rho)[k + p d - q]:
+    one band, evaluated only at the kept rows.  -i[H, .] and each dissipator
+    term g (L . R^dag - {R^dag L, .}/2) are sums of such sandwiches; terms
+    with a common offset p d - q share one band.  A nonzero entry that reads
+    an index outside ``keep`` raises ``ValueError``: the kept entries would
+    not evolve on their own.
     """
     n = lindblad.n_modes
     ops = _ladders(n, cutoff)
     check_cutoff(n, cutoff)
     d = (cutoff + 1) ** n
+    keep = np.arange(d * d) if keep is None else np.asarray(keep)
+    row, col = np.divmod(keep, d)
     eye = (0, np.ones(d))
-
-    # offset 0 is always stored: integrate adds its rotating frame there
-    bands: dict[int, np.ndarray] = {0: np.zeros(d * d, dtype=complex)}
+    bands: dict[int, np.ndarray] = {}
 
     def sandwich(g, left, right):
-        """Add g (left . right) to the stored bands."""
+        """Add g (left . right) to the bands."""
         (p, band_l), (q, band_r) = left, right
         offset = p * d - q
-        term = np.outer(g * band_l, _shift(band_r, -q)).ravel()
+        term = g * band_l[row] * _shift(band_r, -q)[col]
         if offset in bands:
             bands[offset] += term
         else:
@@ -221,7 +180,16 @@ def build_superoperator(lindblad: QuadraticLindblad, cutoff: int) -> BandedSuper
                 sandwich(-0.5 * g, rdl, eye)
                 sandwich(-0.5 * g, eye, rdl)
     offsets = sorted(bands)
-    return BandedSuperoperator(offsets, np.array([bands[p] for p in offsets]))
+    values = np.array([bands[p] for p in offsets]).reshape(len(offsets), keep.size)
+    reads = np.tile(np.arange(keep.size), (len(offsets), 1))
+    for p, band, read in zip(offsets, values, reads):
+        entries = np.flatnonzero(band)
+        cols = keep[entries] + p
+        at = np.minimum(np.searchsorted(keep, cols), keep.size - 1)
+        if np.any(keep[at] != cols):
+            raise ValueError("the generator links kept and dropped vec(rho) entries")
+        read[entries] = at
+    return BandedSuperoperator(keep, values, reads)
 
 
 # Substeps h keep h ||L||_1 <= THETA; Taylor terms are summed until two in a
@@ -277,8 +245,8 @@ def _propagate(lindblad: QuadraticLindblad, cutoff: int, rho0: np.ndarray, times
     if (times.ndim != 1 or not np.all(np.isfinite(times)) or np.any(times < 0)
             or np.any(np.diff(times) < 0)):
         raise ValueError("times must be a non-decreasing 1-D sequence of finite t >= 0")
-    lind = build_superoperator(lindblad, cutoff)
     n = lindblad.n_modes
+    check_cutoff(n, cutoff)
     d = (cutoff + 1) ** n
     if rho0.shape != (d, d):
         raise ValueError(f"rho0 must be {d}x{d}")
@@ -288,14 +256,14 @@ def _propagate(lindblad: QuadraticLindblad, cutoff: int, rho0: np.ndarray, times
     delta = np.subtract.outer(quanta, quanta).ravel()  # n_row - n_col of vec(rho)
     graded = sectors is not None and lindblad.drive is None
     keep = np.flatnonzero(np.isin(delta, sectors)) if graded else np.arange(d * d)
+    # the rotating frame: the generator of h - omega 1 is L + i omega Delta
+    omega = np.trace(lindblad.h).real / n if lindblad.drive is None else 0.0
+    framed = replace(lindblad, h=lindblad.h - omega * np.eye(n))
+    lind = build_superoperator(framed, cutoff, keep)
     later = times > 0
     if not later.any():
         return times, keep, later, np.empty((0, keep.size), dtype=complex)
 
-    omega = np.trace(lindblad.h).real / n if lindblad.drive is None else 0.0
-    lind.bands[lind.offsets.index(0)] += 1j * omega * delta
-    if graded:
-        lind = lind.restrict(keep)
     norm1 = lind.norm1()
     if not math.isfinite(norm1):
         raise ArithmeticError("Lindblad superoperator has a non-finite 1-norm")
@@ -328,11 +296,13 @@ def integrate(lindblad: QuadraticLindblad, cutoff: int, rho0: np.ndarray, times)
     Without a drive every term of the generator conserves n_row - n_col of
     each vec(rho) entry, also at the truncation edge, so the grading
     superoperator Delta commutes with L and
-    e^{tL} = e^{-i w t Delta} e^{t(L + i w Delta)} exactly for any w.  With
-    w = tr(h)/n the fast common rotation is applied as an elementwise phase
-    and the series sums only the slow remainder, whose smaller 1-norm needs
-    fewer substeps.  A drive breaks the grading, so driven generators
-    (already written in the laser frame) use w = 0.
+    e^{tL} = e^{-i w t Delta} e^{t(L + i w Delta)} exactly for any w.  Since
+    -i[-w N, .] = i w Delta for the number operator N, L + i w Delta is the
+    generator of h - w 1, which is the one assembled.  With w = tr(h)/n the
+    fast common rotation is applied as an elementwise phase and the series
+    sums only the slow remainder, whose smaller 1-norm needs fewer
+    substeps.  A drive breaks the grading, so driven generators (already
+    written in the laser frame) use w = 0.
     """
     times, _keep, later, states = _propagate(lindblad, cutoff, rho0, times)
     d = rho0.shape[0]
@@ -351,8 +321,9 @@ def evolve_moments(lindblad: QuadraticLindblad, cutoff: int, rho0: np.ndarray, t
     sectors of n_row - n_col evolve independently (see :func:`integrate`),
     and the moments, the trace and the edge weight read only sectors 0, 1
     and 2 (tr rho, <a^dag a>, edge weight; <a>; <a a>), so only those
-    entries of vec(rho) are evolved: 6 693 of 50 625 for two modes at
-    cutoff 14.  Each state is completed to a Hermitian matrix from them.
+    entries of vec(rho) are assembled and evolved: 6 693 of 50 625 for two
+    modes at cutoff 14.  Each state is completed to a Hermitian matrix from
+    them.
     A drive mixes the sectors, so driven generators evolve all of vec(rho).
     """
     times, keep, later, states = _propagate(lindblad, cutoff, rho0, times,

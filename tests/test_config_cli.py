@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 import oscbath
 from oscbath import cli, fock
 from oscbath.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, cli_main
-from oscbath.config import (DRIVE_VARIANTS, EXPERIMENTS, INITIAL_STATES, RANGE_MODES,
-                            SCENARIOS, ConfigError, ScenarioConfig, config_text,
-                            parse_config, validate)
+from oscbath.config import (DEFAULT_DETUNING_GRID, DRIVE_VARIANTS, EXPERIMENTS,
+                            INITIAL_STATES, RANGE_MODES, SCENARIOS, ConfigError,
+                            ScenarioConfig, config_text, parse_config, sweep_points,
+                            validate)
 from oscbath.experiments import ExperimentResult, config_from_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -144,9 +145,6 @@ BAD_RUNS = {
     .replace("= fidelity_vs_time", "= factorization_distance"),
     "swept_detuning_below_minus_omega": RESONANT_DRIVEN.replace("omega_l = 1", "omega_l = 1.2")
     + "\n[sweep]\nparameter = detuning\nvalues = -0.1, -1\n",
-    # the default detuning grid reaches -0.5, below -Omega here
-    "default_detunings_below_minus_omega": RESONANT_DRIVEN
-    .replace("omega = 1\n", "omega = 0.4\n").replace("omega_l = 1", "omega_l = 0.45"),
     # each experiment's own rules: scenario, required sweep, per-point limits
     "wrong_scenario": SMALL_RUN.replace("= fidelity_vs_time",
                                         "= fidelity_vs_time, two_oscillator_suite"),
@@ -193,6 +191,7 @@ BAD_ORACLES = {
     "t_nan": ORACLE_SINGLE.replace("t = 2", "t = nan"),
     "t_negative": ORACLE_SINGLE.replace("t = 2", "t = -1"),
     "unknown_key": ORACLE_SINGLE + "gama = 0.1\n",
+    "no_section_header": ORACLE_SINGLE.replace("[oracle]\n", ""),
     # finite inputs that the referee would integrate without end: beyond the work cap,
     # or rates 2 gamma (nbar + 1) that overflow
     "t_1e300": ORACLE_SINGLE.replace("t = 2", "t = 1e300"),
@@ -334,15 +333,56 @@ class TestCli:
         for family in ("single", "two_small", "two_large", "driven"):
             oracles.append(tmp_path / f"oracle_{family}.cfg")
             oracles[-1].write_text(ORACLE_SINGLE.replace("single", family))
+        # nor do they load the referee
         code = ("import sys; from oscbath.cli import cli_main; "
                 "assert cli_main(['validate', sys.argv[1]]) == 0; "
+                "assert 'oscbath.fock' not in sys.modules; "
                 "assert cli_main(['run', sys.argv[1], '--out', sys.argv[2]]) == 0; "
+                "assert 'oscbath.fock' not in sys.modules; "
                 "assert all(cli_main(['oracle', f]) == 0 for f in sys.argv[3:]); "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         out = self._python(code, str(p), str(tmp_path / "o"), *map(str, oracles))
         assert out.splitlines()[-1] == "[]"
         assert out.count("trace(rho_t)") == 4
         assert (tmp_path / "o" / "fidelity_vs_time.csv").exists()
+
+    @pytest.mark.parametrize("case", ["directory", "not_utf8", "missing"])
+    @pytest.mark.parametrize("command", ["run", "validate", "oracle"])
+    def test_unreadable_config_is_a_config_error(self, command, case, tmp_path, capsys):
+        p = {"directory": tmp_path, "not_utf8": tmp_path / "bad.cfg",
+             "missing": tmp_path / "missing.cfg"}[case]
+        (tmp_path / "bad.cfg").write_bytes(b"\xff\xfe[scenario]\nkind = single\n")
+        assert cli_main([command, str(p)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: cannot read config")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_out_that_cannot_be_a_directory_is_a_usage_error(self, out, tmp_path, capsys,
+                                                             monkeypatch):
+        def refuse(name, config):
+            raise AssertionError("an experiment ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", refuse)
+        p = tmp_path / "run.cfg"
+        p.write_text(SMALL_RUN)
+        (tmp_path / "file").write_text("")
+        assert cli_main(["run", str(p), "--out", str(tmp_path / out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: --out")
+        assert "Traceback" not in captured.err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_default_detunings_scale_with_omega(self, tmp_path):
+        # the default detuning grid is in units of Omega, so at Omega = 0.4 its
+        # most negative point, -0.5 Omega, puts omega_l at 0.2, not below 0
+        p = tmp_path / "run.cfg"
+        p.write_text(RESONANT_DRIVEN.replace("omega = 1\n", "omega = 0.4\n")
+                     .replace("omega_l = 1", "omega_l = 0.45"))
+        assert cli_main(["validate", str(p)]) == EXIT_OK
+        points = sweep_points(parse_config(p.read_text()), "detuning")
+        assert [d for d, _ in points] == [0.4 * d for d in DEFAULT_DETUNING_GRID]
+        assert points[0][1].omega_l == pytest.approx(0.2, rel=1e-15)
 
     def test_unknown_subcommand(self, capsys):
         assert cli_main(["frobnicate"]) == EXIT_USAGE

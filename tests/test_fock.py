@@ -350,14 +350,9 @@ class TestBandedAssembly:
 
 
 def linked_grades(lind, grade):
-    """Grades of the row and column of every nonzero stored entry of a banded L."""
-    rows, cols = [], []
-    for p, band in zip(lind.offsets, lind.bands):
-        r = np.flatnonzero(band)
-        assert np.all((r + p >= 0) & (r + p < band.size))  # nothing stored off the matrix
-        rows.append(r)
-        cols.append(r + p)
-    return grade[np.concatenate(rows)], grade[np.concatenate(cols)]
+    """Grades of the row and column of every nonzero entry of a banded L."""
+    band, i = np.nonzero(lind.values)
+    return grade[lind.keep[i]], grade[lind.keep[lind.reads[band, i]]]
 
 
 class TestRotatingFrame:
@@ -464,27 +459,34 @@ class TestEvolveMoments:
         assert [str(w.message) for w in block] == [str(w.message) for w in full]
         assert "mode 0 occupies the truncation edge" in str(block[0].message)
 
-    def test_generator_breaking_the_grading_raises(self, monkeypatch):
-        # a drive-free generator whose superoperator links the kept sectors to
-        # dropped ones must fail loudly, never give moments of a wrong block
-        lindblad = oracle_generators()["single"]
-        driven = fock.build_superoperator(oracle_generators()["driven"], 6)
-        monkeypatch.setattr(fock, "build_superoperator", lambda lind, cutoff: driven)
+    def test_generator_breaking_the_grading_raises(self):
+        # a generator whose superoperator links the kept sectors to dropped
+        # ones must fail loudly, never give moments of a wrong block
+        levels = np.arange(7)
+        grade = np.subtract.outer(levels, levels).ravel()
+        keep = np.flatnonzero((grade >= 0) & (grade <= 2))
         with pytest.raises(ValueError, match="kept and dropped"):
-            fock.evolve_moments(lindblad, 6, fock.vacuum_rho(6), [1.0])
+            fock.build_superoperator(oracle_generators()["driven"], 6, keep)
 
     def test_drive_free_block_is_invariant(self):
         # the block the moments read (n_row - n_col in {0, 1, 2}) and nothing
-        # else: restricting L to it loses no entry of its kept rows
-        lind = fock.build_superoperator(random_generator(np.random.default_rng(2), 2), 4)
+        # else: the Kronecker reference's kept rows read no dropped column, and
+        # the block built on them is the reference restricted to them
+        rng = np.random.default_rng(2)
+        lindblad = random_generator(rng, 2)
         levels = np.add.outer(np.arange(5), np.arange(5)).ravel()
         grade = np.subtract.outer(levels, levels).ravel()
         keep = np.flatnonzero((grade >= 0) & (grade <= 2))
-        block = lind.restrict(keep)
-        vec = np.zeros(lind.size, dtype=complex)
-        vec[keep] = np.random.default_rng(4).normal(size=keep.size)
-        np.testing.assert_array_equal(block @ vec[keep], (lind @ vec)[keep])
-        assert block.norm1() <= lind.norm1()
+        kept_rows = reference_superoperator(lindblad, 4)[keep]
+        dropped = np.setdiff1d(np.arange(grade.size), keep)
+        assert kept_rows[:, dropped].count_nonzero() == 0
+        ref = kept_rows[:, keep]
+        block = fock.build_superoperator(lindblad, 4, keep)
+        for _ in range(3):
+            vec = rng.normal(size=keep.size) + 1j * rng.normal(size=keep.size)
+            expect = ref @ vec
+            assert np.abs(block @ vec - expect).max() <= 1e-14 * np.abs(expect).max()
+        assert block.norm1() == pytest.approx(abs(ref).sum(axis=0).max(), rel=1e-14)
 
     @pytest.mark.parametrize("family", ["single", "two_small"])
     def test_non_finite_initial_state_outside_the_block_raises(self, family):

@@ -145,6 +145,11 @@ BAD_RUNS = {
     .replace("= fidelity_vs_time", "= factorization_distance"),
     "swept_detuning_below_minus_omega": RESONANT_DRIVEN.replace("omega_l = 1", "omega_l = 1.2")
     + "\n[sweep]\nparameter = detuning\nvalues = -0.1, -1\n",
+    # the default detuning grid, in units of Omega, never reaches -Omega, but its points
+    # are validated too: here its +0.5 Omega point puts omega_l at 2700, where the
+    # no_secular decay rate underflows, while Omega and the config's omega_l pass
+    "default_detunings_below_minus_omega": RESONANT_DRIVEN
+    .replace("omega = 1\n", "omega = 1800\n").replace("omega_l = 1", "omega_l = 1890"),
     # each experiment's own rules: scenario, required sweep, per-point limits
     "wrong_scenario": SMALL_RUN.replace("= fidelity_vs_time",
                                         "= fidelity_vs_time, two_oscillator_suite"),

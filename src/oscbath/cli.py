@@ -71,13 +71,6 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-# The Fock referee's substep count grows with t times the superoperator's
-# 1-norm, which grows with the fastest rate and the cutoff, so the oracle
-# refuses cases above this dimensionless work.  Damping dominates that norm:
-# at the cap, two_small with gamma (2 nbar + 1) t = 98 at cutoff 14 takes
-# 3.3-3.8 s on 2 vCPUs (13 687 products on the 6 693 entries the moments read).
-ORACLE_MAX_WORK = 100.0
-
 # every key some oracle family reads; any other key is a typo, not a default
 _ORACLE_KEYS = frozenset({
     "family", "cutoff", "t", "gamma", "nbar", "omega_bar", "coherent_re",
@@ -114,7 +107,6 @@ def _oracle_case(sec):
     nbar = num("nbar", 0.2)
     omega_bar = num("omega_bar", 1.0)
     alpha0 = complex(num("coherent_re", 0.3), num("coherent_im", 0.0))
-    omega_l = 0.0
 
     if family == "single":
         lindblad = flow_single(omega_bar, gamma, nbar)
@@ -128,18 +120,9 @@ def _oracle_case(sec):
                                        omega_bar, num("beta", 0.3))
     elif family == "driven":
         r_bar = complex(num("rabi_re", 0.1), num("rabi_im", 0.0))
-        omega_l = num("omega_l", 0.8)
-        lindblad = flow_driven(omega_bar, gamma, nbar, r_bar, omega_l)
+        lindblad = flow_driven(omega_bar, gamma, nbar, r_bar, num("omega_l", 0.8))
     else:
         raise ConfigError(f"unknown oracle family {family!r}")
-    # the fastest rate: a frequency (h, omega_bar, omega_L) or the damping
-    # (K^E + K^A)/2, which is gamma (2 nbar + 1) for one mode
-    damping = 0.5 * (lindblad.k_emit + lindblad.k_abs)
-    rate = max(np.abs(lindblad.h).sum(axis=1).max(), np.abs(damping).sum(axis=1).max(),
-               abs(omega_bar), abs(omega_l))
-    if t * rate > ORACLE_MAX_WORK:
-        raise ConfigError(f"oracle case too long: t * rate = {t * rate:.3g} exceeds "
-                          f"{ORACLE_MAX_WORK:g} (rate = largest frequency or damping rate)")
     check_cutoff(lindblad.n_modes, cutoff)  # before building a state of that size
     rho0 = coherent_rho(alpha0, cutoff)
     if lindblad.n_modes == 2:  # the second oscillator starts thermal

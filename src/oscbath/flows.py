@@ -273,12 +273,12 @@ def _expm(a: np.ndarray) -> np.ndarray:
     """exp(a) of a real square matrix by Pade scaling and squaring (Higham 2005).
 
     Order 13 on a / 2^s, squared s times, with s the fewest halvings that
-    bring the 1-norm to theta_13 (none for a zero matrix).  Replaces
-    scipy.linalg.expm, whose import (with scipy.special's) is most of the
-    command line's start-up.
+    bring the 1-norm to theta_13 (none at or below theta_13, where the ratio
+    may underflow to 0).  Replaces scipy.linalg.expm, whose import (with
+    scipy.special's) is most of the command line's start-up.
     """
     norm = np.abs(a).sum(axis=0).max()
-    s = max(0, math.ceil(math.log2(norm / _THETA_13))) if norm != 0 else 0
+    s = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
     eye = np.eye(a.shape[0])
     a2 = a @ a
     a, a2 = a * 2.0**-s, a2 * 4.0**-s

@@ -7,21 +7,20 @@ is derived from.  The superoperator is assembled by band on the entries of
 vec(rho) that are evolved (:class:`BandedSuperoperator`: per band, a value
 for each kept entry and the kept entry it reads).  :func:`integrate` applies
 its exponential to all of vec(rho) by a truncated Taylor series on short
-substeps; without a drive the generator's common frequency is first folded
-out of h (a rotating frame, undone by an elementwise phase).
-:func:`evolve_moments` returns only the moments and the trace, and without a
-drive assembles and evolves only the entries of vec(rho) they read, a set
-the generator maps into itself.  It loads NumPy only and shares no numerics
-with the flows it checks, which take a Padé exponential of the moment
-generator.  Scope is deliberately small (1-2 modes, low occupation) so runs
-stay seconds-fast.
+substeps.  :func:`evolve_moments` returns only the moments and the trace, and
+without a drive assembles and evolves only the entries of vec(rho) they read,
+a set the generator maps into itself.  Both plan their substeps from the
+superoperator's 1-norm before taking any, and refuse a plan above
+``MAX_SUBSTEPS`` substeps or ``MAX_WORK`` substeps times evolved entries.
+It loads NumPy only and shares no numerics with the flows it checks, which
+take a Padé exponential of the moment generator.  Scope is deliberately small
+(1-2 modes, low occupation) so runs stay seconds-fast.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
@@ -195,14 +194,18 @@ def build_superoperator(lindblad: QuadraticLindblad, cutoff: int,
 # Substeps h keep h ||L||_1 <= THETA; Taylor terms are summed until two in a
 # row together fall below EPS of the partial sum (Al-Mohy & Higham, SIAM J.
 # Sci. Comput. 33, 488 (2011)), and at most MAX_TERMS, which at THETA = 6
-# leaves a remainder below 6^56 / 56! ~ 1e-31 of the vector.  One integrate
-# call plans at most MAX_SUBSTEPS substeps; the oracle's longest accepted case
-# (two modes at cutoff 14, t = 14) plans 1 724, both on all of vec(rho) and on
-# the block evolve_moments keeps, whose 1-norm is the same 739.
+# leaves a remainder below 6^56 / 56! ~ 1e-31 of the vector.  A plan takes at
+# most MAX_SUBSTEPS substeps, and at most MAX_WORK substeps times evolved
+# entries, the length of the band products each Taylor term takes.  The oracle's
+# cap case (two modes at cutoff 14, t = 14) plans 1 724 substeps on the 6 693
+# entries evolve_moments keeps, 1.15e7; the largest accepted oracle cases
+# measured (two modes at cutoff 25, one driven mode at cutoff 723) take 6.5
+# and 8.1 s on 2 vCPUs.
 THETA = 6.0
 EPS = 2.0 ** -53
 MAX_TERMS = 55
 MAX_SUBSTEPS = 10_000
+MAX_WORK = 2 ** 24
 
 
 def _norm(y: np.ndarray) -> float:
@@ -233,13 +236,15 @@ def _taylor_action(lind: BandedSuperoperator, h: float, steps: int,
 
 def _propagate(lindblad: QuadraticLindblad, cutoff: int, rho0: np.ndarray, times,
                sectors=None):
-    """The checked times, and vec(rho)[keep] at each of them after t = 0.
+    """The evolved vec(rho) indices, and vec(rho) on them at each of ``times``.
 
-    Returns (times, keep, later, states): ``keep`` lists the evolved vec(rho)
-    indices, every one unless ``sectors`` names the values of
-    n_row - n_col to keep and the generator has no drive, and states[i] is
-    vec(rho)[keep] at times[later][i].  The one planning and Taylor path of
-    :func:`integrate` and :func:`evolve_moments`.
+    Returns (keep, states): ``keep`` lists the evolved indices, every one
+    unless ``sectors`` names the values of n_row - n_col to keep and the
+    generator has no drive, and states[i] is vec(rho)[keep] at times[i].
+    Each distinct time advances the state from the one before (t = 0 first)
+    by ceil(dt ||L||_1 / THETA) Taylor substeps, none for dt = 0.  The whole
+    plan is checked before the first substep.  The one planning and Taylor
+    path of :func:`integrate` and :func:`evolve_moments`.
     """
     times = np.asarray(times, dtype=float)
     if (times.ndim != 1 or not np.all(np.isfinite(times)) or np.any(times < 0)
@@ -256,32 +261,26 @@ def _propagate(lindblad: QuadraticLindblad, cutoff: int, rho0: np.ndarray, times
     delta = np.subtract.outer(quanta, quanta).ravel()  # n_row - n_col of vec(rho)
     graded = sectors is not None and lindblad.drive is None
     keep = np.flatnonzero(np.isin(delta, sectors)) if graded else np.arange(d * d)
-    # the rotating frame: the generator of h - omega 1 is L + i omega Delta
-    omega = np.trace(lindblad.h).real / n if lindblad.drive is None else 0.0
-    framed = replace(lindblad, h=lindblad.h - omega * np.eye(n))
-    lind = build_superoperator(framed, cutoff, keep)
-    later = times > 0
-    if not later.any():
-        return times, keep, later, np.empty((0, keep.size), dtype=complex)
-
+    lind = build_superoperator(lindblad, cutoff, keep)
     norm1 = lind.norm1()
     if not math.isfinite(norm1):
         raise ArithmeticError("Lindblad superoperator has a non-finite 1-norm")
 
-    t_eval, inverse = np.unique(times[later], return_inverse=True)
+    t_eval, inverse = np.unique(times, return_inverse=True)
     dts = np.diff(t_eval, prepend=0.0)
-    steps = np.maximum(1.0, np.ceil(dts * norm1 / THETA))  # h ||L||_1 <= THETA
-    if steps.sum() > MAX_SUBSTEPS:
-        raise ValueError(f"integration to t = {t_eval[-1]:.3g} needs {steps.sum():.3g} "
-                         f"Taylor substeps (||L||_1 = {norm1:.3g}), above {MAX_SUBSTEPS}")
+    steps = np.ceil(dts * norm1 / THETA)  # h ||L||_1 <= THETA
+    planned = steps.sum()
+    if planned > MAX_SUBSTEPS or planned * keep.size > MAX_WORK:
+        raise ValueError(f"integration to t = {t_eval[-1]:.3g} needs {planned:.3g} Taylor "
+                         f"substeps on {keep.size} entries (||L||_1 = {norm1:.3g}), above the "
+                         f"referee's {MAX_SUBSTEPS} substeps or {MAX_WORK} substeps x entries")
     if not np.isfinite(rho0).all():  # all of it, also the entries the block drops
         raise ArithmeticError("Lindblad integration got a non-finite initial state")
     states = np.empty((t_eval.size, keep.size), dtype=complex)
     y = rho0.astype(complex).ravel()[keep]
-    for i, (t, dt, n_steps) in enumerate(zip(t_eval, dts, steps)):
-        y = _taylor_action(lind, dt / n_steps, int(n_steps), y)
-        states[i] = y * np.exp(-1j * omega * t * delta[keep])
-    return times, keep, later, states[inverse]
+    for i, (dt, n_steps) in enumerate(zip(dts, steps)):
+        y = states[i] = _taylor_action(lind, dt / max(n_steps, 1.0), int(n_steps), y)
+    return keep, states[inverse]
 
 
 def integrate(lindblad: QuadraticLindblad, cutoff: int, rho0: np.ndarray, times):
@@ -289,61 +288,41 @@ def integrate(lindblad: QuadraticLindblad, cutoff: int, rho0: np.ndarray, times)
 
     ``times`` is a non-decreasing 1-D sequence of t >= 0; the result has shape
     (len(times), d, d).  The state is carried from each distinct requested
-    time to the next by a Taylor action of the superoperator.  A t = 0 entry
-    returns rho0 unchanged; a non-finite generator or state raises
-    ``ArithmeticError``, and more than ``MAX_SUBSTEPS`` substeps ``ValueError``.
-
-    Without a drive every term of the generator conserves n_row - n_col of
-    each vec(rho) entry, also at the truncation edge, so the grading
-    superoperator Delta commutes with L and
-    e^{tL} = e^{-i w t Delta} e^{t(L + i w Delta)} exactly for any w.  Since
-    -i[-w N, .] = i w Delta for the number operator N, L + i w Delta is the
-    generator of h - w 1, which is the one assembled.  With w = tr(h)/n the
-    fast common rotation is applied as an elementwise phase and the series
-    sums only the slow remainder, whose smaller 1-norm needs fewer
-    substeps.  A drive breaks the grading, so driven generators (already
-    written in the laser frame) use w = 0.
+    time to the next by a Taylor action of the superoperator on all of
+    vec(rho).  A non-finite generator or state raises ``ArithmeticError``,
+    and a plan above ``MAX_SUBSTEPS`` substeps or ``MAX_WORK`` substeps
+    times d^2 entries raises ``ValueError`` before any substep.
     """
-    times, _keep, later, states = _propagate(lindblad, cutoff, rho0, times)
+    _keep, states = _propagate(lindblad, cutoff, rho0, times)
     d = rho0.shape[0]
-    out = np.empty((times.size, d, d), dtype=complex)
-    out[~later] = rho0
     rho = states.reshape(-1, d, d)
-    out[later] = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-    return out
+    return 0.5 * (rho + rho.conj().transpose(0, 2, 1))
 
 
 def evolve_moments(lindblad: QuadraticLindblad, cutoff: int, rho0: np.ndarray, times):
     """Means, covariances and traces of the state at each of ``times``.
 
     Returns (means, covs, traces), equal to :func:`moments` and the trace of
-    each :func:`integrate` state, with the same checks.  Without a drive the
-    sectors of n_row - n_col evolve independently (see :func:`integrate`),
-    and the moments, the trace and the edge weight read only sectors 0, 1
-    and 2 (tr rho, <a^dag a>, edge weight; <a>; <a a>), so only those
-    entries of vec(rho) are assembled and evolved: 6 693 of 50 625 for two
-    modes at cutoff 14.  Each state is completed to a Hermitian matrix from
-    them.
+    each :func:`integrate` state, with the same checks.  Without a drive
+    every term of the generator conserves n_row - n_col of each vec(rho)
+    entry, also at the truncation edge, so its sectors evolve independently.
+    The moments, the trace and the edge weight read only sectors 0, 1 and 2
+    (tr rho, <a^dag a>, edge weight; <a>; <a a>), so only those entries of
+    vec(rho) are assembled and evolved: 6 693 of 50 625 for two modes at
+    cutoff 14, which also sets the work the plan is checked against.  Each
+    state is handed to :func:`moments` as a matrix holding only them.
     A drive mixes the sectors, so driven generators evolve all of vec(rho).
     """
-    times, keep, later, states = _propagate(lindblad, cutoff, rho0, times,
-                                            sectors=(0, 1, 2))
+    keep, states = _propagate(lindblad, cutoff, rho0, times, sectors=(0, 1, 2))
     n = lindblad.n_modes
     d = rho0.shape[0]
-    mirror = (keep % d) * d + keep // d  # the vec index of each kept entry's transpose
-    evolved = iter(states)
-    means = np.empty((times.size, 2 * n))
-    covs = np.empty((times.size, 2 * n, 2 * n))
-    traces = np.empty(times.size)
-    for i, t_later in enumerate(later):
-        rho = rho0
-        if t_later:
-            y = next(evolved)
-            full = np.zeros(d * d, dtype=complex)
-            full[mirror] = y.conj()
-            full[keep] = y
-            full = full.reshape(d, d)
-            rho = 0.5 * (full + full.conj().T)
+    means = np.empty((len(states), 2 * n))
+    covs = np.empty((len(states), 2 * n, 2 * n))
+    traces = np.empty(len(states))
+    for i, y in enumerate(states):
+        rho = np.zeros(d * d, dtype=complex)
+        rho[keep] = y
+        rho = rho.reshape(d, d)
         means[i], covs[i] = moments(rho, n, cutoff)
         traces[i] = np.trace(rho).real
     return means, covs, traces

@@ -3,12 +3,31 @@ Fock-space utilities."""
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 from scipy.linalg import expm, sqrtm
 
 from oscbath.experiments import _curves, _times
 from oscbath.fock import vacuum_rho
 from oscbath.gaussian import GaussianState, db_distance, symplectic_form
+
+
+@contextmanager
+def alarm_after(seconds: int):
+    """Raise TimeoutError in the body once it has run ``seconds``: a case that
+    must be refused at once fails fast instead of doing the work it should refuse."""
+    def too_slow(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_symplectic(rng, n_modes: int, scale: float = 0.4) -> np.ndarray:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import alarm_after
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -182,7 +183,7 @@ BAD_RUNS = {
 ORACLE_SINGLE = ("[oracle]\nfamily = single\ncutoff = 10\nt = 2\n"
                  "gamma = 0.08\nnbar = 0.2\nomega_bar = 1.0\n")
 
-# one [oracle] key changed per case
+# one [oracle] key changed per case, except where a case sizes the work
 BAD_ORACLES = {
     "cutoff_3": ORACLE_SINGLE.replace("cutoff = 10", "cutoff = 3"),
     # (cutoff + 1)^4 entries of vec(rho): refused before the initial state is built
@@ -197,13 +198,31 @@ BAD_ORACLES = {
     "t_negative": ORACLE_SINGLE.replace("t = 2", "t = -1"),
     "unknown_key": ORACLE_SINGLE + "gama = 0.1\n",
     "no_section_header": ORACLE_SINGLE.replace("[oracle]\n", ""),
-    # finite inputs that the referee would integrate without end: beyond the work cap,
-    # or rates 2 gamma (nbar + 1) that overflow
+    # finite inputs that the referee would integrate without end or for minutes:
+    # beyond its planned substeps or substeps x entries, or rates 2 gamma (nbar + 1)
+    # that overflow
     "t_1e300": ORACLE_SINGLE.replace("t = 2", "t = 1e300"),
     "gamma_1e308": ORACLE_SINGLE.replace("gamma = 0.08", "gamma = 1e308"),
     "gamma_above_cap": ORACLE_SINGLE.replace("gamma = 0.08", "gamma = 1e6"),
+    # ~5 600 substeps on all 524 176 entries of vec(rho): over 20 min if taken
     "driven_work_above_cap": ORACLE_SINGLE.replace("single", "driven")
-    .replace("t = 2", "t = 150"),
+    .replace("cutoff = 10", "cutoff = 723").replace("t = 2", "t = 100") + "omega_l = 0.8\n",
+    # ~3 200 substeps on the 35 051 entries the moments read: about 40 s if taken
+    "two_small_work_above_cap": ORACLE_SINGLE.replace("single", "two_small")
+    .replace("cutoff = 10", "cutoff = 25").replace("gamma = 0.08", "gamma = 5")
+    .replace("t = 2", "t = 14"),
+}
+
+# one small run of each experiment that evolves a flow
+FLOW_RUNS = {
+    "variance_trajectory": NO_SWEEP.replace("= fidelity_vs_time", "= variance_trajectory"),
+    "fidelity_vs_time": SMALL_RUN,
+    "recurrence_map": SMALL_RUN.replace("parameter = temperature", "parameter = modes")
+    .replace("values = 0.1, 1", "values = 12, 20")
+    .replace("= fidelity_vs_time", "= recurrence_map"),
+    "two_oscillator_suite": NO_SWEEP.replace("kind = single", "kind = two_coupled")
+    .replace("= fidelity_vs_time", "= two_oscillator_suite"),
+    "driven_suite": RESONANT_DRIVEN.replace("omega_l = 1", "omega_l = 1.2"),
 }
 
 
@@ -492,6 +511,15 @@ class TestCli:
         assert len(rows) == 9
         assert all(np.isfinite(float(row[-1])) for row in rows)
 
+    @pytest.mark.parametrize("experiment", sorted(FLOW_RUNS))
+    def test_subnormal_t_max_runs(self, experiment, tmp_path):
+        # the flows' exponential at t = 5e-324 has a subnormal norm
+        p = tmp_path / "run.cfg"
+        p.write_text(FLOW_RUNS[experiment].replace("t_max = 8", "t_max = 5e-324")
+                     .replace("t_max = 5\n", "t_max = 5e-324\n"))
+        assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert (tmp_path / "o" / f"{experiment}.csv").is_file()
+
     def test_resonant_plain_fidelity_vs_time_runs(self, tmp_path):
         p = tmp_path / "res.cfg"
         p.write_text(BAD_RUNS["resonant_fidelity_vs_time"]
@@ -562,9 +590,11 @@ class TestCli:
 
     @pytest.mark.parametrize("case", sorted(BAD_ORACLES))
     def test_bad_oracle_input_is_a_config_error(self, case, tmp_path, capsys):
+        # refused at once: a bound that stops bounding fails here in seconds
         p = tmp_path / "oracle.cfg"
         p.write_text(BAD_ORACLES[case])
-        assert cli_main(["oracle", str(p)]) == EXIT_CONFIG
+        with alarm_after(10):
+            assert cli_main(["oracle", str(p)]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.err.startswith("config error:")
         assert "Traceback" not in captured.err

@@ -94,6 +94,7 @@ class TestGeneratorProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(generators_and_states(), st.floats(0.0, 3.0), st.floats(0.0, 3.0))
+    @example(case=(flow_single(1.0, 0.05, 0.2), make_vacuum(1)), t1=5e-324, t2=0.0)
     def test_semigroup_and_physicality(self, case, t1, t2):
         lindblad, state = case
         once = evolve_flow(lindblad, state, t1 + t2)

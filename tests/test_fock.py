@@ -1,10 +1,10 @@
-import signal
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import assert_density_matrix, destroy, mode_operators, squeezed_vacuum_rho
+from conftest import (alarm_after, assert_density_matrix, destroy, mode_operators,
+                      squeezed_vacuum_rho)
 from scipy.linalg import expm
 
 from oscbath import fock
@@ -192,22 +192,14 @@ class TestIntegrate:
 
     def test_endless_integration_is_refused_at_once(self):
         # t = 1e300 would plan ~1e300 Taylor substeps; the alarm ends the test if any are taken
-        def too_slow(signum, frame):
-            raise TimeoutError("integrate started an endless integration")
+        with alarm_after(10), pytest.raises(ValueError, match="substeps"):
+            fock.integrate(QuadraticLindblad([[1]], [[0.1]], [[0]]), 6,
+                           fock.vacuum_rho(6), [1e300])
 
-        previous = signal.signal(signal.SIGALRM, too_slow)
-        signal.alarm(10)
-        try:
-            with pytest.raises(ValueError, match="substeps"):
-                fock.integrate(QuadraticLindblad([[1]], [[0.1]], [[0]]), 6,
-                               fock.vacuum_rho(6), [1e300])
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-
-    def test_oracle_cap_case_is_within_the_substep_bound(self, monkeypatch):
-        # the longest case the oracle accepts (two_small, gamma (2 nbar + 1) t = 98 at
-        # cutoff 14) must stay integrable: count its planned substeps without taking them
+    def test_oracle_cap_case_on_all_of_vec_rho_is_refused_at_once(self, monkeypatch):
+        # the oracle's cap case (two_small, gamma = 5, t = 14 at cutoff 14) plans
+        # 1 724 substeps; on all 50 625 entries of vec(rho) that is above
+        # MAX_WORK, so integrate refuses it before taking any substep
         planned = []
 
         def count(lind, h, steps, y):
@@ -217,8 +209,9 @@ class TestIntegrate:
         monkeypatch.setattr(fock, "_taylor_action", count)
         lindblad = flow_two_small_beta((1.0, 1.0), 0.05, (5.0, 5.0), (0.2, 0.2))
         rho0 = np.kron(fock.coherent_rho(0.3, 14), fock.thermal_rho(0.2, 14))
-        fock.integrate(lindblad, 14, rho0, [14.0])
-        assert 1000 < sum(planned) <= fock.MAX_SUBSTEPS
+        with pytest.raises(ValueError, match="1.72e\\+03 Taylor substeps on 50625 entries"):
+            fock.integrate(lindblad, 14, rho0, [14.0])
+        assert planned == []
 
     def test_cutoff_convergence(self):
         gamma, nbar = 0.1, 0.3
@@ -355,12 +348,12 @@ def linked_grades(lind, grade):
     return grade[lind.keep[i]], grade[lind.keep[lind.reads[band, i]]]
 
 
-class TestRotatingFrame:
+class TestNumberDifferenceGrading:
     @pytest.mark.parametrize("n_modes, cutoff", [(1, 8), (2, 4)])
     def test_drive_free_generator_conserves_number_difference(self, n_modes, cutoff):
-        # the premise of the frame split: every nonzero entry of every stored
-        # diagonal links vec entries with equal n_row - n_col; levels from
-        # arange, not from diag(a^dag a)
+        # the premise of the block evolve_moments evolves: every nonzero entry
+        # of every stored band links vec entries with equal n_row - n_col;
+        # levels from arange, not from diag(a^dag a)
         levels = np.arange(cutoff + 1)
         if n_modes == 2:
             levels = np.add.outer(levels, levels).ravel()
@@ -370,7 +363,7 @@ class TestRotatingFrame:
         row_grade, col_grade = linked_grades(lind, grade)
         assert row_grade.size > 0
         np.testing.assert_array_equal(row_grade, col_grade)
-        # a drive breaks the grading, which is why driven runs use no frame
+        # a drive breaks the grading, which is why driven runs evolve all of vec(rho)
         driven = fock.build_superoperator(random_generator(rng, n_modes, drive=True), cutoff)
         row_grade, col_grade = linked_grades(driven, grade)
         assert np.any(row_grade != col_grade)
@@ -514,10 +507,14 @@ class TestEvolveMoments:
                                 fock.vacuum_rho(6), [2.0, 1.0])
 
     def test_oracle_cap_case_is_within_the_substep_bound(self, monkeypatch):
-        planned = []
+        # the oracle's cap case (two_small, gamma = 5, t = 14 at cutoff 14) must
+        # stay within both bounds on the block the moments read: count its
+        # planned substeps and evolved entries without taking a substep
+        planned, sizes = [], set()
 
         def count(lind, h, steps, y):
             planned.append(steps)
+            sizes.add(lind.size)
             return y
 
         monkeypatch.setattr(fock, "_taylor_action", count)
@@ -525,3 +522,5 @@ class TestEvolveMoments:
         rho0 = np.kron(fock.coherent_rho(0.3, 14), fock.thermal_rho(0.2, 14))
         fock.evolve_moments(lindblad, 14, rho0, [14.0])
         assert 1000 < sum(planned) <= fock.MAX_SUBSTEPS
+        assert sizes == {6693}
+        assert sum(planned) * 6693 <= fock.MAX_WORK

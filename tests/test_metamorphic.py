@@ -2,6 +2,7 @@
 every layer (config, bath, exact evolution, flows, fidelity, CSV) must keep,
 with no second implementation to compare against."""
 
+import cmath
 import warnings
 
 import pytest
@@ -112,3 +113,58 @@ def test_two_oscillator_suite_is_invariant_under_swapping_the_baths(initial, tmp
     for row, mirror in zip(rows, swapped):
         assert mirror[:4] == row[:4]
         assert abs(float(mirror[4]) - float(row[4])) <= 1e-12
+
+
+def coherent_config(phase, experiment, parameter, values):
+    """A single-oscillator run from the coherent start 0.8 e^{i phase}."""
+    alpha = 0.8 * cmath.exp(1j * phase)
+    return f"""
+[scenario]
+kind = single
+
+[system]
+omega = 1
+initial = coherent
+initial_coherent_re = {alpha.real!r}
+initial_coherent_im = {alpha.imag!r}
+
+[spectrum]
+alpha = 0.01
+omega_c = 3
+
+[bath]
+modes = 40
+range_mode = floor
+range_floor = 0.1
+temperature = 0.5
+
+[time]
+t_max = 40
+samples = 6
+
+[sweep]
+parameter = {parameter}
+values = {values}
+
+[output]
+experiments = {experiment}
+"""
+
+
+@pytest.mark.parametrize("experiment, parameter, values", [
+    ("fidelity_vs_time", "temperature", "0, 0.3, 2"),
+    ("recurrence_map", "modes", "20, 40, 60"),
+], ids=["fidelity_vs_time", "recurrence_map"])
+def test_undriven_outputs_are_invariant_under_rotating_the_coherent_phase(
+        experiment, parameter, values, tmp_path):
+    # the bath couples by exchange of quanta and no drive sets a phase, so
+    # turning the start by e^{i phi} turns the exact and the Markovian states
+    # alike, and no distance between them moves
+    rows = run_rows(coherent_config(0.0, experiment, parameter, values), tmp_path / "p0")
+    for k, phase in enumerate((0.7, 2.0, -2.5)):
+        turned = run_rows(coherent_config(phase, experiment, parameter, values),
+                          tmp_path / f"p{k + 1}")
+        assert len(turned) == len(rows) == 3 * 6
+        for row, other in zip(rows, turned):
+            assert other[:4] == row[:4]
+            assert abs(float(other[4]) - float(row[4])) <= 1e-12

@@ -148,11 +148,13 @@ def _brentq(f: Callable, xa: float, xb: float, xtol: float, rtol: float,
             return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                num, den = -fcur * (xcur - xpre), fcur - fpre
             else:  # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                num, den = -fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre)
+            # where den is 0, C's step is infinite or NaN and fails the test below
+            stry = num / den if den != 0 else math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
                 spre, scur = scur, stry
             else:  # bisect
@@ -188,9 +190,11 @@ def bose_occupation(omega, temperature: float):
     if temperature == 0:
         out = np.zeros_like(omega)
         return float(out) if out.ndim == 0 else out
-    # exp(-x)/(1 - exp(-x)) never overflows, unlike 1/expm1(x)
-    ex = np.exp(-omega / temperature)
-    out = ex / (1.0 - ex)
+    # exp(-x)/(1 - exp(-x)) never overflows, unlike 1/expm1(x); at the limits
+    # x -> inf (omega/T overflows) and 1 - exp(-x) == 0 it gives 0 and inf, silently
+    with np.errstate(over="ignore", divide="ignore"):
+        ex = np.exp(-omega / temperature)
+        out = ex / (1.0 - ex)
     return float(out) if out.ndim == 0 else out
 
 

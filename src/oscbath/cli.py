@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, parse_path, read_text
-from .experiments import run_experiment
+from .experiments import run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,14 +51,7 @@ def _cmd_run(args) -> int:
         print(f"usage error: --out {args.out} cannot be made a directory: {exc}",
               file=sys.stderr)
         return EXIT_USAGE
-    results = []
-    for name in config.experiments:
-        result = run_experiment(name, config)
-        numbers = np.array([(t, value) for _, _, t, _, value in result.rows], dtype=float)
-        if not np.isfinite(numbers).all():
-            raise ArithmeticError(f"{name} produced a non-finite value; no CSV written")
-        results.append(result)
-    for result in results:
+    for result in run(config):
         path = args.out / f"{result.name}.csv"
         path.write_text(result.to_csv(), encoding="utf-8")
         print(f"wrote {path} ({len(result.rows)} rows)")

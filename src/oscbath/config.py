@@ -10,9 +10,10 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import typing
 from dataclasses import dataclass, fields, replace
 
-from .bath import OhmicSpectrum, decay_rate
+from .bath import OhmicSpectrum, bose_occupation, corr_ct, decay_rate
 
 __all__ = ["ScenarioConfig", "ConfigError", "read_text", "parse_config", "parse_path",
            "config_text", "sweep_points", "validate"]
@@ -107,54 +108,51 @@ class ScenarioConfig:
         return (self.temperature, t2)
 
 
-_SECTIONS = {
-    "scenario": ("scenario",),
-    "system": ("omega", "omega2", "beta", "initial", "initial_temperature",
-               "initial_squeeze", "initial_coherent_re", "initial_coherent_im"),
-    "spectrum": ("alpha", "omega_c"),
-    "bath": ("bath_modes", "range_mode", "range_floor", "range_omega_min",
-             "temperature", "temperature2"),
-    "drive": ("rabi", "omega_l", "drive_variant"),
-    "time": ("t_max", "samples"),
-    "sweep": ("sweep_parameter", "sweep_values"),
-    "output": ("experiments",),
+# section -> {file key: ScenarioConfig field}, in echo order: the one description of
+# the file format, which parse_config reads and config_text writes
+_KEYS = {
+    "scenario": {"kind": "scenario"},
+    "system": {k: k for k in ("omega", "omega2", "beta", "initial", "initial_temperature",
+                              "initial_squeeze", "initial_coherent_re",
+                              "initial_coherent_im")},
+    "spectrum": {"alpha": "alpha", "omega_c": "omega_c"},
+    "bath": {"modes": "bath_modes", "range_mode": "range_mode", "range_floor": "range_floor",
+             "range_omega_min": "range_omega_min", "temperature": "temperature",
+             "temperature2": "temperature2"},
+    "drive": {"rabi": "rabi", "omega_l": "omega_l", "variant": "drive_variant"},
+    "time": {"t_max": "t_max", "samples": "samples"},
+    "sweep": {"parameter": "sweep_parameter", "values": "sweep_values"},
+    "output": {"experiments": "experiments"},
 }
-
-_KEY_ALIASES = {
-    ("scenario", "scenario"): "kind",
-    ("sweep", "sweep_parameter"): "parameter",
-    ("sweep", "sweep_values"): "values",
-    ("bath", "bath_modes"): "modes",
-    ("drive", "drive_variant"): "variant",
-}
+_TYPES = typing.get_type_hints(ScenarioConfig)
 
 
 def config_text(config: ScenarioConfig) -> str:
     """Canonical INI rendering of a configuration (round-trips exactly)."""
     out = io.StringIO()
-    for section, keys in _SECTIONS.items():
+    for section, keys in _KEYS.items():
         out.write(f"[{section}]\n")
-        for key in keys:
-            name = _KEY_ALIASES.get((section, key), key)
-            value = getattr(config, key)
-            if key == "sweep_values":
-                rendered = ", ".join(_fmt(v) for v in value)
-            elif key == "experiments":
-                rendered = ", ".join(value)
-            else:
-                rendered = _fmt(value)
-            out.write(f"{name} = {rendered}\n")
+        for key, name in keys.items():
+            value = getattr(config, name)
+            rendered = ", ".join(map(_fmt, value)) if _TYPES[name] is tuple else _fmt(value)
+            out.write(f"{key} = {rendered}\n")
         out.write("\n")
     return out.getvalue()
 
 
-def _parse_sweep_values(parameter: str, raw: str) -> tuple:
-    items = [s.strip() for s in raw.split(",") if s.strip()]
-    if parameter == "variant":
-        return tuple(items)
-    if parameter == "modes":
-        return tuple(int(s) for s in items)
-    return tuple(float(s) for s in items)
+def _convert(name: str, raw: str, sweep_parameter: str):
+    """Field ``name``'s value written as ``raw``; ValueError if it does not convert.
+
+    A tuple is a comma-separated list: experiment names, or sweep values of the
+    type of the field the swept parameter sets.
+    """
+    if _TYPES[name] is not tuple:
+        return _TYPES[name](raw.strip())
+    if name == "experiments":
+        item = str
+    else:
+        item = _TYPES[_GRIDS[sweep_parameter][0]] if sweep_parameter in _GRIDS else float
+    return tuple(item(s.strip()) for s in raw.split(",") if s.strip())
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -164,45 +162,20 @@ def parse_config(text: str) -> ScenarioConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
-
-    lookup = {}
-    for section, keys in _SECTIONS.items():
-        for key in keys:
-            lookup[(section, _KEY_ALIASES.get((section, key), key))] = key
-
+    sweep_parameter = parser.get("sweep", "parameter", fallback="none")
     kwargs = {}
-    raw_sweep_values = None
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in _KEYS:
             raise ConfigError(f"unknown config section [{section}]")
-        for name, raw in parser.items(section):
-            field = lookup.get((section, name))
-            if field is None:
-                raise ConfigError(f"unknown key {name!r} in section [{section}]")
-            if field == "sweep_values":
-                raw_sweep_values = raw
-                continue
-            if field == "experiments":
-                kwargs[field] = tuple(s.strip() for s in raw.split(",") if s.strip())
-                continue
-            ftype = ScenarioConfig.__dataclass_fields__[field].type
+        for key, raw in parser.items(section):
+            name = _KEYS[section].get(key)
+            if name is None:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
             try:
-                if ftype == "int":
-                    kwargs[field] = int(raw)
-                elif ftype == "float":
-                    kwargs[field] = float(raw)
-                else:
-                    kwargs[field] = raw.strip()
+                kwargs[name] = _convert(name, raw, sweep_parameter)
             except ValueError as exc:
-                raise ConfigError(f"bad value for {section}.{name}: {raw!r}") from exc
-
+                raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
     config = ScenarioConfig(**kwargs)
-    if raw_sweep_values is not None:
-        try:
-            values = _parse_sweep_values(config.sweep_parameter, raw_sweep_values)
-        except ValueError as exc:
-            raise ConfigError(f"bad sweep values: {raw_sweep_values!r}") from exc
-        config = replace(config, sweep_values=values)
     validate(config)
     return config
 
@@ -274,8 +247,11 @@ def _check_point(name: str, point: ScenarioConfig):
     """The rules experiment ``name`` adds for each point it evaluates."""
     if name == "recurrence_map" and point.bath_modes < 2:
         raise ConfigError("the recurrence map needs a bath of >= 2 modes")
-    if name == "correlation_study" and point.temperature <= 0:
-        raise ConfigError("correlation kernels need a positive temperature")
+    if name == "correlation_study":
+        if point.temperature <= 0:
+            raise ConfigError("correlation kernels need a positive temperature")
+        if corr_ct(OhmicSpectrum(point.alpha, point.omega_c), 0.0, point.temperature) == 0:
+            raise ConfigError("the correlation kernel C(0, T) underflows to 0")
     if name == "factorization_distance" and not 2 <= point.bath_modes <= 60:
         raise ConfigError("the full-state fidelity needs a bath of 2 to 60 modes")
     if name == "driven_suite":  # it evaluates every variant at each point
@@ -351,3 +327,13 @@ def _check(c: ScenarioConfig):
             raise ConfigError(
                 f"the Markov decay rate pi*J(nu) underflows to 0 at nu = {_fmt(nu)} "
                 f"(nu/omega_c = {_fmt(nu / c.omega_c)}, alpha = {_fmt(c.alpha)})")
+    # the emission rates 2*gamma(nu)*(nbar(nu, T) + 1) the flows take: at Omega (and
+    # Omega +- beta for a pair) and each bath temperature, not at omega_l
+    pair = c.scenario == "two_coupled"
+    for nu in rate_frequencies if pair else (c.omega,):
+        for temperature in c.bath_temperatures if pair else (c.temperature,):
+            if not math.isfinite(2 * decay_rate(spectrum, nu)
+                                 * (bose_occupation(nu, temperature) + 1)):
+                raise ConfigError(
+                    f"the Markov emission rate 2*gamma*(nbar + 1) is not finite at "
+                    f"nu = {_fmt(nu)}, T = {_fmt(temperature)}")

@@ -1,27 +1,29 @@
-"""Experiment runners: each reproduces one figure-class of the study as a tidy table.
+"""Experiments: each reproduces one figure-class of the study as a tidy table.
 
-Every runner takes a ScenarioConfig and returns an ExperimentResult whose rows
-are (sweep_param, sweep_value, t, quantity, value).  Runs are serial and
-deterministic: identical configs produce byte-identical CSV.  ``_compare`` is
-the one comparison of an exact evolution with Markovian flows: it assembles a
-scenario's exact side and the flows its labels name, evaluates the exact
-states at every reported time in one batched call and each flow at those
-times.  Runners check nothing: ``run_experiment`` validates the config first,
-and the points a runner evaluates are the ones ``config.validate`` checked,
-from ``config.sweep_points``.
+``run(config)`` is the one way to run them: it validates the config, runs each
+of ``config.experiments`` in order and returns one ExperimentResult per
+experiment, whose rows are (sweep_param, sweep_value, t, quantity, value).  It
+raises ArithmeticError, returning nothing, if any row holds a non-finite time or
+value.  Runs are serial and deterministic: identical configs produce
+byte-identical CSV.  ``_compare`` is the one comparison of an exact evolution
+with Markovian flows: it assembles a scenario's exact side and the flows its
+labels name, evaluates the exact states at every reported time in one batched
+call and each flow at those times.  The private runners check nothing: the
+points each evaluates are the ones ``config.validate`` checked, from
+``config.sweep_points``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .bath import (OhmicSpectrum, bose_occupation, corr_c0, corr_ct, decay_rate,
                    discretize, fwhh, lamb_shift, omega_range)
-from .config import (DRIVE_VARIANTS, ScenarioConfig, config_text, sweep_points,
-                     validate)
+from .config import (DRIVE_VARIANTS, ScenarioConfig, config_text, parse_config,
+                     sweep_points, validate)
 from .exact import ReducedPropagator, full_states
 from .flows import (evolve_flow, flow_driven, flow_single,
                     flow_two_large_beta, flow_two_small_beta,
@@ -30,17 +32,7 @@ from .gaussian import (GaussianState, db_distance, fidelity_multi, make_coherent
                        make_squeezed_vacuum, make_thermal, make_vacuum,
                        partial_trace, tensor_product)
 
-__all__ = [
-    "ExperimentResult",
-    "run_experiment",
-    "run_variance_trajectory",
-    "run_fidelity_vs_time",
-    "run_recurrence_map",
-    "run_correlation_study",
-    "run_factorization_distance",
-    "run_two_oscillator_suite",
-    "run_driven_suite",
-]
+__all__ = ["ExperimentResult", "config_from_csv", "run"]
 
 CSV_HEADER = "sweep_param,sweep_value,t,quantity,value"
 
@@ -74,8 +66,6 @@ class ExperimentResult:
 
 def config_from_csv(text: str) -> ScenarioConfig:
     """Recover the configuration echoed in a result header (round-trip contract)."""
-    from .config import parse_config
-
     lines = []
     in_config = False
     for line in text.splitlines():
@@ -188,43 +178,39 @@ def _rows(param: str, times, curves) -> list:
 _VARIANCE_QUANTITIES = ("var2x_exact", "var2x_markov_shift", "var2x_markov_noshift")
 
 
-def run_variance_trajectory(config: ScenarioConfig) -> ExperimentResult:
+def _variance_trajectory(config: ScenarioConfig) -> list:
     """2(dx)^2 of the oscillator: exact bath vs Markovian flow with/without shift."""
     times = _times(config)
     shifted = (True, False) if config.bath_modes > 0 else ()
     exact, states = _compare(config, shifted, times)
-    rows = [("none", "", t, quantity, s.cov[0, 0])
+    return [("none", "", t, quantity, s.cov[0, 0])
             for t, *at_t in zip(times, exact, *states)
             for quantity, s in zip(_VARIANCE_QUANTITIES, at_t)]
-    return ExperimentResult("variance_trajectory", config, rows)
 
 
-def run_fidelity_vs_time(config: ScenarioConfig) -> ExperimentResult:
+def _fidelity_vs_time(config: ScenarioConfig) -> list:
     """Fidelity between exact reduced state and the Markovian prediction over time."""
     times = _times(config)
     if config.scenario == "single":
-        rows = _rows("temperature", times, [
+        return _rows("temperature", times, [
             (_g17(temp), "fidelity", _curves(point, (True,), fidelity_multi, times)[0])
             for temp, point in sweep_points(config, "temperature")])
-    else:
-        param, labels = (("equation", EQUATIONS) if config.scenario == "two_coupled"
-                         else ("variant", [v for v, _ in sweep_points(config, "variant")]))
-        curves = _curves(config, labels, fidelity_multi, times)
-        rows = _rows(param, times, [(label, "fidelity", curve)
-                                    for label, curve in zip(labels, curves)])
-    return ExperimentResult("fidelity_vs_time", config, rows)
+    param, labels = (("equation", EQUATIONS) if config.scenario == "two_coupled"
+                     else ("variant", [v for v, _ in sweep_points(config, "variant")]))
+    curves = _curves(config, labels, fidelity_multi, times)
+    return _rows(param, times, [(label, "fidelity", curve)
+                                for label, curve in zip(labels, curves)])
 
 
-def run_recurrence_map(config: ScenarioConfig) -> ExperimentResult:
+def _recurrence_map(config: ScenarioConfig) -> list:
     """D_B between exact and Markovian states on a (t, bath size) grid."""
     times = _times(config)
-    rows = _rows("modes", times, [
+    return _rows("modes", times, [
         (str(m), "bures_db", _curves(point, (True,), db_distance, times)[0])
         for m, point in sweep_points(config, "modes")])
-    return ExperimentResult("recurrence_map", config, rows)
 
 
-def run_correlation_study(config: ScenarioConfig) -> ExperimentResult:
+def _correlation_study(config: ScenarioConfig) -> list:
     """|C(s,T)| curves and FWHH(T), plus the zero-temperature kernel."""
     spec = _spectrum(config)
     s_grid = _times(config)
@@ -242,7 +228,7 @@ def run_correlation_study(config: ScenarioConfig) -> ExperimentResult:
         rows.append(("temperature", _g17(temp), 0.0, "fwhh_ct",
                      fwhh(lambda s: abs(corr_ct(spec, s, temp)),
                           max(bound, 10.0 / temp))))
-    return ExperimentResult("correlation_study", config, rows)
+    return rows
 
 
 def _factorization_curve(config: ScenarioConfig) -> list:
@@ -261,18 +247,18 @@ def _factorization_curve(config: ScenarioConfig) -> list:
             for t, full in zip(times, full_states(config.omega, bath, global0, times))]
 
 
-def run_factorization_distance(config: ScenarioConfig) -> ExperimentResult:
+def _factorization_distance(config: ScenarioConfig) -> list:
     """D_B between the full evolved state and the product ansatz rho_S(t) x rho_th."""
     rows = []
     for alpha, point in sweep_points(config, "alpha"):
         for t, d in _factorization_curve(point):
             rows.append(("alpha", _g17(alpha), t, "bures_db", d))
-    return ExperimentResult("factorization_distance", config, rows)
+    return rows
 
 
 # -- suites: curves over time, then fidelities at t_max over a parameter grid --
 
-def run_two_oscillator_suite(config: ScenarioConfig) -> ExperimentResult:
+def _two_oscillator_suite(config: ScenarioConfig) -> list:
     """Fidelity vs t for both equations, vs beta at t_max, and between equations."""
     times, t_end = _times(config), config.t_max
     exact, (small, large) = _compare(config, EQUATIONS, times)
@@ -284,10 +270,10 @@ def run_two_oscillator_suite(config: ScenarioConfig) -> ExperimentResult:
                                         for eq, end in zip(EQUATIONS, ends)])
     rows += _rows("none", times, [("", "fidelity_between_equations",
                                    map(fidelity_multi, small, large))])
-    return ExperimentResult("two_oscillator_suite", config, rows)
+    return rows
 
 
-def run_driven_suite(config: ScenarioConfig) -> ExperimentResult:
+def _driven_suite(config: ScenarioConfig) -> list:
     """Driven-oscillator fidelities vs time, detuning (at t_max) and Rabi frequency."""
     times, t_end = _times(config), config.t_max
     curves = _curves(config, DRIVE_VARIANTS, fidelity_multi, times)
@@ -298,21 +284,32 @@ def run_driven_suite(config: ScenarioConfig) -> ExperimentResult:
             ends = _curves(point, DRIVE_VARIANTS, fidelity_multi, [t_end])
             rows += _rows(param, [t_end], [(_g17(value), f"fidelity_{v}", end)
                                            for v, end in zip(DRIVE_VARIANTS, ends)])
-    return ExperimentResult("driven_suite", config, rows)
+    return rows
 
 
 _RUNNERS = {
-    "variance_trajectory": run_variance_trajectory,
-    "fidelity_vs_time": run_fidelity_vs_time,
-    "recurrence_map": run_recurrence_map,
-    "correlation_study": run_correlation_study,
-    "factorization_distance": run_factorization_distance,
-    "two_oscillator_suite": run_two_oscillator_suite,
-    "driven_suite": run_driven_suite,
+    "variance_trajectory": _variance_trajectory,
+    "fidelity_vs_time": _fidelity_vs_time,
+    "recurrence_map": _recurrence_map,
+    "correlation_study": _correlation_study,
+    "factorization_distance": _factorization_distance,
+    "two_oscillator_suite": _two_oscillator_suite,
+    "driven_suite": _driven_suite,
 }
 
 
-def run_experiment(name: str, config: ScenarioConfig) -> ExperimentResult:
-    """Run experiment ``name`` on a config that ``validate`` accepts with it requested."""
-    validate(replace(config, experiments=tuple(dict.fromkeys((*config.experiments, name)))))
-    return _RUNNERS[name](config)
+def run(config: ScenarioConfig) -> list[ExperimentResult]:
+    """The results of ``config.experiments``, in order, on a config ``validate`` accepts.
+
+    Raises ConfigError if ``validate`` refuses the config, and ArithmeticError
+    if a result holds a non-finite time or value.
+    """
+    validate(config)
+    results = []
+    for name in config.experiments:
+        rows = _RUNNERS[name](config)
+        numbers = np.array([(t, value) for _, _, t, _, value in rows], dtype=float)
+        if not np.isfinite(numbers).all():
+            raise ArithmeticError(f"{name} produced a non-finite value; no CSV written")
+        results.append(ExperimentResult(name, config, rows))
+    return results

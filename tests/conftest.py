@@ -5,13 +5,19 @@ from __future__ import annotations
 
 import signal
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import expm, sqrtm
 
-from oscbath.experiments import _curves, _times
+from oscbath.experiments import _curves, _times, run
 from oscbath.fock import vacuum_rho
 from oscbath.gaussian import GaussianState, db_distance, symplectic_form
+
+
+def run_one(name: str, config):
+    """The result of experiment ``name`` alone on ``config``, through ``experiments.run``."""
+    return run(replace(config, experiments=(name,)))[0]
 
 
 @contextmanager

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 from conftest import (driven_variant_error, fidelity_one_mode, linear_fit, propagator,
                       random_physical_state, recurrence_onset, recurrence_time_estimate,
-                      sector_cache, squeezed_vacuum_rho)
+                      run_one, sector_cache, squeezed_vacuum_rho)
 from scipy.integrate import quad
 
 from oscbath import fock
@@ -19,7 +19,6 @@ from oscbath.bath import (OhmicSpectrum, bose_occupation, corr_c0, corr_ct,
                           omega_range)
 from oscbath.config import ScenarioConfig
 from oscbath.exact import ReducedPropagator
-from oscbath.experiments import run_factorization_distance, run_recurrence_map
 from oscbath.flows import (QuadraticLindblad, evolve_flow, flow_driven,
                            flow_single, flow_two_large_beta, flow_two_small_beta,
                            steady_state)
@@ -187,9 +186,9 @@ def test_criterion_5_recurrence_scaling():
         bath = discretize(spec, m, omega_range(spec, "equal_tails"))
         tau = recurrence_time_estimate(bath)
         from dataclasses import replace
-        res = run_recurrence_map(replace(cfg, t_max=1.6 * tau,
-                                         sweep_parameter="modes",
-                                         sweep_values=(m,)))
+        res = run_one("recurrence_map", replace(cfg, t_max=1.6 * tau,
+                                                sweep_parameter="modes",
+                                                sweep_values=(m,)))
         curve = [(t, v) for _, sv, t, q, v in res.rows if q == "bures_db"]
         times = np.array([t for t, _ in curve])
         vals = np.array([v for _, v in curve])
@@ -286,7 +285,7 @@ def test_criterion_9_factorization_trends():
                          initial_temperature=30.0, t_max=12.0, samples=60,
                          sweep_parameter="alpha",
                          sweep_values=(0.0005, 0.002, 0.008))
-    res = run_factorization_distance(cfg)
+    res = run_one("factorization_distance", cfg)
     slopes = []
     for alpha in cfg.sweep_values:
         key = format(alpha, ".17g")

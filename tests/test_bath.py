@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import mpmath as mp
@@ -106,6 +107,13 @@ class TestRatesAndOccupation:
     def test_bose_reference_value(self):
         assert bose_occupation(1.0, 10.0) == pytest.approx(
             9.508331944775049624046077, rel=1e-14)
+
+    def test_bose_limits_are_silent(self):
+        # omega/T overflows at a subnormal T, and 1 - exp(-omega/T) rounds to 0 at T/omega = 1e20
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bose_occupation(1.0, 5e-324) == 0.0
+            assert bose_occupation(1.0, 1e20) == np.inf
 
     def test_bose_rejects_nonpositive_omega(self):
         with pytest.raises(ValueError):
@@ -388,6 +396,19 @@ class TestBrentPort:
             for mine, ref, xs_port, xs_scipy in self._roots(lambda: fwhh(kernel, bound)):
                 assert mine == ref
                 assert xs_port == xs_scipy
+
+    @pytest.mark.parametrize("search", [
+        lambda: bath._brentq(lambda x: 1e-160 * (x - 0.3) ** 3, 0.0, 1.0,
+                             xtol=1e-14, rtol=1e-15),
+        lambda: fwhh(lambda s: abs(corr_ct(OhmicSpectrum(0.01, 3.0), s, 1e-100)),
+                     10.0 / 1e-100),
+    ], ids=["cubic", "corr_ct_half_height"])
+    def test_tiny_function_values(self, search):
+        # the interpolation denominator underflows to 0 here; scipy's C code divides
+        # anyway, and its infinite step fails the step test, so it bisects
+        for mine, ref, xs_port, xs_scipy in self._roots(search):
+            assert mine == ref
+            assert xs_port == xs_scipy
 
     def test_errors(self):
         with pytest.raises(ValueError, match="different signs"):

@@ -3,6 +3,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oscbath
-from oscbath import cli, fock
+from oscbath import cli, experiments, fock
 from oscbath.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, cli_main
 from oscbath.config import (DEFAULT_DETUNING_GRID, DRIVE_VARIANTS, EXPERIMENTS,
                             INITIAL_STATES, RANGE_MODES, SCENARIOS, ConfigError,
@@ -178,6 +179,16 @@ BAD_RUNS = {
     .replace("= variance_trajectory", "= two_oscillator_suite"),
     "no_secular_decay_rate_underflow_at_omega_l": RESONANT_DRIVEN.replace("omega_l = 1",
                                                                           "omega_l = 2500"),
+    # nor may the emission rates 2 gamma (nbar + 1) overflow: at T/Omega = 1e20, the
+    # occupation's 1 - exp(-Omega/T) rounds to 0
+    "hot_bath": NO_SWEEP.replace("temperature = 0.5", "temperature = 1e20")
+    .replace("= fidelity_vs_time", "= variance_trajectory"),
+    "hot_second_bath": NO_SWEEP.replace("kind = single", "kind = two_coupled")
+    .replace("temperature = 0.5", "temperature = 0.5\ntemperature2 = 1e20")
+    .replace("= fidelity_vs_time", "= two_oscillator_suite"),
+    # |C(0, T)| ~ alpha T^2 pi^2/6 underflows to 0, so its half height is undefined
+    "correlation_kernel_underflow": NO_SWEEP.replace("temperature = 0.5", "temperature = 1e-200")
+    .replace("= fidelity_vs_time", "= correlation_study"),
 }
 
 ORACLE_SINGLE = ("[oracle]\nfamily = single\ncutoff = 10\nt = 2\n"
@@ -384,10 +395,10 @@ class TestCli:
     @pytest.mark.parametrize("out", ["file", "file/sub"])
     def test_out_that_cannot_be_a_directory_is_a_usage_error(self, out, tmp_path, capsys,
                                                              monkeypatch):
-        def refuse(name, config):
+        def refuse(config):
             raise AssertionError("an experiment ran before --out was checked")
 
-        monkeypatch.setattr(cli, "run_experiment", refuse)
+        monkeypatch.setattr(cli, "run", refuse)
         p = tmp_path / "run.cfg"
         p.write_text(SMALL_RUN)
         (tmp_path / "file").write_text("")
@@ -475,9 +486,10 @@ class TestCli:
             calls.append(name)
             if len(calls) == 2:
                 raise ArithmeticError(f"{name} failed")
-            return ExperimentResult(name, config, [("none", "", 0.0, "x", 1.0)])
+            return [("none", "", 0.0, "x", 1.0)]
 
-        monkeypatch.setattr(cli, "run_experiment", second_fails)
+        for name in ("fidelity_vs_time", "correlation_study"):
+            monkeypatch.setitem(experiments._RUNNERS, name, partial(second_fails, name))
         p = tmp_path / "run.cfg"
         p.write_text(SMALL_RUN.replace("= fidelity_vs_time",
                                        "= fidelity_vs_time, correlation_study"))
@@ -511,6 +523,16 @@ class TestCli:
         assert len(rows) == 9
         assert all(np.isfinite(float(row[-1])) for row in rows)
 
+    def test_cold_correlation_study_runs(self, tmp_path):
+        # the thermal half-height search spans [0, 10/T] = [0, 1e101], where the
+        # kernel's values are so small that Brent's interpolation divides by 0
+        p = tmp_path / "run.cfg"
+        p.write_text(NO_SWEEP.replace("temperature = 0.5", "temperature = 1e-100")
+                     .replace("= fidelity_vs_time", "= correlation_study"))
+        assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK
+        text = (tmp_path / "o" / "correlation_study.csv").read_text()
+        assert "fwhh_ct" in text
+
     @pytest.mark.parametrize("experiment", sorted(FLOW_RUNS))
     def test_subnormal_t_max_runs(self, experiment, tmp_path):
         # the flows' exponential at t = 5e-324 has a subnormal norm
@@ -527,10 +549,10 @@ class TestCli:
         assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK
 
     def test_non_finite_result_is_not_written(self, tmp_path, capsys, monkeypatch):
-        def nan_result(name, config):
-            return ExperimentResult(name, config, [("none", "", 0.0, "x", float("nan"))])
+        def nan_result(config):
+            return [("none", "", 0.0, "x", float("nan"))]
 
-        monkeypatch.setattr(cli, "run_experiment", nan_result)
+        monkeypatch.setitem(experiments._RUNNERS, "fidelity_vs_time", nan_result)
         p = tmp_path / "run.cfg"
         p.write_text(SMALL_RUN)
         assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_NUMERIC

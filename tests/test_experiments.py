@@ -2,16 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import driven_variant_error, linear_fit, recurrence_onset
+from conftest import driven_variant_error, linear_fit, recurrence_onset, run_one
 
 from oscbath import exact, experiments
 from oscbath.bath import OhmicSpectrum, bose_occupation, decay_rate, lamb_shift
 from oscbath.config import DEFAULT_RABI_GRID, ConfigError, ScenarioConfig
-from oscbath.experiments import (config_from_csv, run_correlation_study, run_experiment,
-                                 run_factorization_distance,
-                                 run_fidelity_vs_time, run_recurrence_map,
-                                 run_two_oscillator_suite,
-                                 run_variance_trajectory)
+from oscbath.experiments import config_from_csv
 from oscbath.gaussian import make_squeezed_vacuum
 
 
@@ -34,7 +30,7 @@ class TestVarianceTrajectory:
         cfg = ScenarioConfig(**{**BASE_SINGLE, "bath_modes": 0, "initial": "squeezed",
                                 "initial_squeeze": 0.5, "t_max": 2 * np.pi,
                                 "samples": 721})
-        res = run_variance_trajectory(cfg)
+        res = run_one("variance_trajectory", cfg)
         curve = rows_by_quantity(res, "var2x_exact")
         times = np.array([t for t, _ in curve])
         vals = np.array([v for _, v in curve])
@@ -45,7 +41,7 @@ class TestVarianceTrajectory:
         cfg = ScenarioConfig(**{**BASE_SINGLE, "initial": "thermal",
                                 "initial_temperature": 0.5, "bath_modes": 120,
                                 "t_max": 20.0})
-        res = run_variance_trajectory(cfg)
+        res = run_one("variance_trajectory", cfg)
         nu = 1.0 / np.tanh(1.0 / (2 * 0.5))
         for quantity in ("var2x_exact", "var2x_markov_shift", "var2x_markov_noshift"):
             vals = np.array([v for _, v in rows_by_quantity(res, quantity)])
@@ -55,7 +51,7 @@ class TestVarianceTrajectory:
         # C(t) = e^{-2 g t} R(w t)(C0 - nu) R(w t)^T + nu, w with/without shift
         cfg = ScenarioConfig(**{**BASE_SINGLE, "initial": "squeezed",
                                 "initial_squeeze": 0.4})
-        res = run_variance_trajectory(cfg)
+        res = run_one("variance_trajectory", cfg)
         spec = OhmicSpectrum(cfg.alpha, cfg.omega_c)
         gamma = decay_rate(spec, cfg.omega)
         nu = 2 * bose_occupation(cfg.omega, cfg.temperature) + 1
@@ -75,7 +71,7 @@ class TestVarianceTrajectory:
 
     def test_rejects_wrong_scenario(self):
         with pytest.raises(ConfigError):
-            run_experiment("variance_trajectory",
+            run_one("variance_trajectory",
                            ScenarioConfig(scenario="driven", omega_l=1.2))
 
 
@@ -83,14 +79,14 @@ class TestFidelityVsTime:
     def test_decoupled_bath_keeps_unit_fidelity(self):
         cfg = ScenarioConfig(**{**BASE_SINGLE, "alpha": 1e-9, "initial": "squeezed",
                                 "initial_squeeze": 0.3, "bath_modes": 20})
-        res = run_fidelity_vs_time(cfg)
+        res = run_one("fidelity_vs_time", cfg)
         vals = [v for _, v in rows_by_quantity(res, "fidelity")]
         assert min(vals) > 1.0 - 1e-5
 
     def test_starts_at_unit_fidelity(self):
         cfg = ScenarioConfig(**{**BASE_SINGLE, "initial": "thermal",
                                 "initial_temperature": 4.0})
-        res = run_fidelity_vs_time(cfg)
+        res = run_one("fidelity_vs_time", cfg)
         t0, f0 = rows_by_quantity(res, "fidelity")[0]
         assert t0 == 0.0
         assert f0 == pytest.approx(1.0, abs=1e-9)
@@ -101,7 +97,7 @@ class TestFidelityVsTime:
                              bath_modes=150, range_mode="equal_tails",
                              temperature=0.0, initial="thermal",
                              initial_temperature=30.0, t_max=50.0, samples=120)
-        res = run_fidelity_vs_time(cfg)
+        res = run_one("fidelity_vs_time", cfg)
         vals = [v for _, v in rows_by_quantity(res, "fidelity")]
         assert min(vals) > 0.99
 
@@ -113,7 +109,7 @@ class TestRecurrenceMap:
                                 "t_max": 40.0, "samples": 200,
                                 "sweep_parameter": "modes",
                                 "sweep_values": (30, 60)})
-        res = run_recurrence_map(cfg)
+        res = run_one("recurrence_map", cfg)
         curves = {}
         for m in (30, 60):
             curve = rows_by_quantity(res, "bures_db", sweep_value=str(m))
@@ -128,7 +124,7 @@ class TestRecurrenceMap:
 
     def test_requires_modes_sweep(self):
         with pytest.raises(ConfigError):
-            run_experiment("recurrence_map", ScenarioConfig(**BASE_SINGLE))
+            run_one("recurrence_map", ScenarioConfig(**BASE_SINGLE))
 
 
 class TestCorrelationStudy:
@@ -137,7 +133,7 @@ class TestCorrelationStudy:
                              t_max=6.0, samples=40,
                              sweep_parameter="temperature",
                              sweep_values=(1.0, 3.0, 10.0))
-        res = run_correlation_study(cfg)
+        res = run_one("correlation_study", cfg)
         width = rows_by_quantity(res, "fwhh_c0")[0][1]
         assert width == pytest.approx(2.0 / 3.0, abs=1e-10)
 
@@ -146,7 +142,7 @@ class TestCorrelationStudy:
                              t_max=6.0, samples=40,
                              sweep_parameter="temperature",
                              sweep_values=(0.3, 1.0, 3.0, 10.0))
-        res = run_correlation_study(cfg)
+        res = run_one("correlation_study", cfg)
         heights = []
         widths = []
         for temp in (0.3, 1.0, 3.0, 10.0):
@@ -166,7 +162,7 @@ class TestFactorization:
                                 "t_max": 5.0, "samples": 30,
                                 "sweep_parameter": "alpha",
                                 "sweep_values": (0.002, 0.01)})
-        res = run_factorization_distance(cfg)
+        res = run_one("factorization_distance", cfg)
         slopes = {}
         for alpha in (0.002, 0.01):
             key = format(alpha, ".17g")
@@ -179,7 +175,7 @@ class TestFactorization:
 
     def test_large_bath_rejected(self):
         with pytest.raises(ConfigError, match="60"):
-            run_experiment("factorization_distance",
+            run_one("factorization_distance",
                            ScenarioConfig(**{**BASE_SINGLE, "bath_modes": 61}))
 
 
@@ -192,7 +188,7 @@ TWO_BASE = dict(scenario="two_coupled", omega=1.0, omega2=1.0, beta=0.05,
 class TestTwoOscillatorSuite:
     def test_equal_baths_beta_zero_equations_agree(self):
         cfg = ScenarioConfig(**{**TWO_BASE, "beta": 0.0, "temperature": 1.0})
-        res = run_two_oscillator_suite(cfg)
+        res = run_one("two_oscillator_suite", cfg)
         small = rows_by_quantity(res, "fidelity", sweep_value="small_beta")
         large = rows_by_quantity(res, "fidelity", sweep_value="large_beta")
         for (_, f1), (_, f2) in zip(small, large):
@@ -206,7 +202,7 @@ class TestTwoOscillatorSuite:
                                     "t_max": 100.0, "samples": 30,
                                     "sweep_parameter": "beta",
                                     "sweep_values": (0.002, 0.01, 0.05, 0.1, 0.2)})
-            res = run_two_oscillator_suite(cfg)
+            res = run_one("two_oscillator_suite", cfg)
         diffs = []
         for beta in cfg.sweep_values:
             key = format(beta, ".17g")
@@ -244,7 +240,7 @@ class TestDrivenSuite:
     def test_vanishing_rabi_variants_coincide(self):
         cfg = ScenarioConfig(**{**DRIVEN_BASE, "rabi": 1e-9, "omega_l": 1.3,
                                 "samples": 30})
-        res = run_experiment("driven_suite", cfg)
+        res = run_one("driven_suite", cfg)
         curves = {v: rows_by_quantity(res, "fidelity", sweep_value=v)
                   for v in ("plain", "off_resonant", "no_secular")}
         for (_, f1), (_, f2), (_, f3) in zip(*curves.values()):
@@ -304,7 +300,7 @@ class TestCallCounts:
                                 "sweep_values": detunings})
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            run_experiment("driven_suite", cfg)
+            run_one("driven_suite", cfg)
         points = len(detunings) + len(DEFAULT_RABI_GRID)
         assert len(DEFAULT_RABI_GRID) == 6
         assert counts == {"build": 1 + points, "states": 1 + points,
@@ -317,7 +313,7 @@ class TestCallCounts:
                                 "sweep_values": betas})
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            run_experiment("two_oscillator_suite", cfg)
+            run_one("two_oscillator_suite", cfg)
         assert counts == {"build": 1 + len(betas), "states": 1 + len(betas),
                           "evolve": 2 * samples + 2 * len(betas)}
 
@@ -340,7 +336,7 @@ class TestEigensolverDispatch:
     def run(self, name, cfg):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            run_experiment(name, cfg)
+            run_one(name, cfg)
 
     def test_recurrence_map(self, eigh_calls):
         self.run("recurrence_map", ScenarioConfig(**{
@@ -400,15 +396,32 @@ class TestResultPlumbing:
                                 "sweep_parameter": "temperature",
                                 "sweep_values": (0.2, 2.0),
                                 "experiments": ("fidelity_vs_time",)})
-        res1 = run_experiment("fidelity_vs_time", cfg)
-        res2 = run_experiment("fidelity_vs_time", cfg)
+        res1 = run_one("fidelity_vs_time", cfg)
+        res2 = run_one("fidelity_vs_time", cfg)
         assert res1.to_csv() == res2.to_csv()
         assert config_from_csv(res1.to_csv()) == cfg
+
+    def test_run_validates_first(self, monkeypatch):
+        def refuse(config):
+            raise AssertionError("a runner ran on a config validate refuses")
+
+        monkeypatch.setitem(experiments._RUNNERS, "factorization_distance", refuse)
+        with pytest.raises(ConfigError, match="2 to 60 modes"):
+            experiments.run(ScenarioConfig(**{**BASE_SINGLE, "bath_modes": 0,
+                                              "experiments": ("factorization_distance",)}))
+
+    def test_run_refuses_non_finite_rows(self, monkeypatch):
+        monkeypatch.setitem(experiments._RUNNERS, "correlation_study",
+                            lambda config: [("none", "", 0.0, "x", float("nan"))])
+        cfg = ScenarioConfig(**{**BASE_SINGLE, "samples": 4,
+                                "experiments": ("variance_trajectory", "correlation_study")})
+        with pytest.raises(ArithmeticError, match="correlation_study produced a non-finite"):
+            experiments.run(cfg)
 
     def test_every_fidelity_in_unit_interval(self):
         cfg = ScenarioConfig(**{**BASE_SINGLE, "samples": 25, "initial": "squeezed",
                                 "initial_squeeze": 1.0, "temperature": 2.0})
-        res = run_fidelity_vs_time(cfg)
+        res = run_one("fidelity_vs_time", cfg)
         for _, _, _, q, v in res.rows:
             assert -1e-12 <= v <= 1.0 + 1e-12
 

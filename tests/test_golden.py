@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from oscbath.config import parse_path
-from oscbath.experiments import run_experiment
+from oscbath.experiments import run
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_rows.json"
@@ -53,7 +53,7 @@ def run_case(case: str) -> list:
     config = replace(parse_path(ROOT / "configs" / filename), **overrides)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        result = run_experiment(experiment, config)
+        result = run(replace(config, experiments=(experiment,)))[0]
     return [[str(sp), str(sv), float(t), str(q), float(v)]
             for sp, sv, t, q, v in result.rows]
 

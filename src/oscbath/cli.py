@@ -16,7 +16,6 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, parse_path, read_text
-from .experiments import run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,6 +39,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_orc = sub.add_parser("oracle", help="compare one flow against the Fock referee")
     p_orc.add_argument("config", type=Path)
     return parser
+
+
+def run(config):
+    """``experiments.run``, imported on the first call.
+
+    So ``validate`` and ``oracle`` never load ``experiments`` or ``exact``.
+    """
+    from .experiments import run as run_experiments
+
+    return run_experiments(config)
 
 
 def _cmd_run(args) -> int:
@@ -130,7 +139,7 @@ def _cmd_oracle(args) -> int:
     from .fock import evolve_moments
     from .gaussian import GaussianState
 
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(read_text(args.config))
     except configparser.Error as exc:

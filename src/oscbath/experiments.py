@@ -7,10 +7,10 @@ raises ArithmeticError, returning nothing, if any row holds a non-finite time or
 value.  Runs are serial and deterministic: identical configs produce
 byte-identical CSV.  ``_compare`` is the one comparison of an exact evolution
 with Markovian flows: it assembles a scenario's exact side and the flows its
-labels name, evaluates the exact states at every reported time in one batched
-call and each flow at those times.  The private runners check nothing: the
-points each evaluates are the ones ``config.validate`` checked, from
-``config.sweep_points``.
+labels name (``flows.markov_flows`` takes their coefficients), evaluates the
+exact states at every reported time in one batched call and each flow at those
+times.  The private runners check nothing: the points each evaluates are the
+ones ``config.validate`` checked, from ``config.sweep_points``.
 """
 
 from __future__ import annotations
@@ -20,14 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .bath import (OhmicSpectrum, bose_occupation, corr_c0, corr_ct, decay_rate,
-                   discretize, fwhh, lamb_shift, omega_range)
-from .config import (DRIVE_VARIANTS, ScenarioConfig, config_text, parse_config,
-                     sweep_points, validate)
+from .bath import OhmicSpectrum, corr_c0, corr_ct, discretize, fwhh, omega_range
+from .config import ScenarioConfig, config_text, parse_config, sweep_points, validate
 from .exact import ReducedPropagator, full_states
-from .flows import (evolve_flow, flow_driven, flow_single,
-                    flow_two_large_beta, flow_two_small_beta,
-                    rabi_renormalizations)
+from .flows import DRIVE_VARIANTS, EQUATIONS, evolve_flow, markov_flows
 from .gaussian import (GaussianState, db_distance, fidelity_multi, make_coherent,
                        make_squeezed_vacuum, make_thermal, make_vacuum,
                        partial_trace, tensor_product)
@@ -116,45 +112,20 @@ def _times(config: ScenarioConfig) -> np.ndarray:
     return np.linspace(0.0, config.t_max, config.samples)
 
 
-EQUATIONS = ("small_beta", "large_beta")
-
-
 def _compare(config: ScenarioConfig, labels, times):
     """Exact reduced states and the states of each flow named in ``labels`` at ``times``.
 
-    ``labels`` are shift flags for ``single`` (True: the flow carries the
-    bath-induced frequency shift), ``EQUATIONS`` entries for ``two_coupled``
-    and drive variants for ``driven``.  Both oscillators of ``two_coupled``
-    share one discretized bath.  The exact side is built first, so a singular
-    W - omega_L raises ArithmeticError before any variant can reject exact
-    resonance, and its states at all ``times`` come from one batched call,
-    however many flows share them.  Returns (exact states, [flow states per
-    label]).
+    The flows are ``flows.markov_flows(config, labels)``.  Both oscillators of
+    ``two_coupled`` share one discretized bath.  The exact states at all
+    ``times`` come from one batched call, however many flows share them.
+    Returns (exact states, [flow states per label]).
     """
     pair = config.scenario == "two_coupled"
     drive = (config.rabi, config.omega_l) if config.scenario == "driven" else None
     exact = ReducedPropagator.build(config.omega, _bath(config),
                                     beta=config.beta if pair else None, drive=drive)
     sys0 = _system_state(config, 2 if pair else 1)
-
-    spec = _spectrum(config)
-    omega, wl, (t1, t2) = config.omega, config.omega_l, config.bath_temperatures
-    gamma = decay_rate(spec, omega)
-    nbar = bose_occupation(omega, t1)
-    omega_bar = omega + lamb_shift(spec, omega)
-    if config.scenario == "single":
-        flows = [flow_single(omega_bar if shifted else omega, gamma, nbar)
-                 for shifted in labels]
-    elif pair:
-        flows = [flow_two_small_beta((omega_bar, omega_bar), config.beta, (gamma, gamma),
-                                     (nbar, bose_occupation(omega, t2)))
-                 if eq == "small_beta" else
-                 flow_two_large_beta((spec, spec), (t1, t2), omega, config.beta)
-                 for eq in labels]
-    else:
-        flows = [flow_driven(omega_bar, gamma, nbar,
-                             rabi_renormalizations(spec, omega, wl, config.rabi, v), wl)
-                 for v in labels]
+    flows = markov_flows(config, labels)
     temperatures = config.bath_temperatures if pair else [config.temperature]
     return (exact.states(times, sys0, temperatures),
             [[evolve_flow(flow, sys0, t) for t in times] for flow in flows])

@@ -16,9 +16,10 @@ where A (+) A = A kron 1 + 1 kron A is the Kronecker sum.  G is built once
 per generator; :func:`evolve_flow` is one exponential of it and
 :func:`steady_state` its fixed point.
 
-Each concrete equation only assembles its coefficients.  The same generator is
-what the Fock-space referee in :mod:`oscbath.fock` integrates, which validates
-every flow in the test suite.
+Each concrete equation only assembles its coefficients; :func:`markov_flows`
+takes them for a config point.  The same generator is what the Fock-space
+referee in :mod:`oscbath.fock` integrates, which validates every flow in the
+test suite.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bath import OhmicSpectrum, bose_occupation, decay_rate, lamb_shift
-from .config import DRIVE_VARIANTS
 from .gaussian import GaussianState
 
 __all__ = [
     "QuadraticLindblad",
     "SecularValidityWarning",
+    "markov_flows",
     "flow_single",
     "flow_two_small_beta",
     "flow_two_large_beta",
@@ -44,6 +45,10 @@ __all__ = [
     "evolve_flow",
     "steady_state",
 ]
+
+DRIVE_VARIANTS = ("plain", "off_resonant", "no_secular")
+EQUATIONS = ("small_beta", "large_beta")
+
 
 class SecularValidityWarning(UserWarning):
     """Emitted when a secular/weak-coupling premise of an equation is strained."""
@@ -134,28 +139,35 @@ class QuadraticLindblad:
         return self.h.shape[0]
 
 
+def _rate(spectrum: OhmicSpectrum, nu: float) -> float:
+    """The decay rate gamma(nu) = pi J(nu); ValueError where it underflows to 0."""
+    gamma = decay_rate(spectrum, nu)
+    if not gamma > 0:
+        raise ValueError(f"the Markov decay rate pi*J(nu) underflows to 0 at nu = {nu!r} "
+                         f"(nu/omega_c = {nu / spectrum.omega_c!r}, alpha = {spectrum.alpha!r})")
+    return gamma
+
+
+def _locally_damped(h, gammas, nbars, drive=None) -> QuadraticLindblad:
+    """Generator of Hamiltonian h with each mode j damped by a bath of its own:
+    K^E = diag 2 gamma_j (nbar_j + 1), K^A = diag 2 gamma_j nbar_j."""
+    if any(g <= 0 for g in gammas):
+        raise ValueError("gamma must be positive")
+    if any(n < 0 for n in nbars):
+        raise ValueError("nbar must be >= 0")
+    return QuadraticLindblad(h, np.diag([2.0 * g * (n + 1.0) for g, n in zip(gammas, nbars)]),
+                             np.diag([2.0 * g * n for g, n in zip(gammas, nbars)]), drive)
+
+
 def flow_single(omega_bar: float, gamma: float, nbar: float) -> QuadraticLindblad:
     """Damped oscillator flow: A = [[-g, w],[-w, -g]], D = 2g(2nbar+1) I."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if nbar < 0:
-        raise ValueError("nbar must be >= 0")
-    return QuadraticLindblad([[omega_bar]],
-                             [[2.0 * gamma * (nbar + 1.0)]],
-                             [[2.0 * gamma * nbar]])
+    return _locally_damped([[omega_bar]], [gamma], [nbar])
 
 
 def flow_two_small_beta(omega_bars, beta: float, gammas, nbars) -> QuadraticLindblad:
     """Two oscillators with local damping and bare exchange coupling beta."""
     w1, w2 = omega_bars
-    g1, g2 = gammas
-    n1, n2 = nbars
-    if g1 <= 0 or g2 <= 0:
-        raise ValueError("gammas must be positive")
-    h = np.array([[w1, beta], [beta, w2]])
-    k_emit = np.diag([2.0 * g1 * (n1 + 1.0), 2.0 * g2 * (n2 + 1.0)])
-    k_abs = np.diag([2.0 * g1 * n1, 2.0 * g2 * n2])
-    return QuadraticLindblad(h, k_emit, k_abs)
+    return _locally_damped([[w1, beta], [beta, w2]], gammas, nbars)
 
 
 def flow_two_large_beta(spectra, temperatures, omega: float,
@@ -185,7 +197,7 @@ def flow_two_large_beta(spectra, temperatures, omega: float,
     def rates(nu):
         emit = absorb = shift = 0.0
         for spec, t in ((spec1, t1), (spec2, t2)):
-            gam = decay_rate(spec, nu)
+            gam = _rate(spec, nu)
             occ = bose_occupation(nu, t)
             emit += gam * (occ + 1.0)
             absorb += gam * occ
@@ -218,9 +230,9 @@ def rabi_renormalizations(spectrum: OhmicSpectrum, omega: float, omega_l: float,
         warnings.warn(
             f"detuning {detuning} is not large against the perturbation scale; "
             "the renormalized-drive expansion is strained", SecularValidityWarning)
-    corr = (lamb_shift(spectrum, omega) + 1j * decay_rate(spectrum, omega)) / detuning
+    corr = (lamb_shift(spectrum, omega) + 1j * _rate(spectrum, omega)) / detuning
     if variant == "no_secular":
-        corr -= (lamb_shift(spectrum, omega_l) + 1j * decay_rate(spectrum, omega_l)) / detuning
+        corr -= (lamb_shift(spectrum, omega_l) + 1j * _rate(spectrum, omega_l)) / detuning
     return rabi * (1.0 + corr)
 
 
@@ -231,12 +243,33 @@ def flow_driven(omega_bar: float, gamma: float, nbar: float, r_bar: complex,
     Same damping and diffusion as the undriven flow; the drift rotates at the
     detuning Omega_bar - omega_L and the coherent term enters the mean drift.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    return QuadraticLindblad([[omega_bar - omega_l]],
-                             [[2.0 * gamma * (nbar + 1.0)]],
-                             [[2.0 * gamma * nbar]],
-                             drive=[np.conj(r_bar)])
+    return _locally_damped([[omega_bar - omega_l]], [gamma], [nbar], [np.conj(r_bar)])
+
+
+def markov_flows(point, labels) -> list[QuadraticLindblad]:
+    """The master equations ``labels`` name at a config point, ValueError if one fails.
+
+    ``labels`` are shift flags for ``single`` (True: the flow carries the
+    bath-induced frequency shift), ``EQUATIONS`` entries for ``two_coupled``
+    and ``DRIVE_VARIANTS`` for ``driven``.
+    """
+    spec = OhmicSpectrum(point.alpha, point.omega_c)
+    omega, wl, (t1, t2) = point.omega, point.omega_l, point.bath_temperatures
+    gamma = _rate(spec, omega)
+    nbar = bose_occupation(omega, t1)
+    omega_bar = omega + lamb_shift(spec, omega)
+    if point.scenario == "single":
+        return [flow_single(omega_bar if shifted else omega, gamma, nbar)
+                for shifted in labels]
+    if point.scenario == "two_coupled":
+        return [flow_two_small_beta((omega_bar, omega_bar), point.beta, (gamma, gamma),
+                                    (nbar, bose_occupation(omega, t2)))
+                if eq == "small_beta" else
+                flow_two_large_beta((spec, spec), (t1, t2), omega, point.beta)
+                for eq in labels]
+    return [flow_driven(omega_bar, gamma, nbar,
+                        rabi_renormalizations(spec, omega, wl, point.rabi, v), wl)
+            for v in labels]
 
 
 def evolve_flow(flow: QuadraticLindblad, state: GaussianState, t: float) -> GaussianState:

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -126,6 +127,8 @@ BAD_RUNS = {
                                                          "= fidelity_vs_time"),
     "resonant_swept_detuning": RESONANT_DRIVEN.replace("omega_l = 1", "omega_l = 1.2")
     + "\n[sweep]\nparameter = detuning\nvalues = -0.1, 0\n",
+    # refused as with a bath, though W - omega_L is singular here too
+    "resonant_driven_suite_without_bath": RESONANT_DRIVEN.replace("modes = 12", "modes = 0"),
     "unknown_swept_variant": RESONANT_DRIVEN.replace("omega_l = 1", "omega_l = 1.2")
     .replace("= driven_suite", "= fidelity_vs_time")
     + "\n[sweep]\nparameter = variant\nvalues = plain, bogus\n",
@@ -171,6 +174,8 @@ BAD_RUNS = {
     .replace("values = 0.1, 1", "values = 0.002, 0.01")
     .replace("= fidelity_vs_time", "= variance_trajectory"),
     "no_experiments": SMALL_RUN.replace("[output]\nexperiments = fidelity_vs_time\n", ""),
+    # a value is read as written: % starts no interpolation
+    "percent_in_value": SMALL_RUN.replace("omega = 1\n", "omega = 1%\n"),
     # the Markov rates a scenario's flows take must not underflow to 0
     "decay_rate_underflow": FAR_TAIL.replace("omega = 720", "omega = 800"),
     # the default beta grid reaches Omega + beta = 840
@@ -207,6 +212,7 @@ BAD_ORACLES = {
     "two_large_beta_above_omega": ORACLE_SINGLE.replace("single", "two_large") + "beta = 2\n",
     "t_nan": ORACLE_SINGLE.replace("t = 2", "t = nan"),
     "t_negative": ORACLE_SINGLE.replace("t = 2", "t = -1"),
+    "t_percent": ORACLE_SINGLE.replace("t = 2", "t = 1%"),
     "unknown_key": ORACLE_SINGLE + "gama = 0.1\n",
     "no_section_header": ORACLE_SINGLE.replace("[oracle]\n", ""),
     # finite inputs that the referee would integrate without end or for minutes:
@@ -381,6 +387,30 @@ class TestCli:
         assert out.count("trace(rho_t)") == 4
         assert (tmp_path / "o" / "fidelity_vs_time.csv").exists()
 
+    def test_validate_and_oracle_load_no_exact_dynamics(self, tmp_path):
+        # only run needs experiments and the exact propagator behind it
+        p = tmp_path / "oracle.cfg"
+        p.write_text(ORACLE_SINGLE)
+        code = ("import sys; from oscbath.cli import cli_main; "
+                "assert cli_main(['validate', sys.argv[1]]) == 0; "
+                "assert cli_main(['oracle', sys.argv[2]]) == 0; "
+                "print(sorted(m for m in ('oscbath.exact', 'oscbath.experiments') "
+                "if m in sys.modules))")
+        out = self._python(code, str(CONFIG_DIR / "fig9_11_driven.cfg"), str(p))
+        assert out.splitlines()[-1] == "[]"
+
+    def test_validate_bundled_configs_writes_no_warning(self):
+        # validate builds every point's flows, their validity warnings silenced
+        code = ("import contextlib, io, sys; from oscbath.cli import cli_main\n"
+                "err = io.StringIO()\n"
+                "with contextlib.redirect_stderr(err):\n"
+                "    assert all(cli_main(['validate', f]) == 0 for f in sys.argv[1:])\n"
+                "print(repr(err.getvalue()))")
+        paths = sorted(map(str, CONFIG_DIR.glob("*.cfg")))
+        out = self._python(code, *paths)
+        assert out.count(": ok") == len(paths) == 7
+        assert out.splitlines()[-1] == "''"
+
     @pytest.mark.parametrize("case", ["directory", "not_utf8", "missing"])
     @pytest.mark.parametrize("command", ["run", "validate", "oracle"])
     def test_unreadable_config_is_a_config_error(self, command, case, tmp_path, capsys):
@@ -467,7 +497,8 @@ class TestCli:
                      "[bath]\nmodes = 0\ntemperature = 0\n"
                      "[drive]\nrabi = 0.1\nomega_l = 1\nvariant = plain\n"
                      "[time]\nt_max = 5\nsamples = 10\n"
-                     "[output]\nexperiments = driven_suite\n")
+                     "[sweep]\nparameter = variant\nvalues = plain\n"
+                     "[output]\nexperiments = fidelity_vs_time\n")
         assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
         assert "numeric failure" in capsys.readouterr().err
 
@@ -629,3 +660,24 @@ def test_star_import_and_all_entries_exist(module):
     mod = importlib.import_module(f"oscbath.{module}")
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
     exec(f"from oscbath.{module} import *", {})
+
+
+def _imported(module: str) -> set:
+    """Dotted names of everything ``oscbath.<module>``'s source imports, lazily too."""
+    names = set()
+    source = (Path(oscbath.__file__).resolve().parent / f"{module}.py").read_text()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["oscbath" if node.level else "", node.module]))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", ["bath", "gaussian", "flows", "exact", "fock"])
+def test_numerics_import_no_front_end(module):
+    # config, experiments and cli are built on the numerics, never the reverse
+    front = {"oscbath.config", "oscbath.experiments", "oscbath.cli"}
+    assert _imported(module) & front == set()

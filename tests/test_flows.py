@@ -298,6 +298,13 @@ class TestKMatrices:
         with pytest.raises(ValueError, match="normal mode"):
             flow_two_large_beta((SPEC_OHMIC, SPEC_OHMIC), (1.0, 1.0), 1.0, 1.2)
 
+    def test_decay_rate_underflow_at_upper_normal_mode_rejected(self):
+        # gamma(Omega - beta) at nu/omega_c = 630 is positive; at 770 it underflows
+        tail = OhmicSpectrum(0.001, 1.0)
+        assert decay_rate(tail, 630.0) > 0 and decay_rate(tail, 770.0) == 0
+        with pytest.raises(ValueError, match="underflows to 0 at nu = 770"):
+            flow_two_large_beta((tail, tail), (0.0, 0.0), 700.0, 70.0)
+
     def test_asymmetric_offdiagonal_against_normal_mode_rederivation(self):
         flow = flow_two_large_beta((SPEC_OHMIC, OhmicSpectrum(0.02, 4.0)), (2.0, 0.3),
                                    1.0, 0.3)
@@ -390,6 +397,13 @@ class TestRabiRenormalizations:
     def test_warns_near_resonance(self):
         with pytest.warns(SecularValidityWarning):
             rabi_renormalizations(SPEC_OHMIC, 1.0, 0.99, 0.2, "no_secular")
+
+    def test_no_secular_decay_rate_underflow_at_omega_l_rejected(self):
+        tail = OhmicSpectrum(0.01, 1.0)
+        assert decay_rate(tail, 800.0) == 0
+        assert rabi_renormalizations(tail, 1.0, 800.0, 0.2, "off_resonant") != 0.2
+        with pytest.raises(ValueError, match="underflows to 0 at nu = 800"):
+            rabi_renormalizations(tail, 1.0, 800.0, 0.2, "no_secular")
 
 
 class TestFlowDriven:

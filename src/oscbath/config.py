@@ -3,6 +3,9 @@
 Configs are flat INI-style text files.  The echo emitted into result metadata
 is canonical: parsing it reproduces the configuration bit-for-bit, which is
 what makes experiment outputs reproducible from their own headers.
+``EXPERIMENTS`` is the one description of the points each experiment
+evaluates: ``validate`` checks those points, and the runners in
+``oscbath.experiments`` evaluate them, both through ``sweep_points``.
 """
 
 from __future__ import annotations
@@ -218,12 +221,34 @@ def validate(config: ScenarioConfig):
     """Raise ConfigError unless ``oscbath run`` accepts the config.
 
     The config and every point its experiments evaluate (``sweep_points`` of
-    each sweep they read, default grids included) must pass the same base
-    rules, and each point also the rules of the experiment that evaluates it.
-    A sweep that no requested experiment reads is an error.
+    each sweep they read, default grids included) pass the same base rules, run
+    once per distinct point, and each point also the rules of each experiment
+    that evaluates it.  The rules on the Markov coefficients are those of the
+    master equations, built once per point and label set in one
+    ``markov_flows`` call.  A sweep that no requested experiment reads is an error.
     """
     c = config
-    _check(c)
+    seen = set()  # the points whose base rules ran, and (point, labels) whose flows were built
+
+    def check(point, name=""):
+        # the master equations experiment name compares at the point, built in one call
+        # by their own rules: the shifted flow, both equations, or the point's drive
+        # variant, and all three for driven_suite
+        labels = DRIVE_VARIANTS if name == "driven_suite" else {
+            "single": (True,), "two_coupled": EQUATIONS}.get(point.scenario, (point.drive_variant,))
+        if point not in seen:
+            seen.add(point)
+            _check(point)
+        if (point, labels) not in seen:
+            seen.add((point, labels))
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", SecularValidityWarning)
+                    markov_flows(point, labels)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+
+    check(c)
     if not c.experiments:
         raise ConfigError("config requests no experiments ([output] experiments=...)")
     for name in c.experiments:
@@ -234,7 +259,7 @@ def validate(config: ScenarioConfig):
         for parameter in EXPERIMENTS[name][c.scenario]:
             for value, point in sweep_points(c, parameter):
                 try:
-                    _check(point)
+                    check(point, name)
                     _check_point(name, point)
                 except ConfigError as exc:
                     where = "" if parameter == "none" else f" at {parameter} = {_fmt(value)}"
@@ -255,13 +280,10 @@ def _check_point(name: str, point: ScenarioConfig):
             raise ConfigError("the correlation kernel C(0, T) underflows to 0")
     if name == "factorization_distance" and not 2 <= point.bath_modes <= 60:
         raise ConfigError("the full-state fidelity needs a bath of 2 to 60 modes")
-    if name == "driven_suite":  # it evaluates every variant at each point
-        for variant in DRIVE_VARIANTS:
-            _check(replace(point, drive_variant=variant))
 
 
 def _check(c: ScenarioConfig):
-    """Raise ConfigError on a violated invariant of one config or sweep point."""
+    """Raise ConfigError on a violated base rule of one config or sweep point."""
     for f in fields(c):
         value = getattr(c, f.name)
         if isinstance(value, float) and not math.isfinite(value):
@@ -299,11 +321,3 @@ def _check(c: ScenarioConfig):
         raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMETERS}")
     if (c.sweep_parameter == "none") != (not c.sweep_values):
         raise ConfigError("a sweep needs both a parameter and at least one value")
-    # the Markov coefficients are the flows' own: the point's equations must build
-    labels = {"single": (True,), "two_coupled": EQUATIONS}.get(c.scenario, (c.drive_variant,))
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", SecularValidityWarning)
-            markov_flows(c, labels)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None

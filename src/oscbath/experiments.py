@@ -9,24 +9,29 @@ byte-identical CSV.  ``_compare`` is the one comparison of an exact evolution
 with Markovian flows: it assembles a scenario's exact side and the flows its
 labels name (``flows.markov_flows`` takes their coefficients), evaluates the
 exact states at every reported time in one batched call and each flow at those
-times.  The private runners check nothing: the points each evaluates are the
-ones ``config.validate`` checked, from ``config.sweep_points``.
+times, and raises ArithmeticError if any of those states is unphysical.  The
+private runners check nothing else: the points each evaluates are the ones
+``config.validate`` checked, from ``config.sweep_points``.  Both suites are one
+runner, ``_suite``, which takes the sweeps it reports at t_max from
+``config.EXPERIMENTS``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .bath import OhmicSpectrum, corr_c0, corr_ct, discretize, fwhh, omega_range
-from .config import ScenarioConfig, config_text, parse_config, sweep_points, validate
+from .config import (EXPERIMENTS, ScenarioConfig, config_text, parse_config, sweep_points,
+                     validate)
 from .exact import ReducedPropagator, full_states
 from .flows import DRIVE_VARIANTS, EQUATIONS, evolve_flow, markov_flows
-from .gaussian import (GaussianState, db_distance, fidelity_multi, make_coherent,
-                       make_squeezed_vacuum, make_thermal, make_vacuum,
-                       partial_trace, tensor_product)
+from .gaussian import (PHYSICALITY_TOL, GaussianState, db_distance, fidelity_multi,
+                       make_coherent, make_squeezed_vacuum, make_thermal, make_vacuum,
+                       partial_trace, physicality_violation, tensor_product)
 
 __all__ = ["ExperimentResult", "config_from_csv", "run"]
 
@@ -118,7 +123,8 @@ def _compare(config: ScenarioConfig, labels, times):
     The flows are ``flows.markov_flows(config, labels)``.  Both oscillators of
     ``two_coupled`` share one discretized bath.  The exact states at all
     ``times`` come from one batched call, however many flows share them.
-    Returns (exact states, [flow states per label]).
+    Returns (exact states, [flow states per label]), or raises ArithmeticError
+    if a state is unphysical (min eig(C + i sigma) below ``PHYSICALITY_TOL``).
     """
     pair = config.scenario == "two_coupled"
     drive = (config.rabi, config.omega_l) if config.scenario == "driven" else None
@@ -127,8 +133,16 @@ def _compare(config: ScenarioConfig, labels, times):
     sys0 = _system_state(config, 2 if pair else 1)
     flows = markov_flows(config, labels)
     temperatures = config.bath_temperatures if pair else [config.temperature]
-    return (exact.states(times, sys0, temperatures),
-            [[evolve_flow(flow, sys0, t) for t in times] for flow in flows])
+    exact_states = exact.states(times, sys0, temperatures)
+    flow_states = [[evolve_flow(flow, sys0, t) for t in times] for flow in flows]
+    sides = ["exact state", *(f"flow state (label {label!r})" for label in labels)]
+    for side, states in zip(sides, (exact_states, *flow_states)):
+        for t, state in zip(times, states):  # a non-finite state is run's to refuse
+            lowest = physicality_violation(state) if np.isfinite(state.cov).all() else 0.0
+            if lowest < PHYSICALITY_TOL:
+                raise ArithmeticError(f"unphysical {side} at t = {_g17(t)}: min eig(C + i sigma) "
+                                      f"= {lowest:.3e} < {PHYSICALITY_TOL:g}; no CSV written")
+    return exact_states, flow_states
 
 
 def _curves(config: ScenarioConfig, labels, metric, times) -> list:
@@ -227,34 +241,24 @@ def _factorization_distance(config: ScenarioConfig) -> list:
     return rows
 
 
-# -- suites: curves over time, then fidelities at t_max over a parameter grid --
-
-def _two_oscillator_suite(config: ScenarioConfig) -> list:
-    """Fidelity vs t for both equations, vs beta at t_max, and between equations."""
+def _suite(name: str, config: ScenarioConfig) -> list:
+    """A suite's fidelities: each equation's (pair) or drive variant's curve over time,
+    its fidelity at t_max at each point of every further sweep the suite reads, and
+    (pair) the fidelity between the two equations' states over time."""
     times, t_end = _times(config), config.t_max
-    exact, (small, large) = _compare(config, EQUATIONS, times)
-    rows = _rows("equation", times, [(eq, "fidelity", map(fidelity_multi, exact, states))
-                                     for eq, states in zip(EQUATIONS, (small, large))])
-    for beta, point in sweep_points(config, "beta"):
-        ends = _curves(point, EQUATIONS, fidelity_multi, [t_end])
-        rows += _rows("beta", [t_end], [(_g17(beta), f"fidelity_{eq}", end)
-                                        for eq, end in zip(EQUATIONS, ends)])
-    rows += _rows("none", times, [("", "fidelity_between_equations",
-                                   map(fidelity_multi, small, large))])
-    return rows
-
-
-def _driven_suite(config: ScenarioConfig) -> list:
-    """Driven-oscillator fidelities vs time, detuning (at t_max) and Rabi frequency."""
-    times, t_end = _times(config), config.t_max
-    curves = _curves(config, DRIVE_VARIANTS, fidelity_multi, times)
-    rows = _rows("variant", times, [(v, "fidelity", curve)
-                                    for v, curve in zip(DRIVE_VARIANTS, curves)])
-    for param in ("detuning", "rabi"):
+    pair = config.scenario == "two_coupled"
+    labels = EQUATIONS if pair else DRIVE_VARIANTS
+    exact, states = _compare(config, labels, times)
+    rows = _rows("equation" if pair else "variant", times, [
+        (label, "fidelity", map(fidelity_multi, exact, s)) for label, s in zip(labels, states)])
+    for param in (p for p in EXPERIMENTS[name][config.scenario] if p != "none"):
         for value, point in sweep_points(config, param):
-            ends = _curves(point, DRIVE_VARIANTS, fidelity_multi, [t_end])
-            rows += _rows(param, [t_end], [(_g17(value), f"fidelity_{v}", end)
-                                           for v, end in zip(DRIVE_VARIANTS, ends)])
+            ends = _curves(point, labels, fidelity_multi, [t_end])
+            rows += _rows(param, [t_end], [(_g17(value), f"fidelity_{label}", end)
+                                           for label, end in zip(labels, ends)])
+    if pair:
+        rows += _rows("none", times, [("", "fidelity_between_equations",
+                                       map(fidelity_multi, *states))])
     return rows
 
 
@@ -264,8 +268,7 @@ _RUNNERS = {
     "recurrence_map": _recurrence_map,
     "correlation_study": _correlation_study,
     "factorization_distance": _factorization_distance,
-    "two_oscillator_suite": _two_oscillator_suite,
-    "driven_suite": _driven_suite,
+    **{suite: partial(_suite, suite) for suite in ("two_oscillator_suite", "driven_suite")},
 }
 
 

@@ -104,14 +104,20 @@ class QuadraticLindblad:
             if not np.isfinite(drive).all():
                 raise ValueError("drive must be finite")
 
+        # 2x2 block matrices by slices: np.block and np.kron cost more than the
+        # arithmetic on blocks this small, and slices copy the same floats
+        x, p = slice(0, n), slice(n, 2 * n)
         z = -1j * h - 0.5 * k_emit.conj() + 0.5 * k_abs
-        a = np.block([[z.real, -z.imag], [z.imag, z.real]])
+        a = np.empty((2 * n, 2 * n))
+        a[x, x] = a[p, p] = z.real
+        a[x, p], a[p, x] = -z.imag, z.imag
 
         # at the vacuum N = M = 0 and dN/dt = conj(K^A), dM/dt = 0
         ndot = k_abs.conj()
-        cdot_vac = np.block([[2 * ndot.real, 2 * ndot.imag],
-                             [2 * ndot.imag.T, 2 * ndot.real]])
-        d = cdot_vac - (a + a.T)
+        d = np.empty((2 * n, 2 * n))
+        d[x, x] = d[p, p] = 2 * ndot.real
+        d[x, p], d[p, x] = 2 * ndot.imag, 2 * ndot.imag.T
+        d -= a + a.T
         scale = max(np.abs(d).max(), 1.0)
         if np.abs(d - d.T).max() > 1e-12 * scale:
             raise ValueError("diffusion matrix must be symmetric")
@@ -127,7 +133,10 @@ class QuadraticLindblad:
         gen = np.zeros((dim + dim * dim + 1,) * 2)
         gen[:dim, :dim] = a
         gen[:dim, -1] = c
-        gen[dim:-1, dim:-1] = np.kron(a, eye) + np.kron(eye, a)
+        # the Kronecker sum kron(a, eye) + kron(eye, a), entry (i dim + k, j dim + l) =
+        # a_ij eye_kl + eye_ij a_kl, as np.kron forms its products
+        gen[dim:-1, dim:-1] = (a[:, None, :, None] * eye[None, :, None, :]
+                               + eye[:, None, :, None] * a[None, :, None, :]).reshape(dim * dim, -1)
         gen[dim:-1, -1] = d.ravel()
         for name, value in (("h", h), ("k_emit", k_emit), ("k_abs", k_abs),
                             ("drive", drive), ("drift", a), ("diffusion", d),
@@ -146,6 +155,15 @@ def _rate(spectrum: OhmicSpectrum, nu: float) -> float:
         raise ValueError(f"the Markov decay rate pi*J(nu) underflows to 0 at nu = {nu!r} "
                          f"(nu/omega_c = {nu / spectrum.omega_c!r}, alpha = {spectrum.alpha!r})")
     return gamma
+
+
+def _occupation(nu: float, temperature: float) -> float:
+    """The Bose occupation nbar(nu, T); ValueError where it overflows."""
+    nbar = bose_occupation(nu, temperature)
+    if not math.isfinite(nbar):
+        raise ValueError(f"the Bose occupation at nu = {nu!r}, T = {temperature!r} overflows: "
+                         "1 - exp(-nu/T) rounds to 0")
+    return nbar
 
 
 def _locally_damped(h, gammas, nbars, drive=None) -> QuadraticLindblad:
@@ -198,7 +216,7 @@ def flow_two_large_beta(spectra, temperatures, omega: float,
         emit = absorb = shift = 0.0
         for spec, t in ((spec1, t1), (spec2, t2)):
             gam = _rate(spec, nu)
-            occ = bose_occupation(nu, t)
+            occ = _occupation(nu, t)
             emit += gam * (occ + 1.0)
             absorb += gam * occ
             shift += lamb_shift(spec, nu)
@@ -256,14 +274,14 @@ def markov_flows(point, labels) -> list[QuadraticLindblad]:
     spec = OhmicSpectrum(point.alpha, point.omega_c)
     omega, wl, (t1, t2) = point.omega, point.omega_l, point.bath_temperatures
     gamma = _rate(spec, omega)
-    nbar = bose_occupation(omega, t1)
+    nbar = _occupation(omega, t1)
     omega_bar = omega + lamb_shift(spec, omega)
     if point.scenario == "single":
         return [flow_single(omega_bar if shifted else omega, gamma, nbar)
                 for shifted in labels]
     if point.scenario == "two_coupled":
         return [flow_two_small_beta((omega_bar, omega_bar), point.beta, (gamma, gamma),
-                                    (nbar, bose_occupation(omega, t2)))
+                                    (nbar, _occupation(omega, t2)))
                 if eq == "small_beta" else
                 flow_two_large_beta((spec, spec), (t1, t2), omega, point.beta)
                 for eq in labels]

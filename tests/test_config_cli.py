@@ -4,6 +4,8 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -15,12 +17,14 @@ from hypothesis import strategies as st
 
 import oscbath
 from oscbath import cli, experiments, fock
+from oscbath import config as config_module
 from oscbath.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, cli_main
 from oscbath.config import (DEFAULT_DETUNING_GRID, DRIVE_VARIANTS, EXPERIMENTS,
                             INITIAL_STATES, RANGE_MODES, SCENARIOS, ConfigError,
                             ScenarioConfig, config_text, parse_config, sweep_points,
                             validate)
 from oscbath.experiments import ExperimentResult, config_from_csv
+from oscbath.gaussian import GaussianState
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -196,6 +200,12 @@ BAD_RUNS = {
     .replace("= fidelity_vs_time", "= correlation_study"),
 }
 
+# what the message of a BAD_RUNS case must name, where that is pinned
+BAD_RUN_MESSAGES = {
+    "hot_bath": "the Bose occupation at nu = 1.0, T = 1e+20 overflows",
+    "hot_second_bath": "the Bose occupation at nu = 1.0, T = 1e+20 overflows",
+}
+
 ORACLE_SINGLE = ("[oracle]\nfamily = single\ncutoff = 10\nt = 2\n"
                  "gamma = 0.08\nnbar = 0.2\nomega_bar = 1.0\n")
 
@@ -352,7 +362,9 @@ class TestCli:
         p = tmp_path / "bad.cfg"
         p.write_text(BAD_RUNS[case])
         assert cli_main(["validate", str(p)]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error:")
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert BAD_RUN_MESSAGES.get(case, "") in err
 
     @staticmethod
     def _python(code: str, *args: str) -> str:
@@ -507,7 +519,9 @@ class TestCli:
         p = tmp_path / "bad.cfg"
         p.write_text(BAD_RUNS[case])
         assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert BAD_RUN_MESSAGES.get(case, "") in err
         assert not (tmp_path / "o").exists()
 
     def test_failed_run_writes_no_csv(self, tmp_path, capsys, monkeypatch):
@@ -589,6 +603,50 @@ class TestCli:
         assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
         assert "non-finite" in capsys.readouterr().err
         assert not list((tmp_path / "o").glob("*.csv"))
+
+    def test_unphysical_state_is_a_numeric_failure(self, tmp_path, capsys, monkeypatch):
+        # C = I/2 breaks C + i sigma >= 0: its smallest eigenvalue is -1/2
+        def below_vacuum(self, times, system0, temperatures):
+            cov = 0.5 * np.eye(2 * system0.n_modes)
+            return [GaussianState(system0.n_modes, system0.mean, cov) for _ in times]
+
+        monkeypatch.setattr(experiments.ReducedPropagator, "states", below_vacuum)
+        p = tmp_path / "run.cfg"
+        p.write_text(SMALL_RUN)
+        assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: unphysical exact state at t = 0:")
+        assert "min eig(C + i sigma) = -5.000e-01" in err
+        assert not list((tmp_path / "o").glob("*.csv"))
+
+    @pytest.mark.parametrize("case", [*sorted(FLOW_RUNS), "driven_fidelity_vs_time"])
+    def test_validate_checks_every_point_run_evaluates(self, case, monkeypatch):
+        # every point whose flows a runner builds was built by validate too, and
+        # validate runs the base rules once per distinct point; a point's drive
+        # variant only picks the labels its flows are built for
+        text = FLOW_RUNS.get(case) or (
+            FLOW_RUNS["driven_suite"].replace("= driven_suite", "= fidelity_vs_time")
+            + "\n[sweep]\nparameter = variant\nvalues = plain, no_secular\n")
+        config = parse_config(text)
+        seen = {"validate": [], "run": [], "checked": []}
+        check = config_module._check
+
+        def recorder(key, build):
+            def recorded(point, labels):
+                seen[key].append(replace(point, drive_variant="plain"))
+                return build(point, labels)
+            return recorded
+
+        monkeypatch.setattr(config_module, "markov_flows",
+                            recorder("validate", config_module.markov_flows))
+        monkeypatch.setattr(experiments, "markov_flows", recorder("run", experiments.markov_flows))
+        monkeypatch.setattr(config_module, "_check",
+                            lambda point: seen["checked"].append(point) or check(point))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            experiments.run(config)
+        assert seen["run"] and set(seen["run"]) <= set(seen["validate"])
+        assert len(seen["checked"]) == len(set(seen["checked"]))
 
     @pytest.mark.parametrize("family", ["single", "two_small", "two_large", "driven"])
     def test_oracle_subcommand(self, family, tmp_path, capsys):

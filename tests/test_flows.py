@@ -92,6 +92,19 @@ class TestGeneratorProperties:
         np.testing.assert_array_equal(d, d.T)
         assert np.linalg.eigvalsh(d).min() >= -1e-12 * max(np.abs(d).max(), 1.0)
 
+    @settings(max_examples=30, deadline=None)
+    @given(generators_and_states())
+    @example(case=(flow_driven(1.0, 0.05, 0.2, 0.1 - 0.3j, 0.9), None))
+    @example(case=(flow_two_large_beta((OhmicSpectrum(0.01, 3.0),) * 2, (1.0, 0.2), 1.0, 0.3),
+                   None))
+    def test_moment_generator_holds_the_kronecker_sum(self, case):
+        # the covariance block of G is assembled without np.kron, yet bit for bit
+        lindblad, _ = case
+        a, dim = lindblad.drift, 2 * lindblad.n_modes
+        eye = np.eye(dim)
+        block = lindblad.moment_generator[dim:-1, dim:-1]
+        assert block.tobytes() == (np.kron(a, eye) + np.kron(eye, a)).tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(generators_and_states(), st.floats(0.0, 3.0), st.floats(0.0, 3.0))
     @example(case=(flow_single(1.0, 0.05, 0.2), make_vacuum(1)), t1=5e-324, t2=0.0)

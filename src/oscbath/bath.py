@@ -17,6 +17,7 @@ __all__ = [
     "OhmicSpectrum",
     "BathCouplings",
     "omega_range",
+    "tail_mass",
     "discretize",
     "bose_occupation",
     "decay_rate",
@@ -84,8 +85,9 @@ def omega_range(spectrum: OhmicSpectrum, mode: str = "equal_tails", *,
         w1 = wc * 1e-3 if omega_min is None else float(omega_min)
         if not 0 < w1 < wc:
             raise ValueError("omega_min must lie in (0, omega_c)")
-        # tail masses divided by alpha*omega_c: left = omega_c - e^{-w1/wc}(w1+wc)
-        target = wc - np.exp(-w1 / wc) * (w1 + wc)
+        target = tail_mass(wc, w1)
+        if not target > 0:
+            raise ValueError(f"the spectral weight below omega_min = {w1!r} rounds to 0")
         fun = lambda w: (w + wc) * np.exp(-w / wc) - target
     elif mode == "floor":
         if floor is None or not 0 < floor < wc:
@@ -108,6 +110,15 @@ def omega_range(spectrum: OhmicSpectrum, mode: str = "equal_tails", *,
     except (ValueError, RuntimeError) as exc:
         raise ArithmeticError(f"omega_max root-finding failed on bracket [{lo}, {hi}]") from exc
     return w1, float(wmax)
+
+
+def tail_mass(omega_c: float, omega_min: float) -> float:
+    """Spectral weight of (0, omega_min) divided by alpha*omega_c, as ``equal_tails`` takes it.
+
+    It is omega_c - e^{-omega_min/omega_c} (omega_min + omega_c), and rounds to 0
+    (or below) once omega_min/omega_c is below about 1e-8.
+    """
+    return omega_c - np.exp(-omega_min / omega_c) * (omega_min + omega_c)
 
 
 def _brentq(f: Callable, xa: float, xb: float, xtol: float, rtol: float,

@@ -13,11 +13,12 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import sys
 import typing
 import warnings
 from dataclasses import dataclass, fields, replace
 
-from .bath import OhmicSpectrum, corr_ct
+from .bath import OhmicSpectrum, corr_ct, tail_mass
 from .flows import DRIVE_VARIANTS, EQUATIONS, SecularValidityWarning, markov_flows
 
 __all__ = ["ScenarioConfig", "ConfigError", "read_text", "parse_config", "parse_path",
@@ -26,6 +27,7 @@ __all__ = ["ScenarioConfig", "ConfigError", "read_text", "parse_config", "parse_
 SCENARIOS = ("single", "two_coupled", "driven")
 INITIAL_STATES = ("vacuum", "thermal", "squeezed", "coherent")
 RANGE_MODES = ("equal_tails", "floor")
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # largest x with a finite e^x
 # grids evaluated unless the config sweeps the parameter itself, in units of Omega:
 # two_oscillator_suite's couplings beta, and driven_suite's detunings omega_l - Omega
 # and Rabi frequencies, at which the suites report t_max fidelities
@@ -303,12 +305,19 @@ def _check(c: ScenarioConfig):
         raise ConfigError(f"initial must be one of {INITIAL_STATES}")
     if c.initial == "thermal" and c.initial_temperature < 0:
         raise ConfigError("initial_temperature must be >= 0")
+    if c.initial == "squeezed" and 2.0 * abs(c.initial_squeeze) > _LOG_FLOAT_MAX:
+        raise ConfigError(f"initial_squeeze = {c.initial_squeeze!r} overflows the "
+                          "squeezed variance e^(2|r|)")
     if c.range_mode not in RANGE_MODES:
         raise ConfigError(f"range_mode must be one of {RANGE_MODES}")
     if c.range_mode == "floor" and not 0 < c.range_floor < c.omega_c:
         raise ConfigError("range_floor must lie in (0, omega_c)")
     if c.range_mode == "equal_tails" and c.range_omega_min >= c.omega_c:
         raise ConfigError("range_omega_min must lie below omega_c (0 selects omega_c/1000)")
+    if (c.range_mode == "equal_tails" and c.range_omega_min > 0
+            and not tail_mass(c.omega_c, c.range_omega_min) > 0):
+        raise ConfigError(f"range_omega_min = {c.range_omega_min!r} is too small against "
+                          "omega_c: the spectral weight below it rounds to 0")
     if c.bath_modes < 0 or c.bath_modes == 1:
         raise ConfigError("bath modes must be 0 (no bath) or >= 2")
     if c.rabi < 0:

@@ -12,7 +12,7 @@ oscillators of equal frequency Omega, each with its own copy of one bath,
 split under (x1 +- x2)/sqrt(2), (b1j +- b2j)/sqrt(2) into two arrowhead
 "sectors" with system frequencies Omega +- beta and the bath's omega_j, g_j.
 A sector's eigenvalues lam_k are the roots of its secular equation
-(``_arrowhead_spectrum``, O(N^2) time, O(N) memory); eigenvector k has
+(``_arrowhead_spectrum``, O(N^2) time, O(block x N) memory); eigenvector k has
 system component q0_k and bath components q0_k g_hat_j / (lam_k - omega_j).
 So the system row of exp(-iWt) is
 
@@ -59,7 +59,7 @@ _SECULAR_MAX_ITER = 100  # model steps converge in about 6; bisection alone may 
 
 
 def _arrowhead_spectrum(omega: float, freqs: np.ndarray, g: np.ndarray):
-    """Spectrum of [[omega, g^T], [g, diag(freqs)]] in O(N^2) time and O(N) memory.
+    """Spectrum of [[omega, g^T], [g, diag(freqs)]] in O(N^2) time and O(block x N) memory.
 
     ``freqs`` must be strictly ascending and every g_j > 0.  The eigenvalues are
     the roots of the secular equation
@@ -77,6 +77,10 @@ def _arrowhead_spectrum(omega: float, freqs: np.ndarray, g: np.ndarray):
     Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995; Stor, Slapnicar & Barlow,
     Linear Algebra Appl. 464, 2015).
 
+    Every (block x N) array of the build is a view of one workspace of three
+    such rows, allocated once: fresh temporaries of that size would be returned
+    to the system and zero-filled again on every solver step.
+
     Returns (origin, tau, g_hat, weight): eigenvalue k is origin_k + tau_k and
     weight_k = q0_k^2 is the squared system component of its eigenvector, whose
     bath components are q0_k g_hat_j / (tau_k - (freqs_j - origin_k)).
@@ -91,58 +95,80 @@ def _arrowhead_spectrum(omega: float, freqs: np.ndarray, g: np.ndarray):
     radius = np.sqrt(g2.sum())
     lower = np.concatenate([[min(omega, freqs[0]) - radius], freqs])
     upper = np.concatenate([freqs, [max(omega, freqs[-1]) + radius]])
+    work = np.empty((3, min(_SECULAR_BLOCK, n) * n))
     tau, origin = np.empty(n), np.empty(n)
     blocks = [np.arange(start, min(start + _SECULAR_BLOCK, n))
               for start in range(0, n, _SECULAR_BLOCK)]
     for k in blocks:
-        tau[k], origin[k] = _secular_roots(omega, freqs, g2, k, lower[k], upper[k])
-    g_hat = _lowner_couplings(freqs, tau, origin)
+        tau[k], origin[k] = _secular_roots(omega, freqs, g2, k, lower[k], upper[k], work)
+    g_hat = _lowner_couplings(freqs, tau, origin, work)
     weight = np.empty(n)
     for k in blocks:
-        ratio = g_hat / (tau[k, None] - (freqs - origin[k, None]))
-        weight[k] = 1.0 / (1.0 + (ratio * ratio).sum(axis=1))
+        ratio = _gaps(tau[k], origin[k], freqs, _view(work[0], k.size, n - 1))
+        np.divide(g_hat, ratio, out=ratio)
+        weight[k] = 1.0 / (1.0 + np.multiply(ratio, ratio, out=ratio).sum(axis=1))
     return origin, tau, g_hat, weight
 
 
-def _lowner_couplings(freqs, tau, origin):
+def _view(row: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The leading rows x cols of a flat workspace row, as a C-ordered matrix."""
+    return row[:rows * cols].reshape(rows, cols)
+
+
+def _gaps(tau, origin, poles, out):
+    """lam_k - poles_j, as tau_k - (poles_j - origin_k), written into ``out``."""
+    np.subtract(poles, origin[:, None], out=out)
+    return np.subtract(tau[:, None], out, out=out)
+
+
+def _lowner_couplings(freqs, tau, origin, work):
     """Couplings g_hat for which the roots origin + tau are the exact eigenvalues.
 
     Evaluating det(W - lam) at lam = freqs_j gives
     g_hat_j^2 = prod_k |lam_k - freqs_j| / prod_{i != j} |freqs_i - freqs_j|.
     Each pole i is paired with the root on its far side from j (root i below
     j, root i + 1 above), so every ratio is >= 1 and the product cannot
-    underflow; the two roots around freqs_j stay as factors.
+    underflow; the two roots around freqs_j stay as factors.  ``work`` holds
+    three rows of at least (m + 1) x block floats.
     """
     m = freqs.size
     i = np.arange(m)[:, None]
     g_hat = np.empty(m)
     for start in range(0, m, _SECULAR_BLOCK):
         j = np.arange(start, min(start + _SECULAR_BLOCK, m))
-        gap = tau[:, None] - (freqs[j] - origin[:, None])  # lam_k - freqs_j, (m + 1, block)
-        own = i == j
-        num = np.where(own, 1.0, np.where(i < j, gap[:-1], gap[1:]))
-        den = np.where(own, 1.0, freqs[:, None] - freqs[j])
         col = np.arange(j.size)
-        g_hat[j] = np.sqrt(np.abs(gap[j, col] * gap[j + 1, col]) * (num / den).prod(axis=0))
+        gap = _gaps(tau, origin, freqs[j], _view(work[0], m + 1, j.size))
+        num = _view(work[1], m, j.size)
+        np.copyto(num, gap[1:])
+        np.copyto(num, gap[:-1], where=i < j)
+        num[j, col] = 1.0
+        den = np.subtract(freqs[:, None], freqs[j], out=_view(work[2], m, j.size))
+        den[j, col] = 1.0
+        ratio = np.divide(num, den, out=num)
+        g_hat[j] = np.sqrt(np.abs(gap[j, col] * gap[j + 1, col]) * ratio.prod(axis=0))
     return g_hat
 
 
-def _secular_roots(omega, freqs, g2, k, lower, upper):
+def _secular_roots(omega, freqs, g2, k, lower, upper, work):
     """Roots k (in (lower, upper)) of the secular equation as (tau, origin).
 
     Each step fits f near tau by its value and slope with a model that keeps
     the two poles around the root (the "middle way" of LAPACK's dlaed4; the
     slope -1 of the linear term is shared between the poles) and takes the
     model's root; a bisection bracket guards the step.  Outer roots have one
-    pole and keep the linear term exactly.
+    pole and keep the linear term exactly.  ``work`` holds three rows of at
+    least k.size x freqs.size floats: the pole offsets freqs - origin, and the
+    active roots' differences and pole terms.
     """
     m = freqs.size
     mid = 0.5 * (lower + upper)
-    f_mid = omega - mid + (g2 / (mid[:, None] - freqs)).sum(axis=1)
+    at_mid = np.subtract(mid[:, None], freqs, out=_view(work[0], k.size, m))
+    f_mid = omega - mid + np.divide(g2, at_mid, out=at_mid).sum(axis=1)
     right = f_mid > 0  # f decreases between poles: the root lies above mid
     origin = np.where(right, upper, lower)
     origin[k == 0] = upper[k == 0]
     origin[k == m] = lower[k == m]
+    offsets = np.subtract(freqs, origin[:, None], out=_view(work[0], k.size, m))
     lo = np.where(right, mid, lower) - origin
     hi = np.where(right, upper, mid) - origin
     tau = mid - origin
@@ -161,8 +187,10 @@ def _secular_roots(omega, freqs, g2, k, lower, upper):
     eps = np.finfo(float).eps
     act = np.arange(k.size)
     for _ in range(_SECULAR_MAX_ITER):
-        diff = tau[act, None] - (freqs - origin[act, None])
-        terms = g2 / diff  # positive below the root, negative above
+        diff = np.take(offsets, act, axis=0, out=_view(work[1], act.size, m))
+        np.subtract(tau[act, None], diff, out=diff)
+        # positive below the root, negative above
+        terms = np.divide(g2, diff, out=_view(work[2], act.size, m))
         total, left = terms.sum(axis=1), below(terms, act)
         f = shift[act] - tau[act] + total
         tol = 8.0 * eps * (np.abs(shift[act]) + np.abs(tau[act]) + 2.0 * left - total)
@@ -173,10 +201,11 @@ def _secular_roots(omega, freqs, g2, k, lower, upper):
         todo = (np.abs(f) > tol) & (hi[act] - lo[act] > 2.0 * eps * np.abs(t))
         if not todo.any():
             break
-        act, diff, terms, f, t = act[todo], diff[todo], terms[todo], f[todo], t[todo]
-        slope = terms / diff  # -d/dtau of each pole term
-        s_left = below(slope, act)
-        s_right = slope.sum(axis=1) - s_left
+        slope = np.divide(terms, diff, out=terms)  # -d/dtau of each pole term
+        s_below = below(slope, act)
+        s_left = s_below[todo]
+        s_right = (slope.sum(axis=1) - s_below)[todo]
+        act, f, t = act[todo], f[todo], t[todo]
         a, b = pole_lo[act], pole_hi[act]
         inner = has_left[act] & has_right[act]
         # interior: c + wl/(x - a) + wr/(x - b), matching f and f' at t
@@ -225,18 +254,21 @@ class _Sector:
     def bath_rows(self, poles: np.ndarray, a: np.ndarray) -> np.ndarray:
         """a @ C diag(g_hat) with the Cauchy matrix C_kj = 1/(lam_k - poles_j).
 
-        C is formed one block of columns at a time, so memory stays
-        O(N * block + rows * M).  The product is NumPy's own einsum loop, not
-        BLAS: on 2 vCPUs a two-thread OpenBLAS GEMM of one such block took
-        10-50 ms (up to 1 s for the first in a process) against 0.2 ms on one
-        thread, and einsum keeps the result independent of the thread count.
+        C is formed one block of columns at a time in one reused buffer, so
+        memory stays O(N * block + rows * M).  The product is NumPy's own einsum
+        loop, not BLAS: on 2 vCPUs a two-thread OpenBLAS GEMM of one such block
+        took 10-50 ms (up to 1 s for the first in a process) against 0.2 ms on
+        one thread, and einsum keeps the result independent of the thread count.
         """
         out = np.empty((a.shape[0], poles.size))
+        buffer = np.empty(self.tau.size * min(_SECULAR_BLOCK, poles.size))
         for start in range(0, poles.size, _SECULAR_BLOCK):
             j = slice(start, start + _SECULAR_BLOCK)
-            cauchy = 1.0 / (self.tau[:, None] - (poles[j] - self.origin[:, None]))
-            out[:, j] = np.einsum("tk,kj->tj", a, cauchy)
-        return out * self.g_hat
+            cauchy = _gaps(self.tau, self.origin, poles[j],
+                           _view(buffer, self.tau.size, poles[j].size))
+            out[:, j] = np.einsum("tk,kj->tj", a, np.divide(1.0, cauchy, out=cauchy))
+        out *= self.g_hat
+        return out
 
 
 def _real_form(z: np.ndarray) -> np.ndarray:

@@ -223,7 +223,7 @@ def _factorization_curve(config: ScenarioConfig) -> list:
     # path.  An arrowhead eigenbasis would do, but rounding in fidelity_multi at
     # near-pure bath modes dominates this full-state D_B, which moves by up to
     # 3.5e-5 at t = 0 (and 1.4e-9 later) under another, equally exact eigenbasis
-    # of W.  Once fidelity_multi is faithful there (ROADMAP item 2) and the
+    # of W.  Once fidelity_multi is faithful there (ROADMAP item 4) and the
     # golden rows are re-recorded, the basis can come from the arrowhead spectrum.
     bath_thermal = make_thermal(bath.frequencies, config.temperature)
     global0 = tensor_product(_system_state(config, 1), bath_thermal)

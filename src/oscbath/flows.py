@@ -149,8 +149,12 @@ class QuadraticLindblad:
 
 
 def _rate(spectrum: OhmicSpectrum, nu: float) -> float:
-    """The decay rate gamma(nu) = pi J(nu); ValueError where it underflows to 0."""
-    gamma = decay_rate(spectrum, nu)
+    """The decay rate gamma(nu) = pi J(nu); ValueError where it underflows to 0 or overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = decay_rate(spectrum, nu)
+    if not math.isfinite(gamma):
+        raise ValueError(f"the Markov decay rate pi*J(nu) at nu = {nu!r} is not finite "
+                         f"(alpha = {spectrum.alpha!r}, nu/omega_c = {nu / spectrum.omega_c!r})")
     if not gamma > 0:
         raise ValueError(f"the Markov decay rate pi*J(nu) underflows to 0 at nu = {nu!r} "
                          f"(nu/omega_c = {nu / spectrum.omega_c!r}, alpha = {spectrum.alpha!r})")

@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 from oscbath import bath
 from oscbath.bath import (BathCouplings, OhmicSpectrum, bose_occupation, corr_c0,
                           corr_ct, decay_rate, discretize, fwhh, lamb_shift,
-                          omega_range, trigamma)
+                          omega_range, tail_mass, trigamma)
 
 SPEC = OhmicSpectrum(alpha=1.0, omega_c=3.0)
 
@@ -91,6 +91,14 @@ class TestDiscretize:
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             discretize(SPEC, 10, (2.0, 1.0))
+
+    @pytest.mark.parametrize("ratio", [1e-9, 1e-170])
+    def test_vanishing_tail_mass_is_refused(self, ratio):
+        # below omega_min/omega_c ~ 1e-8 the tail mass rounds to 0, and no omega_max
+        # carries it: refused by name, not by a failed bracket
+        assert tail_mass(SPEC.omega_c, ratio * SPEC.omega_c) == 0
+        with pytest.raises(ValueError, match="omega_min = .* rounds to 0"):
+            omega_range(SPEC, "equal_tails", omega_min=ratio * SPEC.omega_c)
 
     def test_bath_couplings_validation(self):
         with pytest.raises(ValueError):

@@ -198,12 +198,24 @@ BAD_RUNS = {
     # |C(0, T)| ~ alpha T^2 pi^2/6 underflows to 0, so its half height is undefined
     "correlation_kernel_underflow": NO_SWEEP.replace("temperature = 0.5", "temperature = 1e-200")
     .replace("= fidelity_vs_time", "= correlation_study"),
+    # finite inputs whose derived values overflow or vanish: pi alpha Omega e^{-Omega/omega_c},
+    # the squeezed variance e^{2|r|}, and equal_tails' tail mass below omega_min
+    "decay_rate_overflow": NO_SWEEP.replace("alpha = 0.01", "alpha = 1e308")
+    .replace("= fidelity_vs_time", "= variance_trajectory"),
+    "squeeze_overflow": NO_SWEEP.replace("initial = thermal",
+                                         "initial = squeezed\ninitial_squeeze = 1e272")
+    .replace("= fidelity_vs_time", "= variance_trajectory"),
+    "equal_tails_mass_rounds_to_zero": NO_SWEEP.replace(
+        "range_mode = floor", "range_mode = equal_tails\nrange_omega_min = 1e-170"),
 }
 
 # what the message of a BAD_RUNS case must name, where that is pinned
 BAD_RUN_MESSAGES = {
     "hot_bath": "the Bose occupation at nu = 1.0, T = 1e+20 overflows",
     "hot_second_bath": "the Bose occupation at nu = 1.0, T = 1e+20 overflows",
+    "decay_rate_overflow": "pi*J(nu) at nu = 1.0 is not finite (alpha = 1e+308",
+    "squeeze_overflow": "initial_squeeze = 1e+272 overflows",
+    "equal_tails_mass_rounds_to_zero": "range_omega_min = 1e-170 is too small",
 }
 
 ORACLE_SINGLE = ("[oracle]\nfamily = single\ncutoff = 10\nt = 2\n"

@@ -8,6 +8,7 @@ from conftest import (build_single, build_two, dense_states, propagator,
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from oscbath import exact
 from oscbath.bath import BathCouplings, OhmicSpectrum, discretize, omega_range
 from oscbath.exact import ReducedPropagator, RwaValidityWarning, full_states
 from oscbath.gaussian import (GaussianState, make_squeezed_vacuum, make_thermal,
@@ -432,6 +433,31 @@ class TestArrowheadSolver:
         np.testing.assert_array_equal(dropped.freqs, kept.frequencies)
         np.testing.assert_array_equal(dropped.sectors[0].eigenvalues,
                                       reference.sectors[0].eigenvalues)
+
+    def test_block_size_does_not_move_the_spectrum(self, monkeypatch):
+        # the solver's workspace is reused across blocks and iterations: at 5 and 64
+        # the last block of the 151 roots is partial and at 4096 one block exceeds n,
+        # so a stale or aliased row as the active set shrinks would move these
+        bath = discretize(SPEC, 150, omega_range(SPEC, "equal_tails"))
+        times = np.linspace(0.0, 40.0, 6)
+        rng = np.random.default_rng(3)
+        cases = [((1.0, bath), random_physical_state(rng, 1), [0.7]),
+                 ((1.0, bath, 0.05), random_physical_state(rng, 2), [0.7, 1.3])]
+        runs = []
+        for block in (64, 5, 4096):
+            monkeypatch.setattr(exact, "_SECULAR_BLOCK", block)
+            runs.append([(p.sectors, p.states(times, sys0, temps)) for p, sys0, temps in
+                         ((ReducedPropagator.build(*args), sys0, temps)
+                          for args, sys0, temps in cases)])
+        for run in runs[1:]:
+            for (sectors, states), (ref_sectors, ref_states) in zip(run, runs[0]):
+                for sector, ref in zip(sectors, ref_sectors):
+                    for name in ("eigenvalues", "g_hat", "weight"):
+                        np.testing.assert_allclose(getattr(sector, name), getattr(ref, name),
+                                                   rtol=1e-14, atol=0, err_msg=name)
+                for state, ref in zip(states, ref_states):
+                    np.testing.assert_allclose(state.mean, ref.mean, rtol=1e-14, atol=0)
+                    np.testing.assert_allclose(state.cov, ref.cov, rtol=1e-14, atol=0)
 
 
 class TestMemory:

@@ -18,6 +18,8 @@ import typing
 import warnings
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from .bath import OhmicSpectrum, corr_ct, tail_mass
 from .flows import DRIVE_VARIANTS, EQUATIONS, SecularValidityWarning, markov_flows
 
@@ -227,7 +229,8 @@ def validate(config: ScenarioConfig):
     once per distinct point, and each point also the rules of each experiment
     that evaluates it.  The rules on the Markov coefficients are those of the
     master equations, built once per point and label set in one
-    ``markov_flows`` call.  A sweep that no requested experiment reads is an error.
+    ``markov_flows`` call; t_max times the 1-norm of each one's moment generator
+    must be finite.  A sweep that no requested experiment reads is an error.
     """
     c = config
     seen = set()  # the points whose base rules ran, and (point, labels) whose flows were built
@@ -246,9 +249,14 @@ def validate(config: ScenarioConfig):
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", SecularValidityWarning)
-                    markov_flows(point, labels)
+                    flows = markov_flows(point, labels)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
+            with np.errstate(over="ignore"):  # the 1-norm of G t_max, which sets the squarings
+                norms = [np.abs(f.moment_generator * point.t_max).sum(axis=0).max() for f in flows]
+            if not np.isfinite(norms).all():
+                raise ConfigError(f"t_max = {point.t_max!r} is too long for the master equations: "
+                                  "the 1-norm of their moment generator times t_max overflows")
 
     check(c)
     if not c.experiments:

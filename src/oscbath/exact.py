@@ -2,7 +2,8 @@
 
 The quadratic Hamiltonian with one-particle coupling matrix W evolves
 annihilation operators as a(t) = exp(-iWt) a(0).  Two entry points evaluate
-this, each at every reported time in one call.
+this, each at every reported time in one call that returns one stacked
+``GaussianState``.
 
 ``ReducedPropagator.states`` gives the reduced states that every
 exact-vs-Markov comparison needs.  One oscillator with a bath has an
@@ -28,13 +29,13 @@ g_j = 0 are exactly decoupled and dropped first, so a bath-less oscillator
 is the M = 0 case of the same code.  At t = 0 a reduced state is the initial
 state itself.
 
-``full_states`` gives the full system + bath states of the factorization
+``FullPropagator`` gives the full system + bath states of the factorization
 study.  It diagonalizes the one oscillator's W with ``np.linalg.eigh`` and
 applies the phase-space propagator in block ordering (x..., p...),
 
     M(t) = [[cos(Wt), sin(Wt)], [-sin(Wt), cos(Wt)]],
 
-to the initial full state.
+to the initial full state, one stack of M(t) for the times of each call.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 from .bath import BathCouplings
 from .gaussian import GaussianState, thermal_variance
 
-__all__ = ["ReducedPropagator", "RwaValidityWarning", "full_states"]
+__all__ = ["FullPropagator", "ReducedPropagator", "RwaValidityWarning"]
 
 
 class RwaValidityWarning(UserWarning):
@@ -271,9 +272,13 @@ class _Sector:
         return out
 
 
-def _real_form(z: np.ndarray) -> np.ndarray:
-    """[[Re z, -Im z], [Im z, Re z]] of a stack of complex k x k matrices."""
-    return np.block([[z.real, -z.imag], [z.imag, z.real]])
+def _real_form(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """[[re, -im], [im, re]] of each pair of a stack of k x k matrices, by slices."""
+    k = re.shape[-1]
+    out = np.empty(re.shape[:-2] + (2 * k, 2 * k))
+    out[..., :k, :k] = out[..., k:, k:] = re
+    out[..., :k, k:], out[..., k:, :k] = -im, im
+    return out
 
 
 @dataclass(frozen=True)
@@ -331,8 +336,8 @@ class ReducedPropagator:
                     f"resonant with drive frequency {omega_l:.12g}; perturb omega_L")
         return cls(sectors, mixing, freqs, rabi, omega_l)
 
-    def states(self, times, system0: GaussianState, temperatures) -> list:
-        """Reduced states at ``times`` from system0 (x) thermal baths.
+    def states(self, times, system0: GaussianState, temperatures) -> GaussianState:
+        """Reduced states at the 1-D ``times`` from system0 (x) thermal baths, as one stack.
 
         ``temperatures`` holds one bath temperature per oscillator.  With U the
         system rows of exp(-iWt), U_s their system columns and V the initial
@@ -350,7 +355,8 @@ class ReducedPropagator:
         if system0.n_modes != k or len(temperatures) != k:
             raise ValueError("system state and temperatures must match the oscillators")
         times = np.asarray(times, dtype=float)
-        t = times[times != 0]
+        moving = times != 0
+        t = times[moving]
         poles = self.freqs - self.omega_l
         u_sys, u_bath, offset = [], [], []
         for sector in self.sectors:
@@ -368,32 +374,41 @@ class ReducedPropagator:
         u_bath = np.array(u_bath)
         h_sec = np.einsum("srj,stj,rtj->tsr", var_sec, u_bath, u_bath.conj())
         h = np.einsum("as,tsr,br->tab", p, h_sec, p)
-        r_sys = _real_form(np.einsum("as,ts,bs->tab", p, np.array(u_sys).T, p))
-        cov = r_sys @ system0.cov @ r_sys.transpose(0, 2, 1) + _real_form(h)
-        mean = r_sys @ system0.mean
+        u_s = np.einsum("as,ts,bs->tab", p, np.array(u_sys).T, p)
+        r_sys, h = _real_form(u_s.real, u_s.imag), _real_form(h.real, h.imag)
+        mean = np.repeat(system0.mean[None], times.size, axis=0)
+        cov = np.repeat(system0.cov[None], times.size, axis=0)
+        cov[moving] = r_sys @ system0.cov @ r_sys.transpose(0, 2, 1) + h
+        mean[moving] = r_sys @ system0.mean
         if self.rabi:
             d = self.rabi * np.array(offset).T @ (p * p[0]).T
-            mean = mean + np.sqrt(2.0) * np.concatenate([d.real, d.imag], axis=1)
-        moving = zip(mean, cov)  # GaussianState symmetrizes each covariance
-        return [system0 if ti == 0 else GaussianState(k, *next(moving)) for ti in times]
+            mean[moving] += np.sqrt(2.0) * np.concatenate([d.real, d.imag], axis=1)
+        return GaussianState(k, mean, cov)  # which symmetrizes each covariance
 
 
-def full_states(omega: float, bath: BathCouplings, state0: GaussianState, times) -> list:
-    """Full system + bath states M(t) state0 at ``times``, from one eigh of W.
+@dataclass(frozen=True)
+class FullPropagator:
+    """Full system + bath evolution of one oscillator, from one eigh of its W.
 
     W is the bordered (M+1)-square matrix with diagonal (omega, omega_j) and
-    couplings g_j in its first row and column, and state0 lists the system
-    mode first.  With W = Q diag(lam) Q^T, cos(Wt) = Q diag(cos lam t) Q^T and
-    likewise sin(Wt); each state is (M(t) mean, M(t) C M(t)^T).
+    couplings g_j in its first row and column.  With W = Q diag(lam) Q^T,
+    cos(Wt) = Q diag(cos lam t) Q^T and likewise sin(Wt).
     """
-    w = np.diag(np.concatenate([[omega], bath.frequencies]))
-    w[0, 1:] = w[1:, 0] = bath.couplings
-    lam, q = np.linalg.eigh(w)
-    out = []
-    for t in times:
-        lt = lam * t
-        cos, sin = (q * np.cos(lt)) @ q.T, (q * np.sin(lt)) @ q.T
-        prop = np.block([[cos, sin], [-sin, cos]])
-        cov = prop @ state0.cov @ prop.T
-        out.append(GaussianState(state0.n_modes, prop @ state0.mean, 0.5 * (cov + cov.T)))
-    return out
+
+    lam: np.ndarray
+    q: np.ndarray
+
+    @classmethod
+    def build(cls, omega: float, bath: BathCouplings) -> "FullPropagator":
+        w = np.diag(np.concatenate([[omega], bath.frequencies]))
+        w[0, 1:] = w[1:, 0] = bath.couplings
+        return cls(*np.linalg.eigh(w))
+
+    def states(self, times, state0: GaussianState) -> GaussianState:
+        """The states (M(t) mean, M(t) C M(t)^T) at the 1-D ``times``, as one stack,
+        of a full initial state that lists the system mode first."""
+        q = self.q
+        lt = self.lam * np.asarray(times, dtype=float)[:, None, None]
+        prop = _real_form((q * np.cos(lt)) @ q.T, -((q * np.sin(lt)) @ q.T))
+        cov = prop @ state0.cov @ prop.transpose(0, 2, 1)
+        return GaussianState(state0.n_modes, prop @ state0.mean, cov)

@@ -5,11 +5,14 @@ of ``config.experiments`` in order and returns one ExperimentResult per
 experiment, whose rows are (sweep_param, sweep_value, t, quantity, value).  It
 raises ArithmeticError, returning nothing, if any row holds a non-finite time or
 value.  Runs are serial and deterministic: identical configs produce
-byte-identical CSV.  ``_compare`` is the one comparison of an exact evolution
-with Markovian flows: it assembles a scenario's exact side and the flows its
-labels name (``flows.markov_flows`` takes their coefficients), evaluates the
-exact states at every reported time in one batched call and each flow at those
-times, and raises ArithmeticError if any of those states is unphysical.  The
+byte-identical CSV.  A trajectory is one stacked ``GaussianState`` over all
+reported times, made by one call and scored by one call.  ``_compare`` is the
+one comparison of an exact evolution with Markovian flows: it assembles a
+scenario's exact side and the flows its labels name (``flows.markov_flows``
+takes their coefficients), evolves each over all times at once, and through
+``_require_physical`` raises ArithmeticError if any of those states is
+unphysical; the factorization's full states pass the same gate, a block of
+times at a time.  The
 private runners check nothing else: the points each evaluates are the ones
 ``config.validate`` checked, from ``config.sweep_points``.  Both suites are one
 runner, ``_suite``, which takes the sweeps it reports at t_max from
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import cycle, repeat
 
 import numpy as np
 
@@ -27,7 +31,7 @@ from . import __version__
 from .bath import OhmicSpectrum, corr_c0, corr_ct, discretize, fwhh, omega_range
 from .config import (EXPERIMENTS, ScenarioConfig, config_text, parse_config, sweep_points,
                      validate)
-from .exact import ReducedPropagator, full_states
+from .exact import FullPropagator, ReducedPropagator
 from .flows import DRIVE_VARIANTS, EQUATIONS, evolve_flow, markov_flows
 from .gaussian import (PHYSICALITY_TOL, GaussianState, db_distance, fidelity_multi,
                        make_coherent, make_squeezed_vacuum, make_thermal, make_vacuum,
@@ -121,10 +125,10 @@ def _compare(config: ScenarioConfig, labels, times):
     """Exact reduced states and the states of each flow named in ``labels`` at ``times``.
 
     The flows are ``flows.markov_flows(config, labels)``.  Both oscillators of
-    ``two_coupled`` share one discretized bath.  The exact states at all
-    ``times`` come from one batched call, however many flows share them.
-    Returns (exact states, [flow states per label]), or raises ArithmeticError
-    if a state is unphysical (min eig(C + i sigma) below ``PHYSICALITY_TOL``).
+    ``two_coupled`` share one discretized bath.  The exact side and each flow
+    are one call and one stack of states over all ``times``.  Returns (exact
+    states, [flow states per label]), or raises ArithmeticError if a state is
+    unphysical (``_require_physical``).
     """
     pair = config.scenario == "two_coupled"
     drive = (config.rabi, config.omega_l) if config.scenario == "driven" else None
@@ -134,21 +138,30 @@ def _compare(config: ScenarioConfig, labels, times):
     flows = markov_flows(config, labels)
     temperatures = config.bath_temperatures if pair else [config.temperature]
     exact_states = exact.states(times, sys0, temperatures)
-    flow_states = [[evolve_flow(flow, sys0, t) for t in times] for flow in flows]
-    sides = ["exact state", *(f"flow state (label {label!r})" for label in labels)]
-    for side, states in zip(sides, (exact_states, *flow_states)):
-        for t, state in zip(times, states):  # a non-finite state is run's to refuse
-            lowest = physicality_violation(state) if np.isfinite(state.cov).all() else 0.0
-            if lowest < PHYSICALITY_TOL:
-                raise ArithmeticError(f"unphysical {side} at t = {_g17(t)}: min eig(C + i sigma) "
-                                      f"= {lowest:.3e} < {PHYSICALITY_TOL:g}; no CSV written")
+    flow_states = [evolve_flow(flow, sys0, times) for flow in flows]
+    _require_physical("exact state", times, exact_states)
+    for label, states in zip(labels, flow_states):
+        _require_physical(f"flow state (label {label!r})", times, states)
     return exact_states, flow_states
 
 
+def _require_physical(side: str, times, states: GaussianState):
+    """ArithmeticError at the first of ``times`` where a finite state of the stack has
+    min eig(C + i sigma) below ``PHYSICALITY_TOL``; a non-finite one is run's to refuse."""
+    finite = np.isfinite(states.cov).all(axis=(-2, -1))
+    lowest = np.zeros(finite.shape)
+    lowest[finite] = physicality_violation(states[finite])
+    bad = np.flatnonzero(lowest < PHYSICALITY_TOL)
+    if bad.size:
+        i = bad[0]
+        raise ArithmeticError(f"unphysical {side} at t = {_g17(times[i])}: min eig(C + i sigma) "
+                              f"= {lowest[i]:.3e} < {PHYSICALITY_TOL:g}; no CSV written")
+
+
 def _curves(config: ScenarioConfig, labels, metric, times) -> list:
-    """metric(exact state, flow state) at ``times`` for each flow in ``labels``."""
+    """metric(exact states, flow states) at ``times`` for each flow in ``labels``."""
     exact, states = _compare(config, labels, times)
-    return [[metric(e, m) for e, m in zip(exact, s)] for s in states]
+    return [metric(exact, s) for s in states]
 
 
 def _rows(param: str, times, curves) -> list:
@@ -168,9 +181,10 @@ def _variance_trajectory(config: ScenarioConfig) -> list:
     times = _times(config)
     shifted = (True, False) if config.bath_modes > 0 else ()
     exact, states = _compare(config, shifted, times)
-    return [("none", "", t, quantity, s.cov[0, 0])
-            for t, *at_t in zip(times, exact, *states)
-            for quantity, s in zip(_VARIANCE_QUANTITIES, at_t)]
+    sides = (exact, *states)  # rows time by time, each time's quantities in order
+    values = np.stack([s.cov[:, 0, 0] for s in sides], axis=1).ravel()
+    return list(zip(repeat("none"), repeat(""), np.repeat(times, len(sides)),
+                    cycle(_VARIANCE_QUANTITIES[:len(sides)]), values))
 
 
 def _fidelity_vs_time(config: ScenarioConfig) -> list:
@@ -216,9 +230,22 @@ def _correlation_study(config: ScenarioConfig) -> list:
     return rows
 
 
-def _factorization_curve(config: ScenarioConfig) -> list:
+def _factorization_distance(config: ScenarioConfig) -> list:
+    """D_B between the full evolved state and the product ansatz rho_S(t) x rho_th."""
+    times = _times(config)
+    return _rows("alpha", times, [(_g17(alpha), "bures_db", _factorization_curve(point, times))
+                                  for alpha, point in sweep_points(config, "alpha")])
+
+
+# Matrix entries per stack of full states: the factorization evaluates its
+# 2(M+1)-mode states in blocks of times, so that no temporary of the fidelity
+# grows with the sample count (a whole fig5p0 trajectory made each one 13 MB).
+_FULL_BLOCK_ENTRIES = 2 ** 15
+
+
+def _factorization_curve(config: ScenarioConfig, times) -> np.ndarray:
     bath = _bath(config)
-    # full_states holds the one dense eigh of the package: a full state needs
+    # FullPropagator holds the one dense eigh of the package: a full state needs
     # every row of the propagator, not the system rows of _compare's spectral
     # path.  An arrowhead eigenbasis would do, but rounding in fidelity_multi at
     # near-pure bath modes dominates this full-state D_B, which moves by up to
@@ -227,18 +254,15 @@ def _factorization_curve(config: ScenarioConfig) -> list:
     # golden rows are re-recorded, the basis can come from the arrowhead spectrum.
     bath_thermal = make_thermal(bath.frequencies, config.temperature)
     global0 = tensor_product(_system_state(config, 1), bath_thermal)
-    times = _times(config)
-    return [(t, db_distance(full, tensor_product(partial_trace(full, {0}), bath_thermal)))
-            for t, full in zip(times, full_states(config.omega, bath, global0, times))]
-
-
-def _factorization_distance(config: ScenarioConfig) -> list:
-    """D_B between the full evolved state and the product ansatz rho_S(t) x rho_th."""
-    rows = []
-    for alpha, point in sweep_points(config, "alpha"):
-        for t, d in _factorization_curve(point):
-            rows.append(("alpha", _g17(alpha), t, "bures_db", d))
-    return rows
+    propagator = FullPropagator.build(config.omega, bath)
+    curve = np.empty(times.size)
+    step = max(1, _FULL_BLOCK_ENTRIES // (2 * global0.n_modes) ** 2)
+    for start in range(0, times.size, step):
+        block = slice(start, start + step)
+        full = propagator.states(times[block], global0)
+        _require_physical("full state", times[block], full)
+        curve[block] = db_distance(full, tensor_product(partial_trace(full, {0}), bath_thermal))
+    return curve
 
 
 def _suite(name: str, config: ScenarioConfig) -> list:
@@ -250,7 +274,7 @@ def _suite(name: str, config: ScenarioConfig) -> list:
     labels = EQUATIONS if pair else DRIVE_VARIANTS
     exact, states = _compare(config, labels, times)
     rows = _rows("equation" if pair else "variant", times, [
-        (label, "fidelity", map(fidelity_multi, exact, s)) for label, s in zip(labels, states)])
+        (label, "fidelity", fidelity_multi(exact, s)) for label, s in zip(labels, states)])
     for param in (p for p in EXPERIMENTS[name][config.scenario] if p != "none"):
         for value, point in sweep_points(config, param):
             ends = _curves(point, labels, fidelity_multi, [t_end])
@@ -258,7 +282,7 @@ def _suite(name: str, config: ScenarioConfig) -> list:
                                            for label, end in zip(labels, ends)])
     if pair:
         rows += _rows("none", times, [("", "fidelity_between_equations",
-                                       map(fidelity_multi, *states))])
+                                       fidelity_multi(*states))])
     return rows
 
 

@@ -13,8 +13,9 @@ turns that flow into the linear ODE s' = G s with
     G = [[A, 0, c], [0, A (+) A, vec D], [0, 0, 0]],
 
 where A (+) A = A kron 1 + 1 kron A is the Kronecker sum.  G is built once
-per generator; :func:`evolve_flow` is one exponential of it and
-:func:`steady_state` its fixed point.
+per generator; :func:`evolve_flow` takes one exponential of G t per time,
+all times of a trajectory in one stacked call, and :func:`steady_state` is
+G's fixed point.
 
 Each concrete equation only assembles its coefficients; :func:`markov_flows`
 takes them for a config point.  The same generator is what the Fock-space
@@ -294,26 +295,31 @@ def markov_flows(point, labels) -> list[QuadraticLindblad]:
             for v in labels]
 
 
-def evolve_flow(flow: QuadraticLindblad, state: GaussianState, t: float) -> GaussianState:
-    """Exact solution of the moment ODEs at time t: s(t) = exp(G t) s(0).
+def evolve_flow(flow: QuadraticLindblad, state: GaussianState, t) -> GaussianState:
+    """Exact solution of the moment ODEs at times t of any shape: s(t) = exp(G t) s(0).
 
-    One exponential of ``flow.moment_generator`` carries the mean and the
-    covariance together, for any t and any drift, damped or not.
+    One exponential of ``flow.moment_generator`` per time, all in one stacked
+    call, carries the mean and the covariance of the single ``state`` together,
+    for any t and any drift, damped or not.  The result has t's shape as
+    leading axes, and its t = 0 entries are ``state``'s moments themselves.
     """
     if state.n_modes != flow.n_modes:
         raise ValueError("state and flow mode counts differ")
-    t = float(t)
-    if t == 0.0:
-        return state
-    gen = flow.moment_generator * t
+    t = np.asarray(t, dtype=float)
+    gen = flow.moment_generator * t[..., None, None]
     # _expm takes its squarings from the 1-norm of G t.  An exact power-of-two
     # weight w on the constant coordinate keeps the (c, vec D) column from
     # setting that norm, which would cost a weakly damped flow 1e-11 by t = 1000.
-    const, dyn = np.abs(gen[:-1, -1]).sum(), np.abs(gen[:-1, :-1]).sum(axis=0).max()
-    w = 2.0 ** np.floor(np.log2(dyn / const)) if const > dyn > 0 else 1.0
-    gen[:-1, -1] *= w
-    s = _expm(gen)[:-1] @ np.concatenate([state.mean, state.cov.ravel(), [1.0 / w]])
-    return _unstack(flow.n_modes, s)
+    const = np.abs(gen[..., :-1, -1]).sum(axis=-1)
+    dyn = np.abs(gen[..., :-1, :-1]).sum(axis=-2).max(axis=-1)
+    ratio = np.divide(dyn, const, out=np.ones_like(dyn), where=(const > dyn) & (dyn > 0))
+    w = 2.0 ** np.floor(np.log2(ratio))
+    gen[..., :-1, -1] *= w[..., None]
+    moments = np.concatenate([state.mean, state.cov.ravel()])
+    s0 = np.concatenate([np.broadcast_to(moments, t.shape + moments.shape),
+                         (1.0 / w)[..., None]], axis=-1)
+    s = (_expm(gen)[..., :-1, :] @ s0[..., None])[..., 0]
+    return _unstack(flow.n_modes, np.where((t == 0)[..., None], moments, s))
 
 
 # Higham (2005), Table 2.3: the largest 1-norm theta_13 at which the [13/13]
@@ -325,18 +331,20 @@ _B_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) of a real square matrix by Pade scaling and squaring (Higham 2005).
+    """exp of each real square matrix of a stack, by Pade scaling and squaring (Higham 2005).
 
     Order 13 on a / 2^s, squared s times, with s the fewest halvings that
     bring the 1-norm to theta_13 (none at or below theta_13, where the ratio
-    may underflow to 0).  Replaces scipy.linalg.expm, whose import (with
-    scipy.special's) is most of the command line's start-up.
+    may underflow to 0), each matrix its own.  The exact scaling by 2^-s comes
+    before any product, so no power of the unscaled matrix can overflow.
+    Replaces scipy.linalg.expm, whose import (with scipy.special's) is most of
+    the command line's start-up.
     """
-    norm = np.abs(a).sum(axis=0).max()
-    s = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
-    eye = np.eye(a.shape[0])
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    s = np.ceil(np.log2(np.fmax(norm / _THETA_13, 1.0))).astype(int)
+    eye = np.eye(a.shape[-1])
+    a = np.ldexp(a, -s[..., None, None])
     a2 = a @ a
-    a, a2 = a * 2.0**-s, a2 * 4.0**-s
     a4 = a2 @ a2
     a6 = a4 @ a2
     b = _B_13
@@ -345,8 +353,9 @@ def _expm(a: np.ndarray) -> np.ndarray:
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
+    for k in range(s.max(initial=0)):
+        more = s > k
+        r[more] = r[more] @ r[more]
     return r
 
 
@@ -362,7 +371,6 @@ def steady_state(flow: QuadraticLindblad) -> GaussianState:
 
 
 def _unstack(n_modes: int, s: np.ndarray) -> GaussianState:
-    """The state whose stacked moments (mean, row-major vec C) are s."""
+    """The states whose stacked moments (mean, row-major vec C) lie along s's last axis."""
     dim = 2 * n_modes
-    cov = s[dim:].reshape(dim, dim)
-    return GaussianState(n_modes, s[:dim], 0.5 * (cov + cov.T))
+    return GaussianState(n_modes, s[..., :dim], s[..., dim:].reshape(s.shape[:-1] + (dim, dim)))

@@ -11,7 +11,9 @@ substeps.  :func:`evolve_moments` returns only the moments and the trace, and
 without a drive assembles and evolves only the entries of vec(rho) they read,
 a set the generator maps into itself.  Both plan their substeps from the
 superoperator's 1-norm before taking any, and refuse a plan above
-``MAX_SUBSTEPS`` substeps or ``MAX_WORK`` substeps times evolved entries.
+``MAX_SUBSTEPS`` substeps or ``MAX_WORK`` substeps times evolved entries; a
+plan that a lower bound on that norm, read off the generator's coefficients,
+already puts above them is refused before the superoperator is assembled.
 It loads NumPy only and shares no numerics with the flows it checks, which
 take a Padé exponential of the moment generator.  Scope is deliberately small
 (1-2 modes, low occupation) so runs stay seconds-fast.
@@ -243,7 +245,8 @@ def _propagate(lindblad: QuadraticLindblad, cutoff: int, rho0: np.ndarray, times
     generator has no drive, and states[i] is vec(rho)[keep] at times[i].
     Each distinct time advances the state from the one before (t = 0 first)
     by ceil(dt ||L||_1 / THETA) Taylor substeps, none for dt = 0.  The whole
-    plan is checked before the first substep.  The one planning and Taylor
+    plan is checked before the first substep, and first from ``_norm1_floor``
+    before the bands are assembled.  The one planning and Taylor
     path of :func:`integrate` and :func:`evolve_moments`.
     """
     times = np.asarray(times, dtype=float)
@@ -261,19 +264,17 @@ def _propagate(lindblad: QuadraticLindblad, cutoff: int, rho0: np.ndarray, times
     delta = np.subtract.outer(quanta, quanta).ravel()  # n_row - n_col of vec(rho)
     graded = sectors is not None and lindblad.drive is None
     keep = np.flatnonzero(np.isin(delta, sectors)) if graded else np.arange(d * d)
+    t_eval, inverse = np.unique(times, return_inverse=True)
+    dts = np.diff(t_eval, prepend=0.0)
+    with np.errstate(over="ignore"):
+        floor = _norm1_floor(lindblad, cutoff)  # sector 0, the diagonal, is always kept
+    if math.isfinite(floor):  # else the assembled 1-norm is not finite either
+        _plan(dts, floor, keep.size, t_eval[-1], "at least ")
     lind = build_superoperator(lindblad, cutoff, keep)
     norm1 = lind.norm1()
     if not math.isfinite(norm1):
         raise ArithmeticError("Lindblad superoperator has a non-finite 1-norm")
-
-    t_eval, inverse = np.unique(times, return_inverse=True)
-    dts = np.diff(t_eval, prepend=0.0)
-    steps = np.ceil(dts * norm1 / THETA)  # h ||L||_1 <= THETA
-    planned = steps.sum()
-    if planned > MAX_SUBSTEPS or planned * keep.size > MAX_WORK:
-        raise ValueError(f"integration to t = {t_eval[-1]:.3g} needs {planned:.3g} Taylor "
-                         f"substeps on {keep.size} entries (||L||_1 = {norm1:.3g}), above the "
-                         f"referee's {MAX_SUBSTEPS} substeps or {MAX_WORK} substeps x entries")
+    steps = _plan(dts, norm1, keep.size, t_eval[-1])
     if not np.isfinite(rho0).all():  # all of it, also the entries the block drops
         raise ArithmeticError("Lindblad integration got a non-finite initial state")
     states = np.empty((t_eval.size, keep.size), dtype=complex)
@@ -281,6 +282,36 @@ def _propagate(lindblad: QuadraticLindblad, cutoff: int, rho0: np.ndarray, times
     for i, (dt, n_steps) in enumerate(zip(dts, steps)):
         y = states[i] = _taylor_action(lind, dt / max(n_steps, 1.0), int(n_steps), y)
     return keep, states[inverse]
+
+
+def _plan(dts, norm1: float, entries: int, t_end: float, bound: str = "") -> np.ndarray:
+    """Taylor substeps per time step, h ||L||_1 <= THETA; ValueError above the caps.
+
+    ``bound`` "at least " marks a lower bound on the 1-norm: a plan refused
+    from it is refused from the 1-norm too.
+    """
+    steps = np.ceil(dts * norm1 / THETA)
+    planned = steps.sum()
+    if planned > MAX_SUBSTEPS or planned * entries > MAX_WORK:
+        raise ValueError(f"integration to t = {t_end:.3g} needs {bound}{planned:.3g} Taylor "
+                         f"substeps on {entries} entries (||L||_1 = {bound}{norm1:.3g}), above "
+                         f"the referee's {MAX_SUBSTEPS} substeps or {MAX_WORK} substeps x entries")
+    return steps
+
+
+def _norm1_floor(lindblad: QuadraticLindblad, cutoff: int) -> float:
+    """A lower bound on the generator's 1-norm on any kept set that holds the diagonal of rho.
+
+    Its largest |Re L_kk| over the entries |m><m|: the anticommutators put
+    -sum_j [K^E_jj m_j + K^A_jj (a a^dag)_{m_j}] there, where (a a^dag)_m is
+    m + 1 below the cutoff and 0 at it, and the column of the entry holds it.
+    Each mode's term peaks on its own, so no vec(rho)-sized array is formed.
+    """
+    levels = np.arange(cutoff + 1.0)
+    raised = np.where(levels < cutoff, levels + 1.0, 0.0)
+    return float(sum((lindblad.k_emit[j, j].real * levels
+                      + lindblad.k_abs[j, j].real * raised).max()
+                     for j in range(lindblad.n_modes)))
 
 
 def integrate(lindblad: QuadraticLindblad, cutoff: int, rho0: np.ndarray, times):

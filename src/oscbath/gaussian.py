@@ -40,14 +40,19 @@ _SYMMETRY_RTOL = 1e-12
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Symplectic form [[0, I], [-I, 0]] for the block (x..x, p..p) ordering."""
+    sigma = np.zeros((2 * n_modes, 2 * n_modes))
     eye = np.eye(n_modes)
-    zero = np.zeros((n_modes, n_modes))
-    return np.block([[zero, eye], [-eye, zero]])
+    sigma[:n_modes, n_modes:], sigma[n_modes:, :n_modes] = eye, -eye
+    return sigma
 
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Gaussian state of ``n_modes`` modes given by its first and second moments."""
+    """Gaussian state of ``n_modes`` modes given by its first and second moments.
+
+    ``mean`` (..., 2n) and ``cov`` (..., 2n, 2n) may share leading axes: a
+    stack of states such as a trajectory, which indexing takes apart.
+    """
 
     n_modes: int
     mean: np.ndarray
@@ -59,15 +64,18 @@ class GaussianState:
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
         d = 2 * self.n_modes
-        if mean.shape != (d,):
-            raise ValueError(f"mean must have shape ({d},), got {mean.shape}")
-        if cov.shape != (d, d):
-            raise ValueError(f"cov must have shape ({d}, {d}), got {cov.shape}")
-        scale = max(np.abs(cov).max(), 1.0)
-        if np.abs(cov - cov.T).max() > _SYMMETRY_RTOL * scale:
+        if mean.shape[-1:] != (d,) or cov.shape != mean.shape + (d,):
+            raise ValueError(f"mean and cov must have shapes (..., {d}) and (..., {d}, {d}) "
+                             f"with the same leading axes, got {mean.shape} and {cov.shape}")
+        cov_t = np.swapaxes(cov, -1, -2)
+        scale = np.maximum(np.abs(cov).max(axis=(-2, -1)), 1.0)
+        if np.any(np.abs(cov - cov_t).max(axis=(-2, -1)) > _SYMMETRY_RTOL * scale):
             raise ValueError("covariance matrix is not symmetric")
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
+        object.__setattr__(self, "cov", 0.5 * (cov + cov_t))
+
+    def __getitem__(self, index) -> "GaussianState":
+        return GaussianState(self.n_modes, self.mean[index], self.cov[index])
 
 
 def make_vacuum(n_modes: int) -> GaussianState:
@@ -111,19 +119,16 @@ def make_coherent(alpha: complex) -> GaussianState:
 
 
 def tensor_product(a: GaussianState, b: GaussianState) -> GaussianState:
-    """Product state a (x) b, with b's modes appended after a's."""
+    """Product state a (x) b, with b's modes appended after a's; leading axes broadcast."""
     na, nb = a.n_modes, b.n_modes
     n = na + nb
-    mean = np.zeros(2 * n)
-    mean[:na] = a.mean[:na]
-    mean[na:n] = b.mean[:nb]
-    mean[n:n + na] = a.mean[na:]
-    mean[n + na:] = b.mean[nb:]
-    cov = np.zeros((2 * n, 2 * n))
-    ia = np.concatenate([np.arange(na), n + np.arange(na)])
-    ib = np.concatenate([na + np.arange(nb), n + na + np.arange(nb)])
-    cov[np.ix_(ia, ia)] = a.cov
-    cov[np.ix_(ib, ib)] = b.cov
+    ia = np.r_[:na, n:n + na]
+    ib = np.r_[na:n, n + na:2 * n]
+    lead = np.broadcast_shapes(a.mean.shape[:-1], b.mean.shape[:-1])
+    mean = np.zeros(lead + (2 * n,))
+    mean[..., ia], mean[..., ib] = a.mean, b.mean
+    cov = np.zeros(lead + (2 * n, 2 * n))
+    cov[..., ia[:, None], ia], cov[..., ib[:, None], ib] = a.cov, b.cov
     return GaussianState(n, mean, cov)
 
 
@@ -136,18 +141,17 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
         raise ValueError(f"mode indices {keep} out of range for {state.n_modes} modes")
     n = state.n_modes
     idx = np.array(keep + [k + n for k in keep])
-    return GaussianState(len(keep), state.mean[idx], state.cov[np.ix_(idx, idx)])
+    return GaussianState(len(keep), state.mean[..., idx], state.cov[..., idx[:, None], idx])
 
 
-def physicality_violation(state: GaussianState) -> float:
-    """Smallest eigenvalue of C + i*sigma (negative values signal unphysicality)."""
-    sigma = symplectic_form(state.n_modes)
-    herm = state.cov + 1j * sigma
-    return float(np.linalg.eigvalsh(herm).min())
+def physicality_violation(state: GaussianState):
+    """Smallest eigenvalue of C + i*sigma of each state (negative values signal unphysicality)."""
+    herm = state.cov + 1j * symplectic_form(state.n_modes)
+    return np.linalg.eigvalsh(herm).min(axis=-1)
 
 
-def fidelity_multi(a: GaussianState, b: GaussianState) -> float:
-    """Uhlmann fidelity of two n-mode Gaussian states from their moments.
+def fidelity_multi(a: GaussianState, b: GaussianState):
+    """Uhlmann fidelity of two n-mode Gaussian states from their moments, per state.
 
     Uses the symplectic-invariant evaluation
 
@@ -169,7 +173,8 @@ def fidelity_multi(a: GaussianState, b: GaussianState) -> float:
     all moderately mixed, where P's factors V_j^2 - 1 are small.  Hot modes
     make ||P|| ~ nu_max^2 and leave the evaluation on W.  The expression is
     regular for pure states (nu_k -> 1) and reduces exactly to the one-mode
-    closed form.
+    closed form.  Leading axes broadcast, and each pair diagonalizes only the
+    matrix of its own branch.
     """
     if a.n_modes != b.n_modes:
         raise ValueError(f"mode count mismatch: {a.n_modes} vs {b.n_modes}")
@@ -181,32 +186,38 @@ def fidelity_multi(a: GaussianState, b: GaussianState) -> float:
     v2 = b.cov @ s
     csum = a.cov + b.cov
     try:
-        waux = np.linalg.solve((v1 + v2).T, (v1 @ v2 + eye).T).T
+        waux = np.linalg.solve((v1 + v2).swapaxes(-1, -2),
+                               (v1 @ v2 + eye).swapaxes(-1, -2)).swapaxes(-1, -2)
         q = sigma @ np.linalg.inv(csum)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError("singular covariance sum in fidelity") from exc
     # P in real arithmetic: V_j^2 - 1 = -(C_j sigma C_j sigma + 1), (V1 + V2)^{-1} = i q
     paux = -(a.cov @ sigma @ a.cov @ sigma + eye) @ q @ (b.cov @ sigma @ b.cov @ sigma + eye) @ q
-    if np.linalg.norm(paux) < 2.0 * np.linalg.norm(waux):
-        p = np.linalg.eigvals(paux)
-        if np.abs(p.imag).max() > 1e-6 * max(np.abs(p.real).max(), 1.0):
-            raise ArithmeticError("unexpected composite spectrum; states may be unphysical")
-        log_nu = 0.5 * np.sum(np.arcsinh(np.sqrt(np.maximum(p.real, 0.0))))
-    else:
-        eigs = np.linalg.eigvals(waux)
-        pos = eigs[eigs.real > 0]
-        if pos.size != n or np.abs(pos.imag).max(initial=0.0) > 1e-6 * max(np.abs(pos.real).max(initial=1.0), 1.0):
-            raise ArithmeticError("unexpected composite spectrum; states may be unphysical")
-        nu = np.maximum(pos.real, 1.0)
-        log_nu = np.sum(np.log(nu + np.sqrt(nu**2 - 1.0)))
+    on_p = np.linalg.norm(paux, axis=(-2, -1)) < 2.0 * np.linalg.norm(waux, axis=(-2, -1))
+    log_nu = np.empty(on_p.shape)
+    p = _real_spectrum(paux[on_p])
+    log_nu[on_p] = 0.5 * np.sum(np.arcsinh(np.sqrt(np.maximum(p, 0.0))), axis=-1)
+    w = _real_spectrum(waux[~on_p])
+    if np.any((w > 0).sum(axis=-1) != n):
+        raise ArithmeticError("unexpected composite spectrum; states may be unphysical")
+    nu = np.maximum(w[w > 0], 1.0).reshape(-1, n)
+    log_nu[~on_p] = np.sum(np.log(nu + np.sqrt(nu**2 - 1.0)), axis=-1)
     _, logdet = np.linalg.slogdet(csum)
     delta = a.mean - b.mean
-    expo = float(delta @ np.linalg.solve(csum, delta))
+    expo = (delta[..., None, :] @ np.linalg.solve(csum, delta[..., None]))[..., 0, 0]
     logf = n * np.log(2.0) - 0.5 * logdet + log_nu - expo
-    return float(min(np.exp(logf), 1.0))
+    return np.minimum(np.exp(logf), 1.0)
 
 
-def db_distance(a: GaussianState, b: GaussianState) -> float:
-    """Distance D_B = sqrt(1 - F), in [0, 1]."""
-    f = fidelity_multi(a, b)
-    return float(np.sqrt(max(1.0 - f, 0.0)))
+def _real_spectrum(m: np.ndarray) -> np.ndarray:
+    """The eigenvalues of each matrix of a stack; ArithmeticError unless they are real."""
+    eigs = np.linalg.eigvals(m)
+    scale = np.maximum(np.abs(eigs.real).max(axis=-1), 1.0)
+    if np.any(np.abs(eigs.imag).max(axis=-1) > 1e-6 * scale):
+        raise ArithmeticError("unexpected composite spectrum; states may be unphysical")
+    return eigs.real
+
+
+def db_distance(a: GaussianState, b: GaussianState):
+    """Distance D_B = sqrt(1 - F), in [0, 1], per state."""
+    return np.sqrt(np.maximum(1.0 - fidelity_multi(a, b), 0.0))

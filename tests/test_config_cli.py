@@ -207,6 +207,10 @@ BAD_RUNS = {
     .replace("= fidelity_vs_time", "= variance_trajectory"),
     "equal_tails_mass_rounds_to_zero": NO_SWEEP.replace(
         "range_mode = floor", "range_mode = equal_tails\nrange_omega_min = 1e-170"),
+    # t_max times the 1-norm of a flow's moment generator overflows: the Pade
+    # exponential could not count its squarings
+    "t_max_overflows_the_flow_exponential": NO_SWEEP.replace("t_max = 8", "t_max = 1.7e308")
+    .replace("= fidelity_vs_time", "= variance_trajectory"),
 }
 
 # what the message of a BAD_RUNS case must name, where that is pinned
@@ -216,6 +220,8 @@ BAD_RUN_MESSAGES = {
     "decay_rate_overflow": "pi*J(nu) at nu = 1.0 is not finite (alpha = 1e+308",
     "squeeze_overflow": "initial_squeeze = 1e+272 overflows",
     "equal_tails_mass_rounds_to_zero": "range_omega_min = 1e-170 is too small",
+    "t_max_overflows_the_flow_exponential": "t_max = 1.7e+308 is too long for the master "
+    "equations: the 1-norm of their moment generator times t_max overflows",
 }
 
 ORACLE_SINGLE = ("[oracle]\nfamily = single\ncutoff = 10\nt = 2\n"
@@ -619,8 +625,9 @@ class TestCli:
     def test_unphysical_state_is_a_numeric_failure(self, tmp_path, capsys, monkeypatch):
         # C = I/2 breaks C + i sigma >= 0: its smallest eigenvalue is -1/2
         def below_vacuum(self, times, system0, temperatures):
-            cov = 0.5 * np.eye(2 * system0.n_modes)
-            return [GaussianState(system0.n_modes, system0.mean, cov) for _ in times]
+            shape = (len(times), 2 * system0.n_modes)
+            return GaussianState(system0.n_modes, np.zeros(shape),
+                                 np.broadcast_to(0.5 * np.eye(shape[1]), shape + shape[1:]))
 
         monkeypatch.setattr(experiments.ReducedPropagator, "states", below_vacuum)
         p = tmp_path / "run.cfg"
@@ -629,6 +636,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: unphysical exact state at t = 0:")
         assert "min eig(C + i sigma) = -5.000e-01" in err
+        assert not list((tmp_path / "o").glob("*.csv"))
+
+    def test_unphysical_full_state_is_a_numeric_failure(self, tmp_path, capsys, monkeypatch):
+        # the factorization's full states pass the same gate as the exact reduced ones
+        def below_vacuum(self, times, state0):
+            shape = (len(times), 2 * state0.n_modes)
+            return GaussianState(state0.n_modes, np.zeros(shape),
+                                 np.broadcast_to(0.5 * np.eye(shape[1]), shape + shape[1:]))
+
+        monkeypatch.setattr(experiments.FullPropagator, "states", below_vacuum)
+        p = tmp_path / "run.cfg"
+        p.write_text(NO_SWEEP.replace("= fidelity_vs_time", "= factorization_distance"))
+        assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: unphysical full state at t = 0:")
+        assert "min eig(C + i sigma) = -5.000e-01" in err
+        assert not list((tmp_path / "o").glob("*.csv"))
+
+    def test_flow_state_gate_catches_a_very_long_t_max(self, tmp_path, capsys):
+        # validate accepts t_max = 1e305; the flow's exponential stays finite (its
+        # scaling comes before its first product), and its rounding, which grows
+        # linearly in t, leaves C = 0 long before: the gate refuses that state
+        p = tmp_path / "run.cfg"
+        p.write_text(NO_SWEEP.replace("t_max = 8", "t_max = 1e305")
+                     .replace("= fidelity_vs_time", "= variance_trajectory"))
+        assert cli_main(["validate", str(p)]) == EXIT_OK
+        assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numeric failure: unphysical flow state (label True) at t = " in err
         assert not list((tmp_path / "o").glob("*.csv"))
 
     @pytest.mark.parametrize("case", [*sorted(FLOW_RUNS), "driven_fidelity_vs_time"])

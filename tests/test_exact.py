@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oscbath import exact
 from oscbath.bath import BathCouplings, OhmicSpectrum, discretize, omega_range
-from oscbath.exact import ReducedPropagator, RwaValidityWarning, full_states
+from oscbath.exact import FullPropagator, ReducedPropagator, RwaValidityWarning
 from oscbath.gaussian import (GaussianState, make_squeezed_vacuum, make_thermal,
                               make_vacuum, symplectic_form, tensor_product)
 
@@ -178,14 +178,14 @@ class TestCovarianceEvolution:
 
 
 class TestFullStates:
-    """full_states, the one dense eigh: its system block is the reduced state, invariants hold."""
+    """FullPropagator, the one dense eigh: its system block is the reduced state, invariants hold."""
 
     def test_system_block_is_the_reduced_state(self):
         bath = small_bath(20, 0.1, 9.0)
         sys0 = random_physical_state(np.random.default_rng(8), 1)
         global0 = tensor_product(sys0, make_thermal(bath.frequencies, 0.7))
         times = [0.0, 2.5, 31.0]
-        full = full_states(1.0, bath, global0, times)
+        full = FullPropagator.build(1.0, bath).states(times, global0)
         n = bath.size + 1
         for f, red in zip(full, ReducedPropagator.build(1.0, bath).states(times, sys0, [0.7])):
             np.testing.assert_allclose(f.mean[[0, n]], red.mean, rtol=0, atol=1e-12)
@@ -195,11 +195,11 @@ class TestFullStates:
         # t = 0 gives state0; det C and the global vacuum are conserved
         bath = small_bath(6)
         global0 = tensor_product(make_squeezed_vacuum(0.7), make_thermal(bath.frequencies, 0.5))
-        first, later = full_states(1.0, bath, global0, [0.0, 17.0])
+        first, later = FullPropagator.build(1.0, bath).states([0.0, 17.0], global0)
         np.testing.assert_allclose(first.cov, global0.cov, rtol=0, atol=1e-13)
         assert (np.linalg.slogdet(later.cov)[1]
                 == pytest.approx(np.linalg.slogdet(global0.cov)[1], abs=1e-8))
-        (vac,) = full_states(1.0, bath, make_vacuum(bath.size + 1), [9.1])
+        (vac,) = FullPropagator.build(1.0, bath).states([9.1], make_vacuum(bath.size + 1))
         np.testing.assert_allclose(vac.cov, np.eye(2 * bath.size + 2), rtol=0, atol=1e-12)
 
 
@@ -223,7 +223,7 @@ class TestDriven:
         np.testing.assert_allclose(out.mean, global0.mean, atol=1e-14)
         np.testing.assert_allclose(out.cov, global0.cov, atol=1e-13)
         (red,) = ReducedPropagator.build(1.0, bath, drive=(0.3, 0.83)).states([0.0], sys0, [0.0])
-        assert red is sys0
+        assert red.mean.tobytes() == sys0.mean.tobytes() and red.cov.tobytes() == sys0.cov.tobytes()
 
     def test_bare_oscillator_matches_closed_form(self):
         # <a~(t)> = r (e^{-i wL t} - e^{-i W t})/(wL - W) in the lab frame;
@@ -474,7 +474,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(states) == times.size
+        assert len(states.mean) == times.size
         assert peak < 36e6, f"peak {peak / 1e6:.1f} MB"
 
 

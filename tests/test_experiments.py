@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import driven_variant_error, linear_fit, recurrence_onset, run_one
 
-from oscbath import exact, experiments
+from oscbath import exact, experiments, flows
 from oscbath.bath import OhmicSpectrum, bose_occupation, decay_rate, lamb_shift
 from oscbath.config import DEFAULT_RABI_GRID, ConfigError, ScenarioConfig
 from oscbath.experiments import config_from_csv
@@ -265,7 +265,8 @@ class TestDrivenSuite:
 
 
 class TestCallCounts:
-    """Each exact evolution is built once and evaluated at all reported times in one call."""
+    """Each exact evolution is built once, and it and each flow are evaluated at all
+    reported times in one call."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -304,7 +305,7 @@ class TestCallCounts:
         points = len(detunings) + len(DEFAULT_RABI_GRID)
         assert len(DEFAULT_RABI_GRID) == 6
         assert counts == {"build": 1 + points, "states": 1 + points,
-                          "evolve": 3 * samples + 3 * points}
+                          "evolve": 3 + 3 * points}
 
     def test_two_oscillator_suite(self, counts):
         samples, betas = 6, (0.01, 0.05, 0.1)
@@ -315,7 +316,26 @@ class TestCallCounts:
             warnings.simplefilter("ignore")
             run_one("two_oscillator_suite", cfg)
         assert counts == {"build": 1 + len(betas), "states": 1 + len(betas),
-                          "evolve": 2 * samples + 2 * len(betas)}
+                          "evolve": 2 + 2 * len(betas)}
+
+
+    @pytest.mark.parametrize("samples", [2, 9, 120])
+    @pytest.mark.parametrize("base, labels", [
+        (BASE_SINGLE, (True, False)),
+        ({**DRIVEN_BASE, "rabi": 0.3, "omega_l": 1.2}, ("plain", "off_resonant", "no_secular")),
+        (TWO_BASE, experiments.EQUATIONS),
+    ], ids=["single", "driven", "two_coupled"])
+    def test_compare_takes_one_exponential_call_per_flow(self, base, labels, samples,
+                                                          monkeypatch):
+        calls = []
+        expm = flows._expm
+        monkeypatch.setattr(flows, "_expm", lambda a: calls.append(a.shape) or expm(a))
+        cfg = ScenarioConfig(**{**base, "bath_modes": 20, "samples": samples})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            experiments._compare(cfg, labels, np.linspace(0.0, 5.0, samples))
+        assert len(calls) == len(labels)
+        assert all(shape[0] == samples for shape in calls)
 
 
 class TestEigensolverDispatch:
@@ -374,7 +394,7 @@ class TestNoDenseSolve:
             raise AssertionError("dense eigendecomposition in a reduced-state scenario")
 
         monkeypatch.setattr(exact.np.linalg, "eigh", refuse)
-        monkeypatch.setattr(experiments, "full_states", refuse)
+        monkeypatch.setattr(experiments.FullPropagator, "build", refuse)
 
     @pytest.mark.parametrize("modes", [0, 20])
     @pytest.mark.parametrize("base, labels", [
@@ -387,7 +407,7 @@ class TestNoDenseSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             exact_states, flows = experiments._compare(cfg, labels, np.linspace(0.0, 5.0, 5))
-        assert len(exact_states) == 5 and len(flows) == len(labels)
+        assert len(exact_states.mean) == 5 and len(flows) == len(labels)
 
 
 class TestResultPlumbing:

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import squeezed_vacuum_rho
 from scipy.linalg import expm
 
-from oscbath import fock
+from oscbath import flows, fock
 from oscbath.bath import OhmicSpectrum, bose_occupation, decay_rate, lamb_shift
 from oscbath.flows import (QuadraticLindblad, SecularValidityWarning, _expm,
                            evolve_flow, flow_driven, flow_single,
@@ -454,6 +454,39 @@ class TestFlowDriven:
 
 
 class TestEvolveAndSteady:
+    @pytest.mark.parametrize("flow, state", [
+        (flow_single(1.0, 0.05, 0.3), make_squeezed_vacuum(0.4)),
+        (flow_driven(1.0, 0.07, 0.4, 0.2 + 0.1j, 0.6), make_coherent(0.5 - 0.3j)),
+        (flow_two_small_beta((1.0, 1.2), 0.1, (0.05, 0.08), (0.2, 0.5)),
+         tensor_product(make_coherent(0.3), make_thermal([1.2], 0.7))),
+    ], ids=["single", "driven", "two_small"])
+    def test_stacked_times_match_scipy_per_time(self, flow, state, monkeypatch):
+        # one _expm call for a (2, 4) grid of times whose squarings s run from 0
+        # past 8, each time with its own s and weight; t = 0 returns the input bits
+        inputs = []
+
+        def recorded(a):
+            inputs.append(a.copy())
+            return _expm(a)
+
+        monkeypatch.setattr(flows, "_expm", recorded)
+        times = np.array([[0.0, 0.3, 7.0, 40.0], [250.0, 0.0, 600.0, 900.0]])
+        out = evolve_flow(flow, state, times)
+        (gens,) = inputs
+        norms = np.abs(gens).sum(axis=-2).max(axis=-1)
+        squarings = np.ceil(np.log2(np.maximum(norms, 1e-300) / flows._THETA_13)).clip(0)
+        assert squarings.min() == 0 and squarings.max() >= 8
+        assert out.mean.shape == (2, 4, 2 * flow.n_modes)
+        s0 = np.concatenate([state.mean, state.cov.ravel(), [1.0]])
+        for index, t in np.ndenumerate(times):
+            if t == 0:
+                assert out[index].mean.tobytes() == state.mean.tobytes()
+                assert out[index].cov.tobytes() == state.cov.tobytes()
+                continue
+            ref = (expm(flow.moment_generator * t) @ s0)[:-1]
+            got = np.concatenate([out[index].mean, out[index].cov.ravel()])
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), t
+
     def test_identity_at_zero(self):
         flow = flow_single(1.0, 0.1, 0.2)
         st = make_coherent(0.4 + 0.2j)

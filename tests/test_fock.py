@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -199,7 +200,8 @@ class TestIntegrate:
     def test_oracle_cap_case_on_all_of_vec_rho_is_refused_at_once(self, monkeypatch):
         # the oracle's cap case (two_small, gamma = 5, t = 14 at cutoff 14) plans
         # 1 724 substeps; on all 50 625 entries of vec(rho) that is above
-        # MAX_WORK, so integrate refuses it before taking any substep
+        # MAX_WORK, and so are the 859 that the generator's diagonal already
+        # implies, so integrate refuses it before assembly and before any substep
         planned = []
 
         def count(lind, h, steps, y):
@@ -209,7 +211,7 @@ class TestIntegrate:
         monkeypatch.setattr(fock, "_taylor_action", count)
         lindblad = flow_two_small_beta((1.0, 1.0), 0.05, (5.0, 5.0), (0.2, 0.2))
         rho0 = np.kron(fock.coherent_rho(0.3, 14), fock.thermal_rho(0.2, 14))
-        with pytest.raises(ValueError, match="1.72e\\+03 Taylor substeps on 50625 entries"):
+        with pytest.raises(ValueError, match="at least 859 Taylor substeps on 50625 entries"):
             fock.integrate(lindblad, 14, rho0, [14.0])
         assert planned == []
 
@@ -421,6 +423,47 @@ def oracle_state(lindblad, cutoff):
     if lindblad.n_modes == 2:
         rho0 = np.kron(rho0, fock.thermal_rho(0.2, cutoff))
     return rho0
+
+
+class TestPlanFloor:
+    """The 1-norm bound that refuses a hopeless plan before the generator is assembled."""
+
+    @pytest.mark.parametrize("family", ["single", "two_small", "two_large", "driven"])
+    def test_floor_is_at_most_the_one_norm(self, family):
+        lindblad = oracle_generators()[family]
+        n = lindblad.n_modes
+        for cutoff in range(4, 31 if n == 1 else 26):  # check_cutoff's largest two-mode cutoff
+            quanta = np.arange(cutoff + 1)
+            if n == 2:
+                quanta = np.add.outer(quanta, quanta).ravel()
+            delta = np.subtract.outer(quanta, quanta).ravel()
+            # the entries integrate and evolve_moments evolve (two modes: all of them
+            # up to cutoff 10); a drive mixes the sectors, so it evolves them all
+            keeps = [] if lindblad.drive is not None else [
+                np.flatnonzero(np.isin(delta, (0, 1, 2)))]
+            if n == 1 or cutoff <= 10:
+                keeps.append(np.arange(delta.size))
+            for keep in keeps:
+                norm1 = fock.build_superoperator(lindblad, cutoff, keep).norm1()
+                assert 0 < fock._norm1_floor(lindblad, cutoff) <= norm1, (cutoff, keep.size)
+
+    def test_driven_work_above_cap_is_refused_before_assembly(self, monkeypatch):
+        # the oracle case driven at cutoff 723, t = 100: assembling its 21 bands on all
+        # 524 176 entries of vec(rho) took 220 MB only to refuse the plan
+        def refuse(*args, **kwargs):
+            raise AssertionError("the superoperator was assembled")
+
+        monkeypatch.setattr(fock, "build_superoperator", refuse)
+        lindblad = flow_driven(1.0, 0.08, 0.2, 0.1, 0.8)
+        rho0 = fock.coherent_rho(0.3, 723)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="needs at least 2.7e\\+03 Taylor substeps"):
+                fock.evolve_moments(lindblad, 723, rho0, [0.0, 100.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestEvolveMoments:

@@ -9,7 +9,7 @@ from conftest import (fidelity_one_mode, fock_partial_trace_first, fock_uhlmann_
                       random_physical_state, random_symplectic_orthogonal,
                       squeezed_vacuum_rho)
 
-from oscbath import fock
+from oscbath import fock, gaussian
 from oscbath.flows import QuadraticLindblad, evolve_flow
 from oscbath.gaussian import (PHYSICALITY_TOL, GaussianState, db_distance, fidelity_multi,
                               make_coherent, make_squeezed_vacuum, make_thermal,
@@ -322,3 +322,59 @@ class TestFlowPhysicalityInterplay:
         for t in (0.3, 1.7, 9.2):
             out = evolve_flow(flow, st, t)
             assert physicality_violation(out) >= -1e-10
+
+
+@st.composite
+def mixed_branch_stacks(draw):
+    """A stack of random physical one- or two-mode pairs, cold and hot.
+
+    Moderately mixed pairs are evaluated through P, pairs with hot modes
+    through W; the stack interleaves the two kinds in a drawn order.
+    """
+    n = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hot = draw(st.lists(st.booleans(), min_size=2, max_size=6))
+    hot[:2] = [False, True]
+    rng.shuffle(hot)
+    pairs = [[random_physical_state(rng, n, *((100.0, 400.0) if h else (1.05, 1.5)))
+              for _ in range(2)] for h in hot]
+    return [GaussianState(n, np.array([p[i].mean for p in pairs]),
+                          np.array([p[i].cov for p in pairs])) for i in (0, 1)]
+
+
+class TestStacks:
+    """A stack of states is scored as each of its states alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_branch_stacks())
+    def test_stacked_calls_equal_each_state_alone(self, case):
+        a, b = case
+        branches = []
+        spectrum = gaussian._real_spectrum
+
+        def recorded(m):
+            branches.append(len(m))
+            return spectrum(m)
+
+        gaussian._real_spectrum = recorded
+        try:
+            stacked = fidelity_multi(a, b)
+        finally:
+            gaussian._real_spectrum = spectrum
+        assert len(branches) == 2 and min(branches) > 0  # both branches, one call each
+        alone = [fidelity_multi(a[i], b[i]) for i in range(len(a.mean))]
+        assert stacked.tolist() == alone
+        assert db_distance(a, b).tolist() == [db_distance(a[i], b[i])
+                                              for i in range(len(a.mean))]
+        for s in (a, b):
+            assert physicality_violation(s).tolist() == [physicality_violation(s[i])
+                                                         for i in range(len(s.mean))]
+
+    def test_single_state_against_a_stack_broadcasts(self):
+        rng = np.random.default_rng(5)
+        a = random_physical_state(rng, 2)
+        stack = GaussianState(2, np.array([a.mean, a.mean]), np.array([a.cov, a.cov]))
+        assert fidelity_multi(a, stack).tolist() == [fidelity_multi(a, a)] * 2
+        product = tensor_product(stack, make_thermal([1.0, 2.0], 0.5))
+        assert product.cov.shape == (2, 8, 8)
+        assert partial_trace(product, {0, 1}).cov.tolist() == stack.cov.tolist()

@@ -3,9 +3,10 @@
 Configs are flat INI-style text files.  The echo emitted into result metadata
 is canonical: parsing it reproduces the configuration bit-for-bit, which is
 what makes experiment outputs reproducible from their own headers.
-``EXPERIMENTS`` is the one description of the points each experiment
-evaluates: ``validate`` checks those points, and the runners in
-``oscbath.experiments`` evaluate them, both through ``sweep_points``.
+``EXPERIMENTS`` is the one description of the sweeps each experiment reads,
+and ``evaluations`` the one plan of its points and the master equations it
+compares at each: ``validate`` checks that plan, and the runners in
+``oscbath.experiments`` evaluate it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .bath import OhmicSpectrum, corr_ct, tail_mass
 from .flows import DRIVE_VARIANTS, EQUATIONS, SecularValidityWarning, markov_flows
 
 __all__ = ["ScenarioConfig", "ConfigError", "read_text", "parse_config", "parse_path",
-           "config_text", "sweep_points", "validate"]
+           "config_text", "sweep_points", "evaluations", "validate"]
 
 SCENARIOS = ("single", "two_coupled", "driven")
 INITIAL_STATES = ("vacuum", "thermal", "squeezed", "coherent")
@@ -221,62 +222,84 @@ def sweep_points(config: ScenarioConfig, parameter: str) -> list:
             for v in values]
 
 
+def evaluations(config: ScenarioConfig, name: str) -> list:
+    """(sweep parameter, value, point, labels) for each point experiment ``name`` evaluates.
+
+    The points are ``sweep_points`` of each sweep ``EXPERIMENTS`` lists for the
+    experiment in the config's scenario, and ``labels`` the ``markov_flows``
+    labels it compares there: none for the kernels and the factorization, both
+    shift flags for a variance trajectory with a bath (none without), both
+    equations for a pair, every drive variant at a suite's points, and the
+    shifted flow otherwise.  A driven sweep over variants is one entry at the
+    config, whose labels are the swept variants.  The entries at the config
+    itself, this one and those of the "none" sweep, have the value "".
+    """
+    c = config
+    labels = {"two_coupled": EQUATIONS, "driven": DRIVE_VARIANTS}.get(c.scenario, (True,))
+    if name in ("variance_trajectory", "correlation_study", "factorization_distance"):
+        labels = (True, False) if name == "variance_trajectory" and c.bath_modes > 0 else ()
+    plan = []
+    for parameter in EXPERIMENTS[name][c.scenario]:
+        points = sweep_points(c, parameter)
+        if parameter == "variant":  # one entry at the config, labelled by the swept variants
+            points, labels = [("", c)], tuple(v for v, _ in points)
+        plan += [(parameter, value, point, labels) for value, point in points]
+    return plan
+
+
 def validate(config: ScenarioConfig):
     """Raise ConfigError unless ``oscbath run`` accepts the config.
 
-    The config and every point its experiments evaluate (``sweep_points`` of
-    each sweep they read, default grids included) pass the same base rules, run
-    once per distinct point, and each point also the rules of each experiment
-    that evaluates it.  The rules on the Markov coefficients are those of the
-    master equations, built once per point and label set in one
-    ``markov_flows`` call; t_max times the 1-norm of each one's moment generator
-    must be finite.  A sweep that no requested experiment reads is an error.
+    It checks the plan ``run`` evaluates, ``evaluations`` of each requested
+    experiment.  The config and each point pass the same base rules, run once
+    per distinct point, and each point the rules of each experiment that
+    evaluates it.  The rules on the Markov coefficients are those of the master
+    equations, built once per point and label set in one ``markov_flows``
+    call, as ``run`` builds them; t_max times the 1-norm of each one's moment
+    generator must be finite.  A sweep that no requested experiment reads is
+    an error.
     """
     c = config
-    seen = set()  # the points whose base rules ran, and (point, labels) whose flows were built
-
-    def check(point, name=""):
-        # the master equations experiment name compares at the point, built in one call
-        # by their own rules: the shifted flow, both equations, or the point's drive
-        # variant, and all three for driven_suite
-        labels = DRIVE_VARIANTS if name == "driven_suite" else {
-            "single": (True,), "two_coupled": EQUATIONS}.get(point.scenario, (point.drive_variant,))
-        if point not in seen:
-            seen.add(point)
-            _check(point)
-        if (point, labels) not in seen:
-            seen.add((point, labels))
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", SecularValidityWarning)
-                    flows = markov_flows(point, labels)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-            with np.errstate(over="ignore"):  # the 1-norm of G t_max, which sets the squarings
-                norms = [np.abs(f.moment_generator * point.t_max).sum(axis=0).max() for f in flows]
-            if not np.isfinite(norms).all():
-                raise ConfigError(f"t_max = {point.t_max!r} is too long for the master equations: "
-                                  "the 1-norm of their moment generator times t_max overflows")
-
-    check(c)
+    _check(c)
     if not c.experiments:
         raise ConfigError("config requests no experiments ([output] experiments=...)")
+    checked, built = {c}, set()
     for name in c.experiments:
         if name not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {name!r}; choose from {tuple(EXPERIMENTS)}")
         if c.scenario not in EXPERIMENTS[name]:
             raise ConfigError(f"{name} requires scenario={' or '.join(EXPERIMENTS[name])}")
-        for parameter in EXPERIMENTS[name][c.scenario]:
-            for value, point in sweep_points(c, parameter):
-                try:
-                    check(point, name)
-                    _check_point(name, point)
-                except ConfigError as exc:
-                    where = "" if parameter == "none" else f" at {parameter} = {_fmt(value)}"
-                    raise ConfigError(f"{name}{where}: {exc}") from None
+        for parameter, value, point, labels in evaluations(c, name):
+            try:
+                if point not in checked:
+                    checked.add(point)
+                    _check(point)
+                _check_point(name, point)
+                if labels and (point, labels) not in built:
+                    built.add((point, labels))
+                    _check_equations(point, labels)
+            except ConfigError as exc:
+                where = "" if value == "" else f" at {parameter} = {_fmt(value)}"
+                raise ConfigError(f"{name}{where}: {exc}") from None
     read = {p for name in c.experiments for p in EXPERIMENTS[name][c.scenario]}
     if c.sweep_parameter not in read | {"none"}:
         raise ConfigError(f"no requested experiment reads the sweep over {c.sweep_parameter}")
+
+
+def _check_equations(point: ScenarioConfig, labels):
+    """ConfigError unless the master equations ``labels`` name at the point pass their own
+    rules, and t_max times the 1-norm of each one's moment generator is finite."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SecularValidityWarning)
+            flows = markov_flows(point, labels)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    with np.errstate(over="ignore"):  # the 1-norm of G t_max, which sets the squarings
+        norms = [np.abs(f.moment_generator * point.t_max).sum(axis=0).max() for f in flows]
+    if not np.isfinite(norms).all():
+        raise ConfigError(f"t_max = {point.t_max!r} is too long for the master equations: "
+                          "the 1-norm of their moment generator times t_max overflows")
 
 
 def _check_point(name: str, point: ScenarioConfig):
@@ -332,6 +355,10 @@ def _check(c: ScenarioConfig):
         raise ConfigError("rabi must be >= 0")
     if c.scenario == "driven" and c.omega_l <= 0:
         raise ConfigError("driven scenario requires omega_l > 0")
+    if c.scenario == "driven" and c.drive_variant not in DRIVE_VARIANTS:
+        raise ConfigError(f"[drive] variant must be one of {DRIVE_VARIANTS}")
+    if c.scenario == "driven" and c.bath_modes == 0 and c.omega_l == c.omega:
+        raise ConfigError(f"omega_l = {c.omega_l!r} = omega with no bath: W - omega_l is singular")
     if c.t_max <= 0 or c.samples < 2:
         raise ConfigError("time grid needs t_max > 0 and samples >= 2")
     if c.sweep_parameter not in SWEEP_PARAMETERS:

@@ -12,11 +12,11 @@ scenario's exact side and the flows its labels name (``flows.markov_flows``
 takes their coefficients), evolves each over all times at once, and through
 ``_require_physical`` raises ArithmeticError if any of those states is
 unphysical; the factorization's full states pass the same gate, a block of
-times at a time.  The
-private runners check nothing else: the points each evaluates are the ones
-``config.validate`` checked, from ``config.sweep_points``.  Both suites are one
-runner, ``_suite``, which takes the sweeps it reports at t_max from
-``config.EXPERIMENTS``.
+times at a time.  The private runners check nothing else and choose nothing:
+each evaluates the plan ``config.evaluations`` gives for its experiment, the
+points and master equations ``config.validate`` checked.  Fidelity over time
+and the recurrence map are one runner, ``_swept_curves``, and both suites are
+another, ``_suite``.
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ import numpy as np
 
 from . import __version__
 from .bath import OhmicSpectrum, corr_c0, corr_ct, discretize, fwhh, omega_range
-from .config import (EXPERIMENTS, ScenarioConfig, config_text, parse_config, sweep_points,
-                     validate)
+from .config import ScenarioConfig, config_text, evaluations, parse_config, validate
 from .exact import FullPropagator, ReducedPropagator
-from .flows import DRIVE_VARIANTS, EQUATIONS, evolve_flow, markov_flows
+from .flows import BLOCK_ENTRIES, evolve_flow, markov_flows
 from .gaussian import (PHYSICALITY_TOL, GaussianState, db_distance, fidelity_multi,
                        make_coherent, make_squeezed_vacuum, make_thermal, make_vacuum,
                        partial_trace, physicality_violation, tensor_product)
@@ -135,7 +134,7 @@ def _compare(config: ScenarioConfig, labels, times):
     exact = ReducedPropagator.build(config.omega, _bath(config),
                                     beta=config.beta if pair else None, drive=drive)
     sys0 = _system_state(config, 2 if pair else 1)
-    flows = markov_flows(config, labels)
+    flows = markov_flows(config, labels) if labels else []
     temperatures = config.bath_temperatures if pair else [config.temperature]
     exact_states = exact.states(times, sys0, temperatures)
     flow_states = [evolve_flow(flow, sys0, times) for flow in flows]
@@ -158,20 +157,20 @@ def _require_physical(side: str, times, states: GaussianState):
                               f"= {lowest[i]:.3e} < {PHYSICALITY_TOL:g}; no CSV written")
 
 
-def _curves(config: ScenarioConfig, labels, metric, times) -> list:
-    """metric(exact states, flow states) at ``times`` for each flow in ``labels``."""
-    exact, states = _compare(config, labels, times)
-    return [metric(exact, s) for s in states]
-
-
-def _rows(param: str, times, curves) -> list:
-    """Tidy rows of ``curves``, each a (sweep value, quantity, values at ``times``) triple."""
+def _rows(times, curves) -> list:
+    """Tidy rows of ``curves``, each a (sweep param, sweep value, quantity, values at
+    ``times``) quadruple."""
     return [(param, value, t, quantity, v)
-            for value, quantity, curve in curves for t, v in zip(times, curve)]
+            for param, value, quantity, curve in curves for t, v in zip(times, curve)]
+
+
+# the CSV column that names each label of a curve taken at the config itself
+_LABEL_COLUMN = {"two_coupled": "equation", "driven": "variant"}
 
 
 # ---------------------------------------------------------------------------
-# experiments
+# experiments; each evaluates the points and master equations of
+# config.evaluations(config, name), its plan
 
 _VARIANCE_QUANTITIES = ("var2x_exact", "var2x_markov_shift", "var2x_markov_noshift")
 
@@ -179,34 +178,32 @@ _VARIANCE_QUANTITIES = ("var2x_exact", "var2x_markov_shift", "var2x_markov_noshi
 def _variance_trajectory(config: ScenarioConfig) -> list:
     """2(dx)^2 of the oscillator: exact bath vs Markovian flow with/without shift."""
     times = _times(config)
-    shifted = (True, False) if config.bath_modes > 0 else ()
-    exact, states = _compare(config, shifted, times)
+    [(param, value, point, labels)] = evaluations(config, "variance_trajectory")
+    exact, states = _compare(point, labels, times)
     sides = (exact, *states)  # rows time by time, each time's quantities in order
     values = np.stack([s.cov[:, 0, 0] for s in sides], axis=1).ravel()
-    return list(zip(repeat("none"), repeat(""), np.repeat(times, len(sides)),
+    return list(zip(repeat(param), repeat(value), np.repeat(times, len(sides)),
                     cycle(_VARIANCE_QUANTITIES[:len(sides)]), values))
 
 
-def _fidelity_vs_time(config: ScenarioConfig) -> list:
-    """Fidelity between exact reduced state and the Markovian prediction over time."""
-    times = _times(config)
-    if config.scenario == "single":
-        return _rows("temperature", times, [
-            (_g17(temp), "fidelity", _curves(point, (True,), fidelity_multi, times)[0])
-            for temp, point in sweep_points(config, "temperature")])
-    param, labels = (("equation", EQUATIONS) if config.scenario == "two_coupled"
-                     else ("variant", [v for v, _ in sweep_points(config, "variant")]))
-    curves = _curves(config, labels, fidelity_multi, times)
-    return _rows(param, times, [(label, "fidelity", curve)
-                                for label, curve in zip(labels, curves)])
+# swept-curve experiment -> (metric of exact and flow states, its quantity)
+_CURVE_METRICS = {"fidelity_vs_time": (fidelity_multi, "fidelity"),
+                  "recurrence_map": (db_distance, "bures_db")}
 
 
-def _recurrence_map(config: ScenarioConfig) -> list:
-    """D_B between exact and Markovian states on a (t, bath size) grid."""
+def _swept_curves(name: str, config: ScenarioConfig) -> list:
+    """The metric between the exact and each Markovian trajectory over time, at each
+    point of the plan: a sweep point's one curve is named by its value, and each curve
+    of an entry at the config by its label."""
+    metric, quantity = _CURVE_METRICS[name]
     times = _times(config)
-    return _rows("modes", times, [
-        (str(m), "bures_db", _curves(point, (True,), db_distance, times)[0])
-        for m, point in sweep_points(config, "modes")])
+    curves = []
+    for param, value, point, labels in evaluations(config, name):
+        exact, states = _compare(point, labels, times)
+        curves += ([(_LABEL_COLUMN[point.scenario], label, quantity, metric(exact, s))
+                    for label, s in zip(labels, states)] if value == "" else
+                   [(param, _g17(value), quantity, metric(exact, states[0]))])
+    return _rows(times, curves)
 
 
 def _correlation_study(config: ScenarioConfig) -> list:
@@ -214,33 +211,24 @@ def _correlation_study(config: ScenarioConfig) -> list:
     spec = _spectrum(config)
     s_grid = _times(config)
     bound = max(config.t_max, 20.0 / spec.omega_c)
-    rows = []
-    for s in s_grid:
-        rows.append(("none", "", s, "abs_corr_c0", abs(corr_c0(spec, s))))
-    rows.append(("none", "", 0.0, "fwhh_c0",
-                 fwhh(lambda s: abs(corr_c0(spec, s)), bound)))
-    for temp, _ in sweep_points(config, "temperature"):
-        for s in s_grid:
-            rows.append(("temperature", _g17(temp), s, "abs_corr_ct",
-                         abs(corr_ct(spec, s, temp))))
+    # the zero-temperature kernel is at no sweep point
+    rows = _rows(s_grid, [("none", "", "abs_corr_c0", np.abs(corr_c0(spec, s_grid)))])
+    rows.append(("none", "", 0.0, "fwhh_c0", fwhh(lambda s: abs(corr_c0(spec, s)), bound)))
+    for param, temp, _, _ in evaluations(config, "correlation_study"):
+        rows += _rows(s_grid, [(param, _g17(temp), "abs_corr_ct",
+                                np.abs(corr_ct(spec, s_grid, temp)))])
         # the thermal kernel broadens like 1/T, so the width search must too
-        rows.append(("temperature", _g17(temp), 0.0, "fwhh_ct",
-                     fwhh(lambda s: abs(corr_ct(spec, s, temp)),
-                          max(bound, 10.0 / temp))))
+        rows.append((param, _g17(temp), 0.0, "fwhh_ct",
+                     fwhh(lambda s: abs(corr_ct(spec, s, temp)), max(bound, 10.0 / temp))))
     return rows
 
 
 def _factorization_distance(config: ScenarioConfig) -> list:
     """D_B between the full evolved state and the product ansatz rho_S(t) x rho_th."""
     times = _times(config)
-    return _rows("alpha", times, [(_g17(alpha), "bures_db", _factorization_curve(point, times))
-                                  for alpha, point in sweep_points(config, "alpha")])
-
-
-# Matrix entries per stack of full states: the factorization evaluates its
-# 2(M+1)-mode states in blocks of times, so that no temporary of the fidelity
-# grows with the sample count (a whole fig5p0 trajectory made each one 13 MB).
-_FULL_BLOCK_ENTRIES = 2 ** 15
+    return _rows(times, [(param, _g17(value), "bures_db", _factorization_curve(point, times))
+                         for param, value, point, _ in evaluations(config,
+                                                                   "factorization_distance")])
 
 
 def _factorization_curve(config: ScenarioConfig, times) -> np.ndarray:
@@ -256,7 +244,9 @@ def _factorization_curve(config: ScenarioConfig, times) -> np.ndarray:
     global0 = tensor_product(_system_state(config, 1), bath_thermal)
     propagator = FullPropagator.build(config.omega, bath)
     curve = np.empty(times.size)
-    step = max(1, _FULL_BLOCK_ENTRIES // (2 * global0.n_modes) ** 2)
+    # blocks of times keep each stack of 2(M+1)-mode full states within the entry
+    # budget, so that no temporary of the fidelity grows with the sample count
+    step = max(1, BLOCK_ENTRIES // (2 * global0.n_modes) ** 2)
     for start in range(0, times.size, step):
         block = slice(start, start + step)
         full = propagator.states(times[block], global0)
@@ -266,30 +256,27 @@ def _factorization_curve(config: ScenarioConfig, times) -> np.ndarray:
 
 
 def _suite(name: str, config: ScenarioConfig) -> list:
-    """A suite's fidelities: each equation's (pair) or drive variant's curve over time,
-    its fidelity at t_max at each point of every further sweep the suite reads, and
-    (pair) the fidelity between the two equations' states over time."""
+    """A suite's fidelities: each label's curve over time at the config, each label's
+    fidelity at t_max at every other point of the plan, and for a pair the fidelity
+    between the two equations' states over time."""
     times, t_end = _times(config), config.t_max
-    pair = config.scenario == "two_coupled"
-    labels = EQUATIONS if pair else DRIVE_VARIANTS
-    exact, states = _compare(config, labels, times)
-    rows = _rows("equation" if pair else "variant", times, [
-        (label, "fidelity", fidelity_multi(exact, s)) for label, s in zip(labels, states)])
-    for param in (p for p in EXPERIMENTS[name][config.scenario] if p != "none"):
-        for value, point in sweep_points(config, param):
-            ends = _curves(point, labels, fidelity_multi, [t_end])
-            rows += _rows(param, [t_end], [(_g17(value), f"fidelity_{label}", end)
-                                           for label, end in zip(labels, ends)])
-    if pair:
-        rows += _rows("none", times, [("", "fidelity_between_equations",
-                                       fidelity_multi(*states))])
-    return rows
+    curves, ends, between = [], [], []
+    for param, value, point, labels in evaluations(config, name):
+        exact, states = _compare(point, labels, times if value == "" else [t_end])
+        if value != "":
+            ends += [(param, _g17(value), f"fidelity_{label}", fidelity_multi(exact, s))
+                     for label, s in zip(labels, states)]
+        else:
+            curves += [(_LABEL_COLUMN[point.scenario], label, "fidelity",
+                        fidelity_multi(exact, s)) for label, s in zip(labels, states)]
+            if point.scenario == "two_coupled":
+                between = [(param, value, "fidelity_between_equations", fidelity_multi(*states))]
+    return _rows(times, curves) + _rows([t_end], ends) + _rows(times, between)
 
 
 _RUNNERS = {
     "variance_trajectory": _variance_trajectory,
-    "fidelity_vs_time": _fidelity_vs_time,
-    "recurrence_map": _recurrence_map,
+    **{name: partial(_swept_curves, name) for name in _CURVE_METRICS},
     "correlation_study": _correlation_study,
     "factorization_distance": _factorization_distance,
     **{suite: partial(_suite, suite) for suite in ("two_oscillator_suite", "driven_suite")},

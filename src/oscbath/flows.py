@@ -14,8 +14,9 @@ turns that flow into the linear ODE s' = G s with
 
 where A (+) A = A kron 1 + 1 kron A is the Kronecker sum.  G is built once
 per generator; :func:`evolve_flow` takes one exponential of G t per time,
-all times of a trajectory in one stacked call, and :func:`steady_state` is
-G's fixed point.
+all times of a trajectory in one stacked call that works through them in
+blocks of ``BLOCK_ENTRIES`` matrix entries, and :func:`steady_state` is G's
+fixed point.
 
 Each concrete equation only assembles its coefficients; :func:`markov_flows`
 takes them for a config point.  The same generator is what the Fock-space
@@ -330,16 +331,35 @@ _B_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
          33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 
 
+# Matrix entries per stack of temporaries: a stacked computation over many times
+# (the flow exponential here, the factorization's full states in experiments)
+# takes its times in blocks of at most this many entries, so that no temporary
+# grows with the sample count
+BLOCK_ENTRIES = 2 ** 15
+
+
 def _expm(a: np.ndarray) -> np.ndarray:
     """exp of each real square matrix of a stack, by Pade scaling and squaring (Higham 2005).
 
     Order 13 on a / 2^s, squared s times, with s the fewest halvings that
     bring the 1-norm to theta_13 (none at or below theta_13, where the ratio
     may underflow to 0), each matrix its own.  The exact scaling by 2^-s comes
-    before any product, so no power of the unscaled matrix can overflow.
-    Replaces scipy.linalg.expm, whose import (with scipy.special's) is most of
-    the command line's start-up.
+    before any product, so no power of the unscaled matrix can overflow.  The
+    stack is taken in blocks of at most ``BLOCK_ENTRIES`` entries, which
+    leave each matrix's bits as they are in one stack.  Replaces
+    scipy.linalg.expm, whose import (with scipy.special's) is most of the
+    command line's start-up.
     """
+    dim = a.shape[-1]
+    stack = a.reshape(-1, dim, dim)
+    out = np.empty_like(stack)
+    step = max(1, BLOCK_ENTRIES // dim ** 2)
+    for start in range(0, len(stack), step):
+        out[start:start + step] = _expm_block(stack[start:start + step])
+    return out.reshape(a.shape)
+
+
+def _expm_block(a: np.ndarray) -> np.ndarray:
     norm = np.abs(a).sum(axis=-2).max(axis=-1)
     s = np.ceil(np.log2(np.fmax(norm / _THETA_13, 1.0))).astype(int)
     eye = np.eye(a.shape[-1])

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.linalg import expm, sqrtm
 
-from oscbath.experiments import _curves, _times, run
+from oscbath.experiments import _compare, _times, run
 from oscbath.fock import vacuum_rho
 from oscbath.gaussian import GaussianState, db_distance, symplectic_form
 
@@ -224,5 +224,5 @@ def linear_fit(x, y):
 
 def driven_variant_error(config, variant: str) -> float:
     """Time-averaged D_B between exact and Markovian driven evolution."""
-    (dists,) = _curves(config, [variant], db_distance, _times(config))
-    return float(np.mean(dists))
+    exact, (states,) = _compare(config, (variant,), _times(config))
+    return float(np.mean(db_distance(exact, states)))

@@ -133,9 +133,15 @@ BAD_RUNS = {
     + "\n[sweep]\nparameter = detuning\nvalues = -0.1, 0\n",
     # refused as with a bath, though W - omega_L is singular here too
     "resonant_driven_suite_without_bath": RESONANT_DRIVEN.replace("modes = 12", "modes = 0"),
+    # and so is the plain drive, which the exact side alone cannot take without a bath
+    "resonant_plain_without_bath": RESONANT_DRIVEN.replace("modes = 12", "modes = 0")
+    .replace("= driven_suite", "= fidelity_vs_time")
+    + "\n[sweep]\nparameter = variant\nvalues = plain\n",
     "unknown_swept_variant": RESONANT_DRIVEN.replace("omega_l = 1", "omega_l = 1.2")
     .replace("= driven_suite", "= fidelity_vs_time")
     + "\n[sweep]\nparameter = variant\nvalues = plain, bogus\n",
+    # no experiment evaluates the config's own variant, but it must name one
+    "unknown_config_variant": RESONANT_DRIVEN.replace("variant = plain", "variant = bogus"),
     "equation_sweep": SMALL_RUN.replace("parameter = temperature", "parameter = equation")
     .replace("values = 0.1, 1", "values = small_beta, large_beta"),
     "factorization_without_bath": SMALL_RUN.replace("modes = 12", "modes = 0")
@@ -222,6 +228,9 @@ BAD_RUN_MESSAGES = {
     "equal_tails_mass_rounds_to_zero": "range_omega_min = 1e-170 is too small",
     "t_max_overflows_the_flow_exponential": "t_max = 1.7e+308 is too long for the master "
     "equations: the 1-norm of their moment generator times t_max overflows",
+    "resonant_plain_without_bath": "omega_l = 1.0 = omega with no bath: W - omega_l is singular",
+    "unknown_config_variant": "[drive] variant must be one of ('plain', 'off_resonant', "
+    "'no_secular')",
 }
 
 ORACLE_SINGLE = ("[oracle]\nfamily = single\ncutoff = 10\nt = 2\n"
@@ -268,6 +277,21 @@ FLOW_RUNS = {
     "two_oscillator_suite": NO_SWEEP.replace("kind = single", "kind = two_coupled")
     .replace("= fidelity_vs_time", "= two_oscillator_suite"),
     "driven_suite": RESONANT_DRIVEN.replace("omega_l = 1", "omega_l = 1.2"),
+}
+
+# runs whose every point validate and run must agree on: each flow run, a driven
+# variant sweep, the two experiments that compare no master equation, a bath-less
+# variance trajectory and every bundled config
+PLAN_RUNS = {
+    **FLOW_RUNS,
+    "driven_fidelity_vs_time": FLOW_RUNS["driven_suite"]
+    .replace("= driven_suite", "= fidelity_vs_time")
+    + "\n[sweep]\nparameter = variant\nvalues = plain, no_secular\n",
+    "correlation_study": SMALL_RUN.replace("= fidelity_vs_time", "= correlation_study"),
+    "factorization_distance": NO_SWEEP.replace("= fidelity_vs_time", "= factorization_distance"),
+    "bathless_variance_trajectory": FLOW_RUNS["variance_trajectory"]
+    .replace("modes = 12", "modes = 0"),
+    **{path.stem: path.read_text() for path in sorted(CONFIG_DIR.glob("*.cfg"))},
 }
 
 
@@ -342,13 +366,15 @@ class TestConfigParsing:
             parse_config(SMALL_RUN.replace("omega = 1", "omega = 1\nwobble = 2"))
 
     def test_unstable_coupling_rejected(self):
-        cfg = ScenarioConfig(scenario="two_coupled", omega=1.0, omega2=1.0, beta=1.5)
+        cfg = ScenarioConfig(scenario="two_coupled", omega=1.0, omega2=1.0, beta=1.5,
+                             experiments=("two_oscillator_suite",))
         with pytest.raises(ConfigError, match="unstable"):
             validate(cfg)
 
     def test_driven_resonant_variant_rejected(self):
         cfg = ScenarioConfig(scenario="driven", omega=1.0, omega_l=1.0,
-                             drive_variant="off_resonant")
+                             drive_variant="off_resonant", experiments=("fidelity_vs_time",),
+                             sweep_parameter="variant", sweep_values=("off_resonant",))
         with pytest.raises(ConfigError, match="resonance"):
             validate(cfg)
 
@@ -367,7 +393,8 @@ class TestCli:
     def test_validate_reports_instability(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text("[scenario]\nkind = two_coupled\n"
-                     "[system]\nomega = 1\nomega2 = 1\nbeta = 2\n")
+                     "[system]\nomega = 1\nomega2 = 1\nbeta = 2\n"
+                     "[output]\nexperiments = fidelity_vs_time\n")
         assert cli_main(["validate", str(p)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "unstable" in err
@@ -519,18 +546,14 @@ class TestCli:
                               "var2x_markov_noshift"}
 
     def test_numeric_failure_exit(self, tmp_path, capsys):
-        # bare resonant drive makes W - omega_L singular
+        # a bare drive 1e-13 off resonance: validate refuses exact resonance only,
+        # and the exact side finds W - omega_L singular to its tolerance
         p = tmp_path / "res.cfg"
-        p.write_text("[scenario]\nkind = driven\n"
-                     "[system]\nomega = 1\ninitial = vacuum\n"
-                     "[spectrum]\nalpha = 0.01\nomega_c = 3\n"
-                     "[bath]\nmodes = 0\ntemperature = 0\n"
-                     "[drive]\nrabi = 0.1\nomega_l = 1\nvariant = plain\n"
-                     "[time]\nt_max = 5\nsamples = 10\n"
-                     "[sweep]\nparameter = variant\nvalues = plain\n"
-                     "[output]\nexperiments = fidelity_vs_time\n")
+        p.write_text(BAD_RUNS["resonant_plain_without_bath"]
+                     .replace("omega_l = 1", "omega_l = 1.0000000000001"))
+        assert cli_main(["validate", str(p)]) == EXIT_OK
         assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
-        assert "numeric failure" in capsys.readouterr().err
+        assert "numeric failure: W - omega_L*1 is singular" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", sorted(BAD_RUNS))
     def test_bad_input_is_a_config_error(self, case, tmp_path, capsys):
@@ -667,21 +690,17 @@ class TestCli:
         assert "numeric failure: unphysical flow state (label True) at t = " in err
         assert not list((tmp_path / "o").glob("*.csv"))
 
-    @pytest.mark.parametrize("case", [*sorted(FLOW_RUNS), "driven_fidelity_vs_time"])
+    @pytest.mark.parametrize("case", sorted(PLAN_RUNS))
     def test_validate_checks_every_point_run_evaluates(self, case, monkeypatch):
-        # every point whose flows a runner builds was built by validate too, and
-        # validate runs the base rules once per distinct point; a point's drive
-        # variant only picks the labels its flows are built for
-        text = FLOW_RUNS.get(case) or (
-            FLOW_RUNS["driven_suite"].replace("= driven_suite", "= fidelity_vs_time")
-            + "\n[sweep]\nparameter = variant\nvalues = plain, no_secular\n")
-        config = parse_config(text)
+        # validate builds the master equations of exactly the (point, labels) pairs
+        # that run builds, each pair once, and runs the base rules once per point
+        config = parse_config(PLAN_RUNS[case])
         seen = {"validate": [], "run": [], "checked": []}
         check = config_module._check
 
         def recorder(key, build):
             def recorded(point, labels):
-                seen[key].append(replace(point, drive_variant="plain"))
+                seen[key].append((point, tuple(labels)))
                 return build(point, labels)
             return recorded
 
@@ -693,8 +712,33 @@ class TestCli:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             experiments.run(config)
-        assert seen["run"] and set(seen["run"]) <= set(seen["validate"])
+        assert set(seen["run"]) == set(seen["validate"])
+        assert len(seen["validate"]) == len(set(seen["validate"]))
         assert len(seen["checked"]) == len(set(seen["checked"]))
+        assert bool(seen["run"]) == (case not in ("correlation_study", "factorization_distance",
+                                                  "bathless_variance_trajectory",
+                                                  "fig4_correlation", "fig5p0_factorization"))
+
+    @pytest.mark.parametrize("experiment", ["correlation_study", "factorization_distance"])
+    def test_experiment_without_markov_rates_runs_far_in_the_tail(self, experiment, tmp_path):
+        # neither experiment takes a Markov rate, so the decay rate at Omega = 3000,
+        # which underflows to 0, refuses neither
+        p = tmp_path / "run.cfg"
+        p.write_text(NO_SWEEP.replace("omega = 1\n", "omega = 3000\n")
+                     .replace("= fidelity_vs_time", f"= {experiment}"))
+        assert cli_main(["validate", str(p)]) == EXIT_OK
+        assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert (tmp_path / "o" / f"{experiment}.csv").is_file()
+
+    @pytest.mark.xfail(strict=True, reason="validate accepts fig2 at initial_squeeze = 20, and "
+                       "run exits 3: an exact state's min eig(C + i sigma) is -16 at "
+                       "t = 0.602")
+    def test_strongly_squeezed_variance_runs_or_is_refused(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text((CONFIG_DIR / "fig2_variance.cfg").read_text()
+                     .replace("initial_squeeze = 0.5", "initial_squeeze = 20"))
+        assert (cli_main(["validate", str(p)]) == EXIT_CONFIG
+                or cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK)
 
     @pytest.mark.parametrize("family", ["single", "two_small", "two_large", "driven"])
     def test_oracle_subcommand(self, family, tmp_path, capsys):

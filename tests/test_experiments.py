@@ -323,7 +323,7 @@ class TestCallCounts:
     @pytest.mark.parametrize("base, labels", [
         (BASE_SINGLE, (True, False)),
         ({**DRIVEN_BASE, "rabi": 0.3, "omega_l": 1.2}, ("plain", "off_resonant", "no_secular")),
-        (TWO_BASE, experiments.EQUATIONS),
+        (TWO_BASE, flows.EQUATIONS),
     ], ids=["single", "driven", "two_coupled"])
     def test_compare_takes_one_exponential_call_per_flow(self, base, labels, samples,
                                                           monkeypatch):
@@ -400,7 +400,7 @@ class TestNoDenseSolve:
     @pytest.mark.parametrize("base, labels", [
         (BASE_SINGLE, (True, False)),
         ({**DRIVEN_BASE, "rabi": 0.3, "omega_l": 1.2}, ("plain", "off_resonant", "no_secular")),
-        (TWO_BASE, experiments.EQUATIONS),
+        (TWO_BASE, flows.EQUATIONS),
     ], ids=["single", "driven", "two_coupled"])
     def test_compare(self, base, labels, modes):
         cfg = ScenarioConfig(**{**base, "bath_modes": modes, "samples": 5})

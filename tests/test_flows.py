@@ -185,6 +185,20 @@ class TestExpm:
                     ref = np.array(mp.expm(mp.matrix(gen.tolist())).tolist(), dtype=float)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), t
 
+    @pytest.mark.parametrize("budget", [1, 50, 3 * 21 ** 2])
+    def test_blocks_equal_one_stack_bit_for_bit(self, budget, monkeypatch):
+        # a (3, 5) grid of two-mode generators (21 x 21) whose squarings run from 0
+        # past 8: a block of one, two or three matrices gives the bits of one stack
+        flow = flow_two_small_beta((1.0, 1.2), 0.1, (0.05, 0.08), (0.2, 0.5))
+        times = np.array([[0.0, 0.3, 7.0, 40.0, 2.5], [250.0, 0.0, 600.0, 900.0, 1.0],
+                          [3.0, 11.0, 0.01, 77.0, 5e3]])
+        gens = flow.moment_generator * times[..., None, None]
+        whole = _expm(gens)
+        monkeypatch.setattr(flows, "BLOCK_ENTRIES", budget)
+        blocked = _expm(gens)
+        assert blocked.shape == gens.shape
+        assert blocked.tobytes() == whole.tobytes()
+
 
 class TestFlowSingle:
     def test_drift_and_diffusion_structure(self):

@@ -23,6 +23,7 @@ import numpy as np
 
 from .bath import OhmicSpectrum, corr_ct, tail_mass
 from .flows import DRIVE_VARIANTS, EQUATIONS, SecularValidityWarning, markov_flows
+from .gaussian import SINGULAR_TOL, singular_eigenvalue
 
 __all__ = ["ScenarioConfig", "ConfigError", "read_text", "parse_config", "parse_path",
            "config_text", "sweep_points", "evaluations", "validate"]
@@ -357,8 +358,10 @@ def _check(c: ScenarioConfig):
         raise ConfigError("driven scenario requires omega_l > 0")
     if c.scenario == "driven" and c.drive_variant not in DRIVE_VARIANTS:
         raise ConfigError(f"[drive] variant must be one of {DRIVE_VARIANTS}")
-    if c.scenario == "driven" and c.bath_modes == 0 and c.omega_l == c.omega:
-        raise ConfigError(f"omega_l = {c.omega_l!r} = omega with no bath: W - omega_l is singular")
+    if (c.scenario == "driven" and c.bath_modes == 0
+            and singular_eigenvalue([c.omega - c.omega_l]) is not None):
+        raise ConfigError(f"omega_l = {c.omega_l!r} is within {SINGULAR_TOL:g} of omega = "
+                          f"{c.omega!r} with no bath: W - omega_l is singular")
     if c.t_max <= 0 or c.samples < 2:
         raise ConfigError("time grid needs t_max > 0 and samples >= 2")
     if c.sweep_parameter not in SWEEP_PARAMETERS:

@@ -314,7 +314,7 @@ def evolve_flow(flow: QuadraticLindblad, state: GaussianState, t) -> GaussianSta
     const = np.abs(gen[..., :-1, -1]).sum(axis=-1)
     dyn = np.abs(gen[..., :-1, :-1]).sum(axis=-2).max(axis=-1)
     ratio = np.divide(dyn, const, out=np.ones_like(dyn), where=(const > dyn) & (dyn > 0))
-    w = 2.0 ** np.floor(np.log2(ratio))
+    w = 2.0 ** np.maximum(np.floor(np.log2(ratio)), -1022)  # so that 1/w stays finite
     gen[..., :-1, -1] *= w[..., None]
     moments = np.concatenate([state.mean, state.cov.ravel()])
     s0 = np.concatenate([np.broadcast_to(moments, t.shape + moments.shape),

@@ -27,6 +27,7 @@ from oscbath.experiments import ExperimentResult, config_from_csv
 from oscbath.gaussian import GaussianState
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 SMALL_RUN = """
 [scenario]
@@ -137,6 +138,11 @@ BAD_RUNS = {
     "resonant_plain_without_bath": RESONANT_DRIVEN.replace("modes = 12", "modes = 0")
     .replace("= driven_suite", "= fidelity_vs_time")
     + "\n[sweep]\nparameter = variant\nvalues = plain\n",
+    # within the exact side's singularity tolerance of resonance, not at it
+    "near_resonant_plain_without_bath": RESONANT_DRIVEN.replace("modes = 12", "modes = 0")
+    .replace("omega_l = 1", "omega_l = 1.0000000000001").replace("= driven_suite",
+                                                                  "= fidelity_vs_time")
+    + "\n[sweep]\nparameter = variant\nvalues = plain\n",
     "unknown_swept_variant": RESONANT_DRIVEN.replace("omega_l = 1", "omega_l = 1.2")
     .replace("= driven_suite", "= fidelity_vs_time")
     + "\n[sweep]\nparameter = variant\nvalues = plain, bogus\n",
@@ -228,7 +234,10 @@ BAD_RUN_MESSAGES = {
     "equal_tails_mass_rounds_to_zero": "range_omega_min = 1e-170 is too small",
     "t_max_overflows_the_flow_exponential": "t_max = 1.7e+308 is too long for the master "
     "equations: the 1-norm of their moment generator times t_max overflows",
-    "resonant_plain_without_bath": "omega_l = 1.0 = omega with no bath: W - omega_l is singular",
+    "resonant_plain_without_bath": "omega_l = 1.0 is within 1e-12 of omega = 1.0 with no bath: "
+    "W - omega_l is singular",
+    "near_resonant_plain_without_bath": "omega_l = 1.0000000000001 is within 1e-12 of omega = "
+    "1.0 with no bath: W - omega_l is singular",
     "unknown_config_variant": "[drive] variant must be one of ('plain', 'off_resonant', "
     "'no_secular')",
 }
@@ -524,6 +533,22 @@ class TestCli:
             outs.append((outdir / "fidelity_vs_time.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    # factorization_distance is left out: its one dense eigh moves with the BLAS
+    # thread count (ROADMAP item 4), in all 360 rows of fig5p0
+    @pytest.mark.parametrize("name", ["fig3_recurrence", "fig9_11_driven"])
+    def test_csv_bytes_do_not_depend_on_the_blas_thread_count(self, name, tmp_path):
+        env = {key: value for key, value in os.environ.items() if key not in BLAS_THREAD_VARS}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(oscbath.__file__).resolve().parent.parent), env.get("PYTHONPATH")]))
+        outs = []
+        for sub, threads in (("default", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+            outdir = tmp_path / sub
+            subprocess.run([sys.executable, "-m", "oscbath.cli", "run",
+                            str(CONFIG_DIR / f"{name}.cfg"), "--out", str(outdir)],
+                           env={**env, **threads}, capture_output=True, check=True)
+            outs.append({csv.name: csv.read_bytes() for csv in outdir.glob("*.csv")})
+        assert outs[0] and outs[0] == outs[1]
+
     def test_run_emits_declared_columns_and_echo(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text(SMALL_RUN)
@@ -546,14 +571,15 @@ class TestCli:
                               "var2x_markov_noshift"}
 
     def test_numeric_failure_exit(self, tmp_path, capsys):
-        # a bare drive 1e-13 off resonance: validate refuses exact resonance only,
-        # and the exact side finds W - omega_L singular to its tolerance
-        p = tmp_path / "res.cfg"
-        p.write_text(BAD_RUNS["resonant_plain_without_bath"]
-                     .replace("omega_l = 1", "omega_l = 1.0000000000001"))
+        # fig2 squeezed to r = 20: validate accepts it, and rounding in the e^{-2r}
+        # variances leaves an exact state unphysical (the strict xfail below)
+        p = tmp_path / "run.cfg"
+        p.write_text((CONFIG_DIR / "fig2_variance.cfg").read_text()
+                     .replace("initial_squeeze = 0.5", "initial_squeeze = 20"))
         assert cli_main(["validate", str(p)]) == EXIT_OK
         assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
-        assert "numeric failure: W - omega_L*1 is singular" in capsys.readouterr().err
+        assert "numeric failure: unphysical exact state" in capsys.readouterr().err
+        assert not list(tmp_path.glob("o/*.csv"))
 
     @pytest.mark.parametrize("case", sorted(BAD_RUNS))
     def test_bad_input_is_a_config_error(self, case, tmp_path, capsys):

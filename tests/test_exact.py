@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from conftest import (build_single, build_two, dense_states, propagator,
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import oscbath
 from oscbath import exact
 from oscbath.bath import BathCouplings, OhmicSpectrum, discretize, omega_range
 from oscbath.exact import FullPropagator, ReducedPropagator, RwaValidityWarning
@@ -126,6 +131,23 @@ class TestPropagator:
             full = propagator(*np.linalg.eigh(build_single(1.0, bath)), t)
             np.testing.assert_allclose(rows[i], full[0, 1:n], rtol=0, atol=1e-14)  # cos(Wt)
             np.testing.assert_allclose(rows[2 + i], -full[0, n + 1:], rtol=0, atol=1e-14)
+
+    def test_bath_rows_do_not_depend_on_the_blas_thread_count(self):
+        # more roots than the 10 000 entries above which OpenBLAS splits one ddot
+        # over its threads, and a split sum rounds differently
+        code = ("import sys, numpy as np; from oscbath.exact import _Sector; "
+                "rng = np.random.default_rng(0); n = 20001; "
+                "sector = _Sector(np.sort(rng.uniform(0.0, 10.0, n)), np.zeros(n), "
+                "rng.uniform(0.1, 1.0, 3), rng.uniform(0.0, 1.0, n), 0); "
+                "rows = sector.bath_rows(np.array([2.5, 5.0, 7.5]) + 1e-3 * np.pi, "
+                "rng.standard_normal((4, n))); "
+                "sys.stdout.write(rows.tobytes().hex())")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            str(Path(oscbath.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]))}
+        outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               check=True, env={**env, "OPENBLAS_NUM_THREADS": threads}).stdout
+                for threads in ("1", "2")]
+        assert len(outs[0]) == 2 * 8 * 4 * 3 and outs[0] == outs[1]
 
 
 class TestCovarianceEvolution:
@@ -433,6 +455,24 @@ class TestArrowheadSolver:
         np.testing.assert_array_equal(dropped.freqs, kept.frequencies)
         np.testing.assert_array_equal(dropped.sectors[0].eigenvalues,
                                       reference.sectors[0].eigenvalues)
+
+    def test_root_at_its_midpoint_starts_there(self):
+        # poles 1 and 2 with equal couplings and omega = 1.5: the middle root is the
+        # midpoint itself, so f(mid) = 0 and the two-pole model's root lands on the
+        # end of the bracket; the solver then starts that root at mid instead
+        for g in (0.05, 1.0):  # weak and strong coupling
+            for poles, omega in (([1.0, 2.0], 1.5), ([1.0, 2.0, 3.0, 4.0], 2.5)):
+                bath = BathCouplings(np.array(poles), np.full(len(poles), g))
+                assert_eigh_referee(build_single(omega, bath), arrowhead_cache(omega, bath))
+                assert omega in ReducedPropagator.build(omega, bath).sectors[0].eigenvalues
+
+    def test_two_pole_start_needs_few_evaluations(self):
+        # started at the two-pole model's root, a root of the M = 1600 bath is found
+        # after 2.4 evaluations of f on average (4.1 from the midpoint); every
+        # evaluation is one pass over the roots' N-wide rows
+        bath = discretize(SPEC, 1600, omega_range(SPEC, "equal_tails"))
+        (sector,) = ReducedPropagator.build(1.0, bath).sectors
+        assert sector.evaluations <= 3 * sector.eigenvalues.size
 
     def test_block_size_does_not_move_the_spectrum(self, monkeypatch):
         # the solver's workspace is reused across blocks and iterations: at 5 and 64

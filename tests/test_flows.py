@@ -108,6 +108,10 @@ class TestGeneratorProperties:
     @settings(max_examples=60, deadline=None)
     @given(generators_and_states(), st.floats(0.0, 3.0), st.floats(0.0, 3.0))
     @example(case=(flow_single(1.0, 0.05, 0.2), make_vacuum(1)), t1=5e-324, t2=0.0)
+    # a subnormal h against a unit drive: the weight of the constant coordinate
+    # was 2^-1074, whose inverse overflows
+    @example(case=(QuadraticLindblad([[5e-324]], [[0.0]], [[0.0]], drive=[1.0]),
+                   make_vacuum(1)), t1=0.0, t2=1.0)
     def test_semigroup_and_physicality(self, case, t1, t2):
         lindblad, state = case
         once = evolve_flow(lindblad, state, t1 + t2)

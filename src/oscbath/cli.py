@@ -9,13 +9,21 @@ cannot be made a directory).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# An idle OpenBLAS worker spins for 2**v cycles before it sleeps, and OpenBLAS
+# reads v once, when NumPy loads it.  Its default, 28 (0.13 s at 2.1 GHz after
+# every threaded call), keeps a second core busy for nothing; below 24, waking
+# the sleeping worker slows the factorization study.  v moves neither the thread
+# count nor the split of work, so no result's bits.  A value set by the user is kept.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "24")
 
-from . import __version__
-from .config import ConfigError, parse_path, read_text
+import numpy as np  # noqa: E402
+
+from . import __version__  # noqa: E402
+from .config import ConfigError, parse_path, read_text  # noqa: E402
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,13 +50,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(config):
-    """``experiments.run``, imported on the first call.
+    """``experiments.run`` on a config from ``parse_path``, imported on the first call.
 
     So ``validate`` and ``oracle`` never load ``experiments`` or ``exact``.
+    ``parse_path`` has validated the config, so it is not validated again.
     """
     from .experiments import run as run_experiments
 
-    return run_experiments(config)
+    return run_experiments(config, validated=True)
 
 
 def _cmd_run(args) -> int:

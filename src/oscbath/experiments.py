@@ -283,13 +283,16 @@ _RUNNERS = {
 }
 
 
-def run(config: ScenarioConfig) -> list[ExperimentResult]:
+def run(config: ScenarioConfig, *, validated: bool = False) -> list[ExperimentResult]:
     """The results of ``config.experiments``, in order, on a config ``validate`` accepts.
 
     Raises ConfigError if ``validate`` refuses the config, and ArithmeticError
-    if a result holds a non-finite time or value.
+    if a result holds a non-finite time or value.  ``validated=True`` skips the
+    check, for a config that ``validate`` has already accepted (``parse_config``
+    returns only such configs).
     """
-    validate(config)
+    if not validated:
+        validate(config)
     results = []
     for name in config.experiments:
         rows = _RUNNERS[name](config)

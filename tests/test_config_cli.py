@@ -421,12 +421,18 @@ class TestCli:
         assert BAD_RUN_MESSAGES.get(case, "") in err
 
     @staticmethod
-    def _python(code: str, *args: str) -> str:
+    def _child_env(**settings: str) -> dict:
+        """os.environ without BLAS thread settings, plus ``settings`` and this package's path."""
+        env = {key: value for key, value in os.environ.items()
+               if key not in BLAS_THREAD_VARS + ("OPENBLAS_THREAD_TIMEOUT",)}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(oscbath.__file__).resolve().parent.parent), env.get("PYTHONPATH")]))
+        return {**env, **settings}
+
+    def _python(self, code: str, *args: str, **settings: str) -> str:
         """Stdout of ``python -c code args`` in a fresh process that imports this package."""
-        path = [str(Path(oscbath.__file__).resolve().parent.parent),
-                os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+        done = subprocess.run([sys.executable, "-c", code, *args],
+                              env=self._child_env(**settings),
                               capture_output=True, text=True, check=True)
         return done.stdout
 
@@ -504,6 +510,28 @@ class TestCli:
         assert "Traceback" not in captured.err
         assert not list(tmp_path.rglob("*.csv"))
 
+    def test_run_validates_once(self, tmp_path, monkeypatch):
+        # parse_path validates the config, and run does not check it again
+        calls = []
+
+        def counted(config):
+            calls.append(config)
+            return validate(config)
+
+        monkeypatch.setattr(config_module, "validate", counted)
+        monkeypatch.setattr(experiments, "validate", counted)
+        p = tmp_path / "run.cfg"
+        p.write_text(SMALL_RUN)
+        assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert len(calls) == 1
+
+    def test_bad_config_is_refused_before_a_bad_out(self, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_text(BAD_RUNS["resonant_plain_without_bath"])
+        (tmp_path / "file").write_text("")
+        assert cli_main(["run", str(p), "--out", str(tmp_path / "file")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_default_detunings_scale_with_omega(self, tmp_path):
         # the default detuning grid is in units of Omega, so at Omega = 0.4 its
         # most negative point, -0.5 Omega, puts omega_l at 0.2, not below 0
@@ -533,21 +561,53 @@ class TestCli:
             outs.append((outdir / "fidelity_vs_time.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    def _csvs(self, config: Path, outdir: Path, **settings: str) -> dict:
+        """{name: bytes} of the CSVs a fresh ``python -m oscbath.cli run`` writes."""
+        subprocess.run([sys.executable, "-m", "oscbath.cli", "run", str(config),
+                        "--out", str(outdir)],
+                       env=self._child_env(**settings), capture_output=True, check=True)
+        return {csv.name: csv.read_bytes() for csv in outdir.glob("*.csv")}
+
     # factorization_distance is left out: its one dense eigh moves with the BLAS
     # thread count (ROADMAP item 4), in all 360 rows of fig5p0
-    @pytest.mark.parametrize("name", ["fig3_recurrence", "fig9_11_driven"])
+    @pytest.mark.parametrize("name", ["fig2_variance", "fig3_recurrence", "fig4_correlation",
+                                      "fig5_fidelity_temperature", "fig6_8_two_oscillators",
+                                      "fig9_11_driven"])
     def test_csv_bytes_do_not_depend_on_the_blas_thread_count(self, name, tmp_path):
-        env = {key: value for key, value in os.environ.items() if key not in BLAS_THREAD_VARS}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-            str(Path(oscbath.__file__).resolve().parent.parent), env.get("PYTHONPATH")]))
-        outs = []
-        for sub, threads in (("default", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
-            outdir = tmp_path / sub
-            subprocess.run([sys.executable, "-m", "oscbath.cli", "run",
-                            str(CONFIG_DIR / f"{name}.cfg"), "--out", str(outdir)],
-                           env={**env, **threads}, capture_output=True, check=True)
-            outs.append({csv.name: csv.read_bytes() for csv in outdir.glob("*.csv")})
-        assert outs[0] and outs[0] == outs[1]
+        config = CONFIG_DIR / f"{name}.cfg"
+        default = self._csvs(config, tmp_path / "default")
+        assert default and default == self._csvs(config, tmp_path / "one",
+                                                 OPENBLAS_NUM_THREADS="1")
+
+    @pytest.mark.parametrize("preset", [None, "28"])
+    def test_cli_sets_the_openblas_wait_before_numpy_loads(self, preset):
+        # OpenBLAS reads how long its idle workers spin once, when NumPy loads
+        # it; the CLI shortens the wait unless the user has set one, and the
+        # package itself leaves the environment alone
+        code = ("import os, sys\n"
+                "wait = lambda: print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+                "class Spy:\n"
+                "    def find_spec(self, name, path=None, target=None):\n"
+                "        if name == 'numpy':\n"
+                "            wait()\n"
+                "sys.meta_path.insert(0, Spy())\n"
+                "import oscbath\n"
+                "wait()\n"
+                "import oscbath.cli\n")
+        settings = {} if preset is None else {"OPENBLAS_THREAD_TIMEOUT": preset}
+        out = self._python(code, **settings)
+        assert out.split() == [str(preset), preset or "24"]
+
+    def test_factorization_bytes_do_not_depend_on_the_openblas_wait(self, tmp_path):
+        # factorization_distance is the one CSV that moves with the BLAS thread
+        # count; how long idle workers spin must not move it (28 is OpenBLAS's own)
+        config = tmp_path / "factorization.cfg"
+        config.write_text((CONFIG_DIR / "fig5p0_factorization.cfg").read_text()
+                          .replace("samples = 120", "samples = 12")
+                          .replace("values = 0.0005, 0.002, 0.008", "values = 0.002"))
+        cli_wait = self._csvs(config, tmp_path / "cli")
+        assert cli_wait and cli_wait == self._csvs(config, tmp_path / "openblas",
+                                                   OPENBLAS_THREAD_TIMEOUT="28")
 
     def test_run_emits_declared_columns_and_echo(self, tmp_path):
         p = tmp_path / "run.cfg"

@@ -55,9 +55,9 @@ def run(config):
     So ``validate`` and ``oracle`` never load ``experiments`` or ``exact``.
     ``parse_path`` has validated the config, so it is not validated again.
     """
-    from .experiments import run as run_experiments
+    from .experiments import _results
 
-    return run_experiments(config, validated=True)
+    return _results(config)
 
 
 def _cmd_run(args) -> int:

@@ -283,16 +283,18 @@ _RUNNERS = {
 }
 
 
-def run(config: ScenarioConfig, *, validated: bool = False) -> list[ExperimentResult]:
+def run(config: ScenarioConfig) -> list[ExperimentResult]:
     """The results of ``config.experiments``, in order, on a config ``validate`` accepts.
 
     Raises ConfigError if ``validate`` refuses the config, and ArithmeticError
-    if a result holds a non-finite time or value.  ``validated=True`` skips the
-    check, for a config that ``validate`` has already accepted (``parse_config``
-    returns only such configs).
+    if a result holds a non-finite time or value.
     """
-    if not validated:
-        validate(config)
+    validate(config)
+    return _results(config)
+
+
+def _results(config: ScenarioConfig) -> list[ExperimentResult]:
+    """``run`` on a config that ``validate`` has accepted, without checking it again."""
     results = []
     for name in config.experiments:
         rows = _RUNNERS[name](config)

@@ -256,9 +256,9 @@ def validate(config: ScenarioConfig):
     per distinct point, and each point the rules of each experiment that
     evaluates it.  The rules on the Markov coefficients are those of the master
     equations, built once per point and label set in one ``markov_flows``
-    call, as ``run`` builds them; t_max times the 1-norm of each one's moment
-    generator must be finite.  A sweep that no requested experiment reads is
-    an error.
+    call, as ``run`` builds them; t_max times twice the 1-norm of each one's
+    drift, which sets the doublings of its flow, must be finite.  A sweep that
+    no requested experiment reads is an error.
     """
     c = config
     _check(c)
@@ -289,18 +289,18 @@ def validate(config: ScenarioConfig):
 
 def _check_equations(point: ScenarioConfig, labels):
     """ConfigError unless the master equations ``labels`` name at the point pass their own
-    rules, and t_max times the 1-norm of each one's moment generator is finite."""
+    rules, and t_max times twice the 1-norm of each one's drift A is finite."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SecularValidityWarning)
             flows = markov_flows(point, labels)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    with np.errstate(over="ignore"):  # the 1-norm of G t_max, which sets the squarings
-        norms = [np.abs(f.moment_generator * point.t_max).sum(axis=0).max() for f in flows]
+    with np.errstate(over="ignore"):  # t_max 2 ||A||_1, which sets the flow's doublings
+        norms = [2.0 * np.abs(f.drift).sum(axis=0).max() * point.t_max for f in flows]
     if not np.isfinite(norms).all():
         raise ConfigError(f"t_max = {point.t_max!r} is too long for the master equations: "
-                          "the 1-norm of their moment generator times t_max overflows")
+                          "twice the 1-norm of their drift times t_max overflows")
 
 
 def _check_point(name: str, point: ScenarioConfig):

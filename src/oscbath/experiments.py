@@ -31,7 +31,7 @@ from . import __version__
 from .bath import OhmicSpectrum, corr_c0, corr_ct, discretize, fwhh, omega_range
 from .config import ScenarioConfig, config_text, evaluations, parse_config, validate
 from .exact import FullPropagator, ReducedPropagator
-from .flows import BLOCK_ENTRIES, evolve_flow, markov_flows
+from .flows import evolve_flow, markov_flows
 from .gaussian import (PHYSICALITY_TOL, GaussianState, db_distance, fidelity_multi,
                        make_coherent, make_squeezed_vacuum, make_thermal, make_vacuum,
                        partial_trace, physicality_violation, tensor_product)
@@ -231,6 +231,10 @@ def _factorization_distance(config: ScenarioConfig) -> list:
                                                                    "factorization_distance")])
 
 
+# Matrix entries per stack of full states in the factorization's blocks of times
+BLOCK_ENTRIES = 2 ** 15
+
+
 def _factorization_curve(config: ScenarioConfig, times) -> np.ndarray:
     bath = _bath(config)
     # FullPropagator holds the one dense eigh of the package: a full state needs
@@ -238,7 +242,7 @@ def _factorization_curve(config: ScenarioConfig, times) -> np.ndarray:
     # path.  An arrowhead eigenbasis would do, but rounding in fidelity_multi at
     # near-pure bath modes dominates this full-state D_B, which moves by up to
     # 3.5e-5 at t = 0 (and 1.4e-9 later) under another, equally exact eigenbasis
-    # of W.  Once fidelity_multi is faithful there (ROADMAP item 4) and the
+    # of W.  Once fidelity_multi is faithful there (ROADMAP item 3) and the
     # golden rows are re-recorded, the basis can come from the arrowhead spectrum.
     bath_thermal = make_thermal(bath.frequencies, config.temperature)
     global0 = tensor_product(_system_state(config, 1), bath_thermal)

@@ -7,16 +7,11 @@ checks them once, and derives the affine flow they induce on Gaussian moments,
 
     d' = A d + c,      C' = A C + C A^T + D.
 
-Stacking the mean, the row-major vec(C) and a constant 1 into one vector s
-turns that flow into the linear ODE s' = G s with
-
-    G = [[A, 0, c], [0, A (+) A, vec D], [0, 0, 0]],
-
-where A (+) A = A kron 1 + 1 kron A is the Kronecker sum.  G is built once
-per generator; :func:`evolve_flow` takes one exponential of G t per time,
-all times of a trajectory in one stacked call that works through them in
-blocks of ``BLOCK_ENTRIES`` matrix entries, and :func:`steady_state` is G's
-fixed point.
+Its solution from (d0, C0) is d(t) = Phi d0 + r and C(t) = Phi C0 Phi^T + Q,
+with Phi = exp(A t) and the integrals r and Q of c and D carried along
+(Van Loan 1978).  :func:`evolve_flow` takes all times of a trajectory in one
+stacked call, each by a Taylor step and repeated doubling on 2n-square
+matrices, and :func:`steady_state` is the flow's fixed point.
 
 Each concrete equation only assembles its coefficients; :func:`markov_flows`
 takes them for a config point.  The same generator is what the Fock-space
@@ -67,8 +62,7 @@ class QuadraticLindblad:
     The complex mean obeys d<a>/dt = Z <a> - i f with
     Z = -i h - conj(K^E)/2 + K^A/2, which gives the drift A and mean drift c;
     the diffusion matrix follows from the covariance rate at the vacuum,
-    D = dC/dt|_vac - (A + A^T).  ``moment_generator`` is G of the module
-    docstring, the (2n + 4n^2 + 1)-square generator of the stacked moments.
+    D = dC/dt|_vac - (A + A^T).
     """
 
     h: np.ndarray
@@ -78,7 +72,6 @@ class QuadraticLindblad:
     drift: np.ndarray = field(init=False, repr=False)
     diffusion: np.ndarray = field(init=False, repr=False)
     mean_drift: np.ndarray = field(init=False, repr=False)
-    moment_generator: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         h = np.atleast_2d(np.asarray(self.h, dtype=complex))
@@ -130,19 +123,9 @@ class QuadraticLindblad:
             c = np.zeros(2 * n)
         else:
             c = np.sqrt(2.0) * np.concatenate([drive.imag, -drive.real])
-        dim = 2 * n
-        eye = np.eye(dim)
-        gen = np.zeros((dim + dim * dim + 1,) * 2)
-        gen[:dim, :dim] = a
-        gen[:dim, -1] = c
-        # the Kronecker sum kron(a, eye) + kron(eye, a), entry (i dim + k, j dim + l) =
-        # a_ij eye_kl + eye_ij a_kl, as np.kron forms its products
-        gen[dim:-1, dim:-1] = (a[:, None, :, None] * eye[None, :, None, :]
-                               + eye[:, None, :, None] * a[None, :, None, :]).reshape(dim * dim, -1)
-        gen[dim:-1, -1] = d.ravel()
         for name, value in (("h", h), ("k_emit", k_emit), ("k_abs", k_abs),
                             ("drive", drive), ("drift", a), ("diffusion", d),
-                            ("mean_drift", c), ("moment_generator", gen)):
+                            ("mean_drift", c)):
             object.__setattr__(self, name, value)
 
     @property
@@ -297,100 +280,86 @@ def markov_flows(point, labels) -> list[QuadraticLindblad]:
 
 
 def evolve_flow(flow: QuadraticLindblad, state: GaussianState, t) -> GaussianState:
-    """Exact solution of the moment ODEs at times t of any shape: s(t) = exp(G t) s(0).
+    """Exact solution of the moment ODEs at times t of any shape:
+    d(t) = Phi d(0) + r and C(t) = Phi C(0) Phi^T + Q (see :func:`_flow_maps`).
 
-    One exponential of ``flow.moment_generator`` per time, all in one stacked
-    call, carries the mean and the covariance of the single ``state`` together,
-    for any t and any drift, damped or not.  The result has t's shape as
-    leading axes, and its t = 0 entries are ``state``'s moments themselves.
+    All times are taken in one stacked call, for any t and any drift, damped or
+    not.  The result has t's shape as leading axes, and its t = 0 entries are
+    ``state``'s moments themselves.
     """
     if state.n_modes != flow.n_modes:
         raise ValueError("state and flow mode counts differ")
     t = np.asarray(t, dtype=float)
-    gen = flow.moment_generator * t[..., None, None]
-    # _expm takes its squarings from the 1-norm of G t.  An exact power-of-two
-    # weight w on the constant coordinate keeps the (c, vec D) column from
-    # setting that norm, which would cost a weakly damped flow 1e-11 by t = 1000.
-    const = np.abs(gen[..., :-1, -1]).sum(axis=-1)
-    dyn = np.abs(gen[..., :-1, :-1]).sum(axis=-2).max(axis=-1)
-    ratio = np.divide(dyn, const, out=np.ones_like(dyn), where=(const > dyn) & (dyn > 0))
-    w = 2.0 ** np.maximum(np.floor(np.log2(ratio)), -1022)  # so that 1/w stays finite
-    gen[..., :-1, -1] *= w[..., None]
-    moments = np.concatenate([state.mean, state.cov.ravel()])
-    s0 = np.concatenate([np.broadcast_to(moments, t.shape + moments.shape),
-                         (1.0 / w)[..., None]], axis=-1)
-    s = (_expm(gen)[..., :-1, :] @ s0[..., None])[..., 0]
-    return _unstack(flow.n_modes, np.where((t == 0)[..., None], moments, s))
+    phi, r, q = _flow_maps(flow, t.ravel())
+    mean = phi @ state.mean + r
+    cov = phi @ state.cov @ phi.mT + q
+    at_zero = (t == 0).ravel()
+    dim = 2 * flow.n_modes
+    return GaussianState(
+        flow.n_modes,
+        np.where(at_zero[:, None], state.mean, mean).reshape(t.shape + (dim,)),
+        np.where(at_zero[:, None, None], state.cov, cov).reshape(t.shape + (dim, dim)))
 
 
-# Higham (2005), Table 2.3: the largest 1-norm theta_13 at which the [13/13]
-# Pade approximant of exp is accurate to double precision, and its coefficients
-_THETA_13 = 5.371920351148152
-_B_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+# The base step: _TERMS Taylor terms, whose remainder is below 2^-55 where h times
+# 2 ||A||_1, a bound on the 1-norm of X -> A X + X A^T, is at most _THETA.  A larger
+# _THETA takes more terms and fewer doublings; 2 was chosen against 40 digits.
+_THETA = 2.0
+_TERMS = 24
 
 
-# Matrix entries per stack of temporaries: a stacked computation over many times
-# (the flow exponential here, the factorization's full states in experiments)
-# takes its times in blocks of at most this many entries, so that no temporary
-# grows with the sample count
-BLOCK_ENTRIES = 2 ** 15
+def _flow_maps(flow: QuadraticLindblad, t: np.ndarray):
+    """Phi = exp(A t), r = int_0^t exp(A s) c ds and Q = int_0^t exp(A s) D exp(A^T s) ds
+    at each time of the 1-D t (Van Loan, IEEE TAC 23, 395, 1978).
 
-
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp of each real square matrix of a stack, by Pade scaling and squaring (Higham 2005).
-
-    Order 13 on a / 2^s, squared s times, with s the fewest halvings that
-    bring the 1-norm to theta_13 (none at or below theta_13, where the ratio
-    may underflow to 0), each matrix its own.  The exact scaling by 2^-s comes
-    before any product, so no power of the unscaled matrix can overflow.  The
-    stack is taken in blocks of at most ``BLOCK_ENTRIES`` entries, which
-    leave each matrix's bits as they are in one stack.  Replaces
-    scipy.linalg.expm, whose import (with scipy.special's) is most of the
-    command line's start-up.
+    Each time takes the fewest halvings s that bring h = 2^-s t to
+    h 2 ||A||_1 <= theta.  At h, Phi and r are the top rows of
+    exp([[A, c], [0, 0]] h) and Q = sum_k h^(k+1) L^k(D) / (k+1)! with
+    L(X) = A X + X A^T, both by their Taylor series.  Then s doublings
+    r <- r + Phi r, Q <- Q + Phi Q Phi^T and Phi <- Phi^2 carry them to t.
+    Every product is of 2n-square matrices.  A damped flow's Phi decays to 0
+    while Q settles at the steady covariance, so the error does not grow
+    with t.
     """
-    dim = a.shape[-1]
-    stack = a.reshape(-1, dim, dim)
-    out = np.empty_like(stack)
-    step = max(1, BLOCK_ENTRIES // dim ** 2)
-    for start in range(0, len(stack), step):
-        out[start:start + step] = _expm_block(stack[start:start + step])
-    return out.reshape(a.shape)
-
-
-def _expm_block(a: np.ndarray) -> np.ndarray:
-    norm = np.abs(a).sum(axis=-2).max(axis=-1)
-    s = np.ceil(np.log2(np.fmax(norm / _THETA_13, 1.0))).astype(int)
-    eye = np.eye(a.shape[-1])
-    a = np.ldexp(a, -s[..., None, None])
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    b = _B_13
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-    r = np.linalg.solve(v - u, v + u)
+    a, c, d = flow.drift, flow.mean_drift, flow.diffusion
+    dim = a.shape[0]
+    with np.errstate(divide="ignore"):  # log2 of t = 0 or of a zero drift is -inf: s = 0
+        s = np.ceil(np.log2(t) + np.log2(2.0 * np.abs(a).sum(axis=0).max() / _THETA))
+    s = np.fmax(s, 0.0).astype(int)
+    h = np.ldexp(t, -s)[:, None, None]
+    ah = a * h
+    # the top rows of ([[A, c], [0, 0]] h)^k / k!, and their sum from k = 0
+    term = np.concatenate([ah, c[:, None] * h], axis=-1)
+    top = term.copy()
+    top[:, :, :dim] += np.eye(dim)
+    part = d * h  # h^(k+1) L^k(D) / (k+1)!, each symmetric
+    q = part.copy()
+    for k in range(2, _TERMS + 1):
+        term = ah @ term / k
+        top += term
+        x = ah @ part
+        part = (x + x.mT) / k
+        q += part
+    phi, r = top[:, :, :dim], top[:, :, dim]
     for k in range(s.max(initial=0)):
         more = s > k
-        r[more] = r[more] @ r[more]
-    return r
+        p = phi[more]
+        r[more] += (p @ r[more, :, None])[..., 0]
+        q[more] += p @ q[more] @ p.mT
+        phi[more] = p @ p
+    return phi, r, q
 
 
 def steady_state(flow: QuadraticLindblad) -> GaussianState:
-    """Fixed point of the flow, G s = 0: A C + C A^T + D = 0 and A d + c = 0."""
-    eig = np.linalg.eigvals(flow.drift)
+    """Fixed point of the flow: A C + C A^T + D = 0 and A d + c = 0."""
+    a = flow.drift
+    eig = np.linalg.eigvals(a)
     if eig.real.max() >= 0:
         raise ArithmeticError(
             f"drift matrix is not Hurwitz (max Re eigenvalue {eig.real.max():.3g}); "
             "no unique steady state")
-    gen = flow.moment_generator
-    return _unstack(flow.n_modes, -np.linalg.solve(gen[:-1, :-1], gen[:-1, -1]))
-
-
-def _unstack(n_modes: int, s: np.ndarray) -> GaussianState:
-    """The states whose stacked moments (mean, row-major vec C) lie along s's last axis."""
-    dim = 2 * n_modes
-    return GaussianState(n_modes, s[..., :dim], s[..., dim:].reshape(s.shape[:-1] + (dim, dim)))
+    # the Kronecker sum A (+) A acts as X -> A X + X A^T on the row-major vec X
+    eye = np.eye(a.shape[0])
+    vec = np.linalg.solve(np.kron(a, eye) + np.kron(eye, a), flow.diffusion.ravel())
+    return GaussianState(flow.n_modes, -np.linalg.solve(a, flow.mean_drift),
+                         -vec.reshape(a.shape))

@@ -15,8 +15,8 @@ superoperator's 1-norm before taking any, and refuse a plan above
 plan that a lower bound on that norm, read off the generator's coefficients,
 already puts above them is refused before the superoperator is assembled.
 It loads NumPy only and shares no numerics with the flows it checks, which
-take a Padé exponential of the moment generator.  Scope is deliberately small
-(1-2 modes, low occupation) so runs stay seconds-fast.
+take a Taylor step and doublings on 2n-square matrices.  Scope is
+deliberately small (1-2 modes, low occupation) so runs stay seconds-fast.
 """
 
 from __future__ import annotations

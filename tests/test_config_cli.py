@@ -24,6 +24,7 @@ from oscbath.config import (DEFAULT_DETUNING_GRID, DRIVE_VARIANTS, EXPERIMENTS,
                             ScenarioConfig, config_text, parse_config, sweep_points,
                             validate)
 from oscbath.experiments import ExperimentResult, config_from_csv
+from oscbath.flows import markov_flows, steady_state
 from oscbath.gaussian import GaussianState
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -219,8 +220,7 @@ BAD_RUNS = {
     .replace("= fidelity_vs_time", "= variance_trajectory"),
     "equal_tails_mass_rounds_to_zero": NO_SWEEP.replace(
         "range_mode = floor", "range_mode = equal_tails\nrange_omega_min = 1e-170"),
-    # t_max times the 1-norm of a flow's moment generator overflows: the Pade
-    # exponential could not count its squarings
+    # t_max times twice the 1-norm of a flow's drift, which sets its doublings, overflows
     "t_max_overflows_the_flow_exponential": NO_SWEEP.replace("t_max = 8", "t_max = 1.7e308")
     .replace("= fidelity_vs_time", "= variance_trajectory"),
 }
@@ -233,7 +233,7 @@ BAD_RUN_MESSAGES = {
     "squeeze_overflow": "initial_squeeze = 1e+272 overflows",
     "equal_tails_mass_rounds_to_zero": "range_omega_min = 1e-170 is too small",
     "t_max_overflows_the_flow_exponential": "t_max = 1.7e+308 is too long for the master "
-    "equations: the 1-norm of their moment generator times t_max overflows",
+    "equations: twice the 1-norm of their drift times t_max overflows",
     "resonant_plain_without_bath": "omega_l = 1.0 is within 1e-12 of omega = 1.0 with no bath: "
     "W - omega_l is singular",
     "near_resonant_plain_without_bath": "omega_l = 1.0000000000001 is within 1e-12 of omega = "
@@ -569,7 +569,7 @@ class TestCli:
         return {csv.name: csv.read_bytes() for csv in outdir.glob("*.csv")}
 
     # factorization_distance is left out: its one dense eigh moves with the BLAS
-    # thread count (ROADMAP item 4), in all 360 rows of fig5p0
+    # thread count (ROADMAP item 3), in all 360 rows of fig5p0
     @pytest.mark.parametrize("name", ["fig2_variance", "fig3_recurrence", "fig4_correlation",
                                       "fig5_fidelity_temperature", "fig6_8_two_oscillators",
                                       "fig9_11_driven"])
@@ -760,18 +760,38 @@ class TestCli:
         assert "min eig(C + i sigma) = -5.000e-01" in err
         assert not list((tmp_path / "o").glob("*.csv"))
 
-    def test_flow_state_gate_catches_a_very_long_t_max(self, tmp_path, capsys):
-        # validate accepts t_max = 1e305; the flow's exponential stays finite (its
-        # scaling comes before its first product), and its rounding, which grows
-        # linearly in t, leaves C = 0 long before: the gate refuses that state
+    def test_unphysical_flow_state_is_a_numeric_failure(self, tmp_path, capsys, monkeypatch):
+        # the Markov side passes the same gate as the exact one
+        def below_vacuum(flow, state, t):
+            shape = np.shape(t) + (2 * state.n_modes,)
+            return GaussianState(state.n_modes, np.zeros(shape),
+                                 np.broadcast_to(0.5 * np.eye(shape[-1]), shape + shape[-1:]))
+
+        monkeypatch.setattr(experiments, "evolve_flow", below_vacuum)
         p = tmp_path / "run.cfg"
-        p.write_text(NO_SWEEP.replace("t_max = 8", "t_max = 1e305")
-                     .replace("= fidelity_vs_time", "= variance_trajectory"))
-        assert cli_main(["validate", str(p)]) == EXIT_OK
+        p.write_text(NO_SWEEP.replace("= fidelity_vs_time", "= variance_trajectory"))
         assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
         err = capsys.readouterr().err
-        assert "numeric failure: unphysical flow state (label True) at t = " in err
+        assert err.startswith("numeric failure: unphysical flow state (label True) at t = 0:")
+        assert "min eig(C + i sigma) = -5.000e-01" in err
         assert not list((tmp_path / "o").glob("*.csv"))
+
+    def test_a_very_long_t_max_reaches_the_steady_state(self, tmp_path):
+        # at t_max = 1e305 each flow takes about a thousand doublings, and its
+        # rows at t_max are its fixed point's 2 (dx)^2
+        text = (NO_SWEEP.replace("t_max = 8", "t_max = 1e305")
+                .replace("= fidelity_vs_time", "= variance_trajectory"))
+        p = tmp_path / "run.cfg"
+        p.write_text(text)
+        assert cli_main(["validate", str(p)]) == EXIT_OK
+        assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK
+        csv = (tmp_path / "o" / "variance_trajectory.csv").read_text()
+        rows = [l.split(",") for l in csv.splitlines() if not l.startswith("#")][1:]
+        at_end = {row[3]: float(row[4]) for row in rows if float(row[2]) == 1e305}
+        shifted, bare = markov_flows(parse_config(text), (True, False))
+        for quantity, flow in (("var2x_markov_shift", shifted), ("var2x_markov_noshift", bare)):
+            assert at_end[quantity] == pytest.approx(steady_state(flow).cov[0, 0], rel=0,
+                                                     abs=1e-12)
 
     @pytest.mark.parametrize("case", sorted(PLAN_RUNS))
     def test_validate_checks_every_point_run_evaluates(self, case, monkeypatch):

@@ -328,8 +328,9 @@ class TestCallCounts:
     def test_compare_takes_one_exponential_call_per_flow(self, base, labels, samples,
                                                           monkeypatch):
         calls = []
-        expm = flows._expm
-        monkeypatch.setattr(flows, "_expm", lambda a: calls.append(a.shape) or expm(a))
+        flow_maps = flows._flow_maps
+        monkeypatch.setattr(flows, "_flow_maps",
+                            lambda flow, t: calls.append(t.shape) or flow_maps(flow, t))
         cfg = ScenarioConfig(**{**base, "bath_modes": 20, "samples": samples})
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)

@@ -244,6 +244,24 @@ class TestFlowMaps:
             assert stacked[index].cov.tobytes() == alone.cov.tobytes(), t
 
 
+class TestExpm:
+    @pytest.mark.parametrize("budget", [1, 50, 3 * 21 ** 2])
+    def test_blocks_equal_one_stack_bit_for_bit(self, budget):
+        # Phi = exp(A t), r and Q of a two-mode flow (4 x 4) on a (3, 5) grid whose
+        # doublings run from 0 past 8: blocks of at most `budget` entries of Phi,
+        # one, three or all fifteen times, give the bits of one stack
+        flow = flow_two_small_beta((1.0, 1.2), 0.1, (0.05, 0.08), (0.2, 0.5))
+        times = np.array([[0.0, 0.3, 7.0, 40.0, 2.5], [250.0, 0.0, 600.0, 900.0, 1.0],
+                          [3.0, 11.0, 0.01, 77.0, 5e3]]).ravel()
+        whole = _flow_maps(flow, times)
+        step = max(1, budget // (2 * flow.n_modes) ** 2)
+        blocks = [_flow_maps(flow, times[start:start + step])
+                  for start in range(0, times.size, step)]
+        for got, ref in zip(map(np.concatenate, zip(*blocks)), whole):
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+
 class TestFlowSingle:
     def test_drift_and_diffusion_structure(self):
         flow = flow_single(1.3, 0.05, 0.4)

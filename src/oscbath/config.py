@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .bath import OhmicSpectrum, corr_ct, tail_mass
+from .bath import OhmicSpectrum, corr_ct, discretize, omega_range, tail_mass
 from .flows import DRIVE_VARIANTS, EQUATIONS, SecularValidityWarning, markov_flows
 from .gaussian import SINGULAR_TOL, singular_eigenvalue
 
@@ -256,15 +256,15 @@ def validate(config: ScenarioConfig):
     per distinct point, and each point the rules of each experiment that
     evaluates it.  The rules on the Markov coefficients are those of the master
     equations, built once per point and label set in one ``markov_flows``
-    call, as ``run`` builds them; t_max times twice the 1-norm of each one's
-    drift, which sets the doublings of its flow, must be finite.  A sweep that
-    no requested experiment reads is an error.
+    call, as ``run`` builds them.  At each point whose exact side is evolved,
+    t_max times a bound on its frequencies must be finite (``_check_phases``).
+    A sweep that no requested experiment reads is an error.
     """
     c = config
     _check(c)
     if not c.experiments:
         raise ConfigError("config requests no experiments ([output] experiments=...)")
-    checked, built = {c}, set()
+    checked, built, propagated = {c}, set(), set()
     for name in c.experiments:
         if name not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {name!r}; choose from {tuple(EXPERIMENTS)}")
@@ -279,6 +279,9 @@ def validate(config: ScenarioConfig):
                 if labels and (point, labels) not in built:
                     built.add((point, labels))
                     _check_equations(point, labels)
+                if name != "correlation_study" and point not in propagated:
+                    propagated.add(point)
+                    _check_phases(point)
             except ConfigError as exc:
                 where = "" if value == "" else f" at {parameter} = {_fmt(value)}"
                 raise ConfigError(f"{name}{where}: {exc}") from None
@@ -289,18 +292,51 @@ def validate(config: ScenarioConfig):
 
 def _check_equations(point: ScenarioConfig, labels):
     """ConfigError unless the master equations ``labels`` name at the point pass their own
-    rules, and t_max times twice the 1-norm of each one's drift A is finite."""
+    rules."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SecularValidityWarning)
-            flows = markov_flows(point, labels)
+            markov_flows(point, labels)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    with np.errstate(over="ignore"):  # t_max 2 ||A||_1, which sets the flow's doublings
-        norms = [2.0 * np.abs(f.drift).sum(axis=0).max() * point.t_max for f in flows]
-    if not np.isfinite(norms).all():
-        raise ConfigError(f"t_max = {point.t_max!r} is too long for the master equations: "
-                          "twice the 1-norm of their drift times t_max overflows")
+
+
+def _check_phases(point: ScenarioConfig):
+    """ConfigError unless t_max times ``_frequency_bound(point)`` is finite: the exact
+    states take cos and sin of lambda t for each eigenvalue lambda of W."""
+    bound = _frequency_bound(point)
+    if not math.isfinite(point.t_max * bound):
+        raise ConfigError(f"t_max = {point.t_max!r} is too long for the exact evolution: "
+                          f"t_max times the bound {bound:.3g} on the frequencies of W overflows")
+
+
+def _frequency_bound(point: ScenarioConfig) -> float:
+    """A bound on |lambda| over the eigenvalues lambda of the point's W (of W - omega_l
+    in a drive's frame), from its bath's window and couplings; no spectrum is built.
+
+    By Weyl each lambda lies within ||g|| of the range of W's diagonal: the system
+    frequencies (Omega +- beta for a pair) and the bath window.
+    """
+    diagonal = ([point.omega - point.beta, point.omega + point.beta]
+                if point.scenario == "two_coupled" else [point.omega])
+    radius = 0.0
+    bath = _bath(point)
+    if bath is not None:
+        diagonal += [float(bath.frequencies[0]), float(bath.frequencies[-1])]
+        radius = float(np.linalg.norm(bath.couplings))
+    frame = point.omega_l if point.scenario == "driven" else 0.0
+    return max(abs(min(diagonal) - frame - radius), abs(max(diagonal) - frame + radius))
+
+
+def _bath(point: ScenarioConfig):
+    """The point's discretized bath, which its exact side evolves; None without modes."""
+    if point.bath_modes == 0:
+        return None
+    spectrum = OhmicSpectrum(point.alpha, point.omega_c)
+    omega_min = point.range_omega_min if point.range_omega_min > 0 else None
+    rng = omega_range(spectrum, point.range_mode, floor=point.range_floor,
+                      omega_min=omega_min)
+    return discretize(spectrum, point.bath_modes, rng)
 
 
 def _check_point(name: str, point: ScenarioConfig):

@@ -14,9 +14,10 @@ takes their coefficients), evolves each over all times at once, and through
 unphysical; the factorization's full states pass the same gate, a block of
 times at a time.  The private runners check nothing else and choose nothing:
 each evaluates the plan ``config.evaluations`` gives for its experiment, the
-points and master equations ``config.validate`` checked.  Fidelity over time
-and the recurrence map are one runner, ``_swept_curves``, and both suites are
-another, ``_suite``.
+points and master equations ``config.validate`` checked.  The four
+exact-vs-Markov curve experiments (fidelity over time, the recurrence map and
+both suites) are one runner, ``_curves``, whose table ``_CURVES`` gives each its
+metric and quantity; it is the one place that names a plan entry in the CSV.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from itertools import cycle, repeat
 import numpy as np
 
 from . import __version__
-from .bath import OhmicSpectrum, corr_c0, corr_ct, discretize, fwhh, omega_range
-from .config import ScenarioConfig, config_text, evaluations, parse_config, validate
+from .bath import OhmicSpectrum, corr_c0, corr_ct, fwhh
+from .config import (ScenarioConfig, _bath, _fmt, config_text, evaluations, parse_config,
+                     validate)
 from .exact import FullPropagator, ReducedPropagator
 from .flows import evolve_flow, markov_flows
 from .gaussian import (PHYSICALITY_TOL, GaussianState, db_distance, fidelity_multi,
@@ -43,10 +45,6 @@ CSV_HEADER = "sweep_param,sweep_value,t,quantity,value"
 _CONVENTION_NOTE = ("x=(a+a^dag)/sqrt(2), block (x...,p...) ordering, vacuum "
                     "covariance = identity; driven runs are reported in the "
                     "frame rotating at omega_l")
-
-
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 @dataclass
@@ -64,7 +62,7 @@ class ExperimentResult:
             lines.append(f"# {line}" if line else "#")
         lines.append(CSV_HEADER)
         for sweep_param, sweep_value, t, quantity, value in self.rows:
-            lines.append(f"{sweep_param},{sweep_value},{_g17(t)},{quantity},{_g17(value)}")
+            lines.append(f"{sweep_param},{sweep_value},{_fmt(t)},{quantity},{_fmt(value)}")
         return "\n".join(lines) + "\n"
 
 
@@ -88,16 +86,6 @@ def config_from_csv(text: str) -> ScenarioConfig:
 
 def _spectrum(config: ScenarioConfig) -> OhmicSpectrum:
     return OhmicSpectrum(config.alpha, config.omega_c)
-
-
-def _bath(config: ScenarioConfig):
-    if config.bath_modes == 0:
-        return None
-    spectrum = _spectrum(config)
-    omega_min = config.range_omega_min if config.range_omega_min > 0 else None
-    rng = omega_range(spectrum, config.range_mode, floor=config.range_floor,
-                      omega_min=omega_min)
-    return discretize(spectrum, config.bath_modes, rng)
 
 
 def _system_state(config: ScenarioConfig, n_modes: int) -> GaussianState:
@@ -153,7 +141,7 @@ def _require_physical(side: str, times, states: GaussianState):
     bad = np.flatnonzero(lowest < PHYSICALITY_TOL)
     if bad.size:
         i = bad[0]
-        raise ArithmeticError(f"unphysical {side} at t = {_g17(times[i])}: min eig(C + i sigma) "
+        raise ArithmeticError(f"unphysical {side} at t = {_fmt(times[i])}: min eig(C + i sigma) "
                               f"= {lowest[i]:.3e} < {PHYSICALITY_TOL:g}; no CSV written")
 
 
@@ -186,26 +174,6 @@ def _variance_trajectory(config: ScenarioConfig) -> list:
                     cycle(_VARIANCE_QUANTITIES[:len(sides)]), values))
 
 
-# swept-curve experiment -> (metric of exact and flow states, its quantity)
-_CURVE_METRICS = {"fidelity_vs_time": (fidelity_multi, "fidelity"),
-                  "recurrence_map": (db_distance, "bures_db")}
-
-
-def _swept_curves(name: str, config: ScenarioConfig) -> list:
-    """The metric between the exact and each Markovian trajectory over time, at each
-    point of the plan: a sweep point's one curve is named by its value, and each curve
-    of an entry at the config by its label."""
-    metric, quantity = _CURVE_METRICS[name]
-    times = _times(config)
-    curves = []
-    for param, value, point, labels in evaluations(config, name):
-        exact, states = _compare(point, labels, times)
-        curves += ([(_LABEL_COLUMN[point.scenario], label, quantity, metric(exact, s))
-                    for label, s in zip(labels, states)] if value == "" else
-                   [(param, _g17(value), quantity, metric(exact, states[0]))])
-    return _rows(times, curves)
-
-
 def _correlation_study(config: ScenarioConfig) -> list:
     """|C(s,T)| curves and FWHH(T), plus the zero-temperature kernel."""
     spec = _spectrum(config)
@@ -215,10 +183,10 @@ def _correlation_study(config: ScenarioConfig) -> list:
     rows = _rows(s_grid, [("none", "", "abs_corr_c0", np.abs(corr_c0(spec, s_grid)))])
     rows.append(("none", "", 0.0, "fwhh_c0", fwhh(lambda s: abs(corr_c0(spec, s)), bound)))
     for param, temp, _, _ in evaluations(config, "correlation_study"):
-        rows += _rows(s_grid, [(param, _g17(temp), "abs_corr_ct",
+        rows += _rows(s_grid, [(param, _fmt(temp), "abs_corr_ct",
                                 np.abs(corr_ct(spec, s_grid, temp)))])
         # the thermal kernel broadens like 1/T, so the width search must too
-        rows.append((param, _g17(temp), 0.0, "fwhh_ct",
+        rows.append((param, _fmt(temp), 0.0, "fwhh_ct",
                      fwhh(lambda s: abs(corr_ct(spec, s, temp)), max(bound, 10.0 / temp))))
     return rows
 
@@ -226,7 +194,7 @@ def _correlation_study(config: ScenarioConfig) -> list:
 def _factorization_distance(config: ScenarioConfig) -> list:
     """D_B between the full evolved state and the product ansatz rho_S(t) x rho_th."""
     times = _times(config)
-    return _rows(times, [(param, _g17(value), "bures_db", _factorization_curve(point, times))
+    return _rows(times, [(param, _fmt(value), "bures_db", _factorization_curve(point, times))
                          for param, value, point, _ in evaluations(config,
                                                                    "factorization_distance")])
 
@@ -259,31 +227,44 @@ def _factorization_curve(config: ScenarioConfig, times) -> np.ndarray:
     return curve
 
 
-def _suite(name: str, config: ScenarioConfig) -> list:
-    """A suite's fidelities: each label's curve over time at the config, each label's
-    fidelity at t_max at every other point of the plan, and for a pair the fidelity
-    between the two equations' states over time."""
+# curve experiment -> (metric between exact and flow states, its quantity, whether a
+# point other than the config reports each label's value at t_max only)
+_CURVES = {"fidelity_vs_time": (fidelity_multi, "fidelity", False),
+           "recurrence_map": (db_distance, "bures_db", False),
+           "two_oscillator_suite": (fidelity_multi, "fidelity", True),
+           "driven_suite": (fidelity_multi, "fidelity", True)}
+
+
+def _curves(name: str, config: ScenarioConfig) -> list:
+    """The metric between the exact and each Markovian trajectory, at each entry of the
+    plan.  An entry at the config gives each label's curve over time, and in a pair's
+    suite the fidelity between the two equations' states over time.  Any other point
+    gives its one curve, or in a suite each label's value at t_max."""
+    metric, quantity, ends_only = _CURVES[name]
     times, t_end = _times(config), config.t_max
     curves, ends, between = [], [], []
     for param, value, point, labels in evaluations(config, name):
-        exact, states = _compare(point, labels, times if value == "" else [t_end])
-        if value != "":
-            ends += [(param, _g17(value), f"fidelity_{label}", fidelity_multi(exact, s))
-                     for label, s in zip(labels, states)]
-        else:
-            curves += [(_LABEL_COLUMN[point.scenario], label, "fidelity",
-                        fidelity_multi(exact, s)) for label, s in zip(labels, states)]
-            if point.scenario == "two_coupled":
+        at_end = ends_only and value != ""
+        exact, states = _compare(point, labels, [t_end] if at_end else times)
+        scores = [metric(exact, s) for s in states]
+        if value == "":
+            curves += [(_LABEL_COLUMN[point.scenario], label, quantity, score)
+                       for label, score in zip(labels, scores)]
+            if ends_only and point.scenario == "two_coupled":
                 between = [(param, value, "fidelity_between_equations", fidelity_multi(*states))]
+        elif at_end:
+            ends += [(param, _fmt(value), f"{quantity}_{label}", score)
+                     for label, score in zip(labels, scores)]
+        else:
+            curves.append((param, _fmt(value), quantity, scores[0]))
     return _rows(times, curves) + _rows([t_end], ends) + _rows(times, between)
 
 
 _RUNNERS = {
     "variance_trajectory": _variance_trajectory,
-    **{name: partial(_swept_curves, name) for name in _CURVE_METRICS},
+    **{name: partial(_curves, name) for name in _CURVES},
     "correlation_study": _correlation_study,
     "factorization_distance": _factorization_distance,
-    **{suite: partial(_suite, suite) for suite in ("two_oscillator_suite", "driven_suite")},
 }
 
 

@@ -318,8 +318,11 @@ def _flow_maps(flow: QuadraticLindblad, t: np.ndarray):
     L(X) = A X + X A^T, both by their Taylor series.  Then s doublings
     r <- r + Phi r, Q <- Q + Phi Q Phi^T and Phi <- Phi^2 carry them to t.
     Every product is of 2n-square matrices.  A damped flow's Phi decays to 0
-    while Q settles at the steady covariance, so the error does not grow
-    with t.
+    while Q settles at the steady covariance, so the error stops growing once
+    t passes the relaxation time 1/gamma.  Before that each doubling compounds
+    the rounding of Phi's decay, and the error is about eps omega_bar
+    min(t, 1/gamma) times the covariance's scale: 3e-14 at gamma = 1e-2, up to
+    3e-10 at gamma = 1e-6.
     """
     a, c, d = flow.drift, flow.mean_drift, flow.diffusion
     dim = a.shape[0]

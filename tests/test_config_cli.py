@@ -21,8 +21,9 @@ from oscbath import config as config_module
 from oscbath.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, cli_main
 from oscbath.config import (DEFAULT_DETUNING_GRID, DRIVE_VARIANTS, EXPERIMENTS,
                             INITIAL_STATES, RANGE_MODES, SCENARIOS, ConfigError,
-                            ScenarioConfig, config_text, parse_config, sweep_points,
-                            validate)
+                            ScenarioConfig, config_text, evaluations, parse_config,
+                            sweep_points, validate)
+from oscbath.exact import ReducedPropagator
 from oscbath.experiments import ExperimentResult, config_from_csv
 from oscbath.flows import markov_flows, steady_state
 from oscbath.gaussian import GaussianState
@@ -220,8 +221,13 @@ BAD_RUNS = {
     .replace("= fidelity_vs_time", "= variance_trajectory"),
     "equal_tails_mass_rounds_to_zero": NO_SWEEP.replace(
         "range_mode = floor", "range_mode = equal_tails\nrange_omega_min = 1e-170"),
-    # t_max times twice the 1-norm of a flow's drift, which sets its doublings, overflows
-    "t_max_overflows_the_flow_exponential": NO_SWEEP.replace("t_max = 8", "t_max = 1.7e308")
+    # t_max times a bound on the frequencies of W, the exact states' phases, overflows;
+    # at 5e306 only the equal_tails window (omega_max = 52.3, against 15.2 for the
+    # floor) takes it past DBL_MAX
+    "t_max_overflows_the_exact_phases": NO_SWEEP.replace("t_max = 8", "t_max = 1.7e308")
+    .replace("= fidelity_vs_time", "= variance_trajectory"),
+    "t_max_5e306_overflows_the_phases": NO_SWEEP.replace("t_max = 8", "t_max = 5e306")
+    .replace("range_mode = floor", "range_mode = equal_tails")
     .replace("= fidelity_vs_time", "= variance_trajectory"),
 }
 
@@ -232,8 +238,10 @@ BAD_RUN_MESSAGES = {
     "decay_rate_overflow": "pi*J(nu) at nu = 1.0 is not finite (alpha = 1e+308",
     "squeeze_overflow": "initial_squeeze = 1e+272 overflows",
     "equal_tails_mass_rounds_to_zero": "range_omega_min = 1e-170 is too small",
-    "t_max_overflows_the_flow_exponential": "t_max = 1.7e+308 is too long for the master "
-    "equations: twice the 1-norm of their drift times t_max overflows",
+    "t_max_overflows_the_exact_phases": "t_max = 1.7e+308 is too long for the exact "
+    "evolution: t_max times the bound 15.5 on the frequencies of W overflows",
+    "t_max_5e306_overflows_the_phases": "t_max = 5e+306 is too long for the exact evolution: "
+    "t_max times the bound 52.5 on the frequencies of W overflows",
     "resonant_plain_without_bath": "omega_l = 1.0 is within 1e-12 of omega = 1.0 with no bath: "
     "W - omega_l is singular",
     "near_resonant_plain_without_bath": "omega_l = 1.0000000000001 is within 1e-12 of omega = "
@@ -821,6 +829,23 @@ class TestCli:
         assert bool(seen["run"]) == (case not in ("correlation_study", "factorization_distance",
                                                   "bathless_variance_trajectory",
                                                   "fig4_correlation", "fig5p0_factorization"))
+
+    @pytest.mark.parametrize("case", sorted(PLAN_RUNS))
+    def test_frequency_bound_holds_at_every_evolved_point(self, case):
+        # validate refuses a t_max whose product with the bound overflows, so the bound
+        # must hold for every eigenvalue whose phase lambda t the exact side takes
+        config = parse_config(PLAN_RUNS[case])
+        for name in set(config.experiments) - {"correlation_study"}:
+            for _, _, point, _ in evaluations(config, name):
+                pair = point.scenario == "two_coupled"
+                drive = (point.rabi, point.omega_l) if point.scenario == "driven" else None
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    exact = ReducedPropagator.build(point.omega, config_module._bath(point),
+                                                    beta=point.beta if pair else None,
+                                                    drive=drive)
+                lam = np.concatenate([sector.eigenvalues for sector in exact.sectors])
+                assert np.abs(lam).max() <= config_module._frequency_bound(point)
 
     @pytest.mark.parametrize("experiment", ["correlation_study", "factorization_distance"])
     def test_experiment_without_markov_rates_runs_far_in_the_tail(self, experiment, tmp_path):

@@ -202,6 +202,21 @@ class TestHighPrecisionReferee:
             assert np.abs(out.cov - cov).max() <= 1e-13, t
 
 
+    @pytest.mark.parametrize("gamma", [1e-2, 1e-4, 1e-6])
+    def test_error_at_weak_damping_is_bounded_by_the_relaxation_time(self, gamma):
+        # each doubling compounds the rounding of |Phi|'s decay e^{-gamma t}, so the
+        # error grows like eps omega_bar min(t, 1/gamma) (2 nbar + 1): measured up to
+        # 1.9 times that for gamma from 1e-2 to 1e-8.  From the vacuum,
+        # C(t) = (2 nbar + 1) - 2 nbar e^{-2 gamma t} times the identity
+        omega_bar, nbar = 1.0, 0.2
+        t = np.array([0.1, 1.0, 10.0, 100.0]) / gamma
+        out = evolve_flow(flow_single(omega_bar, gamma, nbar), make_vacuum(1), t)
+        exact = (2 * nbar + 1) - 2 * nbar * np.exp(-2 * gamma * t)
+        error = np.abs(out.cov - exact[:, None, None] * np.eye(2)).max(axis=(1, 2))
+        scale = np.finfo(float).eps * omega_bar * np.minimum(t, 1 / gamma) * (2 * nbar + 1)
+        assert (error <= 4 * scale).all(), error / scale
+
+
 class TestFlowMaps:
     @settings(max_examples=60, deadline=None)
     @given(generators_and_states())

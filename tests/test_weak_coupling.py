@@ -1,0 +1,103 @@
+"""Weak-coupling referee: the single oscillator's Markov flow against the exact bath.
+
+As alpha -> 0 the shifted Markov flow of one oscillator must converge to the
+exact reduced dynamics, and nearby coefficients must not.  Each rung of the
+ladder has Omega = 1, omega_c = 3, T = 1, an ``equal_tails`` window, a coherent
+start, t_max = 2/gamma and M = ceil(1.5 t_max (omega_max - omega_min) / 2 pi)
+bath modes, so no echo of the finite bath arrives before t_max.  The error is
+max over 60 times of 1 - F.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from oscbath.bath import OhmicSpectrum, bose_occupation, decay_rate, lamb_shift, omega_range
+from oscbath.config import ScenarioConfig
+from oscbath.experiments import _compare
+from oscbath.gaussian import GaussianState, fidelity_multi
+
+ALPHAS = (0.01, 0.005, 0.0025)
+MUTATION_ALPHA = 0.005
+
+
+def ladder_point(alpha: float) -> ScenarioConfig:
+    spectrum = OhmicSpectrum(alpha, 3.0)
+    t_max = 2.0 / decay_rate(spectrum, 1.0)
+    omega_min, omega_max = omega_range(spectrum, "equal_tails")
+    modes = math.ceil(1.5 * t_max * (omega_max - omega_min) / (2 * math.pi))
+    return ScenarioConfig(omega=1.0, alpha=alpha, omega_c=3.0, temperature=1.0,
+                          bath_modes=modes, initial="coherent", initial_coherent_re=1.0,
+                          t_max=t_max, samples=60, experiments=("fidelity_vs_time",))
+
+
+def single_flow_states(state: GaussianState, times, omega_bar, gamma, nbar) -> GaussianState:
+    """The closed-form moments of the flow A = [[-gamma, omega_bar], [-omega_bar, -gamma]],
+    D = 2 gamma (2 nbar + 1) I, independent of ``oscbath.flows``."""
+    decay = np.exp(-gamma * times)
+    c, s = np.cos(omega_bar * times), np.sin(omega_bar * times)
+    rotation = np.stack([np.stack([c, s], -1), np.stack([-s, c], -1)], -2)
+    mean = decay[:, None] * (rotation @ state.mean)
+    cov = (decay ** 2)[:, None, None] * (rotation @ state.cov @ rotation.mT)
+    cov += ((1 - decay ** 2) * (2 * nbar + 1))[:, None, None] * np.eye(2)
+    return GaussianState(1, mean, cov)
+
+
+def error(exact: GaussianState, markov: GaussianState) -> float:
+    return float((1.0 - fidelity_multi(exact, markov)).max())
+
+
+@pytest.fixture(scope="module")
+def ladder():
+    """alpha -> (point, times, exact states, the package's shifted flow states)."""
+    out = {}
+    for alpha in ALPHAS:
+        point = ladder_point(alpha)
+        times = np.linspace(0.0, point.t_max, point.samples)
+        exact, (flow,) = _compare(point, (True,), times)
+        out[alpha] = point, times, exact, flow
+    return out
+
+
+def test_shifted_flow_error_falls_with_alpha(ladder):
+    # measured 2.5e-3, 2.3e-4 and 2.9e-5: about 8x per halving of alpha
+    errors = [error(*ladder[alpha][2:]) for alpha in ALPHAS]
+    assert errors[0] < 1e-2, errors
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse >= 2.0 * fine, errors
+
+
+# each wrong coefficient set, as a function of the right (omega, shift, gamma, nbar)
+MUTATIONS = {
+    "no_shift": lambda w, shift, g, n: (w, g, n),
+    "shift_sign_flipped": lambda w, shift, g, n: (w - shift, g, n),
+    "nbar_plus_one": lambda w, shift, g, n: (w + shift, g, n + 1.0),
+    "gamma_times_1.1": lambda w, shift, g, n: (w + shift, 1.1 * g, n),
+    "nbar_times_1.1": lambda w, shift, g, n: (w + shift, g, 1.1 * n),
+}
+
+
+def right_coefficients(point: ScenarioConfig):
+    """(Omega, the Lamb shift, gamma, nbar) at the point, from ``oscbath.bath`` alone."""
+    spectrum = OhmicSpectrum(point.alpha, point.omega_c)
+    return (point.omega, lamb_shift(spectrum, point.omega), decay_rate(spectrum, point.omega),
+            float(bose_occupation(point.omega, point.temperature)))
+
+
+def test_closed_form_is_the_shifted_flow(ladder):
+    point, times, exact, flow = ladder[MUTATION_ALPHA]
+    omega, shift, gamma, nbar = right_coefficients(point)
+    closed = single_flow_states(exact[0], times, omega + shift, gamma, nbar)
+    assert np.abs(closed.mean - flow.mean).max() <= 1e-12
+    assert np.abs(closed.cov - flow.cov).max() <= 1e-12
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_wrong_coefficients_are_at_least_twice_as_far(ladder, mutation):
+    # at alpha = 0.005 the shifted flow is 2.3e-4 from the exact bath; measured:
+    # no shift 0.11, shift flipped 0.31, nbar + 1 0.107, gamma x 1.1 7.9e-4 and
+    # nbar x 1.1 5.6e-4
+    point, times, exact, flow = ladder[MUTATION_ALPHA]
+    wrong = MUTATIONS[mutation](*right_coefficients(point))
+    assert error(exact, single_flow_states(exact[0], times, *wrong)) >= 2.0 * error(exact, flow)

@@ -272,10 +272,10 @@ def trigamma(q):
     Recurrence psi'(q) = psi'(q+1) + 1/q^2 until Re q >= 10, then the
     asymptotic Bernoulli series; relative accuracy ~1e-15 on that domain.
     """
+    scalar = np.ndim(q) == 0
     q = np.atleast_1d(np.asarray(q, dtype=complex)).copy()
     if np.any(q.real <= 0):
         raise ValueError("trigamma implemented for Re q > 0 only")
-    scalar = q.size == 1
     acc = np.zeros_like(q)
     shifts = np.maximum(0, np.ceil(10.0 - q.real)).astype(int)
     for j in range(int(shifts.max(initial=0))):

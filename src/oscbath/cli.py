@@ -30,9 +30,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_USAGE = 64
 
-_SUBCOMMANDS = ("run", "validate", "oracle")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="oscbath", add_help=True)
     parser.add_argument("--version", action="version", version=f"oscbath {__version__}")
@@ -82,11 +79,16 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-# every key some oracle family reads; any other key is a typo, not a default
-_ORACLE_KEYS = frozenset({
-    "family", "cutoff", "t", "gamma", "nbar", "omega_bar", "coherent_re",
-    "coherent_im", "beta", "alpha", "omega_c", "t1", "t2", "omega_l", "rabi_re",
-    "rabi_im"})
+# oracle family -> each key it reads, with its default: the keys every family
+# reads, then the family's own.  Any other key is a typo or another family's key.
+_ORACLE_SHARED = {"cutoff": 20, "t": 5.0, "gamma": 0.05, "nbar": 0.2, "omega_bar": 1.0,
+                  "coherent_re": 0.3, "coherent_im": 0.0}
+_ORACLE_FAMILIES = {family: {**_ORACLE_SHARED, **own} for family, own in {
+    "single": {},
+    "two_small": {"beta": 0.05},
+    "two_large": {"beta": 0.3, "alpha": 0.01, "omega_c": 3.0, "t1": 1.0, "t2": 0.5},
+    "driven": {"omega_l": 0.8, "rabi_re": 0.1, "rabi_im": 0.0},
+}.items()}
 
 
 def _oracle_case(sec):
@@ -96,46 +98,39 @@ def _oracle_case(sec):
                         flow_two_small_beta)
     from .fock import check_cutoff, coherent_rho, thermal_rho
 
-    unknown = sorted(set(sec) - _ORACLE_KEYS)
+    family = sec.get("family", "single")
+    if family not in _ORACLE_FAMILIES:
+        raise ConfigError(f"unknown oracle family {family!r}")
+    unknown = sorted(set(sec) - {"family", *_ORACLE_FAMILIES[family]})
     if unknown:
-        raise ConfigError(f"unknown oracle key(s): {', '.join(unknown)}")
-
-    def num(key: str, default: float, parse=sec.getfloat):
+        raise ConfigError(f"unknown oracle key(s) for family {family}: {', '.join(unknown)}")
+    v = {}
+    for key, default in _ORACLE_FAMILIES[family].items():
         try:
-            value = parse(key, default)
+            v[key] = (sec.getint if key == "cutoff" else sec.getfloat)(key, default)
         except ValueError as exc:
             raise ConfigError(f"bad value for oracle {key}: {sec[key]!r}") from exc
-        if not np.isfinite(value):
-            raise ConfigError(f"oracle {key} must be finite, got {value}")
-        return value
-
-    family = sec.get("family", "single")
-    cutoff = num("cutoff", 20, parse=sec.getint)
-    t = num("t", 5.0)
+        if not np.isfinite(v[key]):
+            raise ConfigError(f"oracle {key} must be finite, got {v[key]}")
+    cutoff, t, gamma, nbar, omega_bar = (v[k] for k in ("cutoff", "t", "gamma", "nbar",
+                                                          "omega_bar"))
     if t < 0:
         raise ConfigError(f"oracle t must be >= 0, got {t}")
-    gamma = num("gamma", 0.05)
-    nbar = num("nbar", 0.2)
-    omega_bar = num("omega_bar", 1.0)
-    alpha0 = complex(num("coherent_re", 0.3), num("coherent_im", 0.0))
 
     if family == "single":
         lindblad = flow_single(omega_bar, gamma, nbar)
     elif family == "two_small":
-        lindblad = flow_two_small_beta((omega_bar, omega_bar), num("beta", 0.05),
-                                       (gamma, gamma), (nbar, nbar))
+        lindblad = flow_two_small_beta((omega_bar, omega_bar), v["beta"], (gamma, gamma),
+                                       (nbar, nbar))
     elif family == "two_large":
-        spectrum = OhmicSpectrum(num("alpha", 0.01), num("omega_c", 3.0))
-        lindblad = flow_two_large_beta((spectrum, spectrum),
-                                       (num("t1", 1.0), num("t2", 0.5)),
-                                       omega_bar, num("beta", 0.3))
-    elif family == "driven":
-        r_bar = complex(num("rabi_re", 0.1), num("rabi_im", 0.0))
-        lindblad = flow_driven(omega_bar, gamma, nbar, r_bar, num("omega_l", 0.8))
+        spectrum = OhmicSpectrum(v["alpha"], v["omega_c"])
+        lindblad = flow_two_large_beta((spectrum, spectrum), (v["t1"], v["t2"]),
+                                       omega_bar, v["beta"])
     else:
-        raise ConfigError(f"unknown oracle family {family!r}")
+        lindblad = flow_driven(omega_bar, gamma, nbar, complex(v["rabi_re"], v["rabi_im"]),
+                               v["omega_l"])
     check_cutoff(lindblad.n_modes, cutoff)  # before building a state of that size
-    rho0 = coherent_rho(alpha0, cutoff)
+    rho0 = coherent_rho(complex(v["coherent_re"], v["coherent_im"]), cutoff)
     if lindblad.n_modes == 2:  # the second oscillator starts thermal
         rho0 = np.kron(rho0, thermal_rho(nbar, cutoff))
     return family, cutoff, t, lindblad, rho0
@@ -173,17 +168,11 @@ def _cmd_oracle(args) -> int:
 
 
 def cli_main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and not argv[0].startswith("-") and argv[0] not in _SUBCOMMANDS:
-        print(f"unknown subcommand {argv[0]!r}; expected one of {', '.join(_SUBCOMMANDS)}",
-              file=sys.stderr)
-        _build_parser().print_usage(sys.stderr)
-        return EXIT_USAGE
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse exits 0 for --help/--version, 2 for bad arguments
+        # argparse exits 0 for --help/--version, 2 for bad arguments or subcommands
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     if args.command is None:
         parser.print_usage(sys.stderr)

@@ -89,19 +89,17 @@ def _spectrum(config: ScenarioConfig) -> OhmicSpectrum:
 
 
 def _system_state(config: ScenarioConfig, n_modes: int) -> GaussianState:
+    """One oscillator's initial state, or two copies of it for a pair of equal frequencies."""
     if config.initial == "vacuum":
-        return make_vacuum(n_modes)
-    if config.initial == "thermal":
-        freqs = [config.omega, config.omega2][:n_modes]
-        return make_thermal(freqs, config.initial_temperature)
-    if config.initial == "squeezed":
+        state = make_vacuum(1)
+    elif config.initial == "thermal":
+        state = make_thermal(config.omega, config.initial_temperature)
+    elif config.initial == "squeezed":
         state = make_squeezed_vacuum(config.initial_squeeze)
     else:
         state = make_coherent(complex(config.initial_coherent_re,
                                       config.initial_coherent_im))
-    if n_modes == 2:
-        state = tensor_product(state, state)
-    return state
+    return tensor_product(state, state) if n_modes == 2 else state
 
 
 def _times(config: ScenarioConfig) -> np.ndarray:

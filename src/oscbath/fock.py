@@ -181,7 +181,8 @@ def build_superoperator(lindblad: QuadraticLindblad, cutoff: int,
                 sandwich(-0.5 * g, rdl, eye)
                 sandwich(-0.5 * g, eye, rdl)
     offsets = sorted(bands)
-    values = np.array([bands[p] for p in offsets]).reshape(len(offsets), keep.size)
+    # popped, so the dict frees each band once it is stacked, before the reads are built
+    values = np.array([bands.pop(p) for p in offsets]).reshape(len(offsets), keep.size)
     reads = np.tile(np.arange(keep.size), (len(offsets), 1))
     for p, band, read in zip(offsets, values, reads):
         entries = np.flatnonzero(band)

@@ -1,4 +1,5 @@
 import warnings
+from functools import partial
 from unittest import mock
 
 import mpmath as mp
@@ -295,6 +296,15 @@ class TestCorrelations:
             re, _ = quad(lambda w: SPEC.j(w), 0, upper, weight="cos", wvar=s, limit=400)
             im, _ = quad(lambda w: SPEC.j(w), 0, upper, weight="sin", wvar=s, limit=400)
             assert corr_c0(SPEC, s) == pytest.approx(re - 1j * im, abs=1e-8)
+
+    @pytest.mark.parametrize("s", [0.5, [0.5], [0.5, 1.0], [[0.5]]],
+                             ids=["scalar", "one", "two", "one_by_one"])
+    def test_kernels_keep_the_shape_of_s(self, s):
+        # a one-element array is an array, not a scalar
+        for kernel in (partial(corr_c0, SPEC), partial(corr_ct, SPEC, temperature=1.0)):
+            out = kernel(np.array(s) if isinstance(s, list) else s)
+            assert np.shape(out) == np.shape(s)
+            assert isinstance(out, complex) == (np.ndim(s) == 0)
 
     def test_ct_vanishes_at_low_temperature(self):
         assert abs(corr_ct(SPEC, 1.0, 1e-3)) < 1e-5 * abs(corr_ct(SPEC, 1.0, 1.0))

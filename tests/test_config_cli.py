@@ -268,6 +268,7 @@ BAD_ORACLES = {
     "t_negative": ORACLE_SINGLE.replace("t = 2", "t = -1"),
     "t_percent": ORACLE_SINGLE.replace("t = 2", "t = 1%"),
     "unknown_key": ORACLE_SINGLE + "gama = 0.1\n",
+    "key_of_another_family": ORACLE_SINGLE + "beta = 0.3\n",
     "no_section_header": ORACLE_SINGLE.replace("[oracle]\n", ""),
     # finite inputs that the referee would integrate without end or for minutes:
     # beyond its planned substeps or substeps x entries, or rates 2 gamma (nbar + 1)
@@ -553,7 +554,8 @@ class TestCli:
 
     def test_unknown_subcommand(self, capsys):
         assert cli_main(["frobnicate"]) == EXIT_USAGE
-        assert "unknown subcommand" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "frobnicate" in err
 
     def test_missing_subcommand(self, capsys):
         assert cli_main([]) == EXIT_USAGE
@@ -930,6 +932,14 @@ class TestCli:
         assert captured.err.startswith("config error:")
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    def test_oracle_names_a_key_its_family_does_not_read(self, tmp_path, capsys):
+        # beta is a pair's coupling: a single oscillator would silently ignore it
+        p = tmp_path / "oracle.cfg"
+        p.write_text(BAD_ORACLES["key_of_another_family"])
+        assert cli_main(["oracle", str(p)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == ("config error: unknown oracle key(s) for family "
+                                           "single: beta\n")
 
 
 @pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(oscbath.__path__)))

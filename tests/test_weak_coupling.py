@@ -1,4 +1,4 @@
-"""Weak-coupling referee: the single oscillator's Markov flow against the exact bath.
+"""Weak-coupling referee: the Markov flows against the exact bath as alpha -> 0.
 
 As alpha -> 0 the shifted Markov flow of one oscillator must converge to the
 exact reduced dynamics, and nearby coefficients must not.  Each rung of the
@@ -6,9 +6,15 @@ ladder has Omega = 1, omega_c = 3, T = 1, an ``equal_tails`` window, a coherent
 start, t_max = 2/gamma and M = ceil(1.5 t_max (omega_max - omega_min) / 2 pi)
 bath modes, so no echo of the finite bath arrives before t_max.  The error is
 max over 60 times of 1 - F.
+
+A pair at beta = 0.1 on the same rungs, with bath temperatures T1 = 2 and
+T2 = 0.2 and a vacuum start, delimits the paper's two regimes: the global
+(``large_beta``) equation converges as alpha -> 0, while the local
+(``small_beta``) one stalls at its own error in beta.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +22,7 @@ import pytest
 from oscbath.bath import OhmicSpectrum, bose_occupation, decay_rate, lamb_shift, omega_range
 from oscbath.config import ScenarioConfig
 from oscbath.experiments import _compare
+from oscbath.flows import EQUATIONS
 from oscbath.gaussian import GaussianState, fidelity_multi
 
 ALPHAS = (0.01, 0.005, 0.0025)
@@ -101,3 +108,35 @@ def test_wrong_coefficients_are_at_least_twice_as_far(ladder, mutation):
     point, times, exact, flow = ladder[MUTATION_ALPHA]
     wrong = MUTATIONS[mutation](*right_coefficients(point))
     assert error(exact, single_flow_states(exact[0], times, *wrong)) >= 2.0 * error(exact, flow)
+
+
+def pair_point(alpha: float) -> ScenarioConfig:
+    return replace(ladder_point(alpha), scenario="two_coupled", beta=0.1, temperature=2.0,
+                   temperature2=0.2, initial="vacuum")
+
+
+@pytest.fixture(scope="module")
+def pair_ladder():
+    """equation -> its errors on the pair at each alpha of ``ALPHAS``."""
+    errors = {equation: [] for equation in EQUATIONS}
+    for alpha in ALPHAS:
+        point = pair_point(alpha)
+        times = np.linspace(0.0, point.t_max, point.samples)
+        exact, flows = _compare(point, EQUATIONS, times)
+        for equation, flow in zip(EQUATIONS, flows):
+            errors[equation].append(error(exact, flow))
+    return errors
+
+
+def test_pair_global_equation_converges(pair_ladder):
+    # measured 0.110, 0.0662 and 0.0350: about gamma / 2 beta, the secular
+    # approximation's error, so about 1.7x to 1.9x per halving of alpha
+    errors = pair_ladder["large_beta"]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse >= 1.4 * fine, errors
+
+
+def test_pair_local_equation_stalls(pair_ladder):
+    # measured 5.79e-3, 3.60e-3 and 3.44e-3: the last halving gains 1.05x
+    errors = pair_ladder["small_beta"]
+    assert errors[-2] < 1.3 * errors[-1], errors

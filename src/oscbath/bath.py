@@ -282,11 +282,13 @@ def trigamma(q):
         mask = j < shifts
         acc[mask] += 1.0 / q[mask] ** 2
         q[mask] += 1.0
-    tail = 1.0 / q + 0.5 / q**2
-    qpow = q**3
+    # in powers of r = 1/q, which underflow where powers of a large q would overflow
+    r = 1.0 / q
+    tail = r + 0.5 * r**2
+    rpow = r**3
     for b in _BERNOULLI:
-        tail += b / qpow
-        qpow *= q**2
+        tail += b * rpow
+        rpow *= r**2
     out = acc + tail
     return complex(out[0]) if scalar else out
 
@@ -303,7 +305,9 @@ def corr_ct(spectrum: OhmicSpectrum, s, temperature: float):
         raise ValueError("corr_ct requires T > 0")
     s = np.asarray(s, dtype=float)
     q = 1.0 + 1j * s * temperature + temperature / spectrum.omega_c
-    out = spectrum.alpha * temperature**2 * trigamma(q)
+    # (alpha T)(T psi'), not alpha T^2 psi': T^2 overflows long before the kernel,
+    # which tends to alpha T omega_c / (1 + i s omega_c) as T -> inf
+    out = spectrum.alpha * temperature * (temperature * trigamma(q))
     return complex(out) if np.ndim(s) == 0 else out
 
 

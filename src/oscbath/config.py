@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .bath import OhmicSpectrum, corr_ct, discretize, omega_range, tail_mass
+from .bath import OhmicSpectrum, corr_ct, discretize, omega_range
 from .flows import DRIVE_VARIANTS, EQUATIONS, SecularValidityWarning, markov_flows
 from .gaussian import SINGULAR_TOL, singular_eigenvalue
 
@@ -30,8 +30,10 @@ __all__ = ["ScenarioConfig", "ConfigError", "read_text", "parse_config", "parse_
 
 SCENARIOS = ("single", "two_coupled", "driven")
 INITIAL_STATES = ("vacuum", "thermal", "squeezed", "coherent")
-RANGE_MODES = ("equal_tails", "floor")
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # largest x with a finite e^x
+# largest coherent |alpha| at which each evolved mean, of norm at most sqrt(2)|alpha|,
+# and the difference of two of them stay finite
+_COHERENT_MAX = sys.float_info.max / (2.0 * math.sqrt(2.0))
 # grids evaluated unless the config sweeps the parameter itself, in units of Omega:
 # two_oscillator_suite's couplings beta, and driven_suite's detunings omega_l - Omega
 # and Rabi frequencies, at which the suites report t_max fidelities
@@ -254,11 +256,14 @@ def validate(config: ScenarioConfig):
     It checks the plan ``run`` evaluates, ``evaluations`` of each requested
     experiment.  The config and each point pass the same base rules, run once
     per distinct point, and each point the rules of each experiment that
-    evaluates it.  The rules on the Markov coefficients are those of the master
-    equations, built once per point and label set in one ``markov_flows``
-    call, as ``run`` builds them.  At each point whose exact side is evolved,
-    t_max times a bound on its frequencies must be finite (``_check_phases``).
-    A sweep that no requested experiment reads is an error.
+    evaluates it.  A rule lives where its quantity is taken: a ValueError of the
+    code ``run`` calls at a point is a ConfigError located there.  So each
+    point's master equations are built once per label set in one
+    ``markov_flows`` call, and the bath of each point whose exact side is
+    evolved once by ``_bath``, as ``run`` builds them; there t_max times a bound
+    on its frequencies must also be finite (``_check_phases``).  A value that no
+    requested experiment reads is not checked.  A sweep that no requested
+    experiment reads is an error.
     """
     c = config
     _check(c)
@@ -278,27 +283,18 @@ def validate(config: ScenarioConfig):
                 _check_point(name, point)
                 if labels and (point, labels) not in built:
                     built.add((point, labels))
-                    _check_equations(point, labels)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", SecularValidityWarning)
+                        markov_flows(point, labels)
                 if name != "correlation_study" and point not in propagated:
                     propagated.add(point)
                     _check_phases(point)
-            except ConfigError as exc:
+            except ValueError as exc:  # a ConfigError, or a rule of the code run calls
                 where = "" if value == "" else f" at {parameter} = {_fmt(value)}"
                 raise ConfigError(f"{name}{where}: {exc}") from None
     read = {p for name in c.experiments for p in EXPERIMENTS[name][c.scenario]}
     if c.sweep_parameter not in read | {"none"}:
         raise ConfigError(f"no requested experiment reads the sweep over {c.sweep_parameter}")
-
-
-def _check_equations(point: ScenarioConfig, labels):
-    """ConfigError unless the master equations ``labels`` name at the point pass their own
-    rules."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", SecularValidityWarning)
-            markov_flows(point, labels)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _check_phases(point: ScenarioConfig):
@@ -339,6 +335,13 @@ def _bath(point: ScenarioConfig):
     return discretize(spectrum, point.bath_modes, rng)
 
 
+def _kernel_reach(t_max: float, omega_c: float, temperature: float = math.inf) -> float:
+    """How far in s ``correlation_study`` takes a kernel: its grid ends at t_max, and it
+    seeks the half height of C0 out to 20/omega_c, and of C(s, T), which broadens like
+    1/T, out to 10/T too."""
+    return max(t_max, 20.0 / omega_c, 10.0 / temperature)
+
+
 def _check_point(name: str, point: ScenarioConfig):
     """The rules experiment ``name`` adds for each point it evaluates."""
     if name == "recurrence_map" and point.bath_modes < 2:
@@ -346,8 +349,15 @@ def _check_point(name: str, point: ScenarioConfig):
     if name == "correlation_study":
         if point.temperature <= 0:
             raise ConfigError("correlation kernels need a positive temperature")
-        if corr_ct(OhmicSpectrum(point.alpha, point.omega_c), 0.0, point.temperature) == 0:
-            raise ConfigError("the correlation kernel C(0, T) underflows to 0")
+        c0 = corr_ct(OhmicSpectrum(point.alpha, point.omega_c), 0.0, point.temperature)
+        if c0 == 0 or not np.isfinite(c0):
+            raise ConfigError(f"the correlation kernel C(0, T) at T = {point.temperature!r} "
+                              f"is {c0.real:.3g}: it must be finite and nonzero")
+        reach = _kernel_reach(point.t_max, point.omega_c, point.temperature)
+        if not math.isfinite(point.temperature * reach):
+            raise ConfigError(f"T = {point.temperature!r} times the reach {reach:.3g} of the "
+                              "kernel's delays s overflows: C(s, T) takes psi' at "
+                              "1 + T/omega_c + i s T")
     if name == "factorization_distance" and not 2 <= point.bath_modes <= 60:
         raise ConfigError("the full-state fidelity needs a bath of 2 to 60 modes")
 
@@ -365,10 +375,6 @@ def _check(c: ScenarioConfig):
     if c.scenario == "two_coupled" and c.omega2 != c.omega:
         raise ConfigError("the two-oscillator study assumes equal frequencies "
                           "Omega1 = Omega2")
-    if c.alpha <= 0 or c.omega_c <= 0:
-        raise ConfigError("spectrum parameters alpha and omega_c must be positive")
-    if c.beta < 0:
-        raise ConfigError("beta must be >= 0")
     if c.initial not in INITIAL_STATES:
         raise ConfigError(f"initial must be one of {INITIAL_STATES}")
     if c.initial == "thermal" and c.initial_temperature < 0:
@@ -376,18 +382,11 @@ def _check(c: ScenarioConfig):
     if c.initial == "squeezed" and 2.0 * abs(c.initial_squeeze) > _LOG_FLOAT_MAX:
         raise ConfigError(f"initial_squeeze = {c.initial_squeeze!r} overflows the "
                           "squeezed variance e^(2|r|)")
-    if c.range_mode not in RANGE_MODES:
-        raise ConfigError(f"range_mode must be one of {RANGE_MODES}")
-    if c.range_mode == "floor" and not 0 < c.range_floor < c.omega_c:
-        raise ConfigError("range_floor must lie in (0, omega_c)")
-    if c.range_mode == "equal_tails" and c.range_omega_min >= c.omega_c:
-        raise ConfigError("range_omega_min must lie below omega_c (0 selects omega_c/1000)")
-    if (c.range_mode == "equal_tails" and c.range_omega_min > 0
-            and not tail_mass(c.omega_c, c.range_omega_min) > 0):
-        raise ConfigError(f"range_omega_min = {c.range_omega_min!r} is too small against "
-                          "omega_c: the spectral weight below it rounds to 0")
-    if c.bath_modes < 0 or c.bath_modes == 1:
-        raise ConfigError("bath modes must be 0 (no bath) or >= 2")
+    amplitude = math.hypot(c.initial_coherent_re, c.initial_coherent_im)
+    if c.initial == "coherent" and amplitude > _COHERENT_MAX:
+        raise ConfigError(f"the coherent amplitude |initial_coherent_re + i initial_coherent_im| "
+                          f"= {amplitude!r} exceeds {_COHERENT_MAX:.4g}, where an evolved "
+                          "mean or the difference of two overflows")
     if c.rabi < 0:
         raise ConfigError("rabi must be >= 0")
     if c.scenario == "driven" and c.omega_l <= 0:

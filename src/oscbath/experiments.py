@@ -30,8 +30,8 @@ import numpy as np
 
 from . import __version__
 from .bath import OhmicSpectrum, corr_c0, corr_ct, fwhh
-from .config import (ScenarioConfig, _bath, _fmt, config_text, evaluations, parse_config,
-                     validate)
+from .config import (ScenarioConfig, _bath, _fmt, _kernel_reach, config_text, evaluations,
+                     parse_config, validate)
 from .exact import FullPropagator, ReducedPropagator
 from .flows import evolve_flow, markov_flows
 from .gaussian import (PHYSICALITY_TOL, GaussianState, db_distance, fidelity_multi,
@@ -83,10 +83,6 @@ def config_from_csv(text: str) -> ScenarioConfig:
 
 # ---------------------------------------------------------------------------
 # scenario assembly helpers
-
-def _spectrum(config: ScenarioConfig) -> OhmicSpectrum:
-    return OhmicSpectrum(config.alpha, config.omega_c)
-
 
 def _system_state(config: ScenarioConfig, n_modes: int) -> GaussianState:
     """One oscillator's initial state, or two copies of it for a pair of equal frequencies."""
@@ -174,18 +170,18 @@ def _variance_trajectory(config: ScenarioConfig) -> list:
 
 def _correlation_study(config: ScenarioConfig) -> list:
     """|C(s,T)| curves and FWHH(T), plus the zero-temperature kernel."""
-    spec = _spectrum(config)
+    spec = OhmicSpectrum(config.alpha, config.omega_c)
     s_grid = _times(config)
-    bound = max(config.t_max, 20.0 / spec.omega_c)
     # the zero-temperature kernel is at no sweep point
     rows = _rows(s_grid, [("none", "", "abs_corr_c0", np.abs(corr_c0(spec, s_grid)))])
-    rows.append(("none", "", 0.0, "fwhh_c0", fwhh(lambda s: abs(corr_c0(spec, s)), bound)))
+    rows.append(("none", "", 0.0, "fwhh_c0", fwhh(lambda s: abs(corr_c0(spec, s)),
+                                                  _kernel_reach(config.t_max, spec.omega_c))))
     for param, temp, _, _ in evaluations(config, "correlation_study"):
         rows += _rows(s_grid, [(param, _fmt(temp), "abs_corr_ct",
                                 np.abs(corr_ct(spec, s_grid, temp)))])
-        # the thermal kernel broadens like 1/T, so the width search must too
+        reach = _kernel_reach(config.t_max, spec.omega_c, temp)
         rows.append((param, _fmt(temp), 0.0, "fwhh_ct",
-                     fwhh(lambda s: abs(corr_ct(spec, s, temp)), max(bound, 10.0 / temp))))
+                     fwhh(lambda s: abs(corr_ct(spec, s, temp)), reach)))
     return rows
 
 

@@ -217,8 +217,17 @@ def fidelity_multi(a: GaussianState, b: GaussianState):
     nu = np.maximum(w[w > 0], 1.0).reshape(-1, n)
     log_nu[~on_p] = np.sum(np.log(nu + np.sqrt(nu**2 - 1.0)), axis=-1)
     _, logdet = np.linalg.slogdet(csum)
+    # delta^T (C1+C2)^{-1} delta is taken on delta / p and scaled back by p^2, where p is
+    # 1, or the power of 2 that brings a displacement beyond 2^65 below it: dividing by
+    # p moves no bit, and where the product overflows, its terms of either sign give inf
+    # (F = e^-inf = 0), not inf - inf
     delta = a.mean - b.mean
-    expo = (delta[..., None, :] @ np.linalg.solve(csum, delta[..., None]))[..., 0, 0]
+    reach = np.maximum(np.abs(delta).max(axis=-1, keepdims=True), 2.0 ** 64)
+    p = reach * 2.0 ** -65 / np.frexp(reach)[0]
+    unit = delta / p
+    with np.errstate(over="ignore"):
+        expo = (unit[..., None, :] @ np.linalg.solve(csum, unit[..., None]))[..., 0, 0]
+        expo = expo * p[..., 0] * p[..., 0]
     logf = n * np.log(2.0) - 0.5 * logdet + log_nu - expo
     return np.minimum(np.exp(logf), 1.0)
 

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import math
 import os
 import pkgutil
 import subprocess
@@ -20,7 +21,7 @@ from oscbath import cli, experiments, fock
 from oscbath import config as config_module
 from oscbath.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, cli_main
 from oscbath.config import (DEFAULT_DETUNING_GRID, DRIVE_VARIANTS, EXPERIMENTS,
-                            INITIAL_STATES, RANGE_MODES, SCENARIOS, ConfigError,
+                            INITIAL_STATES, SCENARIOS, ConfigError,
                             ScenarioConfig, config_text, evaluations, parse_config,
                             sweep_points, validate)
 from oscbath.exact import ReducedPropagator
@@ -30,6 +31,7 @@ from oscbath.gaussian import GaussianState
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+RANGE_MODES = ("equal_tails", "floor")  # the modes bath.omega_range takes
 
 SMALL_RUN = """
 [scenario]
@@ -212,6 +214,16 @@ BAD_RUNS = {
     # |C(0, T)| ~ alpha T^2 pi^2/6 underflows to 0, so its half height is undefined
     "correlation_kernel_underflow": NO_SWEEP.replace("temperature = 0.5", "temperature = 1e-200")
     .replace("= fidelity_vs_time", "= correlation_study"),
+    # nor overflow: alpha T omega_c at T = 1e307, alpha = 100, the kernel's high-T limit
+    "correlation_kernel_overflow": NO_SWEEP.replace("temperature = 0.5", "temperature = 1e307")
+    .replace("alpha = 0.01", "alpha = 100").replace("= fidelity_vs_time", "= correlation_study"),
+    # C(s, T) takes psi' at 1 + T/omega_c + i s T, and s T overflows at s = t_max
+    "correlation_kernel_delays_overflow": NO_SWEEP.replace("temperature = 0.5",
+                                                           "temperature = 1.7e308")
+    .replace("= fidelity_vs_time", "= correlation_study"),
+    # sqrt 2 alpha, each mean's largest entry, overflows
+    "coherent_amplitude_overflows": NO_SWEEP.replace(
+        "initial = thermal", "initial = coherent\ninitial_coherent_re = 1.7e308"),
     # finite inputs whose derived values overflow or vanish: pi alpha Omega e^{-Omega/omega_c},
     # the squeezed variance e^{2|r|}, and equal_tails' tail mass below omega_min
     "decay_rate_overflow": NO_SWEEP.replace("alpha = 0.01", "alpha = 1e308")
@@ -236,8 +248,15 @@ BAD_RUN_MESSAGES = {
     "hot_bath": "the Bose occupation at nu = 1.0, T = 1e+20 overflows",
     "hot_second_bath": "the Bose occupation at nu = 1.0, T = 1e+20 overflows",
     "decay_rate_overflow": "pi*J(nu) at nu = 1.0 is not finite (alpha = 1e+308",
+    "correlation_kernel_overflow": "correlation_study at temperature = 9.9999999999999999e+306: "
+    "the correlation kernel C(0, T) at T = 1e+307 is inf: it must be finite and nonzero",
+    "correlation_kernel_delays_overflow": "T = 1.7e+308 times the reach 8 of the kernel's delays "
+    "s overflows",
+    "coherent_amplitude_overflows": "the coherent amplitude |initial_coherent_re + i "
+    "initial_coherent_im| = 1.7e+308 exceeds 6.356e+307",
     "squeeze_overflow": "initial_squeeze = 1e+272 overflows",
-    "equal_tails_mass_rounds_to_zero": "range_omega_min = 1e-170 is too small",
+    "equal_tails_mass_rounds_to_zero": "fidelity_vs_time at temperature = 0.5: the spectral "
+    "weight below omega_min = 1e-170 rounds to 0",
     "t_max_overflows_the_exact_phases": "t_max = 1.7e+308 is too long for the exact "
     "evolution: t_max times the bound 15.5 on the frequencies of W overflows",
     "t_max_5e306_overflows_the_phases": "t_max = 5e+306 is too long for the exact evolution: "
@@ -712,6 +731,43 @@ class TestCli:
         text = (tmp_path / "o" / "correlation_study.csv").read_text()
         assert "fwhh_ct" in text
 
+    @pytest.mark.parametrize("temperature", ["1e20", "1e160"])
+    def test_hot_correlation_study_reaches_the_classical_width(self, temperature, tmp_path):
+        # C(s, T) -> alpha T omega_c / (1 + i s omega_c) as T -> inf, so its full width at
+        # half height tends to 2 sqrt(3) / omega_c, with no power of q in psi' and no T^2
+        # overflowing on the way
+        p = tmp_path / "run.cfg"
+        p.write_text(NO_SWEEP.replace("temperature = 0.5", f"temperature = {temperature}")
+                     .replace("t_max = 8", "t_max = 5").replace("samples = 12", "samples = 4")
+                     .replace("= fidelity_vs_time", "= correlation_study"))
+        assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK
+        text = (tmp_path / "o" / "correlation_study.csv").read_text()
+        [width] = [float(line.split(",")[-1]) for line in text.splitlines() if ",fwhh_ct," in line]
+        assert width == pytest.approx(2 * np.sqrt(3) / 3, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("amplitude", ["1e200", repr(config_module._COHERENT_MAX)])
+    def test_far_coherent_start_scores_fidelity_zero(self, amplitude, tmp_path):
+        # delta^T (C1 + C2)^{-1} delta overflows, so the fidelity is e^-inf = 0, with no
+        # warning, up to the largest amplitude validate accepts
+        text = (NO_SWEEP.replace("initial = thermal",
+                                 f"initial = coherent\ninitial_coherent_re = {amplitude}")
+                .replace("modes = 12", "modes = 20").replace("t_max = 8", "t_max = 5")
+                .replace("samples = 12", "samples = 4")
+                .replace("= fidelity_vs_time", "= variance_trajectory, fidelity_vs_time"))
+        p = tmp_path / "run.cfg"
+        p.write_text(text)
+        assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK
+        csv = (tmp_path / "o" / "fidelity_vs_time.csv").read_text()
+        rows = [line.split(",") for line in csv.splitlines() if ",fidelity," in line]
+        assert [float(row[-1]) for row in rows if float(row[2]) > 0] == [0.0] * 3
+
+    def test_coherent_amplitude_limit_is_sharp(self):
+        limit = config_module._COHERENT_MAX
+        config = replace(parse_config(NO_SWEEP), initial="coherent")
+        validate(replace(config, initial_coherent_im=limit))
+        with pytest.raises(ConfigError, match="coherent amplitude"):
+            validate(replace(config, initial_coherent_im=math.nextafter(limit, math.inf)))
+
     @pytest.mark.parametrize("experiment", sorted(FLOW_RUNS))
     def test_subnormal_t_max_runs(self, experiment, tmp_path):
         # the flows' exponential at t = 5e-324 has a subnormal norm
@@ -806,10 +862,11 @@ class TestCli:
     @pytest.mark.parametrize("case", sorted(PLAN_RUNS))
     def test_validate_checks_every_point_run_evaluates(self, case, monkeypatch):
         # validate builds the master equations of exactly the (point, labels) pairs
-        # that run builds, each pair once, and runs the base rules once per point
+        # that run builds, each pair once, and the bath of exactly the points run
+        # evolves, each once, and runs the base rules once per point
         config = parse_config(PLAN_RUNS[case])
-        seen = {"validate": [], "run": [], "checked": []}
-        check = config_module._check
+        seen = {"validate": [], "run": [], "checked": [], "validate_bath": [], "run_bath": []}
+        check, bath = config_module._check, config_module._bath
 
         def recorder(key, build):
             def recorded(point, labels):
@@ -822,12 +879,18 @@ class TestCli:
         monkeypatch.setattr(experiments, "markov_flows", recorder("run", experiments.markov_flows))
         monkeypatch.setattr(config_module, "_check",
                             lambda point: seen["checked"].append(point) or check(point))
+        for module, key in ((config_module, "validate_bath"), (experiments, "run_bath")):
+            monkeypatch.setattr(module, "_bath",
+                                lambda point, key=key: seen[key].append(point) or bath(point))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             experiments.run(config)
         assert set(seen["run"]) == set(seen["validate"])
         assert len(seen["validate"]) == len(set(seen["validate"]))
         assert len(seen["checked"]) == len(set(seen["checked"]))
+        assert set(seen["run_bath"]) == set(seen["validate_bath"])
+        assert len(seen["validate_bath"]) == len(set(seen["validate_bath"]))
+        assert bool(seen["run_bath"]) == (case not in ("correlation_study", "fig4_correlation"))
         assert bool(seen["run"]) == (case not in ("correlation_study", "factorization_distance",
                                                   "bathless_variance_trajectory",
                                                   "fig4_correlation", "fig5p0_factorization"))
@@ -867,6 +930,32 @@ class TestCli:
         p = tmp_path / "run.cfg"
         p.write_text((CONFIG_DIR / "fig2_variance.cfg").read_text()
                      .replace("initial_squeeze = 0.5", "initial_squeeze = 20"))
+        assert (cli_main(["validate", str(p)]) == EXIT_CONFIG
+                or cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK)
+
+    @pytest.mark.xfail(strict=True, reason="validate accepts a second bath at T2 = 2e16, and run "
+                       "exits 3: an exact state's min eig(C + i sigma) is -1.1e-8 at t = 0.02; "
+                       "the absolute PHYSICALITY_TOL, -1e-10, lies below the rounding of "
+                       "eigvalsh on a covariance that hot")
+    def test_hot_second_bath_runs_or_is_refused(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text(config_text(ScenarioConfig(
+            scenario="two_coupled", omega=1.2, omega2=1.2, beta=0.0, alpha=0.001, omega_c=1.8,
+            bath_modes=2, range_mode="equal_tails", temperature=0.2, temperature2=2e16,
+            t_max=0.1, samples=6, experiments=("fidelity_vs_time",))))
+        assert (cli_main(["validate", str(p)]) == EXIT_CONFIG
+                or cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK)
+
+    @pytest.mark.xfail(strict=True, reason="validate accepts an equal_tails window from "
+                       "omega_min = 1e-5 at T = 1.75, and run exits 3: the factorization's full "
+                       "state at t = 0, exact by construction, reads min eig(C + i sigma) = "
+                       "-1.08e-10 beside a bath mode of variance 3.5e5")
+    def test_hot_bath_mode_runs_or_is_refused(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text(config_text(ScenarioConfig(
+            alpha=0.015, omega_c=3.0, bath_modes=2, range_mode="equal_tails",
+            range_omega_min=1e-5, temperature=1.75, t_max=1.0, samples=2,
+            experiments=("factorization_distance",))))
         assert (cli_main(["validate", str(p)]) == EXIT_CONFIG
                 or cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK)
 

@@ -1,0 +1,80 @@
+"""Differential referee: ``validate`` decides what ``run`` does.
+
+A config that ``validate`` accepts must run to exit 0 with no warning but the
+two validity warnings.  The draws start from small runnable configs and set
+each field whose rules ``validate`` takes from the code that ``run`` calls, not
+from rules of its own, in or out of range at random: the bath's size, window
+mode, floor and lower edge (``bath.discretize``, ``bath.omega_range``), alpha
+and omega_c (``bath.OhmicSpectrum``) and beta (the pair's master equation and
+exact side).  Coherent amplitudes range over all finite floats.
+
+Squeezed starts, second baths hotter than 50 and bath or normal modes far below
+T are left out: each is a known disagreement of its own, pinned by a strict
+xfail in ``test_config_cli`` (``test_strongly_squeezed_variance_runs_or_is_refused``,
+``test_hot_second_bath_runs_or_is_refused`` and
+``test_hot_bath_mode_runs_or_is_refused``), and the subject here is the rules
+above.
+"""
+
+import tempfile
+import warnings
+from dataclasses import replace
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_config_cli import FINITE
+from test_metamorphic import small_runnable_configs
+
+from oscbath.cli import EXIT_OK, cli_main
+from oscbath.config import ConfigError, config_text, validate
+from oscbath.exact import RwaValidityWarning
+from oscbath.flows import SecularValidityWarning
+
+
+NEGATIVE = st.floats(max_value=0.0, allow_infinity=False)
+ABOVE_10 = st.floats(min_value=10.0, allow_infinity=False)  # above every drawn Omega, omega_c
+# field -> (its values in range, its values out of range); the lowest frequency of the
+# bath window and of a pair's normal modes stays at 0.01 or above, since a mode far
+# below T is the hot covariance of the known disagreements
+RANGES = {
+    "bath_modes": (st.sampled_from([0, 2, 3, 20]), st.integers(-3, 1)),
+    "range_mode": (st.sampled_from(["equal_tails", "floor"]), st.just("bogus")),
+    "range_floor": (st.floats(0.01, 0.99), NEGATIVE | ABOVE_10),
+    # below 1e-10 omega_c, equal_tails' tail mass rounds to 0
+    "range_omega_min": (st.just(0.0) | st.floats(0.01, 0.99),
+                        ABOVE_10 | st.floats(5e-324, 1e-10)),
+    "alpha": (st.floats(1e-4, 0.1), NEGATIVE),
+    "omega_c": (st.floats(1.0, 10.0), NEGATIVE),
+    "beta": (st.floats(0.0, 0.99), st.floats(max_value=-5e-324) | ABOVE_10),
+}
+
+
+@st.composite
+def configs_off_their_ranges(draw):
+    """Small runnable configs, correlation_study included, with the fields of ``RANGES``
+    redrawn, up to two of them out of range."""
+    config = draw(small_runnable_configs(correlation_study=True))
+    off = draw(st.sets(st.sampled_from(sorted(RANGES)), max_size=2))
+    return replace(
+        config, **{name: draw(ranges[name in off]) for name, ranges in RANGES.items()},
+        initial=draw(st.sampled_from(["vacuum", "thermal", "coherent"])),
+        initial_coherent_re=draw(FINITE), initial_coherent_im=draw(FINITE),
+        temperature2=draw(st.just(-1.0) | st.floats(0.0, 50.0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(configs_off_their_ranges())
+def test_validate_refuses_or_run_succeeds(config):
+    try:
+        validate(config)
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text(config_text(config))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.simplefilter("ignore", SecularValidityWarning)
+            warnings.simplefilter("ignore", RwaValidityWarning)
+            assert cli_main(["run", str(path), "--out", str(Path(tmp) / "o")]) == EXIT_OK

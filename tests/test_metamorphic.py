@@ -196,10 +196,10 @@ def in_units(config, s):
 
 
 @st.composite
-def small_runnable_configs(draw):
-    """Runnable configs of at most 40 bath modes and 6 samples, without
-    correlation_study (its kernels carry units), whose frequencies stay finite
-    when doubled."""
+def small_runnable_configs(draw, correlation_study=False):
+    """Runnable configs of at most 40 bath modes and 6 samples, whose frequencies stay
+    finite when doubled; without correlation_study (its kernels carry units) unless
+    ``correlation_study``."""
     config = draw(runnable_configs())
     modes = config.sweep_parameter == "modes"
     config = replace(
@@ -208,7 +208,8 @@ def small_runnable_configs(draw):
         temperature2=min(config.temperature2, 1e300),
         sweep_values=tuple(min(v, 40) for v in config.sweep_values) if modes
         else config.sweep_values,
-        experiments=tuple(e for e in config.experiments if e != "correlation_study"))
+        experiments=tuple(e for e in config.experiments
+                          if correlation_study or e != "correlation_study"))
     try:
         validate(config)
     except ConfigError:

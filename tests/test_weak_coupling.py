@@ -8,9 +8,11 @@ bath modes, so no echo of the finite bath arrives before t_max.  The error is
 max over 60 times of 1 - F.
 
 A pair at beta = 0.1 on the same rungs, with bath temperatures T1 = 2 and
-T2 = 0.2 and a vacuum start, delimits the paper's two regimes: the global
-(``large_beta``) equation converges as alpha -> 0, while the local
-(``small_beta``) one stalls at its own error in beta.
+T2 = 0.2, delimits the paper's two regimes: from the same coherent start the
+global (``large_beta``) equation converges as alpha -> 0, and a wrong Lamb
+shift in it does not, while from the vacuum the local (``small_beta``) one
+stalls at its own error in beta.  One exact evolution per rung serves both
+starts: the vacuum's states are the coherent ones with their means set to 0.
 """
 
 import math
@@ -22,7 +24,7 @@ import pytest
 from oscbath.bath import OhmicSpectrum, bose_occupation, decay_rate, lamb_shift, omega_range
 from oscbath.config import ScenarioConfig
 from oscbath.experiments import _compare
-from oscbath.flows import EQUATIONS
+from oscbath.flows import EQUATIONS, evolve_flow, markov_flows
 from oscbath.gaussian import GaussianState, fidelity_multi
 
 ALPHAS = (0.01, 0.005, 0.0025)
@@ -112,31 +114,72 @@ def test_wrong_coefficients_are_at_least_twice_as_far(ladder, mutation):
 
 def pair_point(alpha: float) -> ScenarioConfig:
     return replace(ladder_point(alpha), scenario="two_coupled", beta=0.1, temperature=2.0,
-                   temperature2=0.2, initial="vacuum")
+                   temperature2=0.2)
+
+
+def without_means(states: GaussianState) -> GaussianState:
+    """``states`` with their means set to 0: the states of a vacuum start, whose
+    covariances are those of the coherent one, since no drive moves a mean."""
+    return GaussianState(states.n_modes, np.zeros_like(states.mean), states.cov)
 
 
 @pytest.fixture(scope="module")
 def pair_ladder():
-    """equation -> its errors on the pair at each alpha of ``ALPHAS``."""
-    errors = {equation: [] for equation in EQUATIONS}
+    """alpha -> (point, times, exact states, {equation: its flow states}) of the pair,
+    from the coherent start."""
+    out = {}
     for alpha in ALPHAS:
         point = pair_point(alpha)
         times = np.linspace(0.0, point.t_max, point.samples)
         exact, flows = _compare(point, EQUATIONS, times)
-        for equation, flow in zip(EQUATIONS, flows):
-            errors[equation].append(error(exact, flow))
-    return errors
+        out[alpha] = point, times, exact, dict(zip(EQUATIONS, flows))
+    return out
+
+
+def pair_errors(pair_ladder, equation: str, start: str) -> list:
+    """The equation's error at each alpha of ``ALPHAS``, from a coherent or vacuum start."""
+    keep = (lambda states: states) if start == "coherent" else without_means
+    return [error(keep(exact), keep(flows[equation]))
+            for _, _, exact, flows in (pair_ladder[alpha] for alpha in ALPHAS)]
+
+
+def pair_h(point: ScenarioConfig, sign: float) -> np.ndarray:
+    """h of the global equation with ``sign`` times its Lamb shifts, from ``oscbath.bath``
+    alone: each normal mode Omega +- beta is shifted by Delta(Omega +- beta), half of it
+    from each oscillator's bath."""
+    spectrum = OhmicSpectrum(point.alpha, point.omega_c)
+    up, down = (lamb_shift(spectrum, point.omega + s * point.beta) for s in (1.0, -1.0))
+    omega_bar = point.omega + sign * (up + down) / 2.0
+    beta_bar = point.beta + sign * (up - down) / 2.0
+    return np.array([[omega_bar, beta_bar], [beta_bar, omega_bar]])
 
 
 def test_pair_global_equation_converges(pair_ladder):
-    # measured 0.110, 0.0662 and 0.0350: about gamma / 2 beta, the secular
-    # approximation's error, so about 1.7x to 1.9x per halving of alpha
-    errors = pair_ladder["large_beta"]
+    # measured 0.110, 0.0662 and 0.0351 from the coherent start: about gamma / 2 beta,
+    # the secular approximation's error, so about 1.7x to 1.9x per halving of alpha
+    errors = pair_errors(pair_ladder, "large_beta", "coherent")
     for coarse, fine in zip(errors, errors[1:]):
         assert coarse >= 1.4 * fine, errors
 
 
 def test_pair_local_equation_stalls(pair_ladder):
-    # measured 5.79e-3, 3.60e-3 and 3.44e-3: the last halving gains 1.05x
-    errors = pair_ladder["small_beta"]
+    # measured 5.79e-3, 3.60e-3 and 3.44e-3 from the vacuum: the last halving gains 1.05x
+    errors = pair_errors(pair_ladder, "small_beta", "vacuum")
     assert errors[-2] < 1.3 * errors[-1], errors
+
+
+def test_pair_hamiltonian_is_the_shifted_normal_modes(pair_ladder):
+    point = pair_ladder[MUTATION_ALPHA][0]
+    [flow] = markov_flows(point, ("large_beta",))
+    assert np.abs(flow.h - pair_h(point, 1.0)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("sign", [0.0, -1.0], ids=["no_shift", "shift_sign_flipped"])
+def test_pair_wrong_shift_is_at_least_three_times_as_far(pair_ladder, sign):
+    # from the vacuum the covariances never meet h, but the coherent means do: at
+    # alpha = 0.0025 the global equation is 0.0351 from the exact bath; measured, no
+    # shift 0.167 and the shift flipped 0.444
+    point, times, exact, flows = pair_ladder[ALPHAS[-1]]
+    [flow] = markov_flows(point, ("large_beta",))
+    wrong = evolve_flow(replace(flow, h=pair_h(point, sign)), exact[0], times)
+    assert error(exact, wrong) >= 3.0 * error(exact, flows["large_beta"])

@@ -257,9 +257,16 @@ def _ei(x: float) -> float:
 
 
 def corr_c0(spectrum: OhmicSpectrum, s):
-    """Zero-temperature bath correlation C0(s) = alpha*omega_c^2/(1 + i*s*omega_c)^2."""
+    """Zero-temperature bath correlation C0(s) = alpha*omega_c^2/(1 + i*s*omega_c)^2.
+
+    Taken as (alpha omega_c)(omega_c u^2) with u = 1/(1 + i s omega_c): omega_c^2
+    and (1 + i s omega_c)^2 overflow long before the kernel, and |u| <= 1.  Where
+    s omega_c overflows, u is its limit 0.
+    """
     s = np.asarray(s, dtype=float)
-    out = spectrum.alpha * spectrum.omega_c**2 / (1j * s * spectrum.omega_c + 1.0) ** 2
+    with np.errstate(over="ignore"):
+        u = 1.0 / (1j * s * spectrum.omega_c + 1.0)
+    out = spectrum.alpha * spectrum.omega_c * (spectrum.omega_c * u**2)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -280,7 +287,7 @@ def trigamma(q):
     shifts = np.maximum(0, np.ceil(10.0 - q.real)).astype(int)
     for j in range(int(shifts.max(initial=0))):
         mask = j < shifts
-        acc[mask] += 1.0 / q[mask] ** 2
+        acc[mask] += (1.0 / q[mask]) ** 2  # q^2 overflows at |q| > 1e154
         q[mask] += 1.0
     # in powers of r = 1/q, which underflow where powers of a large q would overflow
     r = 1.0 / q

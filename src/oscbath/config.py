@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .bath import OhmicSpectrum, corr_ct, discretize, omega_range
+from .bath import OhmicSpectrum, corr_c0, corr_ct, discretize, omega_range
 from .flows import DRIVE_VARIANTS, EQUATIONS, SecularValidityWarning, markov_flows
 from .gaussian import SINGULAR_TOL, singular_eigenvalue
 
@@ -335,11 +335,10 @@ def _bath(point: ScenarioConfig):
     return discretize(spectrum, point.bath_modes, rng)
 
 
-def _kernel_reach(t_max: float, omega_c: float, temperature: float = math.inf) -> float:
-    """How far in s ``correlation_study`` takes a kernel: its grid ends at t_max, and it
-    seeks the half height of C0 out to 20/omega_c, and of C(s, T), which broadens like
-    1/T, out to 10/T too."""
-    return max(t_max, 20.0 / omega_c, 10.0 / temperature)
+def _kernel_reach(omega_c: float, temperature: float = math.inf) -> float:
+    """How far in s ``correlation_study`` seeks a kernel's half height: out to
+    20/omega_c for C0, and for C(s, T), which broadens like 1/T, out to 10/T too."""
+    return max(20.0 / omega_c, 10.0 / temperature)
 
 
 def _check_point(name: str, point: ScenarioConfig):
@@ -349,11 +348,17 @@ def _check_point(name: str, point: ScenarioConfig):
     if name == "correlation_study":
         if point.temperature <= 0:
             raise ConfigError("correlation kernels need a positive temperature")
-        c0 = corr_ct(OhmicSpectrum(point.alpha, point.omega_c), 0.0, point.temperature)
-        if c0 == 0 or not np.isfinite(c0):
-            raise ConfigError(f"the correlation kernel C(0, T) at T = {point.temperature!r} "
-                              f"is {c0.real:.3g}: it must be finite and nonzero")
-        reach = _kernel_reach(point.t_max, point.omega_c, point.temperature)
+        spectrum = OhmicSpectrum(point.alpha, point.omega_c)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            kernels = (("C0(0)", corr_c0(spectrum, 0.0)),
+                       (f"C(0, T) at T = {point.temperature!r}",
+                        corr_ct(spectrum, 0.0, point.temperature)))
+        for kernel, c0 in kernels:
+            if c0 == 0 or not np.isfinite(c0):
+                raise ConfigError(f"the correlation kernel {kernel} is {c0.real:.3g}: it must "
+                                  "be finite and nonzero")
+        # the kernels' grid of delays ends at t_max
+        reach = max(point.t_max, _kernel_reach(point.omega_c, point.temperature))
         if not math.isfinite(point.temperature * reach):
             raise ConfigError(f"T = {point.temperature!r} times the reach {reach:.3g} of the "
                               "kernel's delays s overflows: C(s, T) takes psi' at "

@@ -377,16 +377,16 @@ class ReducedPropagator:
     def states(self, times, system0: GaussianState, temperatures) -> GaussianState:
         """Reduced states at the 1-D ``times`` from system0 (x) thermal baths, as one stack.
 
-        ``temperatures`` holds one bath temperature per oscillator.  With U the
-        system rows of exp(-iWt), U_s their system columns and V the initial
-        bath variances, H = U V U^dagger and R_s = [[Re U_s, -Im U_s],
-        [Im U_s, Re U_s]] give C(t) = R_s C_sys R_s^T + [[Re H, -Im H],
-        [Im H, Re H]] and mean R_s m_sys + sqrt(2) (Re d, Im d), where
-        d = (U - 1) W0^{-1} b is the drive's affine term.  Per sector,
-        U_s = P diag(u_0) P^T and H = P H_sec P^T, where sectors s and r see
-        bath mode j with covariance (P^T diag(v_j) P)_sr: for a pair
-        (v1_j + v2_j)/2 within a sector and (v1_j - v2_j)/2 across.  A t = 0
-        entry is system0 itself.
+        ``temperatures`` holds one bath temperature per oscillator.  Sector s gives
+        the amplitudes u_s of its system row: u_0, the u_j and the drive's offset
+        (e^{-i lam t} - 1)/lam.  One map takes each to the sites, X[a, b] = sum_s
+        P[a, s] u_s P[b, s]: the amplitude with which system mode b, or mode j of
+        bath b, reaches system mode a.  So U = X(u_0), and each bath's variances
+        v_bj weigh only its own amplitudes, H[a, c] = sum_bj v_bj X_ab(u_j)
+        conj(X_cb(u_j)): no two baths' noise is subtracted.  With R = [[Re U, -Im U],
+        [Im U, Re U]], C(t) = R C_sys R^T + [[Re H, -Im H], [Im H, Re H]] and the
+        mean is R m_sys + sqrt(2) (Re d, Im d), where d_a = rabi X_a0(offset) is
+        the drive's affine term.  A t = 0 entry is system0 itself.
         """
         p = self.mixing
         k = p.shape[0]
@@ -396,30 +396,29 @@ class ReducedPropagator:
         moving = times != 0
         t = times[moving]
         poles = self.freqs - self.omega_l
-        u_sys, u_bath, offset = [], [], []
-        for sector in self.sectors:
+        amplitudes = np.zeros((k, t.size, self.freqs.size + 2), dtype=complex)
+        for sector, amp in zip(self.sectors, amplitudes):  # columns u_0, the u_j, the offset
             lam = sector.eigenvalues
             lt = np.outer(t, lam)
             re, im = sector.weight * np.cos(lt), -sector.weight * np.sin(lt)
-            u_sys.append(re.sum(axis=1) + 1j * im.sum(axis=1))
+            amp[:, 0] = re.sum(axis=1) + 1j * im.sum(axis=1)
             rows = sector.bath_rows(poles, np.concatenate([re, im]))
-            u_bath.append(rows[:t.size] + 1j * rows[t.size:])
+            amp[:, 1:-1].real, amp[:, 1:-1].imag = rows[:t.size], rows[t.size:]
             if self.rabi:  # (e^{-i lam t} - 1) / lam, without cancellation at small lam t
                 half = np.sin(0.5 * lt)
-                offset.append(((-2.0 * sector.weight * half * half + 1j * im) / lam).sum(axis=1))
+                amp[:, -1] = ((-2.0 * sector.weight * half * half + 1j * im) / lam).sum(axis=1)
+        # X of every column, taken on the real and imaginary parts alike
+        x = np.einsum("abs,stj->abtj", p[:, None] * p, amplitudes.view(float)).view(complex)
+        u, bath = x[..., 0].transpose(2, 0, 1), x[..., 1:-1]
         var = np.array([thermal_variance(self.freqs, temp) for temp in temperatures])
-        var_sec = np.einsum("as,aj,ar->srj", p, var, p)
-        u_bath = np.array(u_bath)
-        h_sec = np.einsum("srj,stj,rtj->tsr", var_sec, u_bath, u_bath.conj())
-        h = np.einsum("as,tsr,br->tab", p, h_sec, p)
-        u_s = np.einsum("as,ts,bs->tab", p, np.array(u_sys).T, p)
-        r_sys, h = _real_form(u_s.real, u_s.imag), _real_form(h.real, h.imag)
+        h = np.einsum("bj,abtj,cbtj->tac", var, bath, bath.conj())
+        r_sys, h = _real_form(u.real, u.imag), _real_form(h.real, h.imag)
         mean = np.repeat(system0.mean[None], times.size, axis=0)
         cov = np.repeat(system0.cov[None], times.size, axis=0)
         cov[moving] = r_sys @ system0.cov @ r_sys.transpose(0, 2, 1) + h
         mean[moving] = r_sys @ system0.mean
         if self.rabi:
-            d = self.rabi * np.array(offset).T @ (p * p[0]).T
+            d = self.rabi * x[:, 0, :, -1].T
             mean[moving] += np.sqrt(2.0) * np.concatenate([d.real, d.imag], axis=1)
         return GaussianState(k, mean, cov)  # which symmetrizes each covariance
 

@@ -175,11 +175,11 @@ def _correlation_study(config: ScenarioConfig) -> list:
     # the zero-temperature kernel is at no sweep point
     rows = _rows(s_grid, [("none", "", "abs_corr_c0", np.abs(corr_c0(spec, s_grid)))])
     rows.append(("none", "", 0.0, "fwhh_c0", fwhh(lambda s: abs(corr_c0(spec, s)),
-                                                  _kernel_reach(config.t_max, spec.omega_c))))
+                                                  _kernel_reach(spec.omega_c))))
     for param, temp, _, _ in evaluations(config, "correlation_study"):
         rows += _rows(s_grid, [(param, _fmt(temp), "abs_corr_ct",
                                 np.abs(corr_ct(spec, s_grid, temp)))])
-        reach = _kernel_reach(config.t_max, spec.omega_c, temp)
+        reach = _kernel_reach(spec.omega_c, temp)
         rows.append((param, _fmt(temp), 0.0, "fwhh_ct",
                      fwhh(lambda s: abs(corr_ct(spec, s, temp)), reach)))
     return rows

@@ -217,6 +217,9 @@ BAD_RUNS = {
     # nor overflow: alpha T omega_c at T = 1e307, alpha = 100, the kernel's high-T limit
     "correlation_kernel_overflow": NO_SWEEP.replace("temperature = 0.5", "temperature = 1e307")
     .replace("alpha = 0.01", "alpha = 100").replace("= fidelity_vs_time", "= correlation_study"),
+    # nor the zero-temperature kernel: alpha omega_c^2 at omega_c = 1e300
+    "correlation_kernel_c0_overflow": NO_SWEEP.replace("omega_c = 3", "omega_c = 1e300")
+    .replace("= fidelity_vs_time", "= correlation_study"),
     # C(s, T) takes psi' at 1 + T/omega_c + i s T, and s T overflows at s = t_max
     "correlation_kernel_delays_overflow": NO_SWEEP.replace("temperature = 0.5",
                                                            "temperature = 1.7e308")
@@ -250,6 +253,8 @@ BAD_RUN_MESSAGES = {
     "decay_rate_overflow": "pi*J(nu) at nu = 1.0 is not finite (alpha = 1e+308",
     "correlation_kernel_overflow": "correlation_study at temperature = 9.9999999999999999e+306: "
     "the correlation kernel C(0, T) at T = 1e+307 is inf: it must be finite and nonzero",
+    "correlation_kernel_c0_overflow": "the correlation kernel C0(0) is inf: it must be finite "
+    "and nonzero",
     "correlation_kernel_delays_overflow": "T = 1.7e+308 times the reach 8 of the kernel's delays "
     "s overflows",
     "coherent_amplitude_overflows": "the coherent amplitude |initial_coherent_re + i "
@@ -657,8 +662,9 @@ class TestCli:
                               "var2x_markov_noshift"}
 
     def test_numeric_failure_exit(self, tmp_path, capsys):
-        # fig2 squeezed to r = 20: validate accepts it, and rounding in the e^{-2r}
-        # variances leaves an exact state unphysical (the strict xfail below)
+        # fig2 squeezed to r = 20: validate accepts it, and rounding leaves an exact
+        # state unphysical, at a time and by an amount that move with the rounding
+        # (the strict xfail below)
         p = tmp_path / "run.cfg"
         p.write_text((CONFIG_DIR / "fig2_variance.cfg").read_text()
                      .replace("initial_squeeze = 0.5", "initial_squeeze = 20"))
@@ -924,8 +930,8 @@ class TestCli:
         assert (tmp_path / "o" / f"{experiment}.csv").is_file()
 
     @pytest.mark.xfail(strict=True, reason="validate accepts fig2 at initial_squeeze = 20, and "
-                       "run exits 3: an exact state's min eig(C + i sigma) is -16 at "
-                       "t = 0.602")
+                       "run exits 3: the squeezed variance e^{-2r} lies below the rounding of "
+                       "its partner e^{2r}, so an exact state reads unphysical")
     def test_strongly_squeezed_variance_runs_or_is_refused(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text((CONFIG_DIR / "fig2_variance.cfg").read_text()
@@ -933,11 +939,9 @@ class TestCli:
         assert (cli_main(["validate", str(p)]) == EXIT_CONFIG
                 or cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK)
 
-    @pytest.mark.xfail(strict=True, reason="validate accepts a second bath at T2 = 2e16, and run "
-                       "exits 3: an exact state's min eig(C + i sigma) is -1.1e-8 at t = 0.02; "
-                       "the absolute PHYSICALITY_TOL, -1e-10, lies below the rounding of "
-                       "eigvalsh on a covariance that hot")
     def test_hot_second_bath_runs_or_is_refused(self, tmp_path):
+        # the cold oscillator's state must not read the hot bath's noise as a
+        # difference of two terms of order T2
         p = tmp_path / "run.cfg"
         p.write_text(config_text(ScenarioConfig(
             scenario="two_coupled", omega=1.2, omega2=1.2, beta=0.0, alpha=0.001, omega_c=1.8,

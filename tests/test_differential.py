@@ -6,14 +6,15 @@ each field whose rules ``validate`` takes from the code that ``run`` calls, not
 from rules of its own, in or out of range at random: the bath's size, window
 mode, floor and lower edge (``bath.discretize``, ``bath.omega_range``), alpha
 and omega_c (``bath.OhmicSpectrum``) and beta (the pair's master equation and
-exact side).  Coherent amplitudes range over all finite floats.
+exact side).  Coherent amplitudes and a second bath's temperature range over
+all finite floats.
 
-Squeezed starts, second baths hotter than 50 and bath or normal modes far below
-T are left out: each is a known disagreement of its own, pinned by a strict
-xfail in ``test_config_cli`` (``test_strongly_squeezed_variance_runs_or_is_refused``,
-``test_hot_second_bath_runs_or_is_refused`` and
+Squeezed starts and bath or normal modes far below T are left out: each is a
+known disagreement of its own, pinned by a strict xfail in ``test_config_cli``
+(``test_strongly_squeezed_variance_runs_or_is_refused`` and
 ``test_hot_bath_mode_runs_or_is_refused``), and the subject here is the rules
-above.
+above.  A second test draws ``correlation_study``'s t_max, omega_c, alpha and T
+over all finite floats, with every warning an error.
 """
 
 import tempfile
@@ -21,13 +22,13 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_config_cli import FINITE
 from test_metamorphic import small_runnable_configs
 
 from oscbath.cli import EXIT_OK, cli_main
-from oscbath.config import ConfigError, config_text, validate
+from oscbath.config import ConfigError, ScenarioConfig, config_text, validate
 from oscbath.exact import RwaValidityWarning
 from oscbath.flows import SecularValidityWarning
 
@@ -60,12 +61,12 @@ def configs_off_their_ranges(draw):
         config, **{name: draw(ranges[name in off]) for name, ranges in RANGES.items()},
         initial=draw(st.sampled_from(["vacuum", "thermal", "coherent"])),
         initial_coherent_re=draw(FINITE), initial_coherent_im=draw(FINITE),
-        temperature2=draw(st.just(-1.0) | st.floats(0.0, 50.0)))
+        temperature2=draw(st.just(-1.0) | st.floats(0.0, allow_infinity=False)))
 
 
-@settings(max_examples=150, deadline=None)
-@given(configs_off_their_ranges())
-def test_validate_refuses_or_run_succeeds(config):
+def assert_refused_or_runs(config, *ignored):
+    """``validate`` refuses ``config``, or ``run`` takes it to exit 0 with no warning
+    outside the ``ignored`` categories."""
     try:
         validate(config)
     except ConfigError:
@@ -75,6 +76,22 @@ def test_validate_refuses_or_run_succeeds(config):
         path.write_text(config_text(config))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            warnings.simplefilter("ignore", SecularValidityWarning)
-            warnings.simplefilter("ignore", RwaValidityWarning)
+            for category in ignored:
+                warnings.simplefilter("ignore", category)
             assert cli_main(["run", str(path), "--out", str(Path(tmp) / "o")]) == EXIT_OK
+
+
+@settings(max_examples=150, deadline=None)
+@given(configs_off_their_ranges())
+def test_validate_refuses_or_run_succeeds(config):
+    assert_refused_or_runs(config, SecularValidityWarning, RwaValidityWarning)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FINITE, FINITE, FINITE, FINITE)
+@example(t_max=1e150, omega_c=3.0, alpha=0.01, temperature=1.0)  # fwhh searched all of t_max
+@example(t_max=8.0, omega_c=1e300, alpha=0.01, temperature=1.0)  # omega_c^2 overflowed
+def test_correlation_study_runs_or_is_refused(t_max, omega_c, alpha, temperature):
+    assert_refused_or_runs(ScenarioConfig(alpha=alpha, omega_c=omega_c, temperature=temperature,
+                                          t_max=t_max, samples=3,
+                                          experiments=("correlation_study",)))

@@ -16,7 +16,7 @@ import oscbath
 from oscbath import exact
 from oscbath.bath import BathCouplings, OhmicSpectrum, discretize, omega_range
 from oscbath.exact import FullPropagator, ReducedPropagator, RwaValidityWarning
-from oscbath.gaussian import (GaussianState, make_squeezed_vacuum, make_thermal,
+from oscbath.gaussian import (GaussianState, make_coherent, make_squeezed_vacuum, make_thermal,
                               make_vacuum, symplectic_form, tensor_product)
 
 SPEC = OhmicSpectrum(0.01, 3.0)
@@ -197,6 +197,27 @@ class TestCovarianceEvolution:
         sign1, logdet1 = np.linalg.slogdet(m @ global0.cov @ m.T)
         assert sign0 == sign1
         assert logdet1 == pytest.approx(logdet0, abs=1e-8)
+
+    @pytest.mark.parametrize("hot", [1e6, 1e10, 1e14, 1e16])
+    def test_uncoupled_pair_is_two_lone_oscillators(self, hot):
+        # at beta = 0 the hot bath never reaches the cold oscillator: its half of the
+        # pair must be the lone oscillator's state to rounding, not to rounding of T2
+        spec = OhmicSpectrum(0.001, 1.8)
+        bath = discretize(spec, 40, omega_range(spec, "equal_tails"))
+        times = np.linspace(0.0, 50.0, 26)
+        cold0, hot0 = make_coherent(0.8 - 0.3j), make_squeezed_vacuum(0.4)
+        pair = ReducedPropagator.build(1.2, bath, beta=0.0).states(
+            times, tensor_product(cold0, hot0), [0.2, hot])
+        cold = ReducedPropagator.build(1.2, bath).states(times, cold0, [0.2])
+        lone = ReducedPropagator.build(1.2, bath).states(times, hot0, [hot])
+        c, h = [0, 2], [1, 3]  # (x1, x2, p1, p2): the cold and the hot oscillator
+        np.testing.assert_allclose(pair.mean[:, c], cold.mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pair.mean[:, h], lone.mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pair.cov[np.ix_(range(26), c, c)], cold.cov, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(pair.cov[np.ix_(range(26), c, h)], 0.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pair.cov[np.ix_(range(26), h, h)], lone.cov, rtol=0,
+                                   atol=1e-12 * np.abs(lone.cov).max())
 
 
 class TestFullStates:

@@ -79,6 +79,9 @@ def omega_range(spectrum: OhmicSpectrum, mode: str = "equal_tails", *,
     (0, omega_1) and right tail (omega_max, inf) carry equal spectral weight;
     omega_1 defaults to omega_c / 1000.  ``floor`` sets omega_1 = floor and
     solves J(omega_max) = J(floor) on the decaying side omega_max > omega_c.
+    Either equation decreases on that side to a negative limit, so the search
+    for a bracket ends, and it is finite on the bracket if it is at its two
+    ends; ValueError where it is not.
     """
     wc = spectrum.omega_c
     if mode == "equal_tails":
@@ -94,17 +97,25 @@ def omega_range(spectrum: OhmicSpectrum, mode: str = "equal_tails", *,
             raise ValueError("floor mode requires 0 < floor < omega_c")
         w1 = float(floor)
         jc = float(spectrum.j(w1))
+        if not jc > 0:
+            raise ValueError(f"J(floor) at floor = {w1!r} rounds to 0: alpha = "
+                             f"{spectrum.alpha!r}, omega_c = {wc!r}")
         fun = lambda w: float(spectrum.j(w)) - jc
     else:
         raise ValueError(f"unknown range mode {mode!r}")
 
+    def finite(w: float) -> float:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused here
+            value = float(fun(w))
+        if not math.isfinite(value):
+            raise ValueError(f"the bath window's equation for omega_max is {value} at omega = "
+                             f"{w:.3g}: alpha = {spectrum.alpha!r}, omega_c = {wc!r}")
+        return value
+
     lo, hi = wc, 2.0 * wc
-    for _ in range(200):
-        if fun(hi) < 0:
-            break
+    finite(lo)
+    while finite(hi) >= 0:  # hi reaches inf, where neither equation is finite, at the latest
         hi *= 1.5
-    else:
-        raise ArithmeticError(f"no sign change while bracketing omega_max in [{wc}, {hi}]")
     try:
         wmax = _brentq(fun, lo, hi, xtol=1e-14, rtol=1e-15)
     except (ValueError, RuntimeError) as exc:
@@ -179,7 +190,8 @@ def _brentq(f: Callable, xa: float, xb: float, xtol: float, rtol: float,
 
 
 def discretize(spectrum: OhmicSpectrum, n_modes: int, rng: tuple[float, float]) -> BathCouplings:
-    """Equally spaced bath modes on [omega_1, omega_max] with g_j^2 = J(omega_j) dw."""
+    """Equally spaced bath modes on [omega_1, omega_max] with g_j^2 = J(omega_j) dw;
+    ValueError where a coupling g_j overflows."""
     if n_modes < 2:
         raise ValueError("need at least 2 bath modes")
     w1, wmax = rng
@@ -187,7 +199,11 @@ def discretize(spectrum: OhmicSpectrum, n_modes: int, rng: tuple[float, float]) 
         raise ValueError(f"invalid frequency range ({w1}, {wmax})")
     freqs = np.linspace(w1, wmax, n_modes)
     dw = (wmax - w1) / (n_modes - 1)
-    gs = np.sqrt(spectrum.j(freqs) * dw)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        gs = np.sqrt(spectrum.j(freqs) * dw)
+    if not np.isfinite(gs).all():
+        raise ValueError(f"a bath coupling sqrt(J dw) overflows: alpha = {spectrum.alpha!r}, "
+                         f"omega_c = {spectrum.omega_c!r}")
     return BathCouplings(freqs, gs)
 
 

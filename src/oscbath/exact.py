@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathCouplings
-from .gaussian import GaussianState, singular_eigenvalue, thermal_variance
+from .gaussian import GaussianState, thermal_variance
 
 __all__ = ["FullPropagator", "ReducedPropagator", "RwaValidityWarning"]
 
@@ -345,7 +345,7 @@ class ReducedPropagator:
         A pair is two oscillators of frequency omega exchange-coupled by
         ``beta``, each with its own copy of ``bath``.  ``drive`` = (rabi,
         omega_L) drives the first system mode; its states are reported in the
-        frame rotating at omega_L, where W - omega_L must be regular.
+        frame rotating at omega_L.
         """
         if beta is None:
             system, mixing = [omega], np.ones((1, 1))
@@ -366,12 +366,6 @@ class ReducedPropagator:
         freqs, g = freqs[coupled], g[coupled]
         sectors = tuple(_Sector(*_arrowhead_spectrum(w - omega_l, freqs - omega_l, g))
                         for w in system)
-        if drive is not None:
-            lam = singular_eigenvalue(np.concatenate([s.eigenvalues for s in sectors]))
-            if lam is not None:
-                raise ArithmeticError(
-                    f"W - omega_L*1 is singular: eigenvalue {lam + omega_l:.12g} "
-                    f"resonant with drive frequency {omega_l:.12g}; perturb omega_L")
         return cls(sectors, mixing, freqs, rabi, omega_l)
 
     def states(self, times, system0: GaussianState, temperatures) -> GaussianState:
@@ -379,7 +373,9 @@ class ReducedPropagator:
 
         ``temperatures`` holds one bath temperature per oscillator.  Sector s gives
         the amplitudes u_s of its system row: u_0, the u_j and the drive's offset
-        (e^{-i lam t} - 1)/lam.  One map takes each to the sites, X[a, b] = sum_s
+        (e^{-i lam t} - 1)/lam = -t (sin(x/2) s(x/2) + i s(x)) at x = lam t, with
+        s(x) = sin(x)/x: entire in lam, so lam = 0 (a drive resonant with W) gives
+        -i t.  One map takes each to the sites, X[a, b] = sum_s
         P[a, s] u_s P[b, s]: the amplitude with which system mode b, or mode j of
         bath b, reaches system mode a.  So U = X(u_0), and each bath's variances
         v_bj weigh only its own amplitudes, H[a, c] = sum_bj v_bj X_ab(u_j)
@@ -404,9 +400,10 @@ class ReducedPropagator:
             amp[:, 0] = re.sum(axis=1) + 1j * im.sum(axis=1)
             rows = sector.bath_rows(poles, np.concatenate([re, im]))
             amp[:, 1:-1].real, amp[:, 1:-1].imag = rows[:t.size], rows[t.size:]
-            if self.rabi:  # (e^{-i lam t} - 1) / lam, without cancellation at small lam t
-                half = np.sin(0.5 * lt)
-                amp[:, -1] = ((-2.0 * sector.weight * half * half + 1j * im) / lam).sum(axis=1)
+            if self.rabi:  # -t (sin(x/2) s(x/2) + i s(x)) at x = lam t, s(x) = np.sinc(x/pi)
+                s_half = np.sinc(lt / (2.0 * np.pi))
+                amp[:, -1].real = -t * (sector.weight * np.sin(0.5 * lt) * s_half).sum(axis=1)
+                amp[:, -1].imag = -t * (sector.weight * np.sinc(lt / np.pi)).sum(axis=1)
         # X of every column, taken on the real and imaginary parts alike
         x = np.einsum("abs,stj->abtj", p[:, None] * p, amplitudes.view(float)).view(complex)
         u, bath = x[..., 0].transpose(2, 0, 1), x[..., 1:-1]

@@ -37,21 +37,6 @@ PHYSICALITY_TOL = -1e-10
 
 _SYMMETRY_RTOL = 1e-12
 
-#: Relative size below which an eigenvalue of W - omega_L counts as 0.
-SINGULAR_TOL = 1e-12
-
-
-def singular_eigenvalue(lam):
-    """The eigenvalue of W - omega_L nearest 0 if it counts as 0, else None.
-
-    A driven state's mean needs (W - omega_L)^{-1}.  An eigenvalue counts as
-    0 below SINGULAR_TOL times max(|lam|, 1).
-    """
-    lam = np.asarray(lam, dtype=float)
-    smallest = lam[np.abs(lam).argmin()]
-    return smallest if abs(smallest) < SINGULAR_TOL * max(np.abs(lam).max(), 1.0) else None
-
-
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Symplectic form [[0, I], [-I, 0]] for the block (x..x, p..p) ordering."""
     sigma = np.zeros((2 * n_modes, 2 * n_modes))

@@ -19,13 +19,14 @@ from hypothesis import strategies as st
 import oscbath
 from oscbath import cli, experiments, fock
 from oscbath import config as config_module
+from oscbath.bath import bose_occupation
 from oscbath.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, cli_main
 from oscbath.config import (DEFAULT_DETUNING_GRID, DRIVE_VARIANTS, EXPERIMENTS,
                             INITIAL_STATES, SCENARIOS, ConfigError,
                             ScenarioConfig, config_text, evaluations, parse_config,
                             sweep_points, validate)
 from oscbath.exact import ReducedPropagator
-from oscbath.experiments import ExperimentResult, config_from_csv
+from oscbath.experiments import ExperimentResult, _compare, _times, config_from_csv
 from oscbath.flows import markov_flows, steady_state
 from oscbath.gaussian import GaussianState
 
@@ -64,7 +65,7 @@ values = 0.1, 1
 experiments = fidelity_vs_time
 """
 
-# exact resonance omega_l = Omega with a bath, where W - omega_L stays regular
+# a drive at exact resonance omega_l = Omega, with a bath
 RESONANT_DRIVEN = """
 [scenario]
 kind = driven
@@ -120,6 +121,10 @@ samples = 3
 experiments = variance_trajectory
 """
 
+RECURRENCE_RUN = (SMALL_RUN.replace("parameter = temperature", "parameter = modes")
+                  .replace("values = 0.1, 1", "values = 12, 20")
+                  .replace("= fidelity_vs_time", "= recurrence_map"))
+
 BAD_RUNS = {
     "t_max_nan": SMALL_RUN.replace("t_max = 8", "t_max = nan"),
     "squeeze_nan": SMALL_RUN.replace("initial = thermal",
@@ -136,17 +141,9 @@ BAD_RUNS = {
                                                          "= fidelity_vs_time"),
     "resonant_swept_detuning": RESONANT_DRIVEN.replace("omega_l = 1", "omega_l = 1.2")
     + "\n[sweep]\nparameter = detuning\nvalues = -0.1, 0\n",
-    # refused as with a bath, though W - omega_L is singular here too
+    # refused as with a bath: the off_resonant and no_secular expansions divide by
+    # the detuning
     "resonant_driven_suite_without_bath": RESONANT_DRIVEN.replace("modes = 12", "modes = 0"),
-    # and so is the plain drive, which the exact side alone cannot take without a bath
-    "resonant_plain_without_bath": RESONANT_DRIVEN.replace("modes = 12", "modes = 0")
-    .replace("= driven_suite", "= fidelity_vs_time")
-    + "\n[sweep]\nparameter = variant\nvalues = plain\n",
-    # within the exact side's singularity tolerance of resonance, not at it
-    "near_resonant_plain_without_bath": RESONANT_DRIVEN.replace("modes = 12", "modes = 0")
-    .replace("omega_l = 1", "omega_l = 1.0000000000001").replace("= driven_suite",
-                                                                  "= fidelity_vs_time")
-    + "\n[sweep]\nparameter = variant\nvalues = plain\n",
     "unknown_swept_variant": RESONANT_DRIVEN.replace("omega_l = 1", "omega_l = 1.2")
     .replace("= driven_suite", "= fidelity_vs_time")
     + "\n[sweep]\nparameter = variant\nvalues = plain, bogus\n",
@@ -244,6 +241,32 @@ BAD_RUNS = {
     "t_max_5e306_overflows_the_phases": NO_SWEEP.replace("t_max = 8", "t_max = 5e306")
     .replace("range_mode = floor", "range_mode = equal_tails")
     .replace("= fidelity_vs_time", "= variance_trajectory"),
+    # a bath whose J overflows is refused where J is taken: in the floor window's
+    # equation, or in a coupling sqrt(J dw) of the equal_tails window
+    "alpha_1e308_floor_window": SMALL_RUN.replace("omega_c = 3", "omega_c = 10")
+    .replace("parameter = temperature", "parameter = alpha")
+    .replace("values = 0.1, 1", "values = 0.002, 1e308")
+    .replace("= fidelity_vs_time", "= factorization_distance"),
+    "alpha_1e308_equal_tails_couplings": SMALL_RUN.replace("omega_c = 3", "omega_c = 10")
+    .replace("range_mode = floor", "range_mode = equal_tails")
+    .replace("parameter = temperature", "parameter = alpha")
+    .replace("values = 0.1, 1", "values = 0.002, 1e308")
+    .replace("= fidelity_vs_time", "= factorization_distance"),
+    # or where the window's frequencies themselves overflow
+    "omega_c_1e308_equal_tails_window": RECURRENCE_RUN.replace("omega_c = 3", "omega_c = 1e308")
+    .replace("range_mode = floor", "range_mode = equal_tails"),
+    "omega_c_1e308_floor_window": RECURRENCE_RUN.replace("omega_c = 3", "omega_c = 1e308"),
+    "omega_c_1e200_couplings": RECURRENCE_RUN.replace("omega_c = 3", "omega_c = 1e200")
+    .replace("range_mode = floor", "range_mode = equal_tails"),
+    # and a floor window whose J(floor) underflows has no omega_max
+    "alpha_5e-324_floor_window": SMALL_RUN.replace("parameter = temperature", "parameter = alpha")
+    .replace("values = 0.1, 1", "values = 0.002, 5e-324")
+    .replace("= fidelity_vs_time", "= factorization_distance"),
+    # the reach 20/omega_c of the delays is checked before the kernels, whose C(0, T)
+    # would read a false 0 here (it tends to alpha T omega_c)
+    "correlation_reach_before_kernels": NO_SWEEP.replace("omega_c = 3", "omega_c = 1e-150")
+    .replace("temperature = 0.5", "temperature = 1e200")
+    .replace("= fidelity_vs_time", "= correlation_study"),
 }
 
 # what the message of a BAD_RUNS case must name, where that is pinned
@@ -266,13 +289,34 @@ BAD_RUN_MESSAGES = {
     "evolution: t_max times the bound 15.5 on the frequencies of W overflows",
     "t_max_5e306_overflows_the_phases": "t_max = 5e+306 is too long for the exact evolution: "
     "t_max times the bound 52.5 on the frequencies of W overflows",
-    "resonant_plain_without_bath": "omega_l = 1.0 is within 1e-12 of omega = 1.0 with no bath: "
-    "W - omega_l is singular",
-    "near_resonant_plain_without_bath": "omega_l = 1.0000000000001 is within 1e-12 of omega = "
-    "1.0 with no bath: W - omega_l is singular",
     "unknown_config_variant": "[drive] variant must be one of ('plain', 'off_resonant', "
     "'no_secular')",
+    "alpha_1e308_floor_window": "factorization_distance at alpha = 1e+308: the bath window's "
+    "equation for omega_max is inf at omega = 10: alpha = 1e+308, omega_c = 10.0",
+    "alpha_1e308_equal_tails_couplings": "factorization_distance at alpha = 1e+308: a bath "
+    "coupling sqrt(J dw) overflows: alpha = 1e+308, omega_c = 10.0",
+    "omega_c_1e308_equal_tails_window": "the bath window's equation for omega_max is inf at "
+    "omega = 1e+308: alpha = 0.01, omega_c = 1e+308",
+    "omega_c_1e308_floor_window": "the bath window's equation for omega_max is nan at "
+    "omega = inf: alpha = 0.01, omega_c = 1e+308",
+    "omega_c_1e200_couplings": "a bath coupling sqrt(J dw) overflows: alpha = 0.01, "
+    "omega_c = 1e+200",
+    "alpha_5e-324_floor_window": "J(floor) at floor = 0.1 rounds to 0: alpha = 5e-324, "
+    "omega_c = 3.0",
+    "correlation_reach_before_kernels": "correlation_study at temperature = "
+    "9.9999999999999997e+199: T = 1e+200 times the reach 2e+151 of the kernel's delays s "
+    "overflows",
 }
+
+# the plain drive at, and 1e-13 from, Omega without a bath, which the exact side
+# takes as it takes any drive: the bath-less mean grows secularly
+RESONANT_WITHOUT_BATH = {
+    "resonant_plain_without_bath": RESONANT_DRIVEN.replace("modes = 12", "modes = 0")
+    .replace("= driven_suite", "= fidelity_vs_time")
+    + "\n[sweep]\nparameter = variant\nvalues = plain\n",
+}
+RESONANT_WITHOUT_BATH["near_resonant_plain_without_bath"] = RESONANT_WITHOUT_BATH[
+    "resonant_plain_without_bath"].replace("omega_l = 1", "omega_l = 1.0000000000001")
 
 ORACLE_SINGLE = ("[oracle]\nfamily = single\ncutoff = 10\nt = 2\n"
                  "gamma = 0.08\nnbar = 0.2\nomega_bar = 1.0\n")
@@ -313,9 +357,7 @@ BAD_ORACLES = {
 FLOW_RUNS = {
     "variance_trajectory": NO_SWEEP.replace("= fidelity_vs_time", "= variance_trajectory"),
     "fidelity_vs_time": SMALL_RUN,
-    "recurrence_map": SMALL_RUN.replace("parameter = temperature", "parameter = modes")
-    .replace("values = 0.1, 1", "values = 12, 20")
-    .replace("= fidelity_vs_time", "= recurrence_map"),
+    "recurrence_map": RECURRENCE_RUN,
     "two_oscillator_suite": NO_SWEEP.replace("kind = single", "kind = two_coupled")
     .replace("= fidelity_vs_time", "= two_oscillator_suite"),
     "driven_suite": RESONANT_DRIVEN.replace("omega_l = 1", "omega_l = 1.2"),
@@ -560,7 +602,7 @@ class TestCli:
 
     def test_bad_config_is_refused_before_a_bad_out(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
-        p.write_text(BAD_RUNS["resonant_plain_without_bath"])
+        p.write_text(BAD_RUNS["resonant_driven_suite_without_bath"])
         (tmp_path / "file").write_text("")
         assert cli_main(["run", str(p), "--out", str(tmp_path / "file")]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
@@ -789,6 +831,28 @@ class TestCli:
                      + "\n[sweep]\nparameter = variant\nvalues = plain\n")
         assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK
 
+    @pytest.mark.parametrize("case", sorted(RESONANT_WITHOUT_BATH))
+    def test_validate_accepts_resonant_drive_without_bath(self, case, tmp_path, capsys):
+        p = tmp_path / "res.cfg"
+        p.write_text(RESONANT_WITHOUT_BATH[case])
+        assert cli_main(["validate", str(p)]) == EXIT_OK
+        assert not capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(RESONANT_WITHOUT_BATH))
+    def test_resonant_drive_without_bath_runs(self, case, tmp_path):
+        # in the frame of the drive, a(t) = rabi (e^{i delta t} - 1)/(-delta) with
+        # delta = omega_l - Omega: -i rabi t (1 + i delta t/2) to within (delta t)^2
+        p = tmp_path / "res.cfg"
+        p.write_text(RESONANT_WITHOUT_BATH[case])
+        assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert (tmp_path / "o" / "fidelity_vs_time.csv").is_file()
+        config = parse_config(p.read_text())
+        times = _times(config)
+        exact, _ = _compare(config, (), times)
+        a = -1j * config.rabi * times * (1 + 0.5j * (config.omega_l - config.omega) * times)
+        np.testing.assert_allclose(exact.mean, np.sqrt(2) * np.column_stack([a.real, a.imag]),
+                                   rtol=0, atol=1e-15)
+
     def test_non_finite_result_is_not_written(self, tmp_path, capsys, monkeypatch):
         def nan_result(config):
             return [("none", "", 0.0, "x", float("nan"))]
@@ -938,6 +1002,31 @@ class TestCli:
                      .replace("initial_squeeze = 0.5", "initial_squeeze = 20"))
         assert (cli_main(["validate", str(p)]) == EXIT_CONFIG
                 or cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: validate accepts fig2 at alpha = "
+                       "4.4e-16 (gamma ~ 1e-15) and t_max = 1e300, and run writes Markov "
+                       "variances of 1.871 (shift) and 1.722 (no shift) at t_max against the "
+                       "flow's steady state 2 nbar + 1 = 2.164: evolve_flow's rounding grows "
+                       "with omega t up to t ~ 1/gamma")
+    def test_weakly_damped_flow_reaches_its_steady_state_or_is_refused(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text((CONFIG_DIR / "fig2_variance.cfg").read_text()
+                     .replace("alpha = 0.01", "alpha = 4.4e-16")
+                     .replace("initial = squeezed\ninitial_squeeze = 0.5", "initial = vacuum")
+                     .replace("modes = 150", "modes = 20").replace("t_max = 30", "t_max = 1e300")
+                     .replace("samples = 300", "samples = 3"))
+        if cli_main(["validate", str(p)]) == EXIT_CONFIG:
+            return
+        assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK
+        config = parse_config(p.read_text())
+        rows = [line.split(",") for line in
+                (tmp_path / "o" / "variance_trajectory.csv").read_text().splitlines()
+                if line.startswith("none,")]
+        markov = [float(v) for _, _, t, quantity, v in rows
+                  if float(t) == config.t_max and quantity.startswith("var2x_markov")]
+        steady = 2.0 * bose_occupation(config.omega, config.temperature) + 1.0
+        assert len(markov) == 2
+        assert max(abs(v - steady) for v in markov) <= 1e-10
 
     def test_hot_second_bath_runs_or_is_refused(self, tmp_path):
         # the cold oscillator's state must not read the hot bath's noise as a

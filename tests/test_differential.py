@@ -24,11 +24,11 @@ from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_config_cli import FINITE
+from test_config_cli import CONFIG_DIR, FINITE
 from test_metamorphic import small_runnable_configs
 
 from oscbath.cli import EXIT_OK, cli_main
-from oscbath.config import ConfigError, ScenarioConfig, config_text, validate
+from oscbath.config import ConfigError, ScenarioConfig, config_text, parse_path, validate
 from oscbath.exact import RwaValidityWarning
 from oscbath.flows import SecularValidityWarning
 
@@ -81,8 +81,15 @@ def assert_refused_or_runs(config, *ignored):
             assert cli_main(["run", str(path), "--out", str(Path(tmp) / "o")]) == EXIT_OK
 
 
+# fig9_11 driven on a normal mode of its W, at 1.1163263542544686: the exact side
+# once refused this eigenvalue of W - omega_L after validate had accepted it
+RESONANT_FIG9_11 = replace(parse_path(CONFIG_DIR / "fig9_11_driven.cfg"),
+                           omega_l=1.1163263542544686, experiments=("fidelity_vs_time",))
+
+
 @settings(max_examples=150, deadline=None)
 @given(configs_off_their_ranges())
+@example(RESONANT_FIG9_11)
 def test_validate_refuses_or_run_succeeds(config):
     assert_refused_or_runs(config, SecularValidityWarning, RwaValidityWarning)
 
@@ -91,6 +98,7 @@ def test_validate_refuses_or_run_succeeds(config):
 @given(FINITE, FINITE, FINITE, FINITE)
 @example(t_max=1e150, omega_c=3.0, alpha=0.01, temperature=1.0)  # fwhh searched all of t_max
 @example(t_max=8.0, omega_c=1e300, alpha=0.01, temperature=1.0)  # omega_c^2 overflowed
+@example(t_max=1.0, omega_c=0.0, alpha=0.0, temperature=1.0)  # the reach needs omega_c > 0
 def test_correlation_study_runs_or_is_refused(t_max, omega_c, alpha, temperature):
     assert_refused_or_runs(ScenarioConfig(alpha=alpha, omega_c=omega_c, temperature=temperature,
                                           t_max=t_max, samples=3,

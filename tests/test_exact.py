@@ -11,6 +11,7 @@ from conftest import (build_single, build_two, dense_states, propagator,
                       random_physical_state, recurrence_time_estimate, sector_cache)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import oscbath
 from oscbath import exact
@@ -38,19 +39,20 @@ def arrowhead_cache(omega, bath, **kwargs):
 def dense_driven(coupling, rabi, omega_l, state0, t):
     """Full state under the drive, by eigh of W - omega_L: M(t) s0 plus the affine term.
 
-    The mean gains sqrt(2)((cos(W0 t) - 1) w ; -sin(W0 t) w) with w = W0^{-1} b
-    and b = rabi on the first system mode (mode 0); the drive cancels from the
-    covariance.
+    The drive adds a(t) = [e^{Gt}]_{:n, n} to the modes' amplitudes, with the
+    augmented generator G = [[-i(W - omega_L), -i rabi e_0], [0, 0]] and e_0 the
+    first system mode: no (W - omega_L)^{-1} is taken, so it holds at resonance
+    too.  The mean gains sqrt(2) (Re a, Im a); the drive cancels from the covariance.
     """
     n = coupling.shape[0]
     w0 = coupling - omega_l * np.eye(n)
     m = propagator(*np.linalg.eigh(w0), t)
-    b = np.zeros(n)
-    b[0] = rabi
-    w = np.linalg.solve(w0, b)
-    shift = np.sqrt(2.0) * np.concatenate([m[:n, :n] @ w - w, m[n:, :n] @ w])
+    gen = np.zeros((n + 1, n + 1), dtype=complex)
+    gen[:n, :n], gen[0, n] = -1j * w0, -1j * rabi
+    a = expm(gen * t)[:n, n]
     cov = m @ state0.cov @ m.T
-    return GaussianState(n, m @ state0.mean + shift, 0.5 * (cov + cov.T))
+    return GaussianState(n, m @ state0.mean + np.sqrt(2.0) * np.concatenate([a.real, a.imag]),
+                         0.5 * (cov + cov.T))
 
 
 class TestBuilders:
@@ -290,11 +292,27 @@ class TestDriven:
         np.testing.assert_allclose(covs[1], covs[0], atol=1e-12)
         np.testing.assert_allclose(covs[2], covs[0], atol=1e-12)
 
-    def test_resonant_drive_frequency_rejected(self):
-        bath = small_bath()
-        resonant = float(np.linalg.eigvalsh(build_single(1.0, bath))[2])
-        with pytest.raises(ArithmeticError, match="resonant"):
-            ReducedPropagator.build(1.0, bath, drive=(0.1, resonant))
+    @pytest.mark.parametrize("omega_l", ["eigenvalue_2", "eigenvalue_5", "near_eigenvalue_2",
+                                         "omega", "omega_without_bath"])
+    def test_resonant_drive_matches_dense_expm(self, omega_l):
+        # a drive on a normal mode of W, or at Omega without a bath, drives that mode
+        # secularly; the referee's covariance is M(t) C M(t)^T whatever the drive
+        bath = None if omega_l == "omega_without_bath" else discretize(
+            SPEC, 12, omega_range(SPEC, "floor", floor=0.1))
+        coupling = build_single(1.0, bath)
+        lam = np.linalg.eigvalsh(coupling)
+        omega_l = (1.0 if omega_l.startswith("omega") else
+                   lam[int(omega_l[-1])] + (1e-13 if omega_l.startswith("near") else 0.0))
+        rabi, times, n = 0.1, [0.0, 0.7, 5.0, 17.0], coupling.shape[0]
+        sys0 = make_coherent(0.3 - 0.2j)
+        global0 = dense_initial_state(sys0, bath, [0.4])
+        states = ReducedPropagator.build(1.0, bath, drive=(rabi, omega_l)).states(
+            times, sys0, [0.4])
+        for t, red in zip(times, states):
+            full = dense_driven(coupling, rabi, omega_l, global0, t)
+            np.testing.assert_allclose(red.mean, full.mean[[0, n]], rtol=0, atol=1e-13)
+            np.testing.assert_allclose(red.cov, full.cov[np.ix_([0, n], [0, n])], rtol=0,
+                                       atol=1e-13)
 
     def test_reduced_driven_matches_full(self):
         bath = small_bath()
@@ -357,7 +375,6 @@ class TestReducedStateReferee:
             coupling = build_single(omega, bath)
             if scenario == "driven":
                 rabi, omega_l = rng.uniform(0.0, 1.0), rng.uniform(0.1, 6.0)
-                assume(np.abs(np.linalg.eigvalsh(coupling) - omega_l).min() > 1e-2)
                 reduced = ReducedPropagator.build(omega, bath, drive=(rabi, omega_l))
                 full = [dense_driven(coupling, rabi, omega_l, global0, s) for s in times]
             else:
@@ -422,12 +439,7 @@ class TestArrowheadSolver:
             omega_l = rng.uniform(bath.frequencies[0], bath.frequencies[-1])
             coupling = coupling - omega_l * np.eye(coupling.shape[0])
             drive = (0.0, omega_l)
-        try:
-            cache = arrowhead_cache(omega, bath, drive=drive)
-        except ArithmeticError as exc:
-            assume("resonant" not in str(exc))  # such a drive is refused before any solve is used
-            raise
-        assert_eigh_referee(coupling, cache)
+        assert_eigh_referee(coupling, arrowhead_cache(omega, bath, drive=drive))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 40),

@@ -22,14 +22,21 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .bath import OhmicSpectrum, corr_c0, corr_ct, discretize, omega_range
-from .flows import DRIVE_VARIANTS, EQUATIONS, SecularValidityWarning, markov_flows
+from .flows import (DRIVE_VARIANTS, EQUATIONS, SecularValidityWarning, markov_flows,
+                    rounding_bound)
+from .gaussian import (GaussianState, make_coherent, make_squeezed_vacuum, make_thermal,
+                       make_vacuum, tensor_product)
 
 __all__ = ["ScenarioConfig", "ConfigError", "read_text", "parse_config", "parse_path",
            "config_text", "sweep_points", "evaluations", "validate"]
 
 SCENARIOS = ("single", "two_coupled", "driven")
 INITIAL_STATES = ("vacuum", "thermal", "squeezed", "coherent")
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # largest x with a finite e^x
+#: The absolute accuracy of the variances and fidelities a run writes, which the
+#: squeeze and flow rules of ``validate`` hold each start and each flow to
+ACCURACY = 1e-10
+# largest |r| whose squeezed variance e^(2|r|) rounds within ACCURACY: eps e^(2|r|) <= ACCURACY
+_SQUEEZE_MAX = 0.5 * math.log(ACCURACY / sys.float_info.epsilon)
 # largest coherent |alpha| at which each evolved mean, of norm at most sqrt(2)|alpha|,
 # and the difference of two of them stay finite
 _COHERENT_MAX = sys.float_info.max / (2.0 * math.sqrt(2.0))
@@ -258,9 +265,10 @@ def validate(config: ScenarioConfig):
     evaluates it.  A rule lives where its quantity is taken: a ValueError of the
     code ``run`` calls at a point is a ConfigError located there.  So each
     point's master equations are built once per label set in one
-    ``markov_flows`` call, and the bath of each point whose exact side is
-    evolved once by ``_bath``, as ``run`` builds them; there t_max times a bound
-    on its frequencies must also be finite (``_check_phases``).  A value that no
+    ``markov_flows`` call, each of them accurate to ACCURACY out to t_max
+    (``_check_flows``), and the bath of each point whose exact side is evolved
+    once by ``_bath``, as ``run`` builds them; there t_max times a bound on its
+    frequencies must also be finite (``_check_phases``).  A value that no
     requested experiment reads is not checked.  A sweep that no requested
     experiment reads is an error.
     """
@@ -280,20 +288,49 @@ def validate(config: ScenarioConfig):
                     checked.add(point)
                     _check(point)
                 _check_point(name, point)
+                flows = ()
                 if labels and (point, labels) not in built:
                     built.add((point, labels))
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore", SecularValidityWarning)
-                        markov_flows(point, labels)
+                        flows = markov_flows(point, labels)
                 if name != "correlation_study" and point not in propagated:
                     propagated.add(point)
                     _check_phases(point)
+                if flows:  # after the bath's own rules, whose messages name the cause
+                    _check_flows(point, labels, flows)
             except ValueError as exc:  # a ConfigError, or a rule of the code run calls
                 where = "" if value == "" else f" at {parameter} = {_fmt(value)}"
                 raise ConfigError(f"{name}{where}: {exc}") from None
     read = {p for name in c.experiments for p in EXPERIMENTS[name][c.scenario]}
     if c.sweep_parameter not in read | {"none"}:
         raise ConfigError(f"no requested experiment reads the sweep over {c.sweep_parameter}")
+
+
+def _check_flows(point: ScenarioConfig, labels, flows):
+    """ConfigError unless each flow's ``flows.rounding_bound`` out to t_max, from the
+    point's start, is within ACCURACY."""
+    start = float(np.linalg.norm(_system_state(point, 1).cov, 2))
+    for label, flow in zip(labels, flows):
+        bound = rounding_bound(flow, point.t_max, start)
+        if not bound <= ACCURACY:
+            raise ConfigError(f"the flow (label {label!r}) is not accurate to {ACCURACY:g} out "
+                              f"to t_max = {point.t_max!r}: its rounding bound is {bound:.3g} "
+                              f"(alpha = {point.alpha!r}, omega_c = {point.omega_c!r})")
+
+
+def _system_state(config: ScenarioConfig, n_modes: int) -> GaussianState:
+    """One oscillator's initial state, or two copies of it for a pair of equal frequencies."""
+    if config.initial == "vacuum":
+        state = make_vacuum(1)
+    elif config.initial == "thermal":
+        state = make_thermal(config.omega, config.initial_temperature)
+    elif config.initial == "squeezed":
+        state = make_squeezed_vacuum(config.initial_squeeze)
+    else:
+        state = make_coherent(complex(config.initial_coherent_re,
+                                      config.initial_coherent_im))
+    return tensor_product(state, state) if n_modes == 2 else state
 
 
 def _check_phases(point: ScenarioConfig):
@@ -384,9 +421,10 @@ def _check(c: ScenarioConfig):
         raise ConfigError(f"initial must be one of {INITIAL_STATES}")
     if c.initial == "thermal" and c.initial_temperature < 0:
         raise ConfigError("initial_temperature must be >= 0")
-    if c.initial == "squeezed" and 2.0 * abs(c.initial_squeeze) > _LOG_FLOAT_MAX:
-        raise ConfigError(f"initial_squeeze = {c.initial_squeeze!r} overflows the "
-                          "squeezed variance e^(2|r|)")
+    if c.initial == "squeezed" and abs(c.initial_squeeze) > _SQUEEZE_MAX:
+        raise ConfigError(f"initial_squeeze = {c.initial_squeeze!r} exceeds {_SQUEEZE_MAX:.4g}, "
+                          "where the rounding eps e^(2|r|) of the squeezed variance e^(2|r|) "
+                          f"reaches the accuracy {ACCURACY:g}")
     amplitude = math.hypot(c.initial_coherent_re, c.initial_coherent_im)
     if c.initial == "coherent" and amplitude > _COHERENT_MAX:
         raise ConfigError(f"the coherent amplitude |initial_coherent_re + i initial_coherent_im| "

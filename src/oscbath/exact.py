@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathCouplings
-from .gaussian import GaussianState, thermal_variance
+from .gaussian import GaussianState, _real_form, thermal_variance
 
 __all__ = ["FullPropagator", "ReducedPropagator", "RwaValidityWarning"]
 
@@ -309,15 +309,6 @@ class _Sector:
                 out[:, j] += np.vecdot(a[:, None, k], cauchy[:, k])
         out *= self.g_hat
         return out
-
-
-def _real_form(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """[[re, -im], [im, re]] of each pair of a stack of k x k matrices, by slices."""
-    k = re.shape[-1]
-    out = np.empty(re.shape[:-2] + (2 * k, 2 * k))
-    out[..., :k, :k] = out[..., k:, k:] = re
-    out[..., :k, k:], out[..., k:, :k] = -im, im
-    return out
 
 
 @dataclass(frozen=True)

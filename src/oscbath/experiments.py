@@ -30,13 +30,12 @@ import numpy as np
 
 from . import __version__
 from .bath import OhmicSpectrum, corr_c0, corr_ct, fwhh
-from .config import (ScenarioConfig, _bath, _fmt, _kernel_reach, config_text, evaluations,
-                     parse_config, validate)
+from .config import (ScenarioConfig, _bath, _fmt, _kernel_reach, _system_state, config_text,
+                     evaluations, parse_config, validate)
 from .exact import FullPropagator, ReducedPropagator
 from .flows import evolve_flow, markov_flows
 from .gaussian import (PHYSICALITY_TOL, GaussianState, db_distance, fidelity_multi,
-                       make_coherent, make_squeezed_vacuum, make_thermal, make_vacuum,
-                       partial_trace, physicality_violation, tensor_product)
+                       make_thermal, partial_trace, physicality_violation, tensor_product)
 
 __all__ = ["ExperimentResult", "config_from_csv", "run"]
 
@@ -84,20 +83,6 @@ def config_from_csv(text: str) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # scenario assembly helpers
 
-def _system_state(config: ScenarioConfig, n_modes: int) -> GaussianState:
-    """One oscillator's initial state, or two copies of it for a pair of equal frequencies."""
-    if config.initial == "vacuum":
-        state = make_vacuum(1)
-    elif config.initial == "thermal":
-        state = make_thermal(config.omega, config.initial_temperature)
-    elif config.initial == "squeezed":
-        state = make_squeezed_vacuum(config.initial_squeeze)
-    else:
-        state = make_coherent(complex(config.initial_coherent_re,
-                                      config.initial_coherent_im))
-    return tensor_product(state, state) if n_modes == 2 else state
-
-
 def _times(config: ScenarioConfig) -> np.ndarray:
     return np.linspace(0.0, config.t_max, config.samples)
 
@@ -128,7 +113,8 @@ def _compare(config: ScenarioConfig, labels, times):
 
 def _require_physical(side: str, times, states: GaussianState):
     """ArithmeticError at the first of ``times`` where a finite state of the stack has
-    min eig(C + i sigma) below ``PHYSICALITY_TOL``; a non-finite one is run's to refuse."""
+    min eig(C + i sigma), scaled to a unit diagonal (``physicality_violation``), below
+    ``PHYSICALITY_TOL``; a non-finite one is run's to refuse."""
     finite = np.isfinite(states.cov).all(axis=(-2, -1))
     lowest = np.zeros(finite.shape)
     lowest[finite] = physicality_violation(states[finite])

@@ -31,8 +31,9 @@ __all__ = [
     "db_distance",
 ]
 
-#: Eigenvalues of C + i*sigma may dip this far below zero before a state is
-#: considered unphysical (exact propagation accumulates rounding).
+#: ``physicality_violation``, the smallest eigenvalue of C + i*sigma scaled to a
+#: unit diagonal, may dip this far below zero before a state is considered
+#: unphysical (exact propagation accumulates rounding).
 PHYSICALITY_TOL = -1e-10
 
 _SYMMETRY_RTOL = 1e-12
@@ -43,6 +44,16 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     eye = np.eye(n_modes)
     sigma[:n_modes, n_modes:], sigma[n_modes:, :n_modes] = eye, -eye
     return sigma
+
+
+def _real_form(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """[[re, -im], [im, re]] of each pair of a stack of k x k matrices, by slices: the
+    block (x..., p...) form of the complex k x k matrix re + i im."""
+    k = re.shape[-1]
+    out = np.empty(re.shape[:-2] + (2 * k, 2 * k))
+    out[..., :k, :k] = out[..., k:, k:] = re
+    out[..., :k, k:], out[..., k:, :k] = -im, im
+    return out
 
 
 @dataclass(frozen=True)
@@ -144,8 +155,19 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
 
 
 def physicality_violation(state: GaussianState):
-    """Smallest eigenvalue of C + i*sigma of each state (negative values signal unphysicality)."""
-    herm = state.cov + 1j * symplectic_form(state.n_modes)
+    """Smallest eigenvalue of S (C + i*sigma) S, S = diag(C)^(-1/2), of each state;
+    a negative value signals an unphysical state.
+
+    The congruence by S keeps the inertia of C + i*sigma, so the sign answers
+    whether C + i*sigma >= 0, and on a unit diagonal ``eigvalsh`` rounds at about
+    eps times the dimension rather than eps times the largest variance (Demmel &
+    Veselic, SIAM J. Matrix Anal. Appl. 13, 1204, 1992).  A diagonal entry <= 0,
+    which no physical state has, is left unscaled.
+    """
+    cov = state.cov
+    diag = np.diagonal(cov, axis1=-2, axis2=-1)
+    s = 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0))
+    herm = (cov + 1j * symplectic_form(state.n_modes)) * s[..., :, None] * s[..., None, :]
     return np.linalg.eigvalsh(herm).min(axis=-1)
 
 

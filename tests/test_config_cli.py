@@ -224,8 +224,9 @@ BAD_RUNS = {
     # sqrt 2 alpha, each mean's largest entry, overflows
     "coherent_amplitude_overflows": NO_SWEEP.replace(
         "initial = thermal", "initial = coherent\ninitial_coherent_re = 1.7e308"),
-    # finite inputs whose derived values overflow or vanish: pi alpha Omega e^{-Omega/omega_c},
-    # the squeezed variance e^{2|r|}, and equal_tails' tail mass below omega_min
+    # finite inputs whose derived values overflow or vanish: pi alpha Omega e^{-Omega/omega_c}
+    # and equal_tails' tail mass below omega_min; and a squeezed variance e^{2|r|} whose
+    # rounding eps e^{2|r|} is beyond the accuracy of every variance
     "decay_rate_overflow": NO_SWEEP.replace("alpha = 0.01", "alpha = 1e308")
     .replace("= fidelity_vs_time", "= variance_trajectory"),
     "squeeze_overflow": NO_SWEEP.replace("initial = thermal",
@@ -267,6 +268,21 @@ BAD_RUNS = {
     "correlation_reach_before_kernels": NO_SWEEP.replace("omega_c = 3", "omega_c = 1e-150")
     .replace("temperature = 0.5", "temperature = 1e200")
     .replace("= fidelity_vs_time", "= correlation_study"),
+    # fig2 squeezed to r = 20: the squeezed variance e^{-40} lies far below the rounding
+    # eps e^{40} ~ 52 of its partner
+    "fig2_squeezed_to_20": (CONFIG_DIR / "fig2_variance.cfg").read_text()
+    .replace("initial_squeeze = 0.5", "initial_squeeze = 20"),
+    # flows whose rounding bound out to t_max exceeds the accuracy: fig3's Lamb shift
+    # grows like alpha omega_c, so omega_bar ~ -1e18 at omega_c = 1e20 ...
+    **{f"fig3_omega_c_{omega_c}": (CONFIG_DIR / "fig3_recurrence.cfg").read_text()
+       .replace("omega_c = 3", f"omega_c = {omega_c}") for omega_c in ("1e20", "1e50", "1e100")},
+    # ... and fig2 from the vacuum at alpha = 4.4e-16 (gamma ~ 1e-15) to t_max = 1e300 would
+    # compound eps omega_bar for 1/gamma ~ 1e15, far short of the steady state
+    "fig2_weakly_damped_to_1e300": (CONFIG_DIR / "fig2_variance.cfg").read_text()
+    .replace("alpha = 0.01", "alpha = 4.4e-16")
+    .replace("initial = squeezed\ninitial_squeeze = 0.5", "initial = vacuum")
+    .replace("modes = 150", "modes = 20").replace("t_max = 30", "t_max = 1e300")
+    .replace("samples = 300", "samples = 3"),
 }
 
 # what the message of a BAD_RUNS case must name, where that is pinned
@@ -282,7 +298,17 @@ BAD_RUN_MESSAGES = {
     "s overflows",
     "coherent_amplitude_overflows": "the coherent amplitude |initial_coherent_re + i "
     "initial_coherent_im| = 1.7e+308 exceeds 6.356e+307",
-    "squeeze_overflow": "initial_squeeze = 1e+272 overflows",
+    "squeeze_overflow": "initial_squeeze = 1e+272 exceeds 6.509, where the rounding "
+    "eps e^(2|r|) of the squeezed variance e^(2|r|) reaches the accuracy 1e-10",
+    "fig2_squeezed_to_20": "initial_squeeze = 20.0 exceeds 6.509",
+    **{f"fig3_omega_c_{omega_c}": "recurrence_map at modes = 50: the flow (label True) is not "
+       "accurate to 1e-10 out to t_max = 45.0: its rounding bound is "
+       f"{bound} (alpha = 0.01, omega_c = {omega_c})"
+       for omega_c, bound in (("1e+20", "3.39e+06"), ("1e+50", "3.39e+36"),
+                              ("1e+100", "3.39e+86"))},
+    "fig2_weakly_damped_to_1e300": "variance_trajectory: the flow (label True) is not accurate "
+    "to 1e-10 out to t_max = 1e+300: its rounding bound is 3.88 (alpha = 4.4e-16, "
+    "omega_c = 3.0)",
     "equal_tails_mass_rounds_to_zero": "fidelity_vs_time at temperature = 0.5: the spectral "
     "weight below omega_min = 1e-170 rounds to 0",
     "t_max_overflows_the_exact_phases": "t_max = 1.7e+308 is too long for the exact "
@@ -703,13 +729,17 @@ class TestCli:
         assert quantities == {"var2x_exact", "var2x_markov_shift",
                               "var2x_markov_noshift"}
 
-    def test_numeric_failure_exit(self, tmp_path, capsys):
-        # fig2 squeezed to r = 20: validate accepts it, and rounding leaves an exact
-        # state unphysical, at a time and by an amount that move with the rounding
-        # (the strict xfail below)
+    def test_numeric_failure_exit(self, tmp_path, capsys, monkeypatch):
+        # fig2, which validate accepts, with exact states halved below the vacuum's
+        states = ReducedPropagator.states
+
+        def halved(self, *args):
+            out = states(self, *args)
+            return GaussianState(out.n_modes, out.mean, 0.5 * out.cov)
+
+        monkeypatch.setattr(experiments.ReducedPropagator, "states", halved)
         p = tmp_path / "run.cfg"
-        p.write_text((CONFIG_DIR / "fig2_variance.cfg").read_text()
-                     .replace("initial_squeeze = 0.5", "initial_squeeze = 20"))
+        p.write_text((CONFIG_DIR / "fig2_variance.cfg").read_text())
         assert cli_main(["validate", str(p)]) == EXIT_OK
         assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
         assert "numeric failure: unphysical exact state" in capsys.readouterr().err
@@ -865,7 +895,8 @@ class TestCli:
         assert not list((tmp_path / "o").glob("*.csv"))
 
     def test_unphysical_state_is_a_numeric_failure(self, tmp_path, capsys, monkeypatch):
-        # C = I/2 breaks C + i sigma >= 0: its smallest eigenvalue is -1/2
+        # C = I/2 breaks C + i sigma >= 0: scaled to a unit diagonal, it is I + 2 i sigma,
+        # whose smallest eigenvalue is -1
         def below_vacuum(self, times, system0, temperatures):
             shape = (len(times), 2 * system0.n_modes)
             return GaussianState(system0.n_modes, np.zeros(shape),
@@ -877,7 +908,7 @@ class TestCli:
         assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: unphysical exact state at t = 0:")
-        assert "min eig(C + i sigma) = -5.000e-01" in err
+        assert "min eig(C + i sigma) = -1.000e+00" in err
         assert not list((tmp_path / "o").glob("*.csv"))
 
     def test_unphysical_full_state_is_a_numeric_failure(self, tmp_path, capsys, monkeypatch):
@@ -893,7 +924,7 @@ class TestCli:
         assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: unphysical full state at t = 0:")
-        assert "min eig(C + i sigma) = -5.000e-01" in err
+        assert "min eig(C + i sigma) = -1.000e+00" in err
         assert not list((tmp_path / "o").glob("*.csv"))
 
     def test_unphysical_flow_state_is_a_numeric_failure(self, tmp_path, capsys, monkeypatch):
@@ -909,7 +940,7 @@ class TestCli:
         assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: unphysical flow state (label True) at t = 0:")
-        assert "min eig(C + i sigma) = -5.000e-01" in err
+        assert "min eig(C + i sigma) = -1.000e+00" in err
         assert not list((tmp_path / "o").glob("*.csv"))
 
     def test_a_very_long_t_max_reaches_the_steady_state(self, tmp_path):
@@ -993,22 +1024,18 @@ class TestCli:
         assert cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK
         assert (tmp_path / "o" / f"{experiment}.csv").is_file()
 
-    @pytest.mark.xfail(strict=True, reason="validate accepts fig2 at initial_squeeze = 20, and "
-                       "run exits 3: the squeezed variance e^{-2r} lies below the rounding of "
-                       "its partner e^{2r}, so an exact state reads unphysical")
     def test_strongly_squeezed_variance_runs_or_is_refused(self, tmp_path):
+        # at r = 20 the squeezed variance e^{-2r} lies below the rounding of its partner
+        # e^{2r}, so an exact state would read unphysical
         p = tmp_path / "run.cfg"
         p.write_text((CONFIG_DIR / "fig2_variance.cfg").read_text()
                      .replace("initial_squeeze = 0.5", "initial_squeeze = 20"))
         assert (cli_main(["validate", str(p)]) == EXIT_CONFIG
                 or cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: validate accepts fig2 at alpha = "
-                       "4.4e-16 (gamma ~ 1e-15) and t_max = 1e300, and run writes Markov "
-                       "variances of 1.871 (shift) and 1.722 (no shift) at t_max against the "
-                       "flow's steady state 2 nbar + 1 = 2.164: evolve_flow's rounding grows "
-                       "with omega t up to t ~ 1/gamma")
     def test_weakly_damped_flow_reaches_its_steady_state_or_is_refused(self, tmp_path):
+        # at alpha = 4.4e-16 (gamma ~ 1e-15) evolve_flow's rounding grows with omega t up
+        # to t ~ 1/gamma, so a run to t_max = 1e300 must reach 2 nbar + 1 or be refused
         p = tmp_path / "run.cfg"
         p.write_text((CONFIG_DIR / "fig2_variance.cfg").read_text()
                      .replace("alpha = 0.01", "alpha = 4.4e-16")
@@ -1039,11 +1066,11 @@ class TestCli:
         assert (cli_main(["validate", str(p)]) == EXIT_CONFIG
                 or cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK)
 
-    @pytest.mark.xfail(strict=True, reason="validate accepts an equal_tails window from "
-                       "omega_min = 1e-5 at T = 1.75, and run exits 3: the factorization's full "
-                       "state at t = 0, exact by construction, reads min eig(C + i sigma) = "
-                       "-1.08e-10 beside a bath mode of variance 3.5e5")
     def test_hot_bath_mode_runs_or_is_refused(self, tmp_path):
+        # an equal_tails window from omega_min = 1e-5 at T = 1.75 puts a bath mode of
+        # variance 3.5e5 beside the system's: the factorization's full state at t = 0,
+        # exact by construction, must not read unphysical from eigvalsh's rounding at
+        # eps times that variance
         p = tmp_path / "run.cfg"
         p.write_text(config_text(ScenarioConfig(
             alpha=0.015, omega_c=3.0, bath_modes=2, range_mode="equal_tails",

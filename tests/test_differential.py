@@ -6,15 +6,11 @@ each field whose rules ``validate`` takes from the code that ``run`` calls, not
 from rules of its own, in or out of range at random: the bath's size, window
 mode, floor and lower edge (``bath.discretize``, ``bath.omega_range``), alpha
 and omega_c (``bath.OhmicSpectrum``) and beta (the pair's master equation and
-exact side).  Coherent amplitudes and a second bath's temperature range over
-all finite floats.
-
-Squeezed starts and bath or normal modes far below T are left out: each is a
-known disagreement of its own, pinned by a strict xfail in ``test_config_cli``
-(``test_strongly_squeezed_variance_runs_or_is_refused`` and
-``test_hot_bath_mode_runs_or_is_refused``), and the subject here is the rules
-above.  A second test draws ``correlation_study``'s t_max, omega_c, alpha and T
-over all finite floats, with every warning an error.
+exact side).  Coherent amplitudes, squeezings and a second bath's temperature
+range over all finite floats, squeezings also near the squeeze rule's limit, and
+a bath window's lower edge reaches down to 1e-6, far below T.  A second test
+draws ``correlation_study``'s t_max, omega_c, alpha and T over all finite floats,
+with every warning an error.
 """
 
 import tempfile
@@ -28,22 +24,21 @@ from test_config_cli import CONFIG_DIR, FINITE
 from test_metamorphic import small_runnable_configs
 
 from oscbath.cli import EXIT_OK, cli_main
-from oscbath.config import ConfigError, ScenarioConfig, config_text, parse_path, validate
+from oscbath.config import (INITIAL_STATES, ConfigError, ScenarioConfig, config_text,
+                            parse_path, validate)
 from oscbath.exact import RwaValidityWarning
 from oscbath.flows import SecularValidityWarning
 
 
 NEGATIVE = st.floats(max_value=0.0, allow_infinity=False)
 ABOVE_10 = st.floats(min_value=10.0, allow_infinity=False)  # above every drawn Omega, omega_c
-# field -> (its values in range, its values out of range); the lowest frequency of the
-# bath window and of a pair's normal modes stays at 0.01 or above, since a mode far
-# below T is the hot covariance of the known disagreements
+# field -> (its values in range, its values out of range)
 RANGES = {
     "bath_modes": (st.sampled_from([0, 2, 3, 20]), st.integers(-3, 1)),
     "range_mode": (st.sampled_from(["equal_tails", "floor"]), st.just("bogus")),
-    "range_floor": (st.floats(0.01, 0.99), NEGATIVE | ABOVE_10),
+    "range_floor": (st.floats(1e-6, 0.99), NEGATIVE | ABOVE_10),
     # below 1e-10 omega_c, equal_tails' tail mass rounds to 0
-    "range_omega_min": (st.just(0.0) | st.floats(0.01, 0.99),
+    "range_omega_min": (st.just(0.0) | st.floats(1e-6, 0.99),
                         ABOVE_10 | st.floats(5e-324, 1e-10)),
     "alpha": (st.floats(1e-4, 0.1), NEGATIVE),
     "omega_c": (st.floats(1.0, 10.0), NEGATIVE),
@@ -59,7 +54,8 @@ def configs_off_their_ranges(draw):
     off = draw(st.sets(st.sampled_from(sorted(RANGES)), max_size=2))
     return replace(
         config, **{name: draw(ranges[name in off]) for name, ranges in RANGES.items()},
-        initial=draw(st.sampled_from(["vacuum", "thermal", "coherent"])),
+        initial=draw(st.sampled_from(INITIAL_STATES)),
+        initial_squeeze=draw(st.floats(-7.0, 7.0) | FINITE),
         initial_coherent_re=draw(FINITE), initial_coherent_im=draw(FINITE),
         temperature2=draw(st.just(-1.0) | st.floats(0.0, allow_infinity=False)))
 

@@ -93,6 +93,28 @@ class TestGeneratorProperties:
         assert np.linalg.eigvalsh(d).min() >= -1e-12 * max(np.abs(d).max(), 1.0)
 
     @settings(max_examples=60, deadline=None)
+    @given(generators_and_states())
+    def test_diffusion_is_the_vacuum_rate_less_the_drift(self, case):
+        # D = R(K^A + conj K^E) must be the covariance rate at the vacuum less A + A^T.
+        # The rate is the generator applied to the Fock vacuum; the drive, which moves
+        # only the mean, is left out.  The h part of A cancels in A + A^T only up to its
+        # own rounding, and the rate's identity in the rate only up to its, so the
+        # tolerance is in ulps of the largest term, 1 or more
+        lindblad, _ = case
+        undriven = QuadraticLindblad(lindblad.h, lindblad.k_emit, lindblad.k_abs)
+        n, cutoff = lindblad.n_modes, 4
+        vacuum = fock.vacuum_rho(cutoff)
+        if n == 2:
+            vacuum = np.kron(vacuum, vacuum)
+        rate_rho = (fock.build_superoperator(undriven, cutoff) @ vacuum.ravel())
+        _, rate = fock.moments(rate_rho.reshape(vacuum.shape), n, cutoff)
+        rate -= np.eye(2 * n)  # moments adds the identity of a unit trace; the rate's is 0
+        a, d = lindblad.drift, lindblad.diffusion
+        scale = max(1.0, np.abs(a).max(), np.abs(d).max())
+        np.testing.assert_allclose(d, rate - (a + a.T), rtol=0,
+                                   atol=8 * np.finfo(float).eps * scale)
+
+    @settings(max_examples=60, deadline=None)
     @given(generators_and_states(), st.floats(0.0, 3.0), st.floats(0.0, 3.0))
     @example(case=(flow_single(1.0, 0.05, 0.2), make_vacuum(1)), t1=5e-324, t2=0.0)
     # a subnormal h against a unit drive: the drift's 1-norm, which sets the

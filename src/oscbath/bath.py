@@ -17,7 +17,6 @@ __all__ = [
     "OhmicSpectrum",
     "BathCouplings",
     "omega_range",
-    "tail_mass",
     "discretize",
     "bose_occupation",
     "decay_rate",
@@ -72,25 +71,26 @@ class BathCouplings:
 
 
 def omega_range(spectrum: OhmicSpectrum, mode: str = "equal_tails", *,
-                floor: float | None = None, omega_min: float | None = None):
+                floor: float | None = None):
     """Frequency window (omega_1, omega_max) covering the spectral density.
 
-    ``equal_tails`` picks omega_max so that the neglected left tail
-    (0, omega_1) and right tail (omega_max, inf) carry equal spectral weight;
-    omega_1 defaults to omega_c / 1000.  ``floor`` sets omega_1 = floor and
-    solves J(omega_max) = J(floor) on the decaying side omega_max > omega_c.
-    Either equation decreases on that side to a negative limit, so the search
-    for a bracket ends, and it is finite on the bracket if it is at its two
-    ends; ValueError where it is not.
+    ``equal_tails`` sets omega_1 = omega_c / 1000 and picks omega_max so that the
+    neglected left tail (0, omega_1) and right tail (omega_max, inf) carry equal
+    spectral weight.  ``floor`` sets omega_1 = floor and solves
+    J(omega_max) = J(floor) on the decaying side omega_max > omega_c.  Either
+    equation decreases on that side to a negative limit, so the search for a
+    bracket ends, and it is finite on the bracket if it is at its two ends;
+    ValueError where it is not.
     """
     wc = spectrum.omega_c
     if mode == "equal_tails":
-        w1 = wc * 1e-3 if omega_min is None else float(omega_min)
-        if not 0 < w1 < wc:
-            raise ValueError("omega_min must lie in (0, omega_c)")
-        target = tail_mass(wc, w1)
+        w1 = wc * 1e-3
+        # the weight of (0, omega_1) over alpha omega_c, which rounds to 0 (or below)
+        # once omega_c is below about 1e-318
+        target = wc - np.exp(-w1 / wc) * (w1 + wc)
         if not target > 0:
-            raise ValueError(f"the spectral weight below omega_min = {w1!r} rounds to 0")
+            raise ValueError("the spectral weight below omega_1 = omega_c/1000 rounds to 0 "
+                             f"at omega_c = {wc!r}")
         fun = lambda w: (w + wc) * np.exp(-w / wc) - target
     elif mode == "floor":
         if floor is None or not 0 < floor < wc:
@@ -121,15 +121,6 @@ def omega_range(spectrum: OhmicSpectrum, mode: str = "equal_tails", *,
     except (ValueError, RuntimeError) as exc:
         raise ArithmeticError(f"omega_max root-finding failed on bracket [{lo}, {hi}]") from exc
     return w1, float(wmax)
-
-
-def tail_mass(omega_c: float, omega_min: float) -> float:
-    """Spectral weight of (0, omega_min) divided by alpha*omega_c, as ``equal_tails`` takes it.
-
-    It is omega_c - e^{-omega_min/omega_c} (omega_min + omega_c), and rounds to 0
-    (or below) once omega_min/omega_c is below about 1e-8.
-    """
-    return omega_c - np.exp(-omega_min / omega_c) * (omega_min + omega_c)
 
 
 def _brentq(f: Callable, xa: float, xb: float, xtol: float, rtol: float,

@@ -33,10 +33,8 @@ __all__ = ["ScenarioConfig", "ConfigError", "read_text", "parse_config", "parse_
 SCENARIOS = ("single", "two_coupled", "driven")
 INITIAL_STATES = ("vacuum", "thermal", "squeezed", "coherent")
 #: The absolute accuracy of the variances and fidelities a run writes, which the
-#: squeeze and flow rules of ``validate`` hold each start and each flow to
+#: squeeze and flow rules of ``validate`` hold each exact side and each flow to
 ACCURACY = 1e-10
-# largest |r| whose squeezed variance e^(2|r|) rounds within ACCURACY: eps e^(2|r|) <= ACCURACY
-_SQUEEZE_MAX = 0.5 * math.log(ACCURACY / sys.float_info.epsilon)
 # largest coherent |alpha| at which each evolved mean, of norm at most sqrt(2)|alpha|,
 # and the difference of two of them stay finite
 _COHERENT_MAX = sys.float_info.max / (2.0 * math.sqrt(2.0))
@@ -104,7 +102,6 @@ class ScenarioConfig:
     bath_modes: int = 150
     range_mode: str = "equal_tails"
     range_floor: float = 0.1
-    range_omega_min: float = 0.0  # 0 -> default (omega_c / 1000)
     temperature: float = 0.0
     temperature2: float = -1.0  # < 0 -> same as temperature
     # drive
@@ -135,8 +132,7 @@ _KEYS = {
                               "initial_coherent_im")},
     "spectrum": {"alpha": "alpha", "omega_c": "omega_c"},
     "bath": {"modes": "bath_modes", "range_mode": "range_mode", "range_floor": "range_floor",
-             "range_omega_min": "range_omega_min", "temperature": "temperature",
-             "temperature2": "temperature2"},
+             "temperature": "temperature", "temperature2": "temperature2"},
     "drive": {"rabi": "rabi", "omega_l": "omega_l", "variant": "drive_variant"},
     "time": {"t_max": "t_max", "samples": "samples"},
     "sweep": {"parameter": "sweep_parameter", "values": "sweep_values"},
@@ -268,9 +264,9 @@ def validate(config: ScenarioConfig):
     ``markov_flows`` call, each of them accurate to ACCURACY out to t_max
     (``_check_flows``), and the bath of each point whose exact side is evolved
     once by ``_bath``, as ``run`` builds them; there t_max times a bound on its
-    frequencies must also be finite (``_check_phases``).  A value that no
-    requested experiment reads is not checked.  A sweep that no requested
-    experiment reads is an error.
+    frequencies must also be finite, and a squeezed start accurate to ACCURACY
+    (``_check_exact``).  A value that no requested experiment reads is not
+    checked.  A sweep that no requested experiment reads is an error.
     """
     c = config
     _check(c)
@@ -296,7 +292,7 @@ def validate(config: ScenarioConfig):
                         flows = markov_flows(point, labels)
                 if name != "correlation_study" and point not in propagated:
                     propagated.add(point)
-                    _check_phases(point)
+                    _check_exact(point)
                 if flows:  # after the bath's own rules, whose messages name the cause
                     _check_flows(point, labels, flows)
             except ValueError as exc:  # a ConfigError, or a rule of the code run calls
@@ -333,13 +329,22 @@ def _system_state(config: ScenarioConfig, n_modes: int) -> GaussianState:
     return tensor_product(state, state) if n_modes == 2 else state
 
 
-def _check_phases(point: ScenarioConfig):
-    """ConfigError unless t_max times ``_frequency_bound(point)`` is finite: the exact
-    states take cos and sin of lambda t for each eigenvalue lambda of W."""
+def _check_exact(point: ScenarioConfig):
+    """ConfigError unless t_max times ``_frequency_bound(point)``, lambda_max, is finite
+    (the exact states take cos and sin of lambda t for each eigenvalue lambda of W), and
+    a squeezed start's rounding eps e^(2|r|) (1 + t_max lambda_max), which grows with
+    those phases, is within ACCURACY: a 40-digit referee puts fig2's below 0.04 of it."""
     bound = _frequency_bound(point)
-    if not math.isfinite(point.t_max * bound):
+    phases = point.t_max * bound
+    if not math.isfinite(phases):
         raise ConfigError(f"t_max = {point.t_max!r} is too long for the exact evolution: "
                           f"t_max times the bound {bound:.3g} on the frequencies of W overflows")
+    limit = 0.5 * (math.log(ACCURACY / sys.float_info.epsilon) - math.log1p(phases))
+    if point.initial == "squeezed" and abs(point.initial_squeeze) > limit:
+        raise ConfigError(f"initial_squeeze = {point.initial_squeeze!r} exceeds {limit:.4g} at "
+                          f"t_max = {point.t_max!r}: the rounding eps e^(2|r|) (1 + t_max "
+                          f"lambda_max) of the exact variances, lambda_max = {bound:.3g}, "
+                          f"exceeds the accuracy {ACCURACY:g}")
 
 
 def _frequency_bound(point: ScenarioConfig) -> float:
@@ -365,9 +370,7 @@ def _bath(point: ScenarioConfig):
     if point.bath_modes == 0:
         return None
     spectrum = OhmicSpectrum(point.alpha, point.omega_c)
-    omega_min = point.range_omega_min if point.range_omega_min > 0 else None
-    rng = omega_range(spectrum, point.range_mode, floor=point.range_floor,
-                      omega_min=omega_min)
+    rng = omega_range(spectrum, point.range_mode, floor=point.range_floor)
     return discretize(spectrum, point.bath_modes, rng)
 
 
@@ -421,10 +424,6 @@ def _check(c: ScenarioConfig):
         raise ConfigError(f"initial must be one of {INITIAL_STATES}")
     if c.initial == "thermal" and c.initial_temperature < 0:
         raise ConfigError("initial_temperature must be >= 0")
-    if c.initial == "squeezed" and abs(c.initial_squeeze) > _SQUEEZE_MAX:
-        raise ConfigError(f"initial_squeeze = {c.initial_squeeze!r} exceeds {_SQUEEZE_MAX:.4g}, "
-                          "where the rounding eps e^(2|r|) of the squeezed variance e^(2|r|) "
-                          f"reaches the accuracy {ACCURACY:g}")
     amplitude = math.hypot(c.initial_coherent_re, c.initial_coherent_im)
     if c.initial == "coherent" and amplitude > _COHERENT_MAX:
         raise ConfigError(f"the coherent amplitude |initial_coherent_re + i initial_coherent_im| "

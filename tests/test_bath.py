@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 from oscbath import bath
 from oscbath.bath import (BathCouplings, OhmicSpectrum, bose_occupation, corr_c0,
                           corr_ct, decay_rate, discretize, fwhh, lamb_shift,
-                          omega_range, tail_mass, trigamma)
+                          omega_range, trigamma)
 
 SPEC = OhmicSpectrum(alpha=1.0, omega_c=3.0)
 
@@ -64,7 +64,8 @@ class TestOmegaRange:
         assert prev > 10 * SPEC.omega_c
 
     def test_equal_tails_balance(self):
-        w1, wmax = omega_range(SPEC, "equal_tails", omega_min=0.05)
+        w1, wmax = omega_range(SPEC, "equal_tails")
+        assert w1 == SPEC.omega_c / 1000
         left, _ = quad(lambda w: SPEC.j(w), 0.0, w1)
         right, _ = quad(lambda w: SPEC.j(w), wmax, wmax + 80 * SPEC.omega_c, limit=200)
         assert abs(left - right) <= 1e-10
@@ -93,13 +94,14 @@ class TestDiscretize:
         with pytest.raises(ValueError):
             discretize(SPEC, 10, (2.0, 1.0))
 
-    @pytest.mark.parametrize("ratio", [1e-9, 1e-170])
-    def test_vanishing_tail_mass_is_refused(self, ratio):
-        # below omega_min/omega_c ~ 1e-8 the tail mass rounds to 0, and no omega_max
-        # carries it: refused by name, not by a failed bracket
-        assert tail_mass(SPEC.omega_c, ratio * SPEC.omega_c) == 0
-        with pytest.raises(ValueError, match="omega_min = .* rounds to 0"):
-            omega_range(SPEC, "equal_tails", omega_min=ratio * SPEC.omega_c)
+    @pytest.mark.parametrize("omega_c", [1e-318, 5e-324])
+    def test_vanishing_tail_mass_is_refused(self, omega_c):
+        # below omega_c ~ 1e-318 the subnormal weight of (0, omega_c/1000) rounds to 0
+        # (at 5e-324, omega_c/1000 itself does), and no omega_max carries it: refused
+        # by name, not by a failed bracket, while omega_c = 1e-316 still has a window
+        with pytest.raises(ValueError, match=f"rounds to 0 at omega_c = {omega_c!r}"):
+            omega_range(OhmicSpectrum(1.0, omega_c), "equal_tails")
+        omega_range(OhmicSpectrum(1.0, 1e-316), "equal_tails")
 
     def test_bath_couplings_validation(self):
         with pytest.raises(ValueError):
@@ -395,12 +397,11 @@ class TestBrentPort:
            st.one_of(st.none(), st.floats(-5.0, -0.01)))
     def test_omega_range(self, log_alpha, log_wc, floor_mode, log_frac):
         spec = OhmicSpectrum(10.0**log_alpha, 10.0**log_wc)
-        lower = None if log_frac is None else spec.omega_c * 10.0**log_frac
         if floor_mode:
-            lower = spec.omega_c * 1e-3 if lower is None else lower
+            lower = spec.omega_c * (1e-3 if log_frac is None else 10.0**log_frac)
             call = lambda: omega_range(spec, "floor", floor=lower)
-        else:
-            call = lambda: omega_range(spec, "equal_tails", omega_min=lower)
+        else:  # the window from omega_c / 1000, which log_frac does not move
+            call = lambda: omega_range(spec, "equal_tails")
         for mine, ref, xs_port, xs_scipy in self._roots(call):
             assert mine == ref
             assert xs_port == xs_scipy

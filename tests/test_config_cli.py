@@ -10,6 +10,7 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from conftest import alarm_after
@@ -28,7 +29,7 @@ from oscbath.config import (DEFAULT_DETUNING_GRID, DRIVE_VARIANTS, EXPERIMENTS,
 from oscbath.exact import ReducedPropagator
 from oscbath.experiments import ExperimentResult, _compare, _times, config_from_csv
 from oscbath.flows import markov_flows, steady_state
-from oscbath.gaussian import GaussianState
+from oscbath.gaussian import GaussianState, make_squeezed_vacuum
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -134,8 +135,9 @@ BAD_RUNS = {
     "temperature_nan": SMALL_RUN.replace("temperature = 0.5", "temperature = nan"),
     "sweep_value_nan": SMALL_RUN.replace("values = 0.1, 1", "values = 0.1, nan"),
     "one_bath_mode": SMALL_RUN.replace("modes = 12", "modes = 1"),
-    "omega_min_above_cutoff": SMALL_RUN.replace(
-        "range_mode = floor", "range_mode = equal_tails\nrange_omega_min = 5"),
+    # the equal_tails window starts at omega_c / 1000, a constant, not a key
+    "range_omega_min_is_an_unknown_key": SMALL_RUN.replace(
+        "range_mode = floor", "range_mode = equal_tails\nrange_omega_min = 0.003"),
     "resonant_driven_suite": RESONANT_DRIVEN,
     "resonant_fidelity_vs_time": RESONANT_DRIVEN.replace("= driven_suite",
                                                          "= fidelity_vs_time"),
@@ -225,15 +227,16 @@ BAD_RUNS = {
     "coherent_amplitude_overflows": NO_SWEEP.replace(
         "initial = thermal", "initial = coherent\ninitial_coherent_re = 1.7e308"),
     # finite inputs whose derived values overflow or vanish: pi alpha Omega e^{-Omega/omega_c}
-    # and equal_tails' tail mass below omega_min; and a squeezed variance e^{2|r|} whose
+    # and equal_tails' tail mass below omega_c / 1000; and a squeezed variance e^{2|r|} whose
     # rounding eps e^{2|r|} is beyond the accuracy of every variance
     "decay_rate_overflow": NO_SWEEP.replace("alpha = 0.01", "alpha = 1e308")
     .replace("= fidelity_vs_time", "= variance_trajectory"),
     "squeeze_overflow": NO_SWEEP.replace("initial = thermal",
                                          "initial = squeezed\ninitial_squeeze = 1e272")
     .replace("= fidelity_vs_time", "= variance_trajectory"),
-    "equal_tails_mass_rounds_to_zero": NO_SWEEP.replace(
-        "range_mode = floor", "range_mode = equal_tails\nrange_omega_min = 1e-170"),
+    "equal_tails_mass_rounds_to_zero": NO_SWEEP.replace("omega_c = 3", "omega_c = 1e-318")
+    .replace("range_mode = floor", "range_mode = equal_tails")
+    .replace("= fidelity_vs_time", "= factorization_distance"),
     # t_max times a bound on the frequencies of W, the exact states' phases, overflows;
     # at 5e306 only the equal_tails window (omega_max = 52.3, against 15.2 for the
     # floor) takes it past DBL_MAX
@@ -272,6 +275,10 @@ BAD_RUNS = {
     # eps e^{40} ~ 52 of its partner
     "fig2_squeezed_to_20": (CONFIG_DIR / "fig2_variance.cfg").read_text()
     .replace("initial_squeeze = 0.5", "initial_squeeze = 20"),
+    # and at r = 6.5, where eps e^{13} ~ 1e-10 but the exact variance misses a 40-digit
+    # referee by 2.4e-10 at t = 30: its rounding grows with the phases lambda t
+    "fig2_squeezed_to_6.5": (CONFIG_DIR / "fig2_variance.cfg").read_text()
+    .replace("initial_squeeze = 0.5", "initial_squeeze = 6.5"),
     # flows whose rounding bound out to t_max exceeds the accuracy: fig3's Lamb shift
     # grows like alpha omega_c, so omega_bar ~ -1e18 at omega_c = 1e20 ...
     **{f"fig3_omega_c_{omega_c}": (CONFIG_DIR / "fig3_recurrence.cfg").read_text()
@@ -298,9 +305,11 @@ BAD_RUN_MESSAGES = {
     "s overflows",
     "coherent_amplitude_overflows": "the coherent amplitude |initial_coherent_re + i "
     "initial_coherent_im| = 1.7e+308 exceeds 6.356e+307",
-    "squeeze_overflow": "initial_squeeze = 1e+272 exceeds 6.509, where the rounding "
-    "eps e^(2|r|) of the squeezed variance e^(2|r|) reaches the accuracy 1e-10",
-    "fig2_squeezed_to_20": "initial_squeeze = 20.0 exceeds 6.509",
+    "squeeze_overflow": "variance_trajectory: initial_squeeze = 1e+272 exceeds 4.096 at "
+    "t_max = 8.0: the rounding eps e^(2|r|) (1 + t_max lambda_max) of the exact variances, "
+    "lambda_max = 15.5, exceeds the accuracy 1e-10",
+    "fig2_squeezed_to_20": "initial_squeeze = 20.0 exceeds 3.438 at t_max = 30.0",
+    "fig2_squeezed_to_6.5": "initial_squeeze = 6.5 exceeds 3.438 at t_max = 30.0",
     **{f"fig3_omega_c_{omega_c}": "recurrence_map at modes = 50: the flow (label True) is not "
        "accurate to 1e-10 out to t_max = 45.0: its rounding bound is "
        f"{bound} (alpha = 0.01, omega_c = {omega_c})"
@@ -309,8 +318,9 @@ BAD_RUN_MESSAGES = {
     "fig2_weakly_damped_to_1e300": "variance_trajectory: the flow (label True) is not accurate "
     "to 1e-10 out to t_max = 1e+300: its rounding bound is 3.88 (alpha = 4.4e-16, "
     "omega_c = 3.0)",
-    "equal_tails_mass_rounds_to_zero": "fidelity_vs_time at temperature = 0.5: the spectral "
-    "weight below omega_min = 1e-170 rounds to 0",
+    "range_omega_min_is_an_unknown_key": "unknown key 'range_omega_min' in section [bath]",
+    "equal_tails_mass_rounds_to_zero": "factorization_distance at alpha = 0.01: the spectral "
+    "weight below omega_1 = omega_c/1000 rounds to 0 at omega_c = 1e-318",
     "t_max_overflows_the_exact_phases": "t_max = 1.7e+308 is too long for the exact "
     "evolution: t_max times the bound 15.5 on the frequencies of W overflows",
     "t_max_5e306_overflows_the_phases": "t_max = 5e+306 is too long for the exact evolution: "
@@ -435,7 +445,7 @@ def runnable_configs(draw):
         alpha=draw(st.floats(1e-4, 0.1)), omega_c=draw(st.floats(1.0, 10.0)),
         bath_modes=draw(st.sampled_from([0, 2, 3, 40, 60, 150])),
         range_mode=draw(st.sampled_from(RANGE_MODES)),
-        range_floor=draw(st.floats(0.01, 0.99)), range_omega_min=draw(st.floats(0.0, 0.99)),
+        range_floor=draw(st.floats(1e-6, 0.99)),
         temperature=draw(st.floats(0.0, 50.0)), temperature2=draw(FINITE),
         rabi=draw(st.floats(0.0, 1.0)), omega_l=draw(st.floats(0.1, 5.0)),
         drive_variant=draw(st.sampled_from(DRIVE_VARIANTS)),
@@ -1033,6 +1043,32 @@ class TestCli:
         assert (cli_main(["validate", str(p)]) == EXIT_CONFIG
                 or cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK)
 
+    @pytest.mark.parametrize("t", [3.0, 30.0])
+    def test_squeeze_rule_bounds_the_exact_error(self, t):
+        # the exact variance of a squeezed start, against a 40-digit referee, is within
+        # the rounding eps e^(2|r|) (1 + t lambda_max) that validate holds to ACCURACY:
+        # measured at 0.034 of it on fig2 with 20 modes (15.7 eps e^(2|r|) at t = 30)
+        point = replace(parse_config((CONFIG_DIR / "fig2_variance.cfg").read_text()),
+                        bath_modes=20)
+        bath, bound = config_module._bath(point), config_module._frequency_bound(point)
+        exact = ReducedPropagator.build(point.omega, bath)
+        with mp.workdps(40):
+            w = mp.diag([point.omega, *map(float, bath.frequencies)])
+            for j, g in enumerate(bath.couplings):
+                w[0, j + 1] = w[j + 1, 0] = float(g)
+            lam, q = mp.eigsy(w)
+            row = [mp.fsum(q[0, m] * q[k, m] * mp.expj(-lam[m] * t) for m in range(w.rows))
+                   for k in range(w.rows)]
+            noise = mp.fsum(abs(u) ** 2 / mp.tanh(float(f) / (2 * point.temperature))
+                            for u, f in zip(row[1:], bath.frequencies))
+            r_sys = mp.matrix([[mp.re(row[0]), -mp.im(row[0])], [mp.im(row[0]), mp.re(row[0])]])
+            for r in (1.0, 4.0, 6.5):
+                ref = (r_sys * mp.diag([mp.exp(-2 * mp.mpf(r)), mp.exp(2 * mp.mpf(r))])
+                       * r_sys.T + noise * mp.eye(2))
+                cov = exact.states([t], make_squeezed_vacuum(r), (point.temperature,)).cov[0]
+                error = max(abs(float(cov[a, b] - ref[a, b])) for a in range(2) for b in range(2))
+                assert error <= sys.float_info.epsilon * math.exp(2 * r) * (1 + t * bound), r
+
     def test_weakly_damped_flow_reaches_its_steady_state_or_is_refused(self, tmp_path):
         # at alpha = 4.4e-16 (gamma ~ 1e-15) evolve_flow's rounding grows with omega t up
         # to t ~ 1/gamma, so a run to t_max = 1e300 must reach 2 nbar + 1 or be refused
@@ -1067,15 +1103,18 @@ class TestCli:
                 or cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK)
 
     def test_hot_bath_mode_runs_or_is_refused(self, tmp_path):
-        # an equal_tails window from omega_min = 1e-5 at T = 1.75 puts a bath mode of
-        # variance 3.5e5 beside the system's: the factorization's full state at t = 0,
-        # exact by construction, must not read unphysical from eigvalsh's rounding at
-        # eps times that variance
+        # a floor window from 1e-5 at T = 1.75 puts a bath mode of variance 3.5e5
+        # beside the system's: the factorization's full state at t = 0, exact by
+        # construction, must not read unphysical from eigvalsh's rounding at eps
+        # times that variance
+        config = ScenarioConfig(
+            alpha=0.015, omega_c=3.0, bath_modes=2, range_mode="floor", range_floor=1e-5,
+            temperature=1.75, t_max=1.0, samples=2, experiments=("factorization_distance",))
+        lowest = config_module._bath(config).frequencies[0]
+        assert 2 * bose_occupation(lowest, config.temperature) + 1 == pytest.approx(3.5e5,
+                                                                                 rel=1e-3)
         p = tmp_path / "run.cfg"
-        p.write_text(config_text(ScenarioConfig(
-            alpha=0.015, omega_c=3.0, bath_modes=2, range_mode="equal_tails",
-            range_omega_min=1e-5, temperature=1.75, t_max=1.0, samples=2,
-            experiments=("factorization_distance",))))
+        p.write_text(config_text(config))
         assert (cli_main(["validate", str(p)]) == EXIT_CONFIG
                 or cli_main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK)
 

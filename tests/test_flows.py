@@ -638,6 +638,14 @@ class TestEvolveAndSteady:
         resid = flow.drift @ ss.cov + ss.cov @ flow.drift.T + flow.diffusion
         assert np.abs(resid).max() <= 1e-10
 
+    @pytest.mark.parametrize("gamma", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+    def test_steady_state_at_weak_damping(self, gamma):
+        # the covariance equation's entries are of order gamma on both sides; one
+        # linear solve over all of them loses digits like omega/gamma
+        nbar = 0.3
+        ss = steady_state(flow_single(1.0, gamma, nbar))
+        assert np.abs(ss.cov - (2 * nbar + 1) * np.eye(2)).max() <= 1e-14
+
     def test_non_hurwitz_rejected(self):
         flow = QuadraticLindblad([[1.0]], [[0.0]], [[0.0]])
         with pytest.raises(ArithmeticError):

@@ -181,7 +181,7 @@ def test_undriven_outputs_are_invariant_under_rotating_the_coherent_phase(
 # the fields and swept parameters that carry a frequency (temperatures included,
 # with hbar = k_B = 1); alpha, squeezing, amplitudes and bath sizes carry none
 FREQUENCY_FIELDS = ("omega", "omega2", "beta", "initial_temperature", "omega_c", "range_floor",
-                    "range_omega_min", "temperature", "rabi", "omega_l")
+                    "temperature", "rabi", "omega_l")
 SWEPT_FREQUENCIES = ("temperature", "beta", "detuning", "rabi")
 
 
@@ -196,10 +196,9 @@ def in_units(config, s):
 
 
 @st.composite
-def small_runnable_configs(draw, correlation_study=False):
+def small_runnable_configs(draw):
     """Runnable configs of at most 40 bath modes and 6 samples, whose frequencies stay
-    finite when doubled; without correlation_study (its kernels carry units) unless
-    ``correlation_study``."""
+    finite when doubled; without correlation_study, whose kernels carry units."""
     config = draw(runnable_configs())
     modes = config.sweep_parameter == "modes"
     config = replace(
@@ -208,8 +207,7 @@ def small_runnable_configs(draw, correlation_study=False):
         temperature2=min(config.temperature2, 1e300),
         sweep_values=tuple(min(v, 40) for v in config.sweep_values) if modes
         else config.sweep_values,
-        experiments=tuple(e for e in config.experiments
-                          if correlation_study or e != "correlation_study"))
+        experiments=tuple(e for e in config.experiments if e != "correlation_study"))
     try:
         validate(config)
     except ConfigError:
@@ -219,10 +217,9 @@ def small_runnable_configs(draw, correlation_study=False):
 
 def bath_window(config, alpha):
     """(omega_1, omega_max) of the bath ``run`` discretizes at ``alpha``; None if it fails."""
-    omega_min = config.range_omega_min if config.range_omega_min > 0 else None
     try:
         return omega_range(OhmicSpectrum(alpha, config.omega_c), config.range_mode,
-                           floor=config.range_floor, omega_min=omega_min)
+                           floor=config.range_floor)
     except ArithmeticError:
         return None
 
